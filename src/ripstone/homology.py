@@ -1,4 +1,11 @@
-"""Integral simplicial homology via sparse Smith normal form.
+"""Integral simplicial homology by column reduction with clearing.
+
+homology() reduces the boundary maps from the top dimension down, skipping
+columns cleared by the dimension above, and accepts only +-1 pivots.  Reduced
+columns with distinct unit pivots span a direct summand of the chain group,
+so each rank is exact and contributes no torsion.  A dimension that meets a
+non-unit pivot is redone by sparse Smith normal form, which also backs the
+public smith_normal_form and the homology bases used by cycle_class.
 
 The boundary convention used everywhere: for a simplex written with ascending
 vertices v1 < ... < vn,
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import ParameterError, PreconditionError, StructuralError
-from .simplicial import Complex, Simplex, mask_of, simplex, vertices_of
+from .simplicial import Complex, Simplex, mask_of, simplex
 
 
 # ---------------------------------------------------------------------------
@@ -112,29 +119,39 @@ class IntMatrix:
         return cls(rows=rows, cols=cols, entries=entries)
 
 
+def _boundary_columns(c: Complex, k: int):
+    """d_k column by column in storage order: each k-face's (row, sign) pairs.
+
+    This is the one place the mask-level sign convention is written: the
+    facet dropping the i-th smallest vertex (i = 0, 1, ...) gets (-1)^(i+1).
+    """
+    below = c.index(k - 1)
+    for mask in c.faces[k]:
+        col = []
+        sign = -1
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            col.append((below[mask ^ low], sign))
+            sign = -sign
+        yield col
+
+
 def boundary_matrix(c: Complex, k: int) -> IntMatrix:
     """Matrix of d_k: rows are (k-1)-faces, columns are k-faces, in storage order."""
     if not 1 <= k <= c.dim:
         raise ParameterError(f"no boundary matrix in dimension {k} for a complex of dim {c.dim}")
-    below = c.index(k - 1)
-    entries = {}
-    for j, mask in enumerate(c.faces[k]):
-        verts = vertices_of(mask)
-        for i, v in enumerate(verts):
-            sign = -1 if i % 2 == 0 else 1
-            entries[(below[mask ^ (1 << v)], j)] = sign
+    entries = {(i, j): sign for j, col in enumerate(_boundary_columns(c, k)) for i, sign in col}
     return IntMatrix(rows=len(c.faces[k - 1]), cols=len(c.faces[k]), entries=entries)
 
 
 def _boundary_row_data(c: Complex, k: int) -> dict[int, dict[int, int]]:
     """Row-oriented boundary entries of d_k, cheaper than IntMatrix for reduction."""
-    below = c.index(k - 1)
     rows: dict[int, dict[int, int]] = {}
-    for j, mask in enumerate(c.faces[k]):
-        verts = vertices_of(mask)
-        for i, v in enumerate(verts):
-            sign = -1 if i % 2 == 0 else 1
-            rows.setdefault(below[mask ^ (1 << v)], {})[j] = sign
+    for j, col in enumerate(_boundary_columns(c, k)):
+        for i, sign in col:
+            rows.setdefault(i, {})[j] = sign
     return rows
 
 
@@ -149,7 +166,6 @@ class _Reduction:
     rank: int
     factors: list[int]
     u_rows: dict | None = None
-    uinv_cols: dict | None = None
     v_cols: dict | None = None
     vinv_rows: dict | None = None
 
@@ -157,7 +173,6 @@ class _Reduction:
 def _invariant_factors(values: list[int]) -> list[int]:
     vs = [abs(v) for v in values]
     nontrivial = [v for v in vs if v != 1]
-    ones = len(vs) - len(nontrivial)
     changed = True
     while changed:
         changed = False
@@ -185,14 +200,13 @@ def _add_into(dst: dict, src: dict, k: int) -> None:
 def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset()) -> _Reduction:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
-    row_data is consumed.  need may contain "U", "Uinv", "V", "Vinv"; the
+    row_data is consumed.  need may contain "U", "V", "Vinv"; the
     requested transforms are returned with the final permutation and
     divisibility normalization applied, so that U * A * V embeds the
     invariant-factor diagonal at positions (0,0), (1,1), ...
     """
     track = bool(need)
     u_rows = {i: {i: 1} for i in range(nrows)} if "U" in need else None
-    uinv_cols = {i: {i: 1} for i in range(nrows)} if "Uinv" in need else None
     v_cols = {j: {j: 1} for j in range(ncols)} if "V" in need else None
     vinv_rows = {j: {j: 1} for j in range(ncols)} if "Vinv" in need else None
 
@@ -224,8 +238,6 @@ def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset(
             del row_data[dst]
         if u_rows is not None:
             _add_into(u_rows[dst], u_rows[src], k)
-        if uinv_cols is not None:
-            _add_into(uinv_cols[src], uinv_cols[dst], -k)
 
     def col_add(dst: int, src: int, k: int) -> None:
         for r in list(col_rows.get(src, ())):
@@ -251,9 +263,6 @@ def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset(
         if u_rows is not None:
             for key in u_rows[i]:
                 u_rows[i][key] = -u_rows[i][key]
-        if uinv_cols is not None:
-            for key in uinv_cols[i]:
-                uinv_cols[i][key] = -uinv_cols[i][key]
 
     pivots: list[tuple[int, int, int]] = []
     while row_data:
@@ -319,8 +328,6 @@ def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset(
             nxt += 1
     if u_rows is not None:
         u_rows = {row_perm[r]: row for r, row in u_rows.items()}
-    if uinv_cols is not None:
-        uinv_cols = {row_perm[r]: col for r, col in uinv_cols.items()}
     if v_cols is not None:
         v_cols = {col_perm[cc]: col for cc, col in v_cols.items()}
     if vinv_rows is not None:
@@ -331,8 +338,6 @@ def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset(
     def d_row_add(dst: int, src: int, k: int) -> None:
         if u_rows is not None:
             _add_into(u_rows[dst], u_rows[src], k)
-        if uinv_cols is not None:
-            _add_into(uinv_cols[src], uinv_cols[dst], -k)
 
     def d_col_add(dst: int, src: int, k: int) -> None:
         if v_cols is not None:
@@ -350,9 +355,6 @@ def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset(
         if u_rows is not None:
             for key in u_rows[i]:
                 u_rows[i][key] = -u_rows[i][key]
-        if uinv_cols is not None:
-            for key in uinv_cols[i]:
-                uinv_cols[i][key] = -uinv_cols[i][key]
 
     for i in range(len(diag)):
         if diag[i] < 0:
@@ -395,7 +397,6 @@ def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset(
         rank=len(diag),
         factors=diag,
         u_rows=u_rows,
-        uinv_cols=uinv_cols,
         v_cols=v_cols,
         vinv_rows=vinv_rows,
     )
@@ -477,6 +478,68 @@ def _homology_from_counts(counts: list[int], rank_torsion) -> HomologyResult:
     return HomologyResult(betti=betti, torsion=tuple(torsion), reduced=False)
 
 
+def _unit_pivot_columns(columns, cleared) -> dict[int, dict[int, int]] | None:
+    """Reduce boundary columns over Z, accepting only +-1 pivots.
+
+    Columns are taken in order, skipping the indexes in cleared; a column's
+    pivot is its largest row.  Returns pivot row -> reduced column, or None
+    at the first pivot that is not a unit.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for j, entries in enumerate(columns):
+        if j in cleared:
+            continue
+        col = dict(entries)
+        while col:
+            low = max(col)
+            other = pivots.get(low)
+            if other is None:
+                break
+            q = col[low] * other[low]  # other[low] is +-1, so q = col[low] / other[low]
+            for i, v in other.items():
+                new = col.get(i, 0) - q * v
+                if new:
+                    col[i] = new
+                else:
+                    del col[i]
+        if col:
+            if col[low] not in (1, -1):
+                return None
+            pivots[low] = col
+    return pivots
+
+
+def _boundary_ranks(c: Complex) -> tuple[list[tuple[int, list[int]]], list[int]]:
+    """Rank and torsion of every boundary map, by top-down reduction with clearing.
+
+    Entry k of the first list is (rank d_k, invariant factors > 1 of d_k);
+    entry 0 is (0, []).  The second list names the dimensions, top first,
+    whose reduction met a non-unit pivot and was redone by Smith reduction.
+
+    Dimension k is reduced after k+1.  A k-face that is the pivot of a
+    reduced d_{k+1} column is skipped (cleared): that column is +-1 times
+    the face plus earlier faces and its boundary is zero, so the face's
+    column is an integer combination of earlier columns of d_k.  With unit
+    pivots only, the reduced columns span a direct summand, so the rank is
+    exact and d_k adds no torsion.  A fallback dimension clears nothing below.
+    """
+    counts = c.f_vector()
+    out: list[tuple[int, list[int]]] = [(0, [])] * (c.dim + 1)
+    fallbacks: list[int] = []
+    cleared: dict = {}
+    for k in range(c.dim, 0, -1):
+        pivots = _unit_pivot_columns(_boundary_columns(c, k), cleared)
+        if pivots is not None:
+            out[k] = (len(pivots), [])
+            cleared = pivots
+            continue
+        fallbacks.append(k)
+        red = _reduce(counts[k - 1], counts[k], _boundary_row_data(c, k))
+        out[k] = (red.rank, [d for d in red.factors if d > 1])
+        cleared = {}
+    return out, fallbacks
+
+
 def homology(c: Complex, reduced: bool = False) -> HomologyResult:
     """Integral homology of a complex; Betti numbers are unreduced by default."""
     counts = list(c.f_vector())
@@ -487,11 +550,8 @@ def homology(c: Complex, reduced: bool = False) -> HomologyResult:
         betti = [1] + [0] * c.dim
         result = HomologyResult(betti=tuple(betti), torsion=tuple(() for _ in counts), reduced=False)
     else:
-        def rank_torsion(k: int):
-            red = _reduce(counts[k - 1], counts[k], _boundary_row_data(c, k))
-            return red.rank, [d for d in red.factors if d > 1]
-
-        result = _homology_from_counts(counts, rank_torsion)
+        rank_torsion, _fallbacks = _boundary_ranks(c)
+        result = _homology_from_counts(counts, rank_torsion.__getitem__)
     if reduced:
         betti = list(result.betti)
         betti[0] -= 1
@@ -541,13 +601,10 @@ class HomologyBasis:
         ncols_b = 0
         if k + 1 <= c.dim:
             ncols_b = len(c.faces[k + 1])
-            below = c.index(k)
-            for j, mask in enumerate(c.faces[k + 1]):
-                verts = vertices_of(mask)
+            for j, col in enumerate(_boundary_columns(c, k + 1)):
                 acc: dict[int, int] = {}
-                for i, v in enumerate(verts):
-                    sign = -1 if i % 2 == 0 else 1
-                    self._accumulate(acc, below[mask ^ (1 << v)], sign)
+                for i, sign in col:
+                    self._accumulate(acc, i, sign)
                 for pos, val in acc.items():
                     if pos < self.rank_a:
                         raise StructuralError("boundary column is not a cycle; bad complex")

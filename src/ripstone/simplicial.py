@@ -114,16 +114,9 @@ class Complex:
         return True
 
 
-def _sort_key(mask: int) -> Simplex:
-    return vertices_of(mask)
-
-
 def _finish(levels: dict[int, list[int]], vertex_count: int, graph=None, cone=None) -> Complex:
-    faces = []
-    for k in range(max(levels) + 1 if levels else 0):
-        level = levels.get(k, [])
-        level.sort(key=_sort_key)
-        faces.append(level)
+    """Assemble a complex from per-dimension mask lists already in lexicographic order."""
+    faces = [levels.get(k, []) for k in range(max(levels) + 1 if levels else 0)]
     if not faces:
         raise StructuralError("refusing to build an empty complex")
     return Complex(vertex_count=vertex_count, faces=faces, graph=graph, cone_vertex=cone)
@@ -133,7 +126,9 @@ def _enumerate_cliques(adj: tuple[int, ...], n: int) -> dict[int, list[int]]:
     """All cliques of the graph, streamed into per-dimension mask lists.
 
     Depth-first extension by ascending vertex id: a clique is extended only by
-    vertices larger than its maximum, so each clique is produced once.
+    vertices larger than its maximum, so each clique is produced once, and
+    each list comes out in lexicographic order (a preorder walk of the
+    lexicographic prefix tree).
     """
     levels: dict[int, list[int]] = {}
 
@@ -201,6 +196,8 @@ def from_faces(faces, vertex_count: int | None = None) -> Complex:
     levels: dict[int, list[int]] = {}
     for m in closure:
         levels.setdefault(m.bit_count() - 1, []).append(m)
+    for level in levels.values():
+        level.sort(key=vertices_of)
     return _finish(levels, vertex_count)
 
 
@@ -211,6 +208,8 @@ def full_simplex_complex(n: int) -> Complex:
     levels: dict[int, list[int]] = {}
     for m in range(1, 1 << n):
         levels.setdefault(m.bit_count() - 1, []).append(m)
+    for level in levels.values():
+        level.sort(key=vertices_of)  # integer order is not lexicographic: {0,3} > {1,2}
     adj = tuple(((1 << n) - 1) ^ (1 << v) for v in range(n))
     return _finish(levels, n, graph=adj, cone=0)
 

@@ -3,13 +3,19 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from ripstone.errors import ParameterError, PreconditionError, StructuralError
 from ripstone.homology import (
     IntMatrix,
+    _boundary_ranks,
+    _boundary_row_data,
+    _homology_from_counts,
+    _reduce,
     boundary_chain,
     boundary_matrix,
     cycle_class,
@@ -192,3 +198,52 @@ def test_make_chain_drops_zero_terms():
     assert z.support() == [(1, 2)]
     assert not z.is_zero()
     assert make_chain(1, {}).is_zero()
+
+
+def _flag_faces(g, offset=0):
+    return [tuple(sorted(v + offset for v in q)) for q in nx.find_cliques(g)]
+
+
+def _clearing_fallbacks(c):
+    """Check the clearing ranks against Smith reduction in every dimension."""
+    counts = list(c.f_vector())
+    snf = [(0, [])]
+    for k in range(1, c.dim + 1):
+        red = _reduce(counts[k - 1], counts[k], _boundary_row_data(c, k))
+        snf.append((red.rank, [d for d in red.factors if d > 1]))
+    clearing, fallbacks = _boundary_ranks(c)
+    assert clearing == snf
+    assert homology(c) == _homology_from_counts(counts, snf.__getitem__)
+    return fallbacks
+
+
+@st.composite
+def small_graphs(draw, max_n):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    p = draw(st.floats(min_value=0.0, max_value=1.0))
+    return nx.gnp_random_graph(n, p, seed=draw(st.integers(min_value=0, max_value=2**16)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_graphs(max_n=11))
+def test_clearing_matches_snf_on_flag_complexes(g):
+    _clearing_fallbacks(from_faces(_flag_faces(g)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_graphs(max_n=5))
+def test_clearing_matches_snf_on_projective_plane_joins(g):
+    # the join of RP^2 with a flag complex on vertices 6, 7, ...
+    faces = [f + q for f in RP2_FACES for q in _flag_faces(g, offset=6)]
+    _clearing_fallbacks(from_faces(faces))
+
+
+def test_clearing_falls_back_on_torsion_only_where_needed():
+    # H_1(RP^2) = Z/2 cannot come from unit pivots, so d_2 falls back
+    assert 2 in _clearing_fallbacks(from_faces(RP2_FACES))
+    # d_5 and d_4 have unit pivots, d_3 falls back: d_2 must then be reduced
+    # without clearing, not with d_4's pivots
+    join = [f + q for f in RP2_FACES for q in ((6,), (7, 8, 9), (10,))]
+    assert _clearing_fallbacks(from_faces(join)) == [3]
+    c = vr_complex(combinatorial_metric(build_solid("dodecahedron")), 4)
+    assert _boundary_ranks(c)[1] == []
