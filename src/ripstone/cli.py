@@ -81,52 +81,70 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solids = sub.add_parser("solids", help="solid constructions and distances")
     ssub = solids.add_subparsers(dest="action", required=True)
-    ssub.add_parser("list", parents=[fmt], help="list the five solids")
+    ssub.add_parser("list", parents=[fmt], help="list the five solids").set_defaults(
+        func=_cmd_solids_list
+    )
     dist = ssub.add_parser("distances", parents=[fmt], help="distance table per hop")
     dist.add_argument("name", choices=SOLIDS)
+    dist.set_defaults(func=_cmd_solids_distances)
 
     vr = sub.add_parser("vr", help="Vietoris-Rips complexes at integer scales")
     vsub = vr.add_subparsers(dest="action", required=True)
-    for action, blurb in (("build", "emit the complex"), ("homology", "betti/torsion")):
+    for action, blurb, func in (
+        ("build", "emit the complex", _cmd_vr_build),
+        ("homology", "betti/torsion", _cmd_vr_homology),
+    ):
         q = vsub.add_parser(action, parents=[fmt], help=blurb)
         q.add_argument("name", choices=SOLIDS)
         q.add_argument("--r", type=int, required=True, help="integer scale")
+        q.set_defaults(func=func)
 
     verify = sub.add_parser("verify", help="canned verification pipelines")
     wsub = verify.add_subparsers(dest="action", required=True)
     wsub.add_parser(
         "main-theorem", parents=[fmt], help="betti tables for all solids and scales"
-    )
+    ).set_defaults(func=lambda args: _emit_report(verify_main_theorem(), args.format))
 
     dodeca = sub.add_parser("dodeca", help="the ten tetrahedra and the scale-3 trace")
     dsub = dodeca.add_subparsers(dest="action", required=True)
-    dsub.add_parser("tetrahedra", parents=[fmt], help="list the ten tetrahedra")
-    dsub.add_parser("trace", parents=[fmt, seeded], help="full scale-3 trace")
+    dsub.add_parser("tetrahedra", parents=[fmt], help="list the ten tetrahedra").set_defaults(
+        func=_cmd_dodeca_tetrahedra
+    )
+    dsub.add_parser("trace", parents=[fmt, seeded], help="full scale-3 trace").set_defaults(
+        func=_cmd_dodeca_trace
+    )
 
     morse = sub.add_parser("morse", help="matching engine over text files")
     msub = morse.add_subparsers(dest="action", required=True)
     chk = msub.add_parser("check", parents=[fmt], help="validate and certify a matching")
     chk.add_argument("--complex", required=True, dest="complex_path")
     chk.add_argument("--matching", required=True, dest="matching_path")
+    chk.set_defaults(func=_cmd_morse_check)
     fnd = msub.add_parser("find", parents=[fmt, seeded], help="search for a matching")
     fnd.add_argument("--complex", required=True, dest="complex_path")
     fnd.add_argument("--candidate", dest="candidate_path", help="cells allowed in pairs")
     fnd.add_argument("--critical", dest="critical_path", help="cells forced critical")
+    fnd.set_defaults(func=_cmd_morse_find)
     flw = msub.add_parser("flow", parents=[fmt], help="flow a chain to the critical complex")
     flw.add_argument("--complex", required=True, dest="complex_path")
     flw.add_argument("--matching", required=True, dest="matching_path")
     flw.add_argument("--chain", required=True, dest="chain_path")
+    flw.set_defaults(func=_cmd_morse_flow)
 
     cube = sub.add_parser("cube", help="cube-graph series and cross-checks")
     csub = cube.add_subparsers(dest="action", required=True)
     ser = csub.add_parser("series", parents=[fmt], help="main series identity table")
     ser.add_argument("--max-n", type=int, default=10)
+    ser.set_defaults(func=_cmd_cube_series)
     cvf = csub.add_parser("verify", parents=[fmt], help="direct homology cross-check")
     cvf.add_argument("--n", type=int, required=True)
+    cvf.set_defaults(func=lambda args: _emit_report(verify_cube_vr2(args.n), args.format))
 
     symmetry = sub.add_parser("symmetry", help="automorphisms and the character check")
     ysub = symmetry.add_subparsers(dest="action", required=True)
-    ysub.add_parser("report", parents=[fmt], help="groups, orbits, fixed points")
+    ysub.add_parser("report", parents=[fmt], help="groups, orbits, fixed points").set_defaults(
+        func=lambda args: _emit_report(symmetry_report(), args.format)
+    )
 
     return p
 
@@ -209,6 +227,12 @@ def _cmd_dodeca_tetrahedra(args) -> int:
     tets = diameter3_tetrahedra(combinatorial_metric(build_solid("dodecahedron")))
     table = "\n".join(" ".join(str(v) for v in t) for t in tets)
     return _emit_payload({"tetrahedra": [list(t) for t in tets]}, table, args.format)
+
+
+def _cmd_dodeca_trace(args) -> int:
+    seed = _default_seed() if args.seed is None else args.seed
+    rep = trace_dodecahedron(seed=seed, max_attempts=args.max_attempts)
+    return _emit_report(rep, args.format)
 
 
 def _cmd_morse_check(args) -> int:
@@ -294,39 +318,6 @@ def _cmd_cube_series(args) -> int:
     )
 
 
-def _dispatch(args) -> int:
-    cmd = (args.command, getattr(args, "action", None))
-    if cmd == ("solids", "list"):
-        return _cmd_solids_list(args)
-    if cmd == ("solids", "distances"):
-        return _cmd_solids_distances(args)
-    if cmd == ("vr", "build"):
-        return _cmd_vr_build(args)
-    if cmd == ("vr", "homology"):
-        return _cmd_vr_homology(args)
-    if cmd == ("verify", "main-theorem"):
-        return _emit_report(verify_main_theorem(), args.format)
-    if cmd == ("dodeca", "tetrahedra"):
-        return _cmd_dodeca_tetrahedra(args)
-    if cmd == ("dodeca", "trace"):
-        seed = _default_seed() if args.seed is None else args.seed
-        rep = trace_dodecahedron(seed=seed, max_attempts=args.max_attempts)
-        return _emit_report(rep, args.format)
-    if cmd == ("morse", "check"):
-        return _cmd_morse_check(args)
-    if cmd == ("morse", "find"):
-        return _cmd_morse_find(args)
-    if cmd == ("morse", "flow"):
-        return _cmd_morse_flow(args)
-    if cmd == ("cube", "series"):
-        return _cmd_cube_series(args)
-    if cmd == ("cube", "verify"):
-        return _emit_report(verify_cube_vr2(args.n), args.format)
-    if cmd == ("symmetry", "report"):
-        return _emit_report(symmetry_report(), args.format)
-    raise ParameterError(f"unhandled command {cmd!r}")
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -334,7 +325,7 @@ def main(argv=None) -> int:
         code = e.code if e.code is not None else 0
         return code if isinstance(code, int) else 2
     try:
-        return _dispatch(args)
+        return args.func(args)
     except FormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,14 +1,13 @@
-"""Plain-text grammars for complexes, chains, matchings, and patterns.
+"""Plain-text grammars for complexes, simplex lists, chains, and matchings.
 
 All four formats are line-oriented and diff-friendly: `#` starts a comment,
 blank lines are ignored, vertices are non-negative integers.
 
 complex   one simplex per line as strictly ascending integers; the complex
           is the downward closure of the listed faces
+simplices one simplex per line, file order kept, duplicates collapsed
 chain     `coeff: v1 v2 ...` with a nonzero integer coefficient per line
 matching  `v1 v2 ... -> w1 w2 ...` pairing a facet with a cofacet
-pattern   header `pattern <n>`, then edge lines `u v` and the directives
-          `colored:`, `face:`, `oriented: u v`
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 from .errors import FormatError
 from .homology import Chain, make_chain
 from .morse import Matching, matching_from_pairs
-from .patterns import PatternGraph, pattern_graph
 from .simplicial import Complex, Simplex, from_faces, maximal_simplices
 
 
@@ -146,62 +144,4 @@ def serialize_matching(m: Matching) -> str:
         lines.append(
             " ".join(str(v) for v in lo) + " -> " + " ".join(str(v) for v in up)
         )
-    return "\n".join(lines) + "\n"
-
-
-def parse_pattern(text: str) -> PatternGraph:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise FormatError("pattern file is empty", line=1)
-    lineno, header = lines[0]
-    toks = header.split()
-    if len(toks) != 2 or toks[0] != "pattern":
-        raise FormatError("expected header 'pattern <n>'", line=lineno, token=header)
-    size = _parse_int(toks[1], lineno)
-    edges = []
-    directives: dict = {}
-    for lineno, body in lines[1:]:
-        head, sep, tail = body.partition(":")
-        if sep:
-            key = head.strip()
-            if key not in ("colored", "face", "oriented"):
-                raise FormatError("unknown directive", line=lineno, token=key)
-            if key in directives:
-                raise FormatError("repeated directive", line=lineno, token=key)
-            vals = [_parse_int(t, lineno) for t in tail.split()]
-            if key == "oriented" and len(vals) != 2:
-                raise FormatError(
-                    "oriented directive needs exactly two vertices",
-                    line=lineno,
-                    token=tail.strip(),
-                )
-            if not vals:
-                raise FormatError("empty directive", line=lineno, token=key)
-            directives[key] = vals
-        else:
-            toks = body.split()
-            if len(toks) != 2:
-                raise FormatError(
-                    "edge line needs exactly two vertices", line=lineno, token=body
-                )
-            edges.append((_parse_int(toks[0], lineno), _parse_int(toks[1], lineno)))
-    if "colored" not in directives:
-        raise FormatError("pattern file has no colored set", line=lines[0][0])
-    return pattern_graph(
-        size,
-        edges,
-        directives["colored"],
-        face=directives.get("face"),
-        oriented_edge=None if "oriented" not in directives else tuple(directives["oriented"]),
-    )
-
-
-def serialize_pattern(p: PatternGraph) -> str:
-    lines = [f"pattern {p.size}"]
-    lines.extend(f"{u} {v}" for u, v in p.edges)
-    lines.append("colored: " + " ".join(str(v) for v in p.colored))
-    if p.face is not None:
-        lines.append("face: " + " ".join(str(v) for v in p.face))
-    if p.oriented_edge is not None:
-        lines.append("oriented: " + " ".join(str(v) for v in p.oriented_edge))
     return "\n".join(lines) + "\n"

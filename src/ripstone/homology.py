@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import ParameterError, PreconditionError, StructuralError
-from .simplicial import Complex, Simplex, mask_of, simplex
+from .simplicial import Complex, Simplex, mask_of, signed_facets, simplex, vertices_of
 
 
 # ---------------------------------------------------------------------------
@@ -63,13 +63,7 @@ def make_chain(dimension: int, terms) -> Chain:
 
 def simplex_boundary(s: Simplex) -> list[tuple[Simplex, int]]:
     """Signed facets of a simplex under the package boundary convention."""
-    if len(s) == 1:
-        return []
-    out = []
-    for i in range(len(s)):
-        sign = -1 if i % 2 == 0 else 1
-        out.append((s[:i] + s[i + 1 :], sign))
-    return out
+    return [(vertices_of(f), sign) for f, sign in signed_facets(mask_of(s))]
 
 
 def boundary_chain(z: Chain) -> Chain:
@@ -119,37 +113,29 @@ class IntMatrix:
         return cls(rows=rows, cols=cols, entries=entries)
 
 
-def _boundary_columns(c: Complex, k: int):
-    """d_k column by column in storage order: each k-face's (row, sign) pairs.
+def _boundary_columns(c: Complex, k: int, skip=()):
+    """d_k column by column in storage order, as (column, its (row, sign) pairs).
 
-    This is the one place the mask-level sign convention is written: the
-    facet dropping the i-th smallest vertex (i = 0, 1, ...) gets (-1)^(i+1).
+    Columns whose index is in skip are left out without being built.
     """
     below = c.index(k - 1)
-    for mask in c.faces[k]:
-        col = []
-        sign = -1
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            col.append((below[mask ^ low], sign))
-            sign = -sign
-        yield col
+    for j, mask in enumerate(c.faces[k]):
+        if j not in skip:
+            yield j, [(below[f], sign) for f, sign in signed_facets(mask)]
 
 
 def boundary_matrix(c: Complex, k: int) -> IntMatrix:
     """Matrix of d_k: rows are (k-1)-faces, columns are k-faces, in storage order."""
     if not 1 <= k <= c.dim:
         raise ParameterError(f"no boundary matrix in dimension {k} for a complex of dim {c.dim}")
-    entries = {(i, j): sign for j, col in enumerate(_boundary_columns(c, k)) for i, sign in col}
+    entries = {(i, j): sign for j, col in _boundary_columns(c, k) for i, sign in col}
     return IntMatrix(rows=len(c.faces[k - 1]), cols=len(c.faces[k]), entries=entries)
 
 
 def _boundary_row_data(c: Complex, k: int) -> dict[int, dict[int, int]]:
     """Row-oriented boundary entries of d_k, cheaper than IntMatrix for reduction."""
     rows: dict[int, dict[int, int]] = {}
-    for j, col in enumerate(_boundary_columns(c, k)):
+    for j, col in _boundary_columns(c, k):
         for i, sign in col:
             rows.setdefault(i, {})[j] = sign
     return rows
@@ -168,24 +154,6 @@ class _Reduction:
     u_rows: dict | None = None
     v_cols: dict | None = None
     vinv_rows: dict | None = None
-
-
-def _invariant_factors(values: list[int]) -> list[int]:
-    vs = [abs(v) for v in values]
-    nontrivial = [v for v in vs if v != 1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(nontrivial)):
-            for j in range(i + 1, len(nontrivial)):
-                a, b = nontrivial[i], nontrivial[j]
-                if b % a:
-                    g = gcd(a, b)
-                    nontrivial[i], nontrivial[j] = g, a * b // g
-                    changed = True
-    nontrivial = [v for v in nontrivial if v != 1]
-    ones = len(vs) - len(nontrivial)
-    return [1] * ones + sorted(nontrivial)
 
 
 def _add_into(dst: dict, src: dict, k: int) -> None:
@@ -306,32 +274,33 @@ def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset(
         del row_data[r0]
         del col_rows[c0]
 
-    if not track:
-        return _Reduction(nrows, ncols, rank=len(pivots), factors=_invariant_factors([p[2] for p in pivots]))
-
-    # Move pivots onto the leading diagonal: transforms are reindexed on their
-    # permuted axis, nothing else changes.
-    row_perm = {}
-    col_perm = {}
-    for i, (r, cc, _v) in enumerate(pivots):
-        row_perm[r] = i
-        col_perm[cc] = i
-    nxt = len(pivots)
-    for r in range(nrows):
-        if r not in row_perm:
-            row_perm[r] = nxt
-            nxt += 1
-    nxt = len(pivots)
-    for cc in range(ncols):
-        if cc not in col_perm:
-            col_perm[cc] = nxt
-            nxt += 1
-    if u_rows is not None:
-        u_rows = {row_perm[r]: row for r, row in u_rows.items()}
-    if v_cols is not None:
-        v_cols = {col_perm[cc]: col for cc, col in v_cols.items()}
-    if vinv_rows is not None:
-        vinv_rows = {col_perm[cc]: row for cc, row in vinv_rows.items()}
+    # Unit pivots first, so the divisibility pass below runs over the tail only.
+    pivots.sort(key=lambda p: abs(p[2]) != 1)
+    units = sum(1 for p in pivots if abs(p[2]) == 1)
+    if track:
+        # Move pivots onto the leading diagonal: transforms are reindexed on
+        # their permuted axis, nothing else changes.
+        row_perm = {}
+        col_perm = {}
+        for i, (r, cc, _v) in enumerate(pivots):
+            row_perm[r] = i
+            col_perm[cc] = i
+        nxt = len(pivots)
+        for r in range(nrows):
+            if r not in row_perm:
+                row_perm[r] = nxt
+                nxt += 1
+        nxt = len(pivots)
+        for cc in range(ncols):
+            if cc not in col_perm:
+                col_perm[cc] = nxt
+                nxt += 1
+        if u_rows is not None:
+            u_rows = {row_perm[r]: row for r, row in u_rows.items()}
+        if v_cols is not None:
+            v_cols = {col_perm[cc]: col for cc, col in v_cols.items()}
+        if vinv_rows is not None:
+            vinv_rows = {col_perm[cc]: row for cc, row in vinv_rows.items()}
 
     diag = [p[2] for p in pivots]
 
@@ -364,7 +333,7 @@ def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset(
     changed = True
     while changed:
         changed = False
-        for i in range(len(diag)):
+        for i in range(units, len(diag)):
             for j in range(i + 1, len(diag)):
                 a, b = diag[i], diag[j]
                 if b % a == 0:
@@ -471,24 +440,18 @@ def _homology_from_counts(counts: list[int], rank_torsion) -> HomologyResult:
     betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
     if any(b < 0 for b in betti):
         raise StructuralError("negative Betti number: input was not a valid chain complex")
-    euler_faces = sum((-1) ** k * counts[k] for k in range(top + 1))
-    euler_betti = sum((-1) ** k * betti[k] for k in range(top + 1))
-    if euler_faces != euler_betti:
-        raise StructuralError("Euler characteristic mismatch between face counts and Betti numbers")
     return HomologyResult(betti=betti, torsion=tuple(torsion), reduced=False)
 
 
-def _unit_pivot_columns(columns, cleared) -> dict[int, dict[int, int]] | None:
+def _unit_pivot_columns(columns) -> dict[int, dict[int, int]] | None:
     """Reduce boundary columns over Z, accepting only +-1 pivots.
 
-    Columns are taken in order, skipping the indexes in cleared; a column's
-    pivot is its largest row.  Returns pivot row -> reduced column, or None
-    at the first pivot that is not a unit.
+    columns yields (index, entries) in order; a column's pivot is its
+    largest row.  Returns pivot row -> reduced column, or None at the first
+    pivot that is not a unit.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for j, entries in enumerate(columns):
-        if j in cleared:
-            continue
+    for _j, entries in columns:
         col = dict(entries)
         while col:
             low = max(col)
@@ -528,7 +491,7 @@ def _boundary_ranks(c: Complex) -> tuple[list[tuple[int, list[int]]], list[int]]
     fallbacks: list[int] = []
     cleared: dict = {}
     for k in range(c.dim, 0, -1):
-        pivots = _unit_pivot_columns(_boundary_columns(c, k), cleared)
+        pivots = _unit_pivot_columns(_boundary_columns(c, k, skip=cleared))
         if pivots is not None:
             out[k] = (len(pivots), [])
             cleared = pivots
@@ -601,7 +564,7 @@ class HomologyBasis:
         ncols_b = 0
         if k + 1 <= c.dim:
             ncols_b = len(c.faces[k + 1])
-            for j, col in enumerate(_boundary_columns(c, k + 1)):
+            for j, col in _boundary_columns(c, k + 1):
                 acc: dict[int, int] = {}
                 for i, sign in col:
                     self._accumulate(acc, i, sign)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterError, PreconditionError, SearchFailure, StructuralError
 from .homology import Chain, HomologyResult, _homology_from_counts, _reduce, make_chain
-from .simplicial import Complex, Simplex, mask_of, simplex, vertices_of
+from .simplicial import Complex, Simplex, mask_of, signed_facets, simplex, vertices_of
 
 
 @dataclass(frozen=True)
@@ -66,22 +66,6 @@ class MatchingReport:
     def ok(self) -> bool:
         return self.valid and self.acyclic
 
-    def critical_f_vector(self) -> tuple:
-        if not self.critical:
-            return ()
-        top = max(len(s) for s in self.critical) - 1
-        counts = [0] * (top + 1)
-        for s in self.critical:
-            counts[len(s) - 1] += 1
-        return tuple(counts)
-
-
-def _boundary_masks(mask: int) -> list[tuple[int, int]]:
-    out = []
-    for i, v in enumerate(vertices_of(mask)):
-        out.append((mask ^ (1 << v), -1 if i % 2 == 0 else 1))
-    return out
-
 
 def check_matching(c: Complex, m: Matching) -> MatchingReport:
     """Validate the pairing rules, then certify acyclicity dimension by dimension.
@@ -114,7 +98,7 @@ def check_matching(c: Complex, m: Matching) -> MatchingReport:
         succ: list[list[int]] = []
         for lo, up in nodes:
             out = []
-            for fmask, _sign in _boundary_masks(up):
+            for fmask, _sign in signed_facets(up):
                 j = lower_index.get(fmask)
                 if j is not None and fmask != lo:
                     out.append(j)
@@ -294,10 +278,7 @@ def _pairing_operator(m: Matching) -> dict[int, tuple[int, int]]:
     v_map = {}
     for lo, up in m.pairs:
         lo_m, up_m = mask_of(lo), mask_of(up)
-        extra = up_m ^ lo_m
-        position = (up_m & (extra - 1)).bit_count()
-        incidence = -1 if position % 2 == 0 else 1
-        v_map[lo_m] = (up_m, -incidence)
+        v_map[lo_m] = (up_m, -dict(signed_facets(up_m))[lo_m])
     return v_map
 
 
@@ -315,9 +296,9 @@ def _flow_once(cur: dict, v_map: dict) -> dict:
         hit = v_map.get(mask)
         if hit is not None:  # d(V z)
             up, vsign = hit
-            for fmask, fsign in _boundary_masks(up):
+            for fmask, fsign in signed_facets(up):
                 _axpy(out, fmask, co * vsign * fsign)
-        for fmask, fsign in _boundary_masks(mask):  # V(d z)
+        for fmask, fsign in signed_facets(mask):  # V(d z)
             hit = v_map.get(fmask)
             if hit is not None:
                 _axpy(out, hit[0], co * fsign * hit[1])
@@ -337,17 +318,34 @@ def _flow_to_fixpoint(chain: dict, v_map: dict, limit: int) -> tuple[dict, int]:
             raise StructuralError("flow failed to stabilize; matching cannot be acyclic")
 
 
-def morse_flow(c: Complex, m: Matching, z: Chain) -> FlowChain:
-    """Iterate the flow map id + dV + Vd until the chain is fixed."""
-    report = check_matching(c, m)
+def _certified(c: Complex, m: Matching, purpose: str | None = None) -> tuple[MatchingReport, dict]:
+    """check_matching(c, m) and the pairing operator of m, computed once.
+
+    Both are cached in c._cache under the (frozen, hashable) matching, so
+    flowing many chains through one matching certifies it once.  Raises
+    PreconditionError unless the matching is valid and acyclic; with a
+    purpose, the error names it instead of the flow's own reasons.
+    """
+    key = ("matching", m)
+    if key not in c._cache:
+        report = check_matching(c, m)
+        c._cache[key] = (report, _pairing_operator(m) if report.ok() else None)
+    report, v_map = c._cache[key]
+    if report.ok():
+        return report, v_map
+    if purpose is not None:
+        raise PreconditionError(f"{purpose} requires a valid acyclic matching")
     if not report.valid:
         raise PreconditionError(f"invalid matching: {report.violations[0]}")
-    if not report.acyclic:
-        raise PreconditionError("matching has a directed cycle; flow may diverge")
+    raise PreconditionError("matching has a directed cycle; flow may diverge")
+
+
+def morse_flow(c: Complex, m: Matching, z: Chain) -> FlowChain:
+    """Iterate the flow map id + dV + Vd until the chain is fixed."""
+    _report, v_map = _certified(c, m)
     for s in z.terms:
         if not c.has_face(s):
             raise StructuralError(f"chain uses {s}, which is not a face of the complex")
-    v_map = _pairing_operator(m)
     start = {mask_of(s): co for s, co in z.terms.items()}
     fixed, steps = _flow_to_fixpoint(start, v_map, c.face_total())
     terms = {vertices_of(mask): co for mask, co in fixed.items()}
@@ -360,23 +358,20 @@ def critical_complex_homology(c: Complex, m: Matching) -> HomologyResult:
     The differential of a critical cell is the stabilized flow of its boundary
     restricted to critical cells; the result must agree with homology(c).
     """
-    report = check_matching(c, m)
-    if not report.ok():
-        raise PreconditionError("critical complex requires a valid acyclic matching")
+    report, v_map = _certified(c, m, "critical complex")
     top = max(len(s) for s in report.critical) - 1
     crit: list[list[int]] = [[] for _ in range(top + 1)]
     for s in report.critical:
         crit[len(s) - 1].append(mask_of(s))
     index = [{mask: i for i, mask in enumerate(level)} for level in crit]
     counts = [len(level) for level in crit]
-    v_map = _pairing_operator(m)
     limit = c.face_total()
 
     def rank_torsion(k: int):
         rows: dict[int, dict[int, int]] = {}
         for j, mask in enumerate(crit[k]):
             start: dict[int, int] = {}
-            for fmask, fsign in _boundary_masks(mask):
+            for fmask, fsign in signed_facets(mask):
                 _axpy(start, fmask, fsign)
             fixed, _steps = _flow_to_fixpoint(start, v_map, limit)
             for fmask, co in fixed.items():

@@ -1,261 +1,72 @@
-"""Colored pattern graphs and their induced embeddings into edge graphs.
+"""Induced-subgraph embeddings into edge graphs, and the scattered tetrahedra.
 
-A pattern is a small abstract graph with a distinguished set of colored
-vertices; every embedding of the pattern as an induced subgraph of a host
-graph contributes one simplex, the image of the colored set.  Patterns with
-a face subset one vertex smaller than the colored set generate facet/cofacet
-pairs instead, which is how whole families of matched cells are specified at
-once.  An optional oriented edge, checked against a fixed host orientation,
-breaks symmetries that would otherwise pair a cell twice.
+An embedding of a pattern graph into a host graph is an injective vertex map
+under which two pattern vertices are adjacent exactly when their images are.
+With the host itself as the pattern, the embeddings are its automorphisms.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ParameterError, StructuralError, VerificationError
-from .morse import Matching, matching_from_pairs
+from .errors import ParameterError, VerificationError
 from .polytopes import DistanceMatrix, PolytopeGraph
-from .simplicial import Simplex
+from .simplicial import Simplex, vertices_of
 
 
-@dataclass(frozen=True)
-class PatternGraph:
-    """Abstract graph with colored vertices, optional face and oriented edge.
-
-    edges hold ascending pairs; colored and face are ascending vertex
-    tuples; face, when present, must sit inside the colored set.  At most
-    one edge carries an orientation.
-    """
-
-    size: int
-    edges: tuple[tuple[int, int], ...]
-    colored: tuple[int, ...]
-    face: tuple[int, ...] | None = None
-    oriented_edge: tuple[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ParameterError("pattern needs at least one vertex")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.size):
-                raise ParameterError(f"bad pattern edge ({u}, {v})")
-        if len(set(self.edges)) != len(self.edges):
-            raise ParameterError("duplicate pattern edge")
-        if not self.colored:
-            raise ParameterError("colored set must be non-empty")
-        for group in (self.colored, self.face or ()):
-            if any(not 0 <= v < self.size for v in group):
-                raise ParameterError("colored/face vertex out of range")
-            if any(a >= b for a, b in zip(group, group[1:])):
-                raise ParameterError("colored/face vertices must ascend")
-        if self.face is not None and not set(self.face) <= set(self.colored):
-            raise ParameterError("face must be a subset of the colored set")
-        if self.oriented_edge is not None:
-            u, v = self.oriented_edge
-            if (min(u, v), max(u, v)) not in self.edges:
-                raise ParameterError("oriented edge is not an edge of the pattern")
-
-
-def pattern_graph(
-    size: int,
-    edges,
-    colored,
-    face=None,
-    oriented_edge=None,
-) -> PatternGraph:
-    """Normalize raw vertex collections into a validated PatternGraph."""
-    norm_edges = tuple(sorted({(min(u, v), max(u, v)) for u, v in edges}))
-    return PatternGraph(
-        size=size,
-        edges=norm_edges,
-        colored=tuple(sorted(set(colored))),
-        face=None if face is None else tuple(sorted(set(face))),
-        oriented_edge=None if oriented_edge is None else tuple(oriented_edge),
+def is_induced_embedding(p: PolytopeGraph, g: PolytopeGraph, images) -> bool:
+    """Re-verify a claimed embedding from scratch; images[i] is the image of vertex i."""
+    if len(images) != p.vertex_count or len(set(images)) != len(images):
+        return False
+    if any(not 0 <= w < g.vertex_count for w in images):
+        return False
+    return all(
+        p.adjacent(u, v) == g.adjacent(images[u], images[v])
+        for u, v in combinations(range(p.vertex_count), 2)
     )
 
 
-@dataclass(frozen=True)
-class EdgeOrientation:
-    """One chosen direction per host edge, drawn deterministically from seed."""
-
-    seed: int
-    directed: frozenset
-
-    def agrees(self, u: int, v: int) -> bool:
-        return (u, v) in self.directed
-
-
-def fixed_orientation(g: PolytopeGraph, seed: int) -> EdgeOrientation:
-    """Direct every edge of g by one seeded coin flip per edge."""
-    rng = random.Random(seed)
-    directed = set()
-    for u, v in g.edges():
-        directed.add((u, v) if rng.randrange(2) == 0 else (v, u))
-    return EdgeOrientation(seed=seed, directed=frozenset(directed))
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """Injective vertex map; images[i] is the host image of pattern vertex i."""
-
-    images: tuple[int, ...]
-
-    def image_of(self, v: int) -> int:
-        return self.images[v]
-
-
-def is_induced_embedding(
-    p: PatternGraph,
-    g: PolytopeGraph,
-    e: Embedding,
-    o: EdgeOrientation | None = None,
-) -> bool:
-    """Re-verify a claimed embedding from scratch."""
-    img = e.images
-    if len(img) != p.size or len(set(img)) != len(img):
-        return False
-    if any(not 0 <= w < g.vertex_count for w in img):
-        return False
-    edge_set = set(p.edges)
-    for u in range(p.size):
-        for v in range(u + 1, p.size):
-            if ((u, v) in edge_set) != g.adjacent(img[u], img[v]):
-                return False
-    if p.oriented_edge is not None:
-        if o is None:
-            raise ParameterError("pattern has an oriented edge; orientation required")
-        x, y = p.oriented_edge
-        if not o.agrees(img[x], img[y]):
-            return False
-    return True
-
-
-def embeddings(
-    p: PatternGraph,
-    g: PolytopeGraph,
-    o: EdgeOrientation | None = None,
-) -> list[Embedding]:
-    """All induced-subgraph embeddings of p into g, in image order.
+def embeddings(p: PolytopeGraph, g: PolytopeGraph) -> list[tuple[int, ...]]:
+    """All induced-subgraph embeddings of p into g as image tuples, sorted.
 
     Backtracking over pattern vertices, visiting each new vertex through an
     already placed neighbor whenever one exists so adjacency constraints
     prune early.  Hosts have at most 20 vertices, so nothing fancier is
     needed.
     """
-    if p.size > g.vertex_count:
+    n = p.vertex_count
+    if n > g.vertex_count:
         raise ParameterError("pattern larger than host graph")
-    if p.oriented_edge is not None and o is None:
-        raise ParameterError("pattern has an oriented edge; orientation required")
-
-    adj = [set() for _ in range(p.size)]
-    for u, v in p.edges:
-        adj[u].add(v)
-        adj[v].add(u)
 
     order: list[int] = []
-    seen: set[int] = set()
-    while len(order) < p.size:
+    seen = 0
+    while len(order) < n:
         nxt = min(
-            (v for v in range(p.size) if v not in seen),
-            key=lambda v: (-len(adj[v] & seen), v),
+            (v for v in range(n) if not seen >> v & 1),
+            key=lambda v: (-(p.adjacency[v] & seen).bit_count(), v),
         )
         order.append(nxt)
-        seen.add(nxt)
+        seen |= 1 << nxt
 
-    results: list[Embedding] = []
-    img = [-1] * p.size
-    used = [False] * g.vertex_count
+    results: list[tuple[int, ...]] = []
+    img = [-1] * n
 
-    def place(depth: int) -> None:
-        if depth == p.size:
-            results.append(Embedding(images=tuple(img)))
+    def place(depth: int, unused: int) -> None:
+        if depth == n:
+            results.append(tuple(img))
             return
         v = order[depth]
-        for w in range(g.vertex_count):
-            if used[w]:
-                continue
-            ok = True
-            for u in order[:depth]:
-                if (u in adj[v]) != g.adjacent(img[u], w):
-                    ok = False
-                    break
-            if ok and p.oriented_edge is not None:
-                x, y = p.oriented_edge
-                if v == x and img[y] >= 0 and not o.agrees(w, img[y]):
-                    ok = False
-                elif v == y and img[x] >= 0 and not o.agrees(img[x], w):
-                    ok = False
-            if ok:
-                img[v] = w
-                used[w] = True
-                place(depth + 1)
-                img[v] = -1
-                used[w] = False
+        cand = unused
+        for u in order[:depth]:
+            nbrs = g.adjacency[img[u]]
+            cand &= nbrs if p.adjacent(u, v) else ~nbrs
+        for w in vertices_of(cand):
+            img[v] = w
+            place(depth + 1, unused ^ (1 << w))
 
-    place(0)
-    results.sort(key=lambda e: e.images)
+    place(0, (1 << g.vertex_count) - 1)
+    results.sort()
     return results
-
-
-def simplices_of_type(
-    p: PatternGraph,
-    g: PolytopeGraph,
-    o: EdgeOrientation | None = None,
-) -> list[Simplex]:
-    """Deduplicated colored-set images over all embeddings, sorted."""
-    found = {
-        tuple(sorted(e.images[b] for b in p.colored)) for e in embeddings(p, g, o)
-    }
-    return sorted(found)
-
-
-def pattern_matching(
-    rules,
-    g: PolytopeGraph,
-    o: EdgeOrientation | None = None,
-) -> Matching:
-    """Pair face image with colored image for every embedding of every rule.
-
-    Embeddings that produce the exact same pair collapse to one; a cell
-    showing up in two different pairs is a conflict in the rule set and is
-    reported with both responsible rules and embeddings.
-    """
-    rules = list(rules)
-    for idx, p in enumerate(rules):
-        if p.face is None:
-            raise ParameterError(f"rule {idx} has no face subset")
-        if len(p.colored) != len(p.face) + 1:
-            raise ParameterError(
-                f"rule {idx}: colored set must exceed the face by exactly one vertex"
-            )
-
-    chosen: dict[Simplex, tuple[Simplex, Simplex]] = {}
-    origin: dict[tuple[Simplex, Simplex], tuple[int, Embedding]] = {}
-    pairs: list[tuple[Simplex, Simplex]] = []
-    for idx, p in enumerate(rules):
-        for e in embeddings(p, g, o):
-            lower = tuple(sorted(e.images[b] for b in p.face))
-            upper = tuple(sorted(e.images[b] for b in p.colored))
-            pair = (lower, upper)
-            for cell in pair:
-                prev = chosen.get(cell)
-                if prev is not None and prev != pair:
-                    pidx, pemb = origin[prev]
-                    raise StructuralError(
-                        f"cell {cell} paired twice: rule {pidx} embedding "
-                        f"{pemb.images} gives {prev}, rule {idx} embedding "
-                        f"{e.images} gives {pair}"
-                    )
-            if chosen.get(lower) == pair:
-                continue
-            chosen[lower] = pair
-            chosen[upper] = pair
-            origin[pair] = (idx, e)
-            pairs.append(pair)
-    return matching_from_pairs(pairs)
 
 
 def diameter3_tetrahedra(metric: DistanceMatrix) -> list[Simplex]:

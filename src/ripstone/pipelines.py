@@ -21,7 +21,6 @@ from .simplicial import (
     delete_open_cells,
     face_diameter,
     maximal_simplices,
-    same_faces,
     vr_complex,
 )
 from .symmetry import automorphisms, rotation_subgroup, tetrahedra_orbits, verify_remark
@@ -71,7 +70,7 @@ def verify_main_theorem() -> Report:
             row(
                 f"{name} r=1 equals the boundary complex",
                 True,
-                same_faces(cached[(name, 1)], boundary_complex(name)),
+                cached[(name, 1)] == boundary_complex(name),
             )
         )
     for name, r in _ANTIPODAL_ROWS:
@@ -80,10 +79,7 @@ def verify_main_theorem() -> Report:
             row(
                 f"{name} r={r} equals the antipodal-pair-free complex",
                 True,
-                same_faces(
-                    cached[(name, r)],
-                    antipodal_free_complex(metric, metric.diameter()),
-                ),
+                cached[(name, r)] == antipodal_free_complex(metric, metric.diameter()),
             )
         )
     census = Counter(len(s) - 1 for s in maximal_simplices(cached[("dodecahedron", 2)]))

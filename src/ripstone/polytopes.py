@@ -67,9 +67,6 @@ class PolytopeGraph:
     def degree(self, i: int) -> int:
         return self.adjacency[i].bit_count()
 
-    def neighbors(self, i: int) -> list[int]:
-        return _bits(self.adjacency[i])
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for i in range(self.vertex_count):

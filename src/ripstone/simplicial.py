@@ -43,6 +43,24 @@ def vertices_of(mask: int) -> Simplex:
     return tuple(out)
 
 
+def signed_facets(mask: int) -> list[tuple[int, int]]:
+    """Each facet of a face with its boundary coefficient, as (facet mask, sign).
+
+    The package's one sign rule: dropping the i-th smallest vertex
+    (i = 0, 1, ...) gives (-1)^(i+1).  Facets come in that order; a vertex
+    has none.
+    """
+    out = []
+    sign = -1
+    m = mask
+    while m:
+        low = m & -m
+        m ^= low
+        out.append((mask ^ low, sign))
+        sign = -sign
+    return out if len(out) > 1 else []
+
+
 @dataclass(eq=False)
 class Complex:
     """A finite simplicial complex, faces stored per dimension in lexicographic order.
@@ -300,8 +318,3 @@ def face_diameter(metric: DistanceMatrix, s: Simplex) -> int:
             if d > best:
                 best = d
     return best
-
-
-def same_faces(a: Complex, b: Complex) -> bool:
-    """Structural equality: identical vertex counts and face lists."""
-    return a.vertex_count == b.vertex_count and a.faces == b.faces

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ParameterError, StructuralError, VerificationError
-from .patterns import pattern_graph, embeddings
+from .patterns import embeddings
 from .polytopes import PolytopeGraph
 from .simplicial import Simplex
 
@@ -154,13 +154,11 @@ def _chain_order(degree: int, generators) -> int:
 def automorphisms(g: PolytopeGraph) -> PermGroup:
     """Full automorphism group of the edge graph.
 
-    Enumeration rides on the pattern-embedding backtracker with the whole
-    graph as the pattern; an induced embedding of equal size is exactly an
-    automorphism.
+    Enumeration rides on the embedding backtracker with the graph as its own
+    pattern; an induced embedding of equal size is exactly an automorphism.
     """
     n = g.vertex_count
-    whole = pattern_graph(n, g.edges(), [0])
-    elements = tuple(e.images for e in embeddings(whole, g))
+    elements = tuple(embeddings(g, g))
     gens = _reduce_generators(n, elements)
     order = _chain_order(n, gens)
     if order != len(elements):

@@ -72,6 +72,17 @@ def test_boundary_signs_alternate_from_minus():
     assert simplex_boundary((7,)) == []
 
 
+def test_overstated_rank_is_caught_by_the_negative_betti_check():
+    # A filled triangle: rank d_1 = 2, rank d_2 = 1.  Betti_k is
+    # counts_k - rank_k - rank_{k+1}, so the ranks telescope out of the
+    # alternating sum and only a negative Betti number can expose a bad rank.
+    counts = [3, 3, 1]
+    good = _homology_from_counts(counts, [(0, []), (2, []), (1, [])].__getitem__)
+    assert good.betti == (1, 0, 0)
+    with pytest.raises(StructuralError, match="negative Betti"):
+        _homology_from_counts(counts, [(0, []), (3, []), (1, [])].__getitem__)
+
+
 def test_boundary_of_boundary_vanishes():
     for s in [(0, 1, 2), (2, 5, 9, 11), (0, 1, 2, 3, 4)]:
         z = make_chain(len(s) - 2, dict(simplex_boundary(s)))

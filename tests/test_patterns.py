@@ -1,54 +1,53 @@
-"""Induced pattern search and rule-driven pairings on solid graphs."""
+"""Induced pattern search on solid graphs, and the scattered tetrahedra."""
 
 import pytest
 
-from ripstone.errors import ParameterError, StructuralError, VerificationError
-from ripstone.patterns import (
-    diameter3_tetrahedra,
-    embeddings,
-    fixed_orientation,
-    is_induced_embedding,
-    pattern_graph,
-    pattern_matching,
-    simplices_of_type,
-)
-from ripstone.polytopes import build_solid, combinatorial_metric, cube_graph
+from ripstone.errors import ParameterError, VerificationError
+from ripstone.patterns import diameter3_tetrahedra, embeddings, is_induced_embedding
+from ripstone.polytopes import PolytopeGraph, build_solid, combinatorial_metric, cube_graph
 from ripstone.symmetry import apply_to_simplex, automorphisms
 
-EDGE = pattern_graph(2, [(0, 1)], colored=[0, 1])
-DIRECTED_EDGE = pattern_graph(2, [(0, 1)], colored=[0, 1], oriented_edge=(0, 1))
-CLAW = pattern_graph(4, [(0, 1), (0, 2), (0, 3)], colored=[0, 1, 2, 3])
-PENTAGON = pattern_graph(5, [(i, (i + 1) % 5) for i in range(5)], colored=range(5))
-STAR_RULE = pattern_graph(
-    4, [(0, 1), (0, 2), (0, 3)], colored=[0, 1, 2, 3], face=[1, 2, 3]
-)
-VERTEX_EDGE_RULE = pattern_graph(2, [(0, 1)], colored=[0, 1], face=[0])
+
+def pattern(name, size, edges):
+    adj = [0] * size
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return PolytopeGraph(name=name, vertex_count=size, adjacency=tuple(adj))
+
+
+EDGE = pattern("edge", 2, [(0, 1)])
+CLAW = pattern("claw", 4, [(0, 1), (0, 2), (0, 3)])
+PENTAGON = pattern("pentagon", 5, [(i, (i + 1) % 5) for i in range(5)])
 
 
 def dodeca():
     return build_solid("dodecahedron")
 
 
+def images(p, g):
+    """Distinct vertex sets hit by the embeddings of p, sorted."""
+    return sorted({tuple(sorted(e)) for e in embeddings(p, g)})
+
+
 def test_edge_pattern_counts():
     g = dodeca()
     assert len(embeddings(EDGE, g)) == 60  # both directions of 30 edges
-    assert len(simplices_of_type(EDGE, g)) == 30
-    o = fixed_orientation(g, seed=7)
-    assert len(embeddings(DIRECTED_EDGE, g, o)) == 30
+    assert len(images(EDGE, g)) == 30
 
 
 def test_claw_pattern_counts():
     g = dodeca()
     embs = embeddings(CLAW, g)
     assert len(embs) == 120  # 20 centers, 3! leaf orders
-    assert len(simplices_of_type(CLAW, g)) == 20
+    assert len(images(CLAW, g)) == 20
 
 
 def test_pentagon_pattern_finds_the_faces():
     g = dodeca()
     embs = embeddings(PENTAGON, g)
     assert len(embs) == 120  # 12 faces, dihedral order 10
-    assert len(simplices_of_type(PENTAGON, g)) == 12
+    assert len(images(PENTAGON, g)) == 12
 
 
 def test_embeddings_are_induced_and_sorted():
@@ -56,72 +55,25 @@ def test_embeddings_are_induced_and_sorted():
     for p in (EDGE, CLAW, PENTAGON):
         embs = embeddings(p, g)
         assert all(is_induced_embedding(p, g, e) for e in embs)
-        assert embs == sorted(embs, key=lambda e: e.images)
-        assert len({e.images for e in embs}) == len(embs)
+        assert embs == sorted(embs)
+        assert len(set(embs)) == len(embs)
+    far = next(w for w in range(1, g.vertex_count) if not g.adjacent(0, w))
+    assert not is_induced_embedding(EDGE, g, (0, far))
+    assert not is_induced_embedding(EDGE, g, (0, 0))
 
 
 def test_pentagon_images_are_closed_under_symmetry():
     g = dodeca()
-    faces = set(simplices_of_type(PENTAGON, g))
+    faces = set(images(PENTAGON, g))
     for gen in automorphisms(g).generators:
         assert {apply_to_simplex(gen, f) for f in faces} == faces
 
 
-def test_star_rule_pairs_each_closed_neighborhood():
-    g = dodeca()
-    m = pattern_matching([STAR_RULE], g)
-    assert len(m.pairs) == 20
-    assert all(len(lo) == 3 and len(up) == 4 for lo, up in m.pairs)
-    m_cube = pattern_matching([STAR_RULE], build_solid("cube"))
-    assert len(m_cube.pairs) == 8
-
-
-def test_vertex_edge_rule_conflicts():
-    with pytest.raises(StructuralError) as exc:
-        pattern_matching([VERTEX_EDGE_RULE], dodeca())
-    msg = str(exc.value)
-    assert "paired twice" in msg and "rule 0" in msg
-
-
-def test_pattern_matching_guards():
-    g = dodeca()
-    with pytest.raises(ParameterError):
-        pattern_matching([EDGE], g)  # no face subset
-    bad_ratio = pattern_graph(3, [(0, 1), (1, 2)], colored=[0, 1, 2], face=[0])
-    with pytest.raises(ParameterError):
-        pattern_matching([bad_ratio], g)
-
-
-def test_orientation_is_deterministic_and_total():
-    g = dodeca()
-    o1 = fixed_orientation(g, seed=3)
-    o2 = fixed_orientation(g, seed=3)
-    assert o1.directed == o2.directed
-    for u, v in g.edges():
-        assert o1.agrees(u, v) != o1.agrees(v, u)
-    assert any(
-        fixed_orientation(g, seed=s).directed != o1.directed for s in range(4, 10)
-    )
-
-
 def test_embedding_guards():
     g = build_solid("tetrahedron")
-    too_big = pattern_graph(5, [(0, 1)], colored=[0])
+    too_big = pattern("path", 5, [(0, 1)])
     with pytest.raises(ParameterError):
         embeddings(too_big, g)
-    with pytest.raises(ParameterError):
-        embeddings(DIRECTED_EDGE, g)  # oriented pattern needs an orientation
-
-
-def test_pattern_graph_validation():
-    with pytest.raises(ParameterError):
-        pattern_graph(2, [(0, 2)], colored=[0])
-    with pytest.raises(ParameterError):
-        pattern_graph(2, [(0, 1)], colored=[])
-    with pytest.raises(ParameterError):
-        pattern_graph(3, [(0, 1)], colored=[0], face=[1])
-    with pytest.raises(ParameterError):
-        pattern_graph(3, [(0, 1)], colored=[0, 1], oriented_edge=(1, 2))
 
 
 def test_ten_tetrahedra_and_their_incidence():

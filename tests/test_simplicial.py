@@ -17,7 +17,6 @@ from ripstone.simplicial import (
     from_faces,
     full_simplex_complex,
     maximal_simplices,
-    same_faces,
     simplex,
     skeleton,
     vertices_of,
@@ -82,7 +81,7 @@ def test_cube_scale2_is_cross_polytope():
     c = vr_complex(metric, 2)
     assert c.f_vector() == (8, 24, 32, 16)
     assert all(len(s) == 4 for s in maximal_simplices(c))
-    assert same_faces(c, antipodal_free_complex(metric, 3))
+    assert c == antipodal_free_complex(metric, 3)
 
 
 def test_cone_vertex_at_diameter():
@@ -95,14 +94,14 @@ def test_cone_vertex_at_diameter():
 
 def test_boundary_complex_matches_scale1():
     for name in ("cube", "octahedron", "dodecahedron", "icosahedron"):
-        assert same_faces(vr_complex(_metric(name), 1), boundary_complex(name))
+        assert vr_complex(_metric(name), 1) == boundary_complex(name)
 
 
 def test_antipodal_free_rows():
     for name, r in (("octahedron", 1), ("icosahedron", 2), ("dodecahedron", 4)):
         metric = _metric(name)
         free = antipodal_free_complex(metric, metric.diameter())
-        assert same_faces(vr_complex(metric, r), free)
+        assert vr_complex(metric, r) == free
         pairs = metric.size // 2
         assert free.face_total() == 3**pairs - 1
 
@@ -192,7 +191,7 @@ def test_from_faces_is_downward_closed(faces):
     # every listed face is present, and rebuilding from maximal faces is stable
     assert all(c.has_face(f) for f in faces)
     rebuilt = from_faces(maximal_simplices(c), vertex_count=c.vertex_count)
-    assert same_faces(rebuilt, c)
+    assert rebuilt == c
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
