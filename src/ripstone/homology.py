@@ -424,7 +424,7 @@ class HomologyResult:
         return tuple(out)
 
 
-def _homology_from_counts(counts: list[int], rank_torsion) -> HomologyResult:
+def _homology_from_counts(counts, rank_torsion) -> HomologyResult:
     """Assemble Betti/torsion from per-dimension boundary ranks.
 
     rank_torsion(k) must return (rank d_k, torsion list of d_k) for
@@ -486,7 +486,7 @@ def _boundary_ranks(c: Complex) -> tuple[list[tuple[int, list[int]]], list[int]]
     pivots only, the reduced columns span a direct summand, so the rank is
     exact and d_k adds no torsion.  A fallback dimension clears nothing below.
     """
-    counts = c.f_vector()
+    counts = [len(level) for level in c.faces]
     out: list[tuple[int, list[int]]] = [(0, [])] * (c.dim + 1)
     fallbacks: list[int] = []
     cleared: dict = {}
@@ -505,16 +505,17 @@ def _boundary_ranks(c: Complex) -> tuple[list[tuple[int, list[int]]], list[int]]
 
 def homology(c: Complex, reduced: bool = False) -> HomologyResult:
     """Integral homology of a complex; Betti numbers are unreduced by default."""
-    counts = list(c.f_vector())
     if c.cone_vertex is not None:
-        # A vertex adjacent to everything else makes the clique complex a cone.
+        # A vertex adjacent to everything else makes the clique complex a
+        # cone.  Its faces are counted, not built, unless already built.
+        counts = c.f_vector()
         if sum((-1) ** k * n for k, n in enumerate(counts)) != 1:
             raise StructuralError("cone complex with Euler characteristic != 1")
-        betti = [1] + [0] * c.dim
+        betti = [1] + [0] * (len(counts) - 1)
         result = HomologyResult(betti=tuple(betti), torsion=tuple(() for _ in counts), reduced=False)
     else:
-        rank_torsion, _fallbacks = _boundary_ranks(c)
-        result = _homology_from_counts(counts, rank_torsion.__getitem__)
+        rank_torsion, _fallbacks = _boundary_ranks(c)  # builds the faces, once
+        result = _homology_from_counts(c.f_vector(), rank_torsion.__getitem__)
     if reduced:
         betti = list(result.betti)
         betti[0] -= 1

@@ -251,7 +251,7 @@ def find_matching(
             m = matching_from_pairs(
                 (vertices_of(lo), vertices_of(up)) for lo, up in pairs
             )
-            report = check_matching(c, m)
+            report = matching_report(c, m)  # cached for later flows
             if not report.ok():  # collapse order should certify; treat as a bug
                 raise StructuralError("collapse produced an uncertifiable matching")
             return m
@@ -318,19 +318,32 @@ def _flow_to_fixpoint(chain: dict, v_map: dict, limit: int) -> tuple[dict, int]:
             raise StructuralError("flow failed to stabilize; matching cannot be acyclic")
 
 
-def _certified(c: Complex, m: Matching, purpose: str | None = None) -> tuple[MatchingReport, dict]:
-    """check_matching(c, m) and the pairing operator of m, computed once.
+def _certify(c: Complex, m: Matching) -> tuple[MatchingReport, dict | None]:
+    """check_matching(c, m) and, if it passes, the pairing operator of m.
 
-    Both are cached in c._cache under the (frozen, hashable) matching, so
-    flowing many chains through one matching certifies it once.  Raises
-    PreconditionError unless the matching is valid and acyclic; with a
-    purpose, the error names it instead of the flow's own reasons.
+    Both are computed once and cached in c._cache under the (frozen,
+    hashable) matching, so finding a matching, reporting on it and flowing
+    many chains through it certify it once.
     """
     key = ("matching", m)
     if key not in c._cache:
         report = check_matching(c, m)
         c._cache[key] = (report, _pairing_operator(m) if report.ok() else None)
-    report, v_map = c._cache[key]
+    return c._cache[key]
+
+
+def matching_report(c: Complex, m: Matching) -> MatchingReport:
+    """check_matching(c, m), computed at most once per complex and matching."""
+    return _certify(c, m)[0]
+
+
+def _certified(c: Complex, m: Matching, purpose: str | None = None) -> tuple[MatchingReport, dict]:
+    """The cached report and pairing operator of a valid acyclic matching.
+
+    Raises PreconditionError otherwise; with a purpose, the error names it
+    instead of the flow's own reasons.
+    """
+    report, v_map = _certify(c, m)
     if report.ok():
         return report, v_map
     if purpose is not None:

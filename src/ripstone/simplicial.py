@@ -3,16 +3,31 @@
 A simplex is a strictly ascending tuple of vertex ids.  Internally every face
 is a bitmask over vertex ids, which keeps face and coface tests cheap; masks
 never leak through the public API except where documented.
+
+Clique complexes (vr_complex, antipodal_free_complex, full_simplex_complex)
+are built lazily: the constructor keeps the graph, and the faces are
+enumerated, once, when something first reads them.  Until then f_vector()
+and face_total() count the cliques without storing them: homology() of a
+cone never builds its faces, and the full simplex every solid reaches at its
+diameter is counted in O(n).
+maximal_simplices lists maximal cliques from the graph.  Every clique walk
+stops with ParameterError past FACE_BUDGET cliques.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import comb
 
 from .errors import ParameterError, StructuralError
 from .polytopes import DistanceMatrix, PolytopeGraph, build_solid, combinatorial_metric, solid_info
 
 Simplex = tuple[int, ...]
+
+# No clique walk (enumerating, counting or listing maximal cliques) visits
+# more cliques than this; past it, it raises ParameterError.
+FACE_BUDGET = 1 << 21
 
 
 def simplex(vertices) -> Simplex:
@@ -81,7 +96,11 @@ class Complex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Complex):
             return NotImplemented
-        return self.vertex_count == other.vertex_count and self.faces == other.faces
+        if self.vertex_count != other.vertex_count:
+            return False
+        if self.graph is not None and other.graph is not None:
+            return self.graph == other.graph  # a clique complex is fixed by its edges
+        return self.faces == other.faces
 
     @property
     def dim(self) -> int:
@@ -91,7 +110,7 @@ class Complex:
         return tuple(len(level) for level in self.faces)
 
     def face_total(self) -> int:
-        return sum(len(level) for level in self.faces)
+        return sum(self.f_vector())
 
     def index(self, k: int) -> dict[int, int]:
         """Mask -> position lookup for dimension k, built lazily."""
@@ -132,26 +151,27 @@ class Complex:
         return True
 
 
-def _finish(levels: dict[int, list[int]], vertex_count: int, graph=None, cone=None) -> Complex:
-    """Assemble a complex from per-dimension mask lists already in lexicographic order."""
-    faces = [levels.get(k, []) for k in range(max(levels) + 1 if levels else 0)]
-    if not faces:
-        raise StructuralError("refusing to build an empty complex")
-    return Complex(vertex_count=vertex_count, faces=faces, graph=graph, cone_vertex=cone)
+def _budget_error() -> ParameterError:
+    return ParameterError(f"clique complex has more than {FACE_BUDGET:,} faces")
 
 
-def _enumerate_cliques(adj: tuple[int, ...], n: int) -> dict[int, list[int]]:
-    """All cliques of the graph, streamed into per-dimension mask lists.
+def _enumerate_cliques(adj: tuple[int, ...]) -> list[list[int]]:
+    """All cliques of the graph, as per-dimension mask lists.
 
     Depth-first extension by ascending vertex id: a clique is extended only by
     vertices larger than its maximum, so each clique is produced once, and
     each list comes out in lexicographic order (a preorder walk of the
     lexicographic prefix tree).
     """
-    levels: dict[int, list[int]] = {}
+    levels: list[list[int]] = [[] for _ in adj]
+    room = FACE_BUDGET
 
     def extend(mask: int, dim: int, cand: int) -> None:
-        levels.setdefault(dim, []).append(mask)
+        nonlocal room
+        room -= 1
+        if room < 0:
+            raise _budget_error()
+        levels[dim].append(mask)
         m = cand
         while m:
             low = m & -m
@@ -160,10 +180,81 @@ def _enumerate_cliques(adj: tuple[int, ...], n: int) -> dict[int, list[int]]:
             above = -1 << (w + 1)
             extend(mask | low, dim + 1, cand & adj[w] & above)
 
-    for v in range(n):
+    for v in range(len(adj)):
         above = -1 << (v + 1)
         extend(1 << v, 0, adj[v] & above)
+    while not levels[-1]:
+        levels.pop()
     return levels
+
+
+def _count_cliques(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """The f-vector of the clique complex, without storing a face.
+
+    The walk of _enumerate_cliques on generating polynomials: with F(P) the
+    clique polynomial of a candidate set P (x^j per j-vertex clique), the
+    vertices U of P adjacent to all of P factor out, F(P) = (1+x)^|U| F(P - U),
+    so a clique of c candidates is closed in one step by binomials C(c, j).
+    A complete graph, or a cone over one, is O(n) work.
+    """
+    # (s, P, e) stands for x^s (1+x)^e F(P); the root is F of every vertex
+    stack = [(0, (1 << len(adj)) - 1, 0)]
+    terms: dict[tuple[int, int], int] = {}  # (s, e) -> multiplicity of x^s (1+x)^e
+    walked = -1  # the empty clique is not a face
+    while stack:
+        size, cand, e = stack.pop()
+        walked += 1
+        if walked > FACE_BUDGET:
+            raise _budget_error()
+        rest = cand
+        m = cand
+        while m:
+            low = m & -m
+            m ^= low
+            if cand & ~adj[low.bit_length() - 1] == low:
+                rest ^= low
+                e += 1
+        terms[size, e] = terms.get((size, e), 0) + 1
+        m = rest
+        while m:
+            low = m & -m
+            m ^= low
+            stack.append((size + 1, m & adj[low.bit_length() - 1], e))
+    counts = [0] * (len(adj) + 1)  # counts[j]: cliques with j vertices
+    for (size, e), mult in terms.items():
+        for j in range(e + 1):
+            counts[size + j] += mult * comb(e, j)
+    while not counts[-1]:
+        counts.pop()
+    return tuple(counts[1:])
+
+
+class _CliqueComplex(Complex):
+    """The clique complex of a graph, its faces enumerated on first read.
+
+    faces is then kept as a plain instance attribute; until then f_vector()
+    and face_total() count the cliques without storing any.  Complex itself
+    has no class attribute named faces, so complexes given by their faces
+    keep the plain attribute lookup in hot loops.
+    """
+
+    def __init__(self, graph: tuple[int, ...], cone_vertex: int | None = None):
+        if not graph:
+            raise StructuralError("refusing to build an empty complex")
+        self.vertex_count = len(graph)
+        self.graph = graph
+        self.cone_vertex = cone_vertex
+        self._indexes = {}
+        self._cache = {}
+
+    @cached_property
+    def faces(self) -> list[list[int]]:
+        return _enumerate_cliques(self.graph)
+
+    def f_vector(self) -> tuple[int, ...]:
+        if "faces" in self.__dict__:
+            return super().f_vector()
+        return _count_cliques(self.graph)
 
 
 def vr_complex(metric: DistanceMatrix, r: int) -> Complex:
@@ -181,7 +272,7 @@ def vr_complex(metric: DistanceMatrix, r: int) -> Complex:
     adj = tuple(adj)
     full = (1 << n) - 1
     cone = next((v for v in range(n) if adj[v] == full ^ (1 << v)), None)
-    return _finish(_enumerate_cliques(adj, n), n, graph=adj, cone=cone)
+    return _CliqueComplex(adj, cone)
 
 
 def from_faces(faces, vertex_count: int | None = None) -> Complex:
@@ -211,25 +302,21 @@ def from_faces(faces, vertex_count: int | None = None) -> Complex:
                 sub = m ^ low
                 if sub not in closure:
                     stack.append(sub)
-    levels: dict[int, list[int]] = {}
+    if not closure:
+        raise StructuralError("refusing to build an empty complex")
+    faces: list[list[int]] = [[] for _ in range(max(m.bit_count() for m in masks))]
     for m in closure:
-        levels.setdefault(m.bit_count() - 1, []).append(m)
-    for level in levels.values():
+        faces[m.bit_count() - 1].append(m)
+    for level in faces:
         level.sort(key=vertices_of)
-    return _finish(levels, vertex_count)
+    return Complex(vertex_count=vertex_count, faces=faces)
 
 
 def full_simplex_complex(n: int) -> Complex:
     """Every non-empty subset of 0..n-1 (n <= 20)."""
     if not isinstance(n, int) or not 1 <= n <= 20:
         raise ParameterError(f"full simplex size must be in 1..20, got {n!r}")
-    levels: dict[int, list[int]] = {}
-    for m in range(1, 1 << n):
-        levels.setdefault(m.bit_count() - 1, []).append(m)
-    for level in levels.values():
-        level.sort(key=vertices_of)  # integer order is not lexicographic: {0,3} > {1,2}
-    adj = tuple(((1 << n) - 1) ^ (1 << v) for v in range(n))
-    return _finish(levels, n, graph=adj, cone=0)
+    return _CliqueComplex(tuple(((1 << n) - 1) ^ (1 << v) for v in range(n)), cone_vertex=0)
 
 
 def skeleton(c: Complex, k: int) -> Complex:
@@ -241,8 +328,44 @@ def skeleton(c: Complex, k: int) -> Complex:
     return Complex(vertex_count=c.vertex_count, faces=faces)
 
 
+def _maximal_cliques(adj: tuple[int, ...]) -> list[int]:
+    """Masks of the maximal cliques of a graph: Bron-Kerbosch with pivoting.
+
+    Each call extends a distinct clique r, so the walk shares the face budget.
+    """
+    out: list[int] = []
+    room = FACE_BUDGET
+
+    def expand(r: int, p: int, x: int) -> None:
+        nonlocal room
+        room -= 1
+        if room < 0:
+            raise _budget_error()
+        if not p:
+            if not x:
+                out.append(r)
+            return
+        pivot = max(vertices_of(p | x), key=lambda u: (p & adj[u]).bit_count())
+        m = p & ~adj[pivot]
+        while m:
+            low = m & -m
+            m ^= low
+            nbrs = adj[low.bit_length() - 1]
+            expand(r | low, p & nbrs, x & nbrs)
+            p ^= low
+            x |= low
+
+    expand(0, (1 << len(adj)) - 1, 0)
+    return out
+
+
 def maximal_simplices(c: Complex) -> list[Simplex]:
-    """Faces that are not contained in any larger face, in lexicographic order."""
+    """Faces that are not contained in any larger face, in lexicographic order.
+
+    A clique complex lists the maximal cliques of its graph and builds no face.
+    """
+    if c.graph is not None:
+        return sorted(vertices_of(m) for m in _maximal_cliques(c.graph))
     out = []
     for k in range(c.dim, -1, -1):
         for m in c.faces[k]:
@@ -306,7 +429,7 @@ def antipodal_free_complex(metric: DistanceMatrix, k: int) -> Complex:
         raise StructuralError("antipodal pairing is not an involution")
     full = (1 << n) - 1
     adj = tuple(full ^ (1 << i) ^ (1 << partner[i]) for i in range(n))
-    return _finish(_enumerate_cliques(adj, n), n, graph=adj)
+    return _CliqueComplex(adj)
 
 
 def face_diameter(metric: DistanceMatrix, s: Simplex) -> int:

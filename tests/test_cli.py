@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from ripstone import simplicial
 from ripstone.cli import main
 
 CYCLIC_MATCHING = """\
@@ -77,6 +78,40 @@ def test_verify_main_theorem_passes():
     code, out, _ = run(["verify", "main-theorem"])
     assert code == 0
     assert "result: PASS" in out
+
+
+def _refuse_complete_graphs(monkeypatch, n):
+    """Enumerate cliques as before, except on the complete graph K_n."""
+    enumerate_cliques = simplicial._enumerate_cliques
+    full = (1 << n) - 1
+
+    def guarded(adj):
+        if len(adj) == n and all(a == full ^ (1 << v) for v, a in enumerate(adj)):
+            raise AssertionError(f"enumerated the faces of K_{n}")
+        return enumerate_cliques(adj)
+
+    monkeypatch.setattr(simplicial, "_enumerate_cliques", guarded)
+
+
+def test_verify_main_theorem_enumerates_no_cone_face(monkeypatch):
+    # dodecahedron r=5 is the full simplex on 20 vertices, 1,048,575 faces
+    _refuse_complete_graphs(monkeypatch, 20)
+    code, out, _ = run(["verify", "main-theorem"])
+    assert code == 0
+    assert "result: PASS" in out
+
+
+def test_vr_commands_on_the_cone_enumerate_nothing(monkeypatch):
+    def refuse(adj):
+        raise AssertionError("enumerated a clique complex")
+
+    monkeypatch.setattr(simplicial, "_enumerate_cliques", refuse)
+    code, out, _ = run(["vr", "homology", "dodecahedron", "--r", "5", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["betti"] == [1] + [0] * 19
+    code, out, _ = run(["vr", "build", "dodecahedron", "--r", "5"])
+    assert code == 0
+    assert out.splitlines()[1:] == [" ".join(str(v) for v in range(20))]
 
 
 def test_dodeca_tetrahedra_lists_ten():

@@ -225,3 +225,23 @@ def test_flow_reproduces_boundary_of_critical_cell():
         z = make_chain(1, dict(simplex_boundary(tri)))
         flowed = morse_flow(c, m, z)
         assert set(flowed.chain.support()) <= critical
+
+
+def test_trace_certifies_each_matching_once(monkeypatch):
+    from ripstone import morse
+    from ripstone.pipelines import trace_dodecahedron
+
+    calls = []
+    certify = morse.check_matching
+
+    def counted(c, m):
+        calls.append(c.face_total())
+        return certify(c, m)
+
+    monkeypatch.setattr(morse, "check_matching", counted)
+    report = trace_dodecahedron(seed=1)
+    assert all(r.passed for r in report.rows)
+    # once on the scale-3 complex inside find_matching, whose report the
+    # pipeline row and the critical complex reuse, and once on the complex
+    # with the ten tetrahedra deleted
+    assert calls == [3272, 3262]

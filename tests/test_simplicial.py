@@ -2,14 +2,17 @@
 
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ripstone import simplicial
 from ripstone.errors import ParameterError, StructuralError
 from ripstone.polytopes import SOLIDS, DistanceMatrix, build_solid, combinatorial_metric, cube_graph
 from ripstone.simplicial import (
+    Complex,
     antipodal_free_complex,
     boundary_complex,
     delete_open_cells,
@@ -257,3 +260,165 @@ def test_cube_vr_vertex_transitive_counts(n, r):
         degree_in_edges[b] += 1
     if c.dim >= 1:
         assert len(set(degree_in_edges.values())) == 1
+
+
+def _graph_metric(n, edges):
+    """Hop distance capped at 2: scale 1 is the clique complex of the graph."""
+    dist = tuple(
+        tuple(0 if i == j else 1 if (min(i, j), max(i, j)) in edges else 2 for j in range(n))
+        for i in range(n)
+    )
+    return DistanceMatrix(size=n, dist=dist)
+
+
+def _enumerated_f_vector(c):
+    return tuple(len(level) for level in c.faces)
+
+
+def _forbid_enumeration(monkeypatch):
+    def refuse(adj):
+        raise AssertionError(f"enumerated a {len(adj)}-vertex clique complex")
+
+    monkeypatch.setattr(simplicial, "_enumerate_cliques", refuse)
+
+
+def test_counted_f_vector_matches_enumeration_on_solids():
+    for name in SOLIDS:
+        metric = _metric(name)
+        for r in range(metric.diameter() + 1):
+            c = vr_complex(metric, r)
+            counted = c.f_vector()
+            assert "faces" not in vars(c)
+            assert counted == _enumerated_f_vector(c)
+            assert c.f_vector() == counted  # now read from the built faces
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.0]),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_counted_f_vector_matches_enumeration_on_random_graphs(n, p, universal, seed):
+    # p = 0 is the empty graph and p = 1 the complete graph; the first
+    # `universal` vertices are joined to every other vertex
+    g = nx.gnp_random_graph(n, p, seed=seed)
+    g.add_edges_from((u, v) for u in range(min(universal, n)) for v in range(n) if u != v)
+    c = vr_complex(_graph_metric(n, {(min(e), max(e)) for e in g.edges}), 1)
+    if universal:
+        assert c.cone_vertex == 0
+    counted = c.face_total()
+    assert "faces" not in vars(c)
+    assert c.f_vector() == _enumerated_f_vector(c)
+    assert counted == sum(1 for _ in nx.enumerate_all_cliques(g))
+
+
+def test_face_total_leaves_a_complex_unbuilt():
+    c = vr_complex(_metric("dodecahedron"), 4)
+    assert c.face_total() == 3**10 - 1
+    assert c.f_vector()[-1] == 2**10
+    assert "faces" not in vars(c)
+    assert c.dim == 9  # the dimension is read from the faces
+    assert "faces" in vars(c)
+
+
+def test_cone_homology_counts_without_enumerating(monkeypatch):
+    from ripstone.homology import homology
+
+    _forbid_enumeration(monkeypatch)
+    c = vr_complex(_metric("dodecahedron"), 5)
+    assert homology(c).betti == (1,) + (0,) * 19
+    assert c.face_total() == 2**20 - 1
+    assert "faces" not in vars(c)
+
+
+def test_cone_beyond_the_face_budget_is_counted(monkeypatch):
+    from ripstone.homology import homology
+
+    _forbid_enumeration(monkeypatch)
+    # K_24 without the edge 22-23: a cone on vertex 0 with 2^24 - 2^22 - 1 faces
+    n = 24
+    edges = {(i, j) for i in range(n) for j in range(i + 1, n)} - {(22, 23)}
+    c = vr_complex(_graph_metric(n, edges), 1)
+    assert c.cone_vertex == 0
+    assert c.face_total() == 2**24 - 2**22 - 1 > simplicial.FACE_BUDGET
+    assert homology(c).betti == (1,) + (0,) * 22
+    assert maximal_simplices(c) == [tuple(range(23)), tuple(range(22)) + (23,)]
+    assert "faces" not in vars(c)
+
+
+def test_face_budget_stops_enumeration():
+    assert simplicial.FACE_BUDGET >= 2**21
+    # cube 6 at scale 5 is the antipodal-free complex on 32 pairs: 3^32 - 1 faces
+    c = vr_complex(combinatorial_metric(cube_graph(6)), 5)
+    with pytest.raises(ParameterError, match="faces"):
+        c.faces
+    assert "faces" not in vars(c)
+
+
+def test_face_budget_bounds_every_clique_walk(monkeypatch):
+    # cube 4 at scale 3: 3^8 - 1 = 6560 faces, 2^8 maximal ones
+    metric = combinatorial_metric(cube_graph(4))
+    monkeypatch.setattr(simplicial, "FACE_BUDGET", 6559)
+    with pytest.raises(ParameterError, match="6,559 faces"):
+        vr_complex(metric, 3).faces
+    monkeypatch.setattr(simplicial, "FACE_BUDGET", 100)
+    with pytest.raises(ParameterError):
+        vr_complex(metric, 3).f_vector()
+    with pytest.raises(ParameterError):
+        maximal_simplices(vr_complex(metric, 3))
+    monkeypatch.setattr(simplicial, "FACE_BUDGET", 6560)
+    c = vr_complex(metric, 3)
+    assert c.face_total() == 6560
+    assert len(maximal_simplices(c)) == 2**8
+    assert _enumerated_f_vector(c) == tuple(comb(8, k + 1) * 2 ** (k + 1) for k in range(8))
+
+
+def test_face_budget_admits_the_largest_supported_complexes():
+    c = full_simplex_complex(20)
+    assert c.cone_vertex == 0
+    assert c.face_total() == 2**20 - 1
+    assert _enumerated_f_vector(c) == tuple(comb(20, k + 1) for k in range(20))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_full_simplex_is_the_sorted_power_set(n):
+    c = full_simplex_complex(n)
+    expected = [s for k in range(1, n + 1) for s in combinations(range(n), k)]
+    assert [s for k in range(c.dim + 1) for s in c.simplices(k)] == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.0]),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_maximal_cliques_match_the_face_walk(n, p, seed):
+    g = nx.gnp_random_graph(n, p, seed=seed)
+    c = vr_complex(_graph_metric(n, {(min(e), max(e)) for e in g.edges}), 1)
+    from_graph = maximal_simplices(c)
+    assert "faces" not in vars(c)
+    graphless = Complex(vertex_count=n, faces=c.faces)
+    assert from_graph == maximal_simplices(graphless)
+    assert from_graph == sorted(tuple(sorted(q)) for q in nx.find_cliques(g))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=0, max_value=40),
+)
+def test_clique_complex_equality_from_graphs_matches_faces(n, p, seed, toggle):
+    # the second graph differs from the first in at most one edge
+    g = nx.gnp_random_graph(n, p, seed=seed)
+    edges = {(min(e), max(e)) for e in g.edges}
+    pairs = list(combinations(range(n), 2))
+    other = edges ^ set(pairs[toggle : toggle + 1])
+    a = vr_complex(_graph_metric(n, edges), 1)
+    b = vr_complex(_graph_metric(n, other), 1)
+    assert (a == b) == (a.faces == b.faces)
+    assert (a == b) == (Complex(vertex_count=n, faces=a.faces) == b)
