@@ -1,11 +1,11 @@
 """Integral simplicial homology by column reduction with clearing.
 
-homology() reduces the boundary maps from the top dimension down, skipping
-columns cleared by the dimension above, and accepts only +-1 pivots.  Reduced
-columns with distinct unit pivots span a direct summand of the chain group,
-so each rank is exact and contributes no torsion.  A dimension that meets a
-non-unit pivot is redone by sparse Smith normal form, which also backs the
-public smith_normal_form and the homology bases used by cycle_class.
+_boundary_ranks serves homology() and the Morse complex alike: it reduces
+differentials from the top dimension down, skipping columns cleared by the
+dimension above, and accepts only +-1 pivots.  Reduced columns with distinct
+unit pivots span a direct summand, so each rank is exact and adds no torsion.
+A dimension that meets a non-unit pivot is redone by sparse Smith normal
+form, which also backs smith_normal_form and cycle_class's homology bases.
 
 The boundary convention used everywhere: for a simplex written with ascending
 vertices v1 < ... < vn,
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 
 from .errors import ParameterError, PreconditionError, StructuralError
@@ -132,12 +133,12 @@ def boundary_matrix(c: Complex, k: int) -> IntMatrix:
     return IntMatrix(rows=len(c.faces[k - 1]), cols=len(c.faces[k]), entries=entries)
 
 
-def _boundary_row_data(c: Complex, k: int) -> dict[int, dict[int, int]]:
-    """Row-oriented boundary entries of d_k, cheaper than IntMatrix for reduction."""
+def _rows(columns) -> dict[int, dict[int, int]]:
+    """Row-oriented copy of (column, its (row, entry) pairs), the input of _reduce."""
     rows: dict[int, dict[int, int]] = {}
-    for j, col in _boundary_columns(c, k):
-        for i, sign in col:
-            rows.setdefault(i, {})[j] = sign
+    for j, col in columns:
+        for i, v in col:
+            rows.setdefault(i, {})[j] = v
     return rows
 
 
@@ -147,8 +148,6 @@ def _boundary_row_data(c: Complex, k: int) -> dict[int, dict[int, int]]:
 
 @dataclass
 class _Reduction:
-    nrows: int
-    ncols: int
     rank: int
     factors: list[int]
     u_rows: dict | None = None
@@ -187,6 +186,28 @@ def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset(
     heapq.heapify(heap)
     push = heapq.heappush
 
+    # Transform updates for elimination and the diagonal pass (after reindexing).
+    def u_add(dst: int, src: int, k: int) -> None:
+        if u_rows is not None:
+            _add_into(u_rows[dst], u_rows[src], k)
+
+    def v_add(dst: int, src: int, k: int) -> None:
+        if v_cols is not None:
+            _add_into(v_cols[dst], v_cols[src], k)
+        if vinv_rows is not None:
+            _add_into(vinv_rows[src], vinv_rows[dst], -k)
+
+    def v_swap(i: int, j: int) -> None:
+        if v_cols is not None:
+            v_cols[i], v_cols[j] = v_cols[j], v_cols[i]
+        if vinv_rows is not None:
+            vinv_rows[i], vinv_rows[j] = vinv_rows[j], vinv_rows[i]
+
+    def u_negate(i: int) -> None:
+        if u_rows is not None:
+            for key in u_rows[i]:
+                u_rows[i][key] = -u_rows[i][key]
+
     def row_add(dst: int, src: int, k: int) -> None:
         dst_row = row_data.get(dst)
         if dst_row is None:
@@ -204,8 +225,7 @@ def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset(
             push(heap, (len(dst_row), dst))
         else:
             del row_data[dst]
-        if u_rows is not None:
-            _add_into(u_rows[dst], u_rows[src], k)
+        u_add(dst, src, k)
 
     def col_add(dst: int, src: int, k: int) -> None:
         for r in list(col_rows.get(src, ())):
@@ -219,18 +239,13 @@ def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset(
                 del row[dst]
                 col_rows[dst].discard(r)
             push(heap, (len(row), r))
-        if v_cols is not None:
-            _add_into(v_cols[dst], v_cols[src], k)
-        if vinv_rows is not None:
-            _add_into(vinv_rows[src], vinv_rows[dst], -k)
+        v_add(dst, src, k)
 
     def row_negate(i: int) -> None:
         row = row_data[i]
         for cidx in row:
             row[cidx] = -row[cidx]
-        if u_rows is not None:
-            for key in u_rows[i]:
-                u_rows[i][key] = -u_rows[i][key]
+        u_negate(i)
 
     pivots: list[tuple[int, int, int]] = []
     while row_data:
@@ -303,31 +318,9 @@ def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset(
             vinv_rows = {col_perm[cc]: row for cc, row in vinv_rows.items()}
 
     diag = [p[2] for p in pivots]
-
-    def d_row_add(dst: int, src: int, k: int) -> None:
-        if u_rows is not None:
-            _add_into(u_rows[dst], u_rows[src], k)
-
-    def d_col_add(dst: int, src: int, k: int) -> None:
-        if v_cols is not None:
-            _add_into(v_cols[dst], v_cols[src], k)
-        if vinv_rows is not None:
-            _add_into(vinv_rows[src], vinv_rows[dst], -k)
-
-    def d_col_swap(i: int, j: int) -> None:
-        if v_cols is not None:
-            v_cols[i], v_cols[j] = v_cols[j], v_cols[i]
-        if vinv_rows is not None:
-            vinv_rows[i], vinv_rows[j] = vinv_rows[j], vinv_rows[i]
-
-    def d_row_negate(i: int) -> None:
-        if u_rows is not None:
-            for key in u_rows[i]:
-                u_rows[i][key] = -u_rows[i][key]
-
     for i in range(len(diag)):
         if diag[i] < 0:
-            d_row_negate(i)
+            u_negate(i)
             diag[i] = -diag[i]
 
     changed = True
@@ -340,34 +333,28 @@ def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset(
                     continue
                 changed = True
                 # 2x2 dance on rows/cols i, j: diag(a, b) -> diag(gcd, lcm)
-                d_row_add(i, j, 1)
+                u_add(i, j, 1)
                 x, y = a, b  # row i of the 2x2 block
                 u, w = 0, b  # row j
                 while y:
                     q = x // y
                     if q:
-                        d_col_add(i, j, -q)
+                        v_add(i, j, -q)
                         x -= q * y
                         u -= q * w
-                    d_col_swap(i, j)
+                    v_swap(i, j)
                     x, y = y, x
                     u, w = w, u
                 assert x == gcd(a, b) and u % x == 0
                 if u:
-                    d_row_add(j, i, -u // x)
+                    u_add(j, i, -u // x)
                 if w < 0:
-                    d_row_negate(j)
+                    u_negate(j)
                     w = -w
                 diag[i], diag[j] = x, w
 
     return _Reduction(
-        nrows,
-        ncols,
-        rank=len(diag),
-        factors=diag,
-        u_rows=u_rows,
-        v_cols=v_cols,
-        vinv_rows=vinv_rows,
+        rank=len(diag), factors=diag, u_rows=u_rows, v_cols=v_cols, vinv_rows=vinv_rows
     )
 
 
@@ -424,23 +411,14 @@ class HomologyResult:
         return tuple(out)
 
 
-def _homology_from_counts(counts, rank_torsion) -> HomologyResult:
-    """Assemble Betti/torsion from per-dimension boundary ranks.
-
-    rank_torsion(k) must return (rank d_k, torsion list of d_k) for
-    1 <= k <= top dimension; ranks outside that range are zero.
-    """
-    top = len(counts) - 1
-    ranks = [0] * (top + 2)
-    torsion: list[tuple[int, ...]] = [()] * (top + 1)
-    for k in range(1, top + 1):
-        rank, tors = rank_torsion(k)
-        ranks[k] = rank
-        torsion[k - 1] = tuple(tors)
-    betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
+def _homology_from_counts(counts, ranks) -> HomologyResult:
+    """Betti/torsion from face counts and the ranks list of _boundary_ranks."""
+    rank = [r for r, _tors in ranks] + [0]
+    betti = tuple(n - rank[k] - rank[k + 1] for k, n in enumerate(counts))
     if any(b < 0 for b in betti):
         raise StructuralError("negative Betti number: input was not a valid chain complex")
-    return HomologyResult(betti=betti, torsion=tuple(torsion), reduced=False)
+    torsion = tuple(tuple(tors) for _r, tors in ranks[1:]) + ((),)
+    return HomologyResult(betti=betti, torsion=torsion, reduced=False)
 
 
 def _unit_pivot_columns(columns) -> dict[int, dict[int, int]] | None:
@@ -472,32 +450,33 @@ def _unit_pivot_columns(columns) -> dict[int, dict[int, int]] | None:
     return pivots
 
 
-def _boundary_ranks(c: Complex) -> tuple[list[tuple[int, list[int]]], list[int]]:
-    """Rank and torsion of every boundary map, by top-down reduction with clearing.
+def _boundary_ranks(counts, columns) -> tuple[list[tuple[int, list[int]]], list[int]]:
+    """Rank and torsion of every differential, by top-down reduction with clearing.
 
+    counts[k] is the number of k-cells; columns(k, skip) yields d_k as
+    (column, its (row, coefficient) pairs), leaving out those in skip unbuilt.
     Entry k of the first list is (rank d_k, invariant factors > 1 of d_k);
-    entry 0 is (0, []).  The second list names the dimensions, top first,
-    whose reduction met a non-unit pivot and was redone by Smith reduction.
+    entry 0 is (0, []).  The second names the dimensions, top first, whose
+    reduction met a non-unit pivot and was redone by Smith reduction.
 
-    Dimension k is reduced after k+1.  A k-face that is the pivot of a
-    reduced d_{k+1} column is skipped (cleared): that column is +-1 times
-    the face plus earlier faces and its boundary is zero, so the face's
-    column is an integer combination of earlier columns of d_k.  With unit
-    pivots only, the reduced columns span a direct summand, so the rank is
-    exact and d_k adds no torsion.  A fallback dimension clears nothing below.
+    A k-cell that is the pivot of a reduced d_{k+1} column is skipped
+    (cleared): that column is +-1 times the cell plus earlier cells and,
+    as d_k d_{k+1} = 0 in any chain complex, a cycle, so the cell's column
+    is a combination of earlier columns of d_k.  With unit pivots only, the
+    reduced columns span a direct summand: the rank is exact and d_k adds no
+    torsion.  A fallback dimension clears nothing below.
     """
-    counts = [len(level) for level in c.faces]
-    out: list[tuple[int, list[int]]] = [(0, [])] * (c.dim + 1)
+    out: list[tuple[int, list[int]]] = [(0, [])] * len(counts)
     fallbacks: list[int] = []
     cleared: dict = {}
-    for k in range(c.dim, 0, -1):
-        pivots = _unit_pivot_columns(_boundary_columns(c, k, skip=cleared))
+    for k in range(len(counts) - 1, 0, -1):
+        pivots = _unit_pivot_columns(columns(k, cleared))
         if pivots is not None:
             out[k] = (len(pivots), [])
             cleared = pivots
             continue
         fallbacks.append(k)
-        red = _reduce(counts[k - 1], counts[k], _boundary_row_data(c, k))
+        red = _reduce(counts[k - 1], counts[k], _rows(columns(k, ())))
         out[k] = (red.rank, [d for d in red.factors if d > 1])
         cleared = {}
     return out, fallbacks
@@ -508,14 +487,14 @@ def homology(c: Complex, reduced: bool = False) -> HomologyResult:
     if c.cone_vertex is not None:
         # A vertex adjacent to everything else makes the clique complex a
         # cone.  Its faces are counted, not built, unless already built.
-        counts = c.f_vector()
-        if sum((-1) ** k * n for k, n in enumerate(counts)) != 1:
+        if euler_characteristic(c) != 1:
             raise StructuralError("cone complex with Euler characteristic != 1")
-        betti = [1] + [0] * (len(counts) - 1)
-        result = HomologyResult(betti=tuple(betti), torsion=tuple(() for _ in counts), reduced=False)
+        dims = len(c.f_vector())
+        result = HomologyResult(betti=(1,) + (0,) * (dims - 1), torsion=((),) * dims, reduced=False)
     else:
-        rank_torsion, _fallbacks = _boundary_ranks(c)  # builds the faces, once
-        result = _homology_from_counts(c.f_vector(), rank_torsion.__getitem__)
+        counts = [len(level) for level in c.faces]  # builds the faces, once
+        ranks, _fallbacks = _boundary_ranks(counts, partial(_boundary_columns, c))
+        result = _homology_from_counts(counts, ranks)
     if reduced:
         betti = list(result.betti)
         betti[0] -= 1
@@ -547,7 +526,7 @@ class HomologyBasis:
         n = len(c.faces[k])
         if k >= 1:
             red_a = _reduce(
-                len(c.faces[k - 1]), n, _boundary_row_data(c, k), need=frozenset({"Vinv"})
+                len(c.faces[k - 1]), n, _rows(_boundary_columns(c, k)), need=frozenset({"Vinv"})
             )
             self.rank_a = red_a.rank
             vinv_rows = red_a.vinv_rows
@@ -576,8 +555,6 @@ class HomologyBasis:
         red_b = _reduce(self.kernel_dim, ncols_b, bhat, need=frozenset({"U"}))
         self.rank_b = red_b.rank
         self.u_rows = red_b.u_rows
-        self.betti = self.kernel_dim - self.rank_b
-        self.torsion = tuple(d for d in red_b.factors if d > 1)
 
     def _accumulate(self, acc: dict[int, int], col: int, coeff: int) -> None:
         for i, v in self.vinv_by_col.get(col, {}).items():

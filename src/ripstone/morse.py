@@ -3,16 +3,18 @@
 Covers certification (validity, acyclicity with explicit cycle certificates),
 randomized constrained search by free-pair collapse, the algebraic flow that
 traces chains through a collapse, the homology of the critical complex, and
-the polygon fan/flip matchings.
+the polygon fan/flip matchings.  The critical complex goes through
+homology()'s clearing, unit-pivot and Smith-fallback routine.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import ParameterError, PreconditionError, SearchFailure, StructuralError
-from .homology import Chain, HomologyResult, _homology_from_counts, _reduce, make_chain
+from .homology import Chain, HomologyResult, _boundary_ranks, _homology_from_counts, make_chain
 from .simplicial import Complex, Simplex, mask_of, signed_facets, simplex, vertices_of
 
 
@@ -365,11 +367,11 @@ def morse_flow(c: Complex, m: Matching, z: Chain) -> FlowChain:
     return FlowChain(chain=make_chain(z.dimension, terms), steps=steps)
 
 
-def critical_complex_homology(c: Complex, m: Matching) -> HomologyResult:
-    """Homology of the Morse chain complex on the critical cells.
+def _morse_complex(c: Complex, m: Matching) -> tuple[list[int], Callable]:
+    """Cell counts and columns(k, skip) of the Morse complex, for _boundary_ranks.
 
-    The differential of a critical cell is the stabilized flow of its boundary
-    restricted to critical cells; the result must agree with homology(c).
+    A critical cell's differential is the stabilized flow of its boundary on
+    the critical cells; a skipped cell is never flowed.
     """
     report, v_map = _certified(c, m, "critical complex")
     top = max(len(s) for s in report.critical) - 1
@@ -377,24 +379,22 @@ def critical_complex_homology(c: Complex, m: Matching) -> HomologyResult:
     for s in report.critical:
         crit[len(s) - 1].append(mask_of(s))
     index = [{mask: i for i, mask in enumerate(level)} for level in crit]
-    counts = [len(level) for level in crit]
     limit = c.face_total()
 
-    def rank_torsion(k: int):
-        rows: dict[int, dict[int, int]] = {}
+    def columns(k: int, skip=()):
+        below = index[k - 1]
         for j, mask in enumerate(crit[k]):
-            start: dict[int, int] = {}
-            for fmask, fsign in signed_facets(mask):
-                _axpy(start, fmask, fsign)
-            fixed, _steps = _flow_to_fixpoint(start, v_map, limit)
-            for fmask, co in fixed.items():
-                i = index[k - 1].get(fmask)
-                if i is not None:
-                    rows.setdefault(i, {})[j] = co
-        red = _reduce(counts[k - 1], counts[k], rows)
-        return red.rank, [d for d in red.factors if d > 1]
+            if j not in skip:
+                fixed, _steps = _flow_to_fixpoint(dict(signed_facets(mask)), v_map, limit)
+                yield j, [(below[f], co) for f, co in fixed.items() if f in below]
 
-    return _homology_from_counts(counts, rank_torsion)
+    return [len(level) for level in crit], columns
+
+
+def critical_complex_homology(c: Complex, m: Matching) -> HomologyResult:
+    """Homology of the Morse chain complex on the critical cells; agrees with homology(c)."""
+    counts, columns = _morse_complex(c, m)
+    return _homology_from_counts(counts, _boundary_ranks(counts, columns)[0])
 
 
 def fan_triangulation(ngon: int, apex: int) -> list[Simplex]:

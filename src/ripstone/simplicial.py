@@ -11,7 +11,7 @@ and face_total() count the cliques without storing them: homology() of a
 cone never builds its faces, and the full simplex every solid reaches at its
 diameter is counted in O(n).
 maximal_simplices lists maximal cliques from the graph.  Every clique walk
-stops with ParameterError past FACE_BUDGET cliques.
+and from_faces closure stops with ParameterError past FACE_BUDGET faces.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .polytopes import DistanceMatrix, PolytopeGraph, build_solid, combinatorial
 
 Simplex = tuple[int, ...]
 
-# No clique walk (enumerating, counting or listing maximal cliques) visits
-# more cliques than this; past it, it raises ParameterError.
+# No clique walk (enumerating, counting or listing maximal cliques) and no
+# from_faces closure visits more faces than this; past it, ParameterError.
 FACE_BUDGET = 1 << 21
 
 
@@ -152,7 +152,7 @@ class Complex:
 
 
 def _budget_error() -> ParameterError:
-    return ParameterError(f"clique complex has more than {FACE_BUDGET:,} faces")
+    return ParameterError(f"complex has more than {FACE_BUDGET:,} faces")
 
 
 def _enumerate_cliques(adj: tuple[int, ...]) -> list[list[int]]:
@@ -276,11 +276,13 @@ def vr_complex(metric: DistanceMatrix, r: int) -> Complex:
 
 
 def from_faces(faces, vertex_count: int | None = None) -> Complex:
-    """The downward closure of the given simplices."""
+    """The downward closure of the given simplices, at most FACE_BUDGET faces."""
     masks = set()
     top = 0
     for s in faces:
         s = simplex(s)
+        if (1 << len(s)) - 1 > FACE_BUDGET:  # its own closure is too big
+            raise _budget_error()
         top = max(top, s[-1] + 1)
         masks.add(mask_of(s))
     if vertex_count is None:
@@ -294,6 +296,8 @@ def from_faces(faces, vertex_count: int | None = None) -> Complex:
         if m in closure:
             continue
         closure.add(m)
+        if len(closure) > FACE_BUDGET:
+            raise _budget_error()
         if m.bit_count() > 1:
             mm = m
             while mm:

@@ -168,21 +168,28 @@ def automorphisms(g: PolytopeGraph) -> PermGroup:
     return PermGroup(degree=n, generators=gens, order=order)
 
 
+def _derived_elements(g: PermGroup) -> tuple:
+    """[G, G], sorted, generated by the [a, s] with a in G and s a generator.
+
+    [a, st] = [a, s] s[a, t]s^-1 and s[a, t]s^-1 = [sa, t][t, s], so by
+    induction on the word length of b these generate every [a, b].
+    """
+    comms = {
+        compose(a, compose(s, compose(inverse(a), inverse(s))))
+        for a in group_elements(g)
+        for s in g.generators
+    }
+    return _closure(g.degree, tuple(sorted(comms)))
+
+
 def rotation_subgroup(g: PermGroup) -> PermGroup:
     """Derived subgroup, with the order-60 and simplicity checks built in.
 
-    Generated by all pairwise commutators; simplicity is certified by
-    checking that every nontrivial conjugacy class generates the whole
-    subgroup (any proper normal subgroup would be a union of classes).
+    Simplicity is certified by checking that every nontrivial conjugacy class
+    generates the whole subgroup (a proper normal one is a union of classes).
     """
-    elems = group_elements(g)
-    comms = set()
-    for a in elems:
-        ainv = inverse(a)
-        for b in elems:
-            comms.add(compose(a, compose(b, compose(ainv, inverse(b)))))
-    gens = _reduce_generators(g.degree, comms)
-    derived = _closure(g.degree, gens)
+    derived = _derived_elements(g)
+    gens = _reduce_generators(g.degree, derived)
     order = _chain_order(g.degree, gens)
     if order != len(derived):
         raise StructuralError("derived subgroup order mismatch")

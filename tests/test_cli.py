@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -204,6 +205,20 @@ def test_malformed_file_exits_two(tmp_path):
     code, _, err = run(["morse", "check", "--complex", str(cpath), "--matching", str(cpath)])
     assert code == 2
     assert "line 1" in err
+
+
+def test_huge_face_in_a_complex_file_exits_two_fast(tmp_path):
+    # a 24-vertex face has 2^24 - 1 > FACE_BUDGET faces; it is refused
+    # before any of them is built
+    cpath = tmp_path / "huge.cx"
+    cpath.write_text(" ".join(str(v) for v in range(24)) + "\n")
+    mpath = tmp_path / "empty.vm"
+    mpath.write_text("")
+    start = time.perf_counter()
+    code, _, err = run(["morse", "check", "--complex", str(cpath), "--matching", str(mpath)])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert f"{simplicial.FACE_BUDGET:,} faces" in err
 
 
 def test_cube_series_and_verify():

@@ -1,6 +1,7 @@
 """Integer homology engine: boundary maps, normal forms, cycle coordinates."""
 
 import random
+from functools import partial
 from itertools import combinations
 
 import networkx as nx
@@ -9,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from ripstone.errors import ParameterError, PreconditionError, StructuralError
+from ripstone.errors import ParameterError, PreconditionError, SearchFailure, StructuralError
 from ripstone.homology import (
     IntMatrix,
+    _boundary_columns,
     _boundary_ranks,
-    _boundary_row_data,
     _homology_from_counts,
     _reduce,
+    _rows,
     boundary_chain,
     boundary_matrix,
     cycle_class,
@@ -25,8 +27,10 @@ from ripstone.homology import (
     simplex_boundary,
     smith_normal_form,
 )
+from ripstone.morse import _morse_complex, critical_complex_homology, find_matching
+from ripstone.patterns import diameter3_tetrahedra
 from ripstone.polytopes import build_solid, combinatorial_metric
-from ripstone.simplicial import from_faces, full_simplex_complex, vr_complex
+from ripstone.simplicial import face_diameter, from_faces, full_simplex_complex, vr_complex
 
 RP2_FACES = [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
@@ -77,10 +81,10 @@ def test_overstated_rank_is_caught_by_the_negative_betti_check():
     # counts_k - rank_k - rank_{k+1}, so the ranks telescope out of the
     # alternating sum and only a negative Betti number can expose a bad rank.
     counts = [3, 3, 1]
-    good = _homology_from_counts(counts, [(0, []), (2, []), (1, [])].__getitem__)
+    good = _homology_from_counts(counts, [(0, []), (2, []), (1, [])])
     assert good.betti == (1, 0, 0)
     with pytest.raises(StructuralError, match="negative Betti"):
-        _homology_from_counts(counts, [(0, []), (3, []), (1, [])].__getitem__)
+        _homology_from_counts(counts, [(0, []), (3, []), (1, [])])
 
 
 def test_boundary_of_boundary_vanishes():
@@ -215,16 +219,25 @@ def _flag_faces(g, offset=0):
     return [tuple(sorted(v + offset for v in q)) for q in nx.find_cliques(g)]
 
 
-def _clearing_fallbacks(c):
-    """Check the clearing ranks against Smith reduction in every dimension."""
-    counts = list(c.f_vector())
+def _clearing_fallbacks(counts, columns):
+    """Check the clearing ranks against Smith reduction in every dimension.
+
+    columns(k, skip) yields the differential d_k as _boundary_ranks reads it.
+    Returns the dimensions that fell back, and the Smith ranks.
+    """
     snf = [(0, [])]
-    for k in range(1, c.dim + 1):
-        red = _reduce(counts[k - 1], counts[k], _boundary_row_data(c, k))
+    for k in range(1, len(counts)):
+        red = _reduce(counts[k - 1], counts[k], _rows(columns(k, ())))
         snf.append((red.rank, [d for d in red.factors if d > 1]))
-    clearing, fallbacks = _boundary_ranks(c)
+    clearing, fallbacks = _boundary_ranks(counts, columns)
     assert clearing == snf
-    assert homology(c) == _homology_from_counts(counts, snf.__getitem__)
+    return fallbacks, snf
+
+
+def _complex_fallbacks(c):
+    counts = list(c.f_vector())
+    fallbacks, snf = _clearing_fallbacks(counts, partial(_boundary_columns, c))
+    assert homology(c) == _homology_from_counts(counts, snf)
     return fallbacks
 
 
@@ -238,7 +251,7 @@ def small_graphs(draw, max_n):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(small_graphs(max_n=11))
 def test_clearing_matches_snf_on_flag_complexes(g):
-    _clearing_fallbacks(from_faces(_flag_faces(g)))
+    _complex_fallbacks(from_faces(_flag_faces(g)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -246,15 +259,80 @@ def test_clearing_matches_snf_on_flag_complexes(g):
 def test_clearing_matches_snf_on_projective_plane_joins(g):
     # the join of RP^2 with a flag complex on vertices 6, 7, ...
     faces = [f + q for f in RP2_FACES for q in _flag_faces(g, offset=6)]
-    _clearing_fallbacks(from_faces(faces))
+    _complex_fallbacks(from_faces(faces))
 
 
 def test_clearing_falls_back_on_torsion_only_where_needed():
     # H_1(RP^2) = Z/2 cannot come from unit pivots, so d_2 falls back
-    assert 2 in _clearing_fallbacks(from_faces(RP2_FACES))
+    assert 2 in _complex_fallbacks(from_faces(RP2_FACES))
     # d_5 and d_4 have unit pivots, d_3 falls back: d_2 must then be reduced
     # without clearing, not with d_4's pivots
     join = [f + q for f in RP2_FACES for q in ((6,), (7, 8, 9), (10,))]
-    assert _clearing_fallbacks(from_faces(join)) == [3]
+    assert _complex_fallbacks(from_faces(join)) == [3]
     c = vr_complex(combinatorial_metric(build_solid("dodecahedron")), 4)
-    assert _boundary_ranks(c)[1] == []
+    assert _boundary_ranks(c.f_vector(), partial(_boundary_columns, c))[1] == []
+
+
+def _morse_fallbacks(c, m):
+    """_clearing_fallbacks on the Morse complex of m; its homology must be c's."""
+    counts, columns = _morse_complex(c, m)
+    fallbacks, snf = _clearing_fallbacks(counts, columns)
+    hm, h = critical_complex_homology(c, m), homology(c)
+    assert hm == _homology_from_counts(counts, snf)
+    pad = len(h.betti) - len(hm.betti)  # no critical cell above dimension dim - pad
+    assert hm.betti + (0,) * pad == h.betti and hm.torsion + ((),) * pad == h.torsion
+    return fallbacks
+
+
+def _found_matching(c, seed, inside=None):
+    # search a matching on the cells spanned by the vertices in inside (all
+    # by default); the largest cell a stalled search leaves over is forced
+    # critical for the next one, until one succeeds
+    cells = [
+        s
+        for k in range(c.dim + 1)
+        for s in c.simplices(k)
+        if inside is None or set(s) <= inside
+    ]
+    forced = []
+    while True:
+        try:
+            return find_matching(c, cells, forced_critical=forced, seed=seed, max_attempts=1)
+        except SearchFailure as e:
+            forced.append(max(e.surplus, key=len))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    small_graphs(max_n=11),
+    st.sets(st.integers(min_value=0, max_value=10)),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_clearing_matches_snf_on_morse_complexes(g, inside, seed):
+    # cells with a vertex outside inside stay critical, so their flowed
+    # boundaries cross the matched part
+    c = from_faces(_flag_faces(g))
+    _morse_fallbacks(c, _found_matching(c, seed, inside))
+
+
+def test_morse_complex_of_projective_plane_falls_back_on_torsion():
+    c = from_faces(RP2_FACES)
+    assert _morse_fallbacks(c, _found_matching(c, seed=0)) == [2]
+
+
+@pytest.mark.parametrize(
+    "seed, fallbacks", [(1, []), (2, []), (3, [3])], ids=["seed1", "seed2", "seed3"]
+)
+def test_clearing_matches_snf_on_trace_morse_complexes(seed, fallbacks):
+    # the scale-3 matchings of `dodeca trace`; seed 3's Morse complex meets
+    # a non-unit pivot in d_3, so its ranks there come from Smith reduction
+    metric = combinatorial_metric(build_solid("dodecahedron"))
+    c3 = vr_complex(metric, 3)
+    candidate = [
+        s
+        for k in range(c3.dim + 1)
+        for s in c3.simplices(k)
+        if face_diameter(metric, s) == 3
+    ]
+    m = find_matching(c3, candidate, forced_critical=diameter3_tetrahedra(metric), seed=seed)
+    assert _morse_fallbacks(c3, m) == fallbacks

@@ -206,14 +206,18 @@ def test_vr_faces_are_bounded_diameter_cliques(name, r):
     metric = _metric(name)
     r = min(r, metric.diameter())
     c = vr_complex(metric, r)
-    for k in range(c.dim + 1):
-        for s in c.simplices(k):
-            assert face_diameter(metric, s) <= r
+    # no face holds a vertex v together with one farther than r from v
+    n = metric.size
+    far = [sum(1 << w for w in range(n) if metric.d(v, w) > r) for v in range(n)]
+    for level in c.faces:
+        for v, beyond in enumerate(far):
+            if beyond:
+                bit = 1 << v
+                assert not any(mask & bit and mask & beyond for mask in level)
     # and the next scale only grows the complex
     bigger = vr_complex(metric, r + 1)
-    for k in range(c.dim + 1):
-        for s in c.simplices(k):
-            assert bigger.has_face(s)
+    for k, level in enumerate(c.faces):
+        assert set(level) <= set(bigger.faces[k])
 
 
 def _assert_lexicographic(c):
@@ -373,6 +377,17 @@ def test_face_budget_bounds_every_clique_walk(monkeypatch):
     assert c.face_total() == 6560
     assert len(maximal_simplices(c)) == 2**8
     assert _enumerated_f_vector(c) == tuple(comb(8, k + 1) * 2 ** (k + 1) for k in range(8))
+
+
+def test_face_budget_bounds_the_closure_of_listed_faces(monkeypatch):
+    monkeypatch.setattr(simplicial, "FACE_BUDGET", 20)
+    # one 5-vertex face closes to 31 faces: refused before the closure
+    with pytest.raises(ParameterError, match="20 faces"):
+        from_faces([(0, 1, 2, 3, 4)])
+    # two 4-vertex faces close to 15 each, and overlap in an edge: 27 in all
+    with pytest.raises(ParameterError, match="20 faces"):
+        from_faces([(0, 1, 2, 3), (2, 3, 4, 5)])
+    assert from_faces([(0, 1, 2, 3), (3, 4)]).face_total() == 17
 
 
 def test_face_budget_admits_the_largest_supported_complexes():

@@ -7,6 +7,7 @@ from ripstone.errors import ParameterError, StructuralError, VerificationError
 from ripstone.patterns import diameter3_tetrahedra
 from ripstone.polytopes import SOLIDS, build_solid, combinatorial_metric
 from ripstone.symmetry import (
+    _derived_elements,
     apply_to_simplex,
     automorphisms,
     center,
@@ -72,6 +73,24 @@ def test_rotation_subgroup_is_simple_of_order_60():
     # a perfect group of order 60 is simple
     assert oracle.derived_subgroup().order() == 60
     assert not oracle.is_solvable
+
+
+@pytest.mark.parametrize("name", SOLIDS)
+def test_derived_subgroup_from_generator_commutators(name):
+    # the closure of all |G|^2 commutators, computed here by breadth-first
+    # products, against the closure of the [a, s] with s a generator
+    g = automorphisms(build_solid(name))
+    elems = group_elements(g)
+    comms = {
+        compose(a, compose(b, compose(inverse(a), inverse(b)))) for a in elems for b in elems
+    }
+    closure = {identity_perm(g.degree)}
+    frontier = list(closure)
+    while frontier:
+        frontier = [compose(s, p) for p in frontier for s in comms]
+        frontier = [p for p in set(frontier) if p not in closure]
+        closure.update(frontier)
+    assert set(_derived_elements(g)) == closure
 
 
 def test_center_of_full_group_is_the_antipodal_flip():
