@@ -2,10 +2,12 @@
 
 _boundary_ranks serves homology() and the Morse complex alike: it reduces
 differentials from the top dimension down, skipping columns cleared by the
-dimension above, and accepts only +-1 pivots.  Reduced columns with distinct
+dimension above, and keeps only +-1 pivots.  Reduced columns with distinct
 unit pivots span a direct summand, so each rank is exact and adds no torsion.
-A dimension that meets a non-unit pivot is redone by sparse Smith normal
-form, which also backs smith_normal_form and cycle_class's homology bases.
+A column whose pivot is not a unit is set aside and, once the pass is done,
+stripped of every unit-pivot row; only what is left of such columns, the
+residual, goes to sparse Smith normal form, which also backs
+smith_normal_form and cycle_class's homology bases.
 
 The boundary convention used everywhere: for a simplex written with ascending
 vertices v1 < ... < vn,
@@ -421,14 +423,18 @@ def _homology_from_counts(counts, ranks) -> HomologyResult:
     return HomologyResult(betti=betti, torsion=torsion, reduced=False)
 
 
-def _unit_pivot_columns(columns) -> dict[int, dict[int, int]] | None:
-    """Reduce boundary columns over Z, accepting only +-1 pivots.
+def _unit_pivot_columns(columns) -> tuple[dict[int, dict[int, int]], list]:
+    """Reduce boundary columns over Z, keeping only +-1 pivots.
 
     columns yields (index, entries) in order; a column's pivot is its
-    largest row.  Returns pivot row -> reduced column, or None at the first
-    pivot that is not a unit.
+    largest row.  Returns pivot row -> reduced column, and the residual:
+    the (row, entry) pairs of each column whose pivot was not a unit, once
+    every pivot row is eliminated from it, largest first, if any are left.
+    The pivot columns are triangular with a +-1 diagonal, so this is exact
+    over Z.
     """
     pivots: dict[int, dict[int, int]] = {}
+    aside: list[dict[int, int]] = []
     for _j, entries in columns:
         col = dict(entries)
         while col:
@@ -436,18 +442,38 @@ def _unit_pivot_columns(columns) -> dict[int, dict[int, int]] | None:
             other = pivots.get(low)
             if other is None:
                 break
-            q = col[low] * other[low]  # other[low] is +-1, so q = col[low] / other[low]
-            for i, v in other.items():
-                new = col.get(i, 0) - q * v
-                if new:
-                    col[i] = new
-                else:
-                    del col[i]
+            _subtract(col, other, low)
         if col:
-            if col[low] not in (1, -1):
-                return None
-            pivots[low] = col
-    return pivots
+            if col[low] in (1, -1):
+                pivots[low] = col
+            else:
+                aside.append(col)
+    residual = []
+    for col in aside:
+        hits = [-i for i in col if i in pivots]  # max-heap of pivot rows in col
+        heapq.heapify(hits)
+        while hits:
+            low = -heapq.heappop(hits)
+            if low in col:  # a row can be pushed twice
+                other = pivots[low]
+                _subtract(col, other, low)
+                for i in other:  # fill-in lies below low, in rows not yet popped
+                    if i in col and i in pivots:
+                        heapq.heappush(hits, -i)
+        if col:
+            residual.append(list(col.items()))
+    return pivots, residual
+
+
+def _subtract(col: dict[int, int], other: dict[int, int], low: int) -> None:
+    """Clear col's entry in row low with other, whose entry there is +-1."""
+    q = col[low] * other[low]  # other[low] is +-1, so q = col[low] / other[low]
+    for i, v in other.items():
+        new = col.get(i, 0) - q * v
+        if new:
+            col[i] = new
+        else:
+            del col[i]
 
 
 def _boundary_ranks(counts, columns) -> tuple[list[tuple[int, list[int]]], list[int]]:
@@ -456,29 +482,30 @@ def _boundary_ranks(counts, columns) -> tuple[list[tuple[int, list[int]]], list[
     counts[k] is the number of k-cells; columns(k, skip) yields d_k as
     (column, its (row, coefficient) pairs), leaving out those in skip unbuilt.
     Entry k of the first list is (rank d_k, invariant factors > 1 of d_k);
-    entry 0 is (0, []).  The second names the dimensions, top first, whose
-    reduction met a non-unit pivot and was redone by Smith reduction.
+    entry 0 is (0, []).  The second names the dimensions, top first, that
+    left a non-empty residual for Smith reduction.
 
     A k-cell that is the pivot of a reduced d_{k+1} column is skipped
     (cleared): that column is +-1 times the cell plus earlier cells and,
     as d_k d_{k+1} = 0 in any chain complex, a cycle, so the cell's column
-    is a combination of earlier columns of d_k.  With unit pivots only, the
-    reduced columns span a direct summand: the rank is exact and d_k adds no
-    torsion.  A fallback dimension clears nothing below.
+    is a combination of earlier columns of d_k.  The unit-pivot columns
+    span a direct summand of the (k-1)-chains, complementary to the chains
+    on the other rows, where the residual lives; so SNF(d_k) is
+    1^|pivots| + SNF(residual): rank d_k is |pivots| + rank(residual), and
+    its torsion is the residual's.  Each reduced column is a Z-combination
+    of d_{k+1} columns, so the unit pivots of every dimension clear the
+    dimension below, residual or not.
     """
     out: list[tuple[int, list[int]]] = [(0, [])] * len(counts)
     fallbacks: list[int] = []
     cleared: dict = {}
     for k in range(len(counts) - 1, 0, -1):
-        pivots = _unit_pivot_columns(columns(k, cleared))
-        if pivots is not None:
-            out[k] = (len(pivots), [])
-            cleared = pivots
-            continue
-        fallbacks.append(k)
-        red = _reduce(counts[k - 1], counts[k], _rows(columns(k, ())))
-        out[k] = (red.rank, [d for d in red.factors if d > 1])
-        cleared = {}
+        cleared, residual = _unit_pivot_columns(columns(k, cleared))
+        out[k] = (len(cleared), [])
+        if residual:
+            fallbacks.append(k)
+            red = _reduce(counts[k - 1], len(residual), _rows(enumerate(residual)))
+            out[k] = (len(cleared) + red.rank, [d for d in red.factors if d > 1])
     return out, fallbacks
 
 

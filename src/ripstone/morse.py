@@ -4,7 +4,7 @@ Covers certification (validity, acyclicity with explicit cycle certificates),
 randomized constrained search by free-pair collapse, the algebraic flow that
 traces chains through a collapse, the homology of the critical complex, and
 the polygon fan/flip matchings.  The critical complex goes through
-homology()'s clearing, unit-pivot and Smith-fallback routine.
+homology()'s clearing, unit-pivot and residual-Smith routine.
 """
 
 from __future__ import annotations

@@ -201,7 +201,7 @@ def symmetry_report() -> Report:
     h3 = homology(vr_complex(metric, 3)).betti[3]
     rows.append(row("H3 rank at scale 3", 9, h3))
     try:
-        cd = verify_remark(grp, tets, h3)
+        cd = verify_remark(grp, rot, tets, h3)
     except VerificationError as e:
         rows.append(
             row("classwise character check", "all classes match", str(e), passed=False)

@@ -276,44 +276,62 @@ def vr_complex(metric: DistanceMatrix, r: int) -> Complex:
 
 
 def from_faces(faces, vertex_count: int | None = None) -> Complex:
-    """The downward closure of the given simplices, at most FACE_BUDGET faces."""
-    masks = set()
+    """The downward closure of the given simplices, at most FACE_BUDGET faces.
+
+    The closure is built level by level from the top dimension down: each
+    level is the facets of the level above plus the listed faces of its size.
+    """
+    listed: dict[int, set[int]] = {}  # vertex count -> listed masks
     top = 0
     for s in faces:
         s = simplex(s)
         if (1 << len(s)) - 1 > FACE_BUDGET:  # its own closure is too big
             raise _budget_error()
         top = max(top, s[-1] + 1)
-        masks.add(mask_of(s))
+        listed.setdefault(len(s), set()).add(mask_of(s))
     if vertex_count is None:
         vertex_count = top
     elif vertex_count < top:
         raise ParameterError("vertex_count is smaller than the largest vertex id")
-    closure = set()
-    stack = list(masks)
-    while stack:
-        m = stack.pop()
-        if m in closure:
-            continue
-        closure.add(m)
-        if len(closure) > FACE_BUDGET:
-            raise _budget_error()
-        if m.bit_count() > 1:
-            mm = m
-            while mm:
-                low = mm & -mm
-                mm ^= low
-                sub = m ^ low
-                if sub not in closure:
-                    stack.append(sub)
-    if not closure:
+    if not listed:
         raise StructuralError("refusing to build an empty complex")
-    faces: list[list[int]] = [[] for _ in range(max(m.bit_count() for m in masks))]
-    for m in closure:
-        faces[m.bit_count() - 1].append(m)
-    for level in faces:
-        level.sort(key=vertices_of)
+    room = FACE_BUDGET
+    width = max(listed)
+    faces: list[list[int]] = [[] for _ in range(width)]
+    above: set[int] = set()
+    for size in range(width, 0, -1):
+        level = listed.get(size, set())
+        _add_facets(level, above, room)
+        room -= len(level)
+        if room < 0:  # listed faces alone can overflow a level
+            raise _budget_error()
+        faces[size - 1] = _lex_sorted(level)
+        above = level
     return Complex(vertex_count=vertex_count, faces=faces)
+
+
+def _add_facets(into: set[int], masks, room: int) -> None:
+    """Add every facet of every mask to into, refusing to grow it past room."""
+    for m in masks:
+        mm = m
+        while mm:
+            low = mm & -mm
+            mm ^= low
+            into.add(m ^ low)
+        if len(into) > room:
+            raise _budget_error()
+
+
+def _lex_sorted(level) -> list[int]:
+    """Masks of one size in the lexicographic order of their vertex tuples.
+
+    Two such tuples first differ where the masks' lowest differing bit is,
+    and the tuple holding that vertex comes first: so the order is
+    descending on the masks' binary digits read from bit 0 up.  Unpadded
+    digit strings compare the same way, since one is never a proper prefix
+    of another of the same size, and cost only the mask's own length.
+    """
+    return sorted(level, key=lambda m: format(m, "b")[::-1], reverse=True)
 
 
 def full_simplex_complex(n: int) -> Complex:
@@ -366,15 +384,15 @@ def _maximal_cliques(adj: tuple[int, ...]) -> list[int]:
 def maximal_simplices(c: Complex) -> list[Simplex]:
     """Faces that are not contained in any larger face, in lexicographic order.
 
-    A clique complex lists the maximal cliques of its graph and builds no face.
+    A clique complex lists the maximal cliques of its graph and builds no face;
+    any other complex marks the facets of every face in one pass.
     """
     if c.graph is not None:
         return sorted(vertices_of(m) for m in _maximal_cliques(c.graph))
-    out = []
-    for k in range(c.dim, -1, -1):
-        for m in c.faces[k]:
-            if c.is_maximal_mask(m, k):
-                out.append(vertices_of(m))
+    covered: set[int] = set()
+    for level in c.faces[1:]:
+        _add_facets(covered, level, c.face_total())  # covered faces are faces
+    out = [vertices_of(m) for level in c.faces for m in level if m not in covered]
     out.sort()
     return out
 

@@ -272,13 +272,14 @@ def tetrahedra_orbits(h: PermGroup, tets) -> list:
     return orbits
 
 
-def verify_remark(g: PermGroup, tets, h3_rank: int) -> CharacterData:
+def verify_remark(g: PermGroup, rot: PermGroup, tets, h3_rank: int) -> CharacterData:
     """Classwise fixed-point check of the action on the ten tetrahedra.
 
-    The predicted count doubles the natural five-point fixed counts on the
-    rotation subgroup and vanishes off it; the rank-9 homology matches the
-    kernel of the augmentation on the free module over the tetrahedra.
-    Raises on the first failing class.
+    rot is g's rotation subgroup (rotation_subgroup(g)).  The predicted
+    count doubles the natural five-point fixed counts on the rotation
+    subgroup and vanishes off it; the rank-9 homology matches the kernel of
+    the augmentation on the free module over the tetrahedra.  Raises on the
+    first failing class.
     """
     tets = sorted(tets)
     if len(tets) != 10:
@@ -287,7 +288,7 @@ def verify_remark(g: PermGroup, tets, h3_rank: int) -> CharacterData:
         raise VerificationError(f"H3 rank {h3_rank} != {len(tets) - 1}")
     if g.order != 120:
         raise VerificationError(f"full group has order {g.order}, expected 120")
-    rotations = set(group_elements(rotation_subgroup(g)))
+    rotations = set(group_elements(rot))
 
     reps = []
     sizes = []

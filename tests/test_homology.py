@@ -265,12 +265,57 @@ def test_clearing_matches_snf_on_projective_plane_joins(g):
 def test_clearing_falls_back_on_torsion_only_where_needed():
     # H_1(RP^2) = Z/2 cannot come from unit pivots, so d_2 falls back
     assert 2 in _complex_fallbacks(from_faces(RP2_FACES))
-    # d_5 and d_4 have unit pivots, d_3 falls back: d_2 must then be reduced
-    # without clearing, not with d_4's pivots
+    # d_5 and d_4 have unit pivots, d_3 leaves a residual carrying the Z/2:
+    # d_3's unit pivots still clear d_2, which needs no Smith reduction
     join = [f + q for f in RP2_FACES for q in ((6,), (7, 8, 9), (10,))]
     assert _complex_fallbacks(from_faces(join)) == [3]
     c = vr_complex(combinatorial_metric(build_solid("dodecahedron")), 4)
     assert _boundary_ranks(c.f_vector(), partial(_boundary_columns, c))[1] == []
+
+
+def _one_differential(nrows, columns):
+    """counts and columns(k, skip) of a chain complex whose only map is d_1."""
+    def cols(k, skip):
+        return ((j, list(col.items())) for j, col in enumerate(columns) if j not in skip)
+
+    return [nrows, len(columns)], cols
+
+
+def test_unit_pivot_that_cancels_a_non_unit_pivot_leaves_no_residual():
+    # column 0's pivot is 2 in row 2; column 1's unit pivot in row 2 then
+    # eliminates it to zero, so the unit pivots alone give the rank
+    counts, cols = _one_differential(3, [{1: 2, 2: 2}, {1: 1, 2: 1}, {0: 1}])
+    fallbacks, snf = _clearing_fallbacks(counts, cols)
+    assert fallbacks == [] and snf[1] == (2, [])
+
+
+def test_residual_carrying_torsion_falls_back():
+    # column 0's pivot is 2 in row 1; eliminating column 1's unit pivot in
+    # row 0 leaves 2 in row 1: the image is Z + 2Z, cokernel Z/2
+    counts, cols = _one_differential(2, [{0: 3, 1: 2}, {0: 1}])
+    fallbacks, snf = _clearing_fallbacks(counts, cols)
+    assert fallbacks == [1] and snf[1] == (2, [2])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.dictionaries(
+                    st.integers(min_value=0, max_value=n - 1),
+                    st.integers(min_value=-3, max_value=3).filter(bool),
+                ),
+                max_size=7,
+            ),
+        )
+    )
+)
+def test_unit_pivots_and_residual_match_snf_on_any_matrix(matrix):
+    # one differential needs no chain condition: any integer matrix will do
+    nrows, columns = matrix
+    _clearing_fallbacks(*_one_differential(nrows, columns))
 
 
 def _morse_fallbacks(c, m):
@@ -321,11 +366,12 @@ def test_morse_complex_of_projective_plane_falls_back_on_torsion():
 
 
 @pytest.mark.parametrize(
-    "seed, fallbacks", [(1, []), (2, []), (3, [3])], ids=["seed1", "seed2", "seed3"]
+    "seed, fallbacks", [(1, []), (2, []), (3, [])], ids=["seed1", "seed2", "seed3"]
 )
 def test_clearing_matches_snf_on_trace_morse_complexes(seed, fallbacks):
     # the scale-3 matchings of `dodeca trace`; seed 3's Morse complex meets
-    # a non-unit pivot in d_3, so its ranks there come from Smith reduction
+    # a non-unit pivot in d_3, but later unit pivots eliminate that column
+    # to zero, so no dimension leaves a residual for Smith reduction
     metric = combinatorial_metric(build_solid("dodecahedron"))
     c3 = vr_complex(metric, 3)
     candidate = [

@@ -245,3 +245,37 @@ def test_trace_certifies_each_matching_once(monkeypatch):
     # pipeline row and the critical complex reuse, and once on the complex
     # with the ten tetrahedra deleted
     assert calls == [3272, 3262]
+
+
+def test_critical_complex_flows_each_cell_once(monkeypatch):
+    # seed 3's Morse complex meets a non-unit pivot in d_3; finishing the
+    # unit-pivot pass around it must not flow any critical cell again
+    from ripstone import morse
+    from ripstone.patterns import diameter3_tetrahedra
+    from ripstone.simplicial import face_diameter, mask_of
+
+    metric = combinatorial_metric(build_solid("dodecahedron"))
+    c3 = vr_complex(metric, 3)
+    candidate = [
+        s
+        for k in range(c3.dim + 1)
+        for s in c3.simplices(k)
+        if face_diameter(metric, s) == 3
+    ]
+    m = find_matching(c3, candidate, forced_critical=diameter3_tetrahedra(metric), seed=3)
+    critical = {mask_of(s) for s in check_matching(c3, m).critical}
+
+    flowed = []
+    flow = morse._flow_to_fixpoint
+
+    def counted(chain, v_map, limit):
+        cell = 0
+        for facet in chain:  # the boundary of a cell; its facets span it
+            cell |= facet
+        flowed.append(cell)
+        return flow(chain, v_map, limit)
+
+    monkeypatch.setattr(morse, "_flow_to_fixpoint", counted)
+    assert critical_complex_homology(c3, m).betti[:4] == (1, 0, 0, 9)
+    assert flowed and set(flowed) <= critical
+    assert len(flowed) == len(set(flowed))

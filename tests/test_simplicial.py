@@ -1,5 +1,6 @@
 """Complex construction: clique expansion, skeleta, deletions, closures."""
 
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -19,6 +20,7 @@ from ripstone.simplicial import (
     face_diameter,
     from_faces,
     full_simplex_complex,
+    mask_of,
     maximal_simplices,
     simplex,
     skeleton,
@@ -164,14 +166,14 @@ def test_simplex_validation():
 
 
 @st.composite
-def face_lists(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
+def face_lists(draw, max_n=7, max_size=4):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     faces = draw(
         st.lists(
             st.lists(
                 st.integers(min_value=0, max_value=n - 1),
                 min_size=1,
-                max_size=4,
+                max_size=max_size,
                 unique=True,
             ),
             min_size=1,
@@ -195,6 +197,22 @@ def test_from_faces_is_downward_closed(faces):
     assert all(c.has_face(f) for f in faces)
     rebuilt = from_faces(maximal_simplices(c), vertex_count=c.vertex_count)
     assert rebuilt == c
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(face_lists(max_n=10, max_size=6))
+def test_from_faces_and_maximal_faces_match_brute_force(faces):
+    # list some faces twice and some of their proper faces as well
+    faces = faces + faces[:2] + [f[1:] for f in faces if len(f) > 1]
+    closure = {sub for f in faces for k in range(len(f)) for sub in combinations(f, k + 1)}
+    c = from_faces(faces)
+    assert c.faces == [
+        sorted((mask_of(s) for s in closure if len(s) == k + 1), key=vertices_of)
+        for k in range(max(map(len, closure)))
+    ]
+    assert maximal_simplices(c) == sorted(
+        s for s in closure if not any(set(s) < set(t) for t in closure)
+    )
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -388,6 +406,32 @@ def test_face_budget_bounds_the_closure_of_listed_faces(monkeypatch):
     with pytest.raises(ParameterError, match="20 faces"):
         from_faces([(0, 1, 2, 3), (2, 3, 4, 5)])
     assert from_faces([(0, 1, 2, 3), (3, 4)]).face_total() == 17
+
+
+def test_face_budget_stops_the_closure_partway_through_a_level(monkeypatch):
+    # three disjoint tetrahedra: levels of 3, 12, 18 and 12 faces, 45 in all
+    tets = [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]
+    monkeypatch.setattr(simplicial, "FACE_BUDGET", 45)
+    assert from_faces(tets).f_vector() == (12, 18, 12, 3)
+    for budget in (25, 44):  # past 15 + 10 edges; past 33 + 11 vertices
+        monkeypatch.setattr(simplicial, "FACE_BUDGET", budget)
+        with pytest.raises(ParameterError, match=f"{budget} faces"):
+            from_faces(tets)
+
+
+def test_a_far_vertex_id_does_not_widen_every_face():
+    # faces are sorted and covered by their own masks, so one vertex id of a
+    # million costs the one face that holds it, not every face
+    faces = list(combinations(range(12), 2)) + [(10**6,)]
+    tracemalloc.start()
+    try:
+        c = from_faces(faces)
+        maximal = maximal_simplices(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.vertex_count == 10**6 + 1 and maximal[-1] == (10**6,)
+    assert peak < 8 * 2**20
 
 
 def test_face_budget_admits_the_largest_supported_complexes():

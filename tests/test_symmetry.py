@@ -124,7 +124,8 @@ def test_tetrahedra_orbits():
 
 
 def test_character_table_of_the_tetrahedra_action():
-    data = verify_remark(dodeca_group(), dodeca_tets(), h3_rank=9)
+    g = dodeca_group()
+    data = verify_remark(g, rotation_subgroup(g), dodeca_tets(), h3_rank=9)
     table = sorted(
         zip(data.class_sizes, data.element_orders, data.in_rotation, data.fixed_counts)
     )
@@ -151,13 +152,31 @@ def test_character_table_of_the_tetrahedra_action():
 
 def test_verify_remark_guards():
     g = dodeca_group()
+    rot = rotation_subgroup(g)
     tets = dodeca_tets()
     with pytest.raises(VerificationError):
-        verify_remark(g, tets, h3_rank=8)
+        verify_remark(g, rot, tets, h3_rank=8)
     with pytest.raises(VerificationError):
-        verify_remark(g, tets[:9], h3_rank=9)
+        verify_remark(g, rot, tets[:9], h3_rank=9)
     with pytest.raises(VerificationError):
-        verify_remark(rotation_subgroup(g), tets, h3_rank=9)
+        verify_remark(rot, rot, tets, h3_rank=9)
+
+
+def test_symmetry_report_builds_the_rotation_subgroup_once(monkeypatch):
+    from ripstone import pipelines, symmetry
+
+    calls = []
+    build = symmetry.rotation_subgroup
+
+    def counted(g):
+        calls.append(g.order)
+        return build(g)
+
+    monkeypatch.setattr(symmetry, "rotation_subgroup", counted)
+    monkeypatch.setattr(pipelines, "rotation_subgroup", counted)
+    report = pipelines.symmetry_report()
+    assert all(r.passed for r in report.rows)
+    assert calls == [120]  # verify_remark takes the report's subgroup
 
 
 def test_conjugacy_classes_partition_the_group():
