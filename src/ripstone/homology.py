@@ -9,6 +9,23 @@ stripped of every unit-pivot row; only what is left of such columns, the
 residual, goes to sparse Smith normal form, which also backs
 smith_normal_form and cycle_class's homology bases.
 
+Two clique complexes skip the reduction.  A cone (a vertex adjacent to all
+others) is contractible; its Euler characteristic, from counted faces, must
+be 1.  A join X1*...*Xm (the graph's complement is disconnected, and each Xi
+is the clique complex on one of its components) takes its homology from its
+factors' by the join formula for integral homology (Milnor, "Construction of
+universal bundles II", Ann. Math. 63 (1956)):
+
+    H~_n(X*Y) = (+)_{i+j=n-1} H~_i(X) (x) H~_j(Y)  (+)  (+)_{i+j=n-2} Tor(H~_i(X), H~_j(Y))
+
+Its check: the reduced Euler characteristic of the result must equal
+(-1)^(m-1) times the product of the factors' reduced Euler characteristics,
+counted from the factors' faces; the join itself is never built or counted.
+This is how the cross-polytope rows (octahedron r=1, cube r=2, icosahedron
+r=2, dodecahedron r=4: joins of zero-spheres) are computed.  Complexes
+given by their faces (from_faces, complex files) have no graph and are
+always reduced.
+
 The boundary convention used everywhere: for a simplex written with ascending
 vertices v1 < ... < vn,
 
@@ -28,6 +45,7 @@ from math import gcd
 
 from .errors import ParameterError, PreconditionError, StructuralError
 from .simplicial import Complex, Simplex, mask_of, signed_facets, simplex, vertices_of
+from .simplicial import _complement_components, _induced_clique_complex
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +536,73 @@ def homology(c: Complex, reduced: bool = False) -> HomologyResult:
             raise StructuralError("cone complex with Euler characteristic != 1")
         dims = len(c.f_vector())
         result = HomologyResult(betti=(1,) + (0,) * (dims - 1), torsion=((),) * dims, reduced=False)
+    elif c.graph is not None and len(parts := _complement_components(c.graph)) > 1:
+        # A clique complex whose graph's complement is disconnected is a
+        # join; its own faces are neither built nor counted.
+        result = _join_homology([_induced_clique_complex(c.graph, p) for p in parts])
     else:
-        counts = [len(level) for level in c.faces]  # builds the faces, once
-        ranks, _fallbacks = _boundary_ranks(counts, partial(_boundary_columns, c))
-        result = _homology_from_counts(counts, ranks)
+        result = _homology_by_reduction(c)
     if reduced:
         betti = list(result.betti)
         betti[0] -= 1
         return HomologyResult(betti=tuple(betti), torsion=result.torsion, reduced=True)
     return result
+
+
+def _homology_by_reduction(c: Complex) -> HomologyResult:
+    counts = [len(level) for level in c.faces]  # builds the faces, once
+    ranks, _fallbacks = _boundary_ranks(counts, partial(_boundary_columns, c))
+    return _homology_from_counts(counts, ranks)
+
+
+def _join_homology(factors: list[Complex]) -> HomologyResult:
+    """Homology of the join of the factors, each reduced on its own.
+
+    The factors' reduced homology is folded by _join_groups.  The check: the
+    join's reduced Euler characteristic is (-1)^(m-1) times the product of
+    the m factors' reduced Euler characteristics, counted from their faces.
+    """
+    groups = None
+    expected = -1
+    for x in factors:
+        h = _homology_by_reduction(x)
+        expected *= 1 - euler_characteristic(x)  # times -(reduced chi of x)
+        tilde = [(b - (k == 0), list(t)) for k, (b, t) in enumerate(zip(h.betti, h.torsion))]
+        groups = tilde if groups is None else _join_groups(groups, tilde)
+    if sum((-1) ** n * r for n, (r, _t) in enumerate(groups)) != expected:
+        raise StructuralError("join homology disagrees with its factors' Euler characteristics")
+    return HomologyResult(
+        betti=(1,) + tuple(r for r, _t in groups[1:]),  # a join of non-empty complexes is connected
+        torsion=tuple(tuple(t) for _r, t in groups),
+        reduced=False,
+    )
+
+
+def _join_groups(x: list, y: list) -> list[tuple[int, list[int]]]:
+    """Reduced homology of X*Y from that of X and Y, each (rank, torsion) per degree.
+
+    With A = Z^a + (+)Z/t and B = Z^b + (+)Z/s, A (x) B is Z^ab plus b copies
+    of each Z/t, a copies of each Z/s and Z/gcd(t, s) for each pair, and
+    Tor(A, B) is Z/gcd(t, s) for each pair; the (x) terms of degrees i + j
+    land in degree i + j + 1, the Tor terms in i + j + 2.  A complex's top
+    homology group is a group of cycles, so free: Tor never lands past the end.
+    """
+    rank = [0] * (len(x) + len(y))
+    orders: list[list[int]] = [[] for _ in rank]
+    for i, (a, t) in enumerate(x):
+        for j, (b, s) in enumerate(y):
+            pairs = [gcd(p, q) for p in t for q in s]
+            rank[i + j + 1] += a * b
+            orders[i + j + 1] += t * b + s * a + pairs
+            if pairs:
+                orders[i + j + 2] += pairs
+    return [(r, _invariant_factors(o)) for r, o in zip(rank, orders)]
+
+
+def _invariant_factors(orders: list[int]) -> list[int]:
+    """The invariant factors > 1 of the sum of cyclic groups of the given orders."""
+    red = _reduce(len(orders), len(orders), {i: {i: d} for i, d in enumerate(orders)})
+    return [d for d in red.factors if d > 1]
 
 
 def euler_characteristic(c: Complex) -> int:

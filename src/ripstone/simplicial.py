@@ -9,7 +9,9 @@ are built lazily: the constructor keeps the graph, and the faces are
 enumerated, once, when something first reads them.  Until then f_vector()
 and face_total() count the cliques without storing them: homology() of a
 cone never builds its faces, and the full simplex every solid reaches at its
-diameter is counted in O(n).
+diameter is counted in O(n).  homology() of a join (a graph whose complement
+is disconnected) builds only the faces of its factors, the clique complexes
+of the subgraphs induced on the complement's components.
 maximal_simplices lists maximal cliques from the graph.  Every clique walk
 and from_faces closure stops with ParameterError past FACE_BUDGET faces.
 """
@@ -21,7 +23,7 @@ from functools import cached_property
 from math import comb
 
 from .errors import ParameterError, StructuralError
-from .polytopes import DistanceMatrix, PolytopeGraph, build_solid, combinatorial_metric, solid_info
+from .polytopes import DistanceMatrix, build_solid, solid_info
 
 Simplex = tuple[int, ...]
 
@@ -100,7 +102,14 @@ class Complex:
             return False
         if self.graph is not None and other.graph is not None:
             return self.graph == other.graph  # a clique complex is fixed by its edges
-        return self.faces == other.faces
+        if self.graph is None and other.graph is None:
+            return self.faces == other.faces
+        # Faces that are all cliques, and as many per dimension as the clique
+        # complex counts, are its faces: it is compared without being built.
+        clique, listed = (self, other) if self.graph is not None else (other, self)
+        return listed.f_vector() == clique.f_vector() and all(
+            _is_clique(clique.graph, m) for level in listed.faces for m in level
+        )
 
     @property
     def dim(self) -> int:
@@ -144,11 +153,14 @@ class Complex:
         if k + 1 > self.dim:
             return True
         above = self.index(k + 1)
-        for v in range(self.vertex_count):
-            bit = 1 << v
+        for bit in self.faces[0]:  # the complex's own vertices, not every id below vertex_count
             if not mask & bit and (mask | bit) in above:
                 return False
         return True
+
+
+def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
+    return all((mask ^ 1 << v) & ~adj[v] == 0 for v in vertices_of(mask))
 
 
 def _budget_error() -> ParameterError:
@@ -255,6 +267,41 @@ class _CliqueComplex(Complex):
         if "faces" in self.__dict__:
             return super().f_vector()
         return _count_cliques(self.graph)
+
+
+def _complement_components(adj: tuple[int, ...]) -> list[int]:
+    """Vertex masks of the connected components of the graph's complement, lowest vertex first.
+
+    With two or more, the clique complex is the join of the clique complexes
+    of the subgraphs induced on them, since every edge between two
+    components is present.  A one-vertex component is a cone point.
+    """
+    out = []
+    rest = (1 << len(adj)) - 1
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = rest & ~adj[low.bit_length() - 1] & ~comp  # non-neighbours not yet reached
+            comp |= new
+            frontier |= new
+        out.append(comp)
+        rest ^= comp
+    return out
+
+
+def _induced_clique_complex(adj: tuple[int, ...], mask: int) -> Complex:
+    """The clique complex of the subgraph induced on mask, vertices renumbered 0, 1, ..."""
+    keep = vertices_of(mask)
+    renumbered = []
+    for v in keep:
+        m = 0
+        for i, w in enumerate(keep):
+            if adj[v] >> w & 1:
+                m |= 1 << i
+        renumbered.append(m)
+    return _CliqueComplex(tuple(renumbered))
 
 
 def vr_complex(metric: DistanceMatrix, r: int) -> Complex:
@@ -425,11 +472,19 @@ def delete_open_cells(c: Complex, cells) -> Complex:
 
 
 def boundary_complex(name: str) -> Complex:
-    """Vertices and edges of a platonic solid, plus the triangular facets when there are any."""
-    info = solid_info(name)
-    metric = combinatorial_metric(build_solid(name))
-    c1 = vr_complex(metric, 1)
-    return skeleton(c1, 2 if info.m == 3 else 1)
+    """Vertices and edges of a platonic solid, plus the triangular facets when there are any.
+
+    The triangular facets are the triangles of the edge graph; no clique
+    complex is built.
+    """
+    g = build_solid(name)
+    faces = g.edges()  # every vertex lies on an edge
+    if solid_info(name).m == 3:
+        adj = g.adjacency
+        faces += [
+            (a, b, c) for a, b in g.edges() for c in vertices_of(adj[a] & adj[b] & -1 << (b + 1))
+        ]
+    return from_faces(faces, g.vertex_count)
 
 
 def antipodal_free_complex(metric: DistanceMatrix, k: int) -> Complex:

@@ -5,6 +5,7 @@ import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import networkx as nx
 import pytest
 
 from ripstone import simplicial
@@ -100,6 +101,34 @@ def test_verify_main_theorem_enumerates_no_cone_face(monkeypatch):
     code, out, _ = run(["verify", "main-theorem"])
     assert code == 0
     assert "result: PASS" in out
+
+
+def _refuse_joins(monkeypatch):
+    """Enumerate cliques as before, except on a graph whose complement is disconnected."""
+    enumerate_cliques = simplicial._enumerate_cliques
+
+    def guarded(adj):
+        n = len(adj)
+        complement = nx.Graph()
+        complement.add_nodes_from(range(n))
+        complement.add_edges_from((u, v) for u in range(n) for v in range(u) if not adj[u] >> v & 1)
+        if not nx.is_connected(complement):
+            raise AssertionError(f"enumerated the faces of a join on {n} vertices")
+        return enumerate_cliques(adj)
+
+    monkeypatch.setattr(simplicial, "_enumerate_cliques", guarded)
+
+
+def test_joins_are_never_enumerated(monkeypatch):
+    # octahedron r=1, cube r=2, icosahedron r=2 and dodecahedron r=4 are
+    # joins of zero-spheres; dodecahedron r=4 alone has 59,048 faces
+    _refuse_joins(monkeypatch)
+    code, out, _ = run(["verify", "main-theorem"])
+    assert code == 0
+    assert "result: PASS" in out
+    code, out, _ = run(["vr", "homology", "dodecahedron", "--r", "4", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["betti"] == [1] + [0] * 8 + [1]
 
 
 def test_vr_commands_on_the_cone_enumerate_nothing(monkeypatch):

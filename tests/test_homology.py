@@ -1,12 +1,14 @@
 """Integer homology engine: boundary maps, normal forms, cycle coordinates."""
 
+import importlib
 import random
+import time
 from functools import partial
 from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -16,6 +18,7 @@ from ripstone.homology import (
     _boundary_columns,
     _boundary_ranks,
     _homology_from_counts,
+    _join_groups,
     _reduce,
     _rows,
     boundary_chain,
@@ -29,8 +32,14 @@ from ripstone.homology import (
 )
 from ripstone.morse import _morse_complex, critical_complex_homology, find_matching
 from ripstone.patterns import diameter3_tetrahedra
-from ripstone.polytopes import build_solid, combinatorial_metric
-from ripstone.simplicial import face_diameter, from_faces, full_simplex_complex, vr_complex
+from ripstone.polytopes import SOLIDS, DistanceMatrix, build_solid, combinatorial_metric, cube_graph
+from ripstone.simplicial import (
+    _complement_components,
+    face_diameter,
+    from_faces,
+    full_simplex_complex,
+    vr_complex,
+)
 
 RP2_FACES = [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
@@ -382,3 +391,135 @@ def test_clearing_matches_snf_on_trace_morse_complexes(seed, fallbacks):
     ]
     m = find_matching(c3, candidate, forced_critical=diameter3_tetrahedra(metric), seed=seed)
     assert _morse_fallbacks(c3, m) == fallbacks
+
+
+# ---------------------------------------------------------------------------
+# joins: a clique complex whose graph's complement is disconnected
+
+
+def _graphless(c):
+    """The same faces as c, given by listing them: homology reduces every one."""
+    copy = from_faces((s for k in range(c.dim + 1) for s in c.simplices(k)), c.vertex_count)
+    assert copy.graph is None
+    return copy
+
+
+def _clique_complex(g):
+    """The clique complex of a networkx graph on 0..n-1, as a scale-1 Rips complex."""
+    n = len(g)
+    dist = tuple(
+        tuple(0 if i == j else 1 if g.has_edge(i, j) else 2 for j in range(n)) for i in range(n)
+    )
+    return vr_complex(DistanceMatrix(size=n, dist=dist), 1)
+
+
+def _join_graph(graphs):
+    """Disjoint copies of the graphs, with every edge between two copies: the join's graph."""
+    return nx.complement(nx.disjoint_union_all([nx.complement(g) for g in graphs]))
+
+
+def _barycentric_rp2_graph():
+    """Comparability graph of the faces of the 6-vertex RP^2: the subdivision's graph."""
+    cells = sorted({q for f in RP2_FACES for k in (1, 2, 3) for q in combinations(f, k)})
+    g = nx.Graph()
+    g.add_nodes_from(range(len(cells)))
+    g.add_edges_from(
+        (i, j) for i, a in enumerate(cells) for j, b in enumerate(cells) if set(a) < set(b)
+    )
+    assert len(g) == 31
+    return g
+
+
+S0 = nx.empty_graph(2)
+
+
+def test_join_homology_matches_reduction_on_solids():
+    for name in SOLIDS:
+        metric = combinatorial_metric(build_solid(name))
+        for r in range(metric.diameter() + 1):
+            c = vr_complex(metric, r)
+            if c.face_total() > 2**16:  # dodecahedron r=5, a cone of 2^20 - 1 faces
+                assert c.cone_vertex is not None
+                continue
+            assert homology(c) == homology(_graphless(c)), (name, r)
+
+
+def test_cross_polytope_rows_are_joins_of_zero_spheres():
+    for name, r in (("octahedron", 1), ("cube", 2), ("icosahedron", 2), ("dodecahedron", 4)):
+        metric = combinatorial_metric(build_solid(name))
+        parts = _complement_components(vr_complex(metric, r).graph)
+        assert [p.bit_count() for p in parts] == [2] * (metric.size // 2), name
+
+
+@st.composite
+def join_factors(draw):
+    # a factor vertex adjacent to every other one would make the join a
+    # cone, so each such vertex loses the edge to its successor
+    graphs = []
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        n = draw(st.integers(min_value=2, max_value=7))
+        p = draw(st.floats(min_value=0.0, max_value=1.0))
+        g = nx.gnp_random_graph(n, p, seed=draw(st.integers(min_value=0, max_value=2**16)))
+        g.remove_edges_from([(v, (v + 1) % n) for v in g if g.degree(v) == n - 1])
+        graphs.append(g)
+    return graphs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(join_factors())
+def test_join_homology_matches_reduction_on_random_joins(graphs):
+    c = _clique_complex(_join_graph(graphs))
+    assume(c.face_total() <= 6000)  # the reduction below builds every face
+    assert c.cone_vertex is None and len(_complement_components(c.graph)) >= 2
+    assert homology(c) == homology(_graphless(c))
+
+
+def test_join_with_a_flag_projective_plane_carries_its_torsion():
+    rp2 = _barycentric_rp2_graph()
+    assert homology(_clique_complex(rp2)).torsion == ((), (2,), ())
+    suspension = _clique_complex(_join_graph([rp2, S0]))
+    h = homology(suspension)
+    assert h.betti == (1, 0, 0, 0) and h.torsion == ((), (), (2,), ())
+    assert homology(_graphless(suspension)) == h
+
+
+def test_join_of_two_projective_planes_has_tor():
+    # Z/2 (x) Z/2 lands in H_3, Tor(Z/2, Z/2) in H_4
+    c = _clique_complex(_join_graph([_barycentric_rp2_graph()] * 2))
+    assert len(_complement_components(c.graph)) == 2
+    h = homology(c)
+    assert h.betti == (1,) + (0,) * 5
+    assert h.torsion == ((), (), (), (2,), (2,), ())
+    assert homology(_graphless(c)) == h
+
+
+def test_joined_torsion_is_in_invariant_factor_form():
+    # (Z + Z/2 in degree 1) * (Z + Z/3 in degree 1): Z + Z/2 + Z/3 in
+    # degree 3, which is Z + Z/6; Tor(Z/2, Z/3) = 0
+    x = [(0, []), (1, [2]), (0, [])]
+    y = [(0, []), (1, [3]), (0, [])]
+    assert _join_groups(x, y) == [(0, [])] * 3 + [(1, [6])] + [(0, [])] * 2
+    z = [(0, []), (0, [2, 4]), (0, [])]
+    assert _join_groups(z, z)[3:5] == [(0, [2, 2, 2, 4]), (0, [2, 2, 2, 4])]
+
+
+def test_join_branch_checks_the_euler_characteristic_of_its_factors(monkeypatch):
+    homology_module = importlib.import_module("ripstone.homology")
+    join_groups = homology_module._join_groups
+
+    def shifted(x, y):  # every degree one too high
+        return [(0, [])] + join_groups(x, y)[:-1]
+
+    monkeypatch.setattr(homology_module, "_join_groups", shifted)
+    c = vr_complex(combinatorial_metric(build_solid("octahedron")), 1)
+    with pytest.raises(StructuralError, match="Euler"):
+        homology(c)
+
+
+def test_a_join_beyond_the_face_budget_needs_no_face():
+    # cube 6 at scale 5 joins 32 zero-spheres: S^31, 3^32 - 1 faces
+    start = time.perf_counter()
+    h = homology(vr_complex(combinatorial_metric(cube_graph(6)), 5))
+    assert time.perf_counter() - start < 1.0
+    assert h.betti == (1,) + (0,) * 30 + (1,)
+    assert not any(h.torsion)

@@ -1,5 +1,6 @@
 """Complex construction: clique expansion, skeleta, deletions, closures."""
 
+import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -12,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 from ripstone import simplicial
 from ripstone.errors import ParameterError, StructuralError
 from ripstone.polytopes import SOLIDS, DistanceMatrix, build_solid, combinatorial_metric, cube_graph
+from ripstone.homology import homology
 from ripstone.simplicial import (
     Complex,
+    _complement_components,
     antipodal_free_complex,
     boundary_complex,
     delete_open_cells,
@@ -99,7 +102,17 @@ def test_cone_vertex_at_diameter():
 
 def test_boundary_complex_matches_scale1():
     for name in ("cube", "octahedron", "dodecahedron", "icosahedron"):
-        assert vr_complex(_metric(name), 1) == boundary_complex(name)
+        c = vr_complex(_metric(name), 1)
+        assert c == boundary_complex(name)
+        assert boundary_complex(name) == c
+        assert "faces" not in vars(c)  # compared with counted faces, not built ones
+        assert boundary_complex(name).f_vector() == F_VECTORS_R1[name]
+    # a face less, or one edge swapped for a non-edge, is a different complex
+    c = vr_complex(_metric("cube"), 1)
+    edges = c.simplices(1)
+    far = next((0, v) for v in range(8) if _metric("cube").d(0, v) == 3)
+    assert c != from_faces(edges[1:], 8)
+    assert c != from_faces(edges[1:] + [far], 8) != c
 
 
 def test_antipodal_free_rows():
@@ -144,6 +157,18 @@ def test_delete_open_cells():
         delete_open_cells(c, [(0, 1)])  # not maximal
     with pytest.raises(StructuralError):
         delete_open_cells(c, [(0, 3)])  # not a face
+
+
+def test_deleting_a_face_at_a_far_vertex_id_is_fast():
+    # maximality is probed with the complex's own vertices, not every id
+    # below vertex_count
+    c = from_faces(list(combinations(range(12), 2)) + [(10**6,)])
+    start = time.perf_counter()
+    pruned = delete_open_cells(c, [(10**6,)])
+    assert time.perf_counter() - start < 1.0
+    assert pruned.f_vector() == (12, 66)
+    with pytest.raises(StructuralError, match="not maximal"):
+        delete_open_cells(c, [(3,)])
 
 
 def test_face_diameter():
@@ -481,3 +506,29 @@ def test_clique_complex_equality_from_graphs_matches_faces(n, p, seed, toggle):
     b = vr_complex(_graph_metric(n, other), 1)
     assert (a == b) == (a.faces == b.faces)
     assert (a == b) == (Complex(vertex_count=n, faces=a.faces) == b)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([0.0, 0.3, 0.6, 0.8, 0.9, 1.0]),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_complement_components_match_networkx(n, p, universal, seed):
+    g = nx.gnp_random_graph(n, p, seed=seed)
+    g.add_edges_from((u, v) for u in range(min(universal, n)) for v in range(n) if u != v)
+    c = vr_complex(_graph_metric(n, {(min(e), max(e)) for e in g.edges}), 1)
+    parts = _complement_components(c.graph)
+    assert parts == sorted(parts, key=lambda m: m & -m)
+    assert [set(vertices_of(m)) for m in parts] == sorted(
+        nx.connected_components(nx.complement(g)), key=min
+    )
+    if universal or any(m.bit_count() == 1 for m in parts):
+        # a one-vertex component is a universal vertex: the cone branch,
+        # which the benchmark tracer counts through cone_vertex
+        assert c.cone_vertex is not None
+        assert homology(c).betti[0] == 1
+        assert "faces" not in vars(c)
+    else:
+        assert c.cone_vertex is None

@@ -1,30 +1,37 @@
-"""Names that outside tooling relies on still exist in the package."""
+"""What the benchmark tooling relies on: names that still exist, tables that still agree."""
 
 import ast
 import importlib
 from pathlib import Path
 
 import ripstone
+from ripstone.pipelines import EXPECTED_BETTI
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _traced_functions() -> dict:
-    """The TRACED table of the benchmark tracer, read from its source without running it."""
-    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+def _literal(path: Path, name: str):
+    """A module-level literal assignment, read from the source without running it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"no TRACED table in {TRACING}")
+    raise AssertionError(f"no {name} table in {path}")
 
 
 def test_public_names_and_traced_functions_resolve():
     # The tracer skips a function that is gone, so a per-layer metric would
     # vanish without an error; check every traced name here instead.
     missing = [name for name in ripstone.__all__ if not hasattr(ripstone, name)]
-    for module, names in _traced_functions().items():
+    for module, names in _literal(PERFBENCH / "tracing.py", "TRACED").items():
         mod = importlib.import_module(f"ripstone.{module}")
         missing += [f"{module}.{name}" for name in names if not callable(getattr(mod, name, None))]
     assert missing == []
+
+
+def test_benchmark_betti_table_is_the_program_table():
+    # the benchmark pins the paper's Betti tables in its own copy; the two
+    # must not drift apart
+    assert _literal(PERFBENCH / "workloads.py", "PAPER_BETTI") == EXPECTED_BETTI
