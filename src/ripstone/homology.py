@@ -9,22 +9,21 @@ stripped of every unit-pivot row; only what is left of such columns, the
 residual, goes to sparse Smith normal form, which also backs
 smith_normal_form and cycle_class's homology bases.
 
-Two clique complexes skip the reduction.  A cone (a vertex adjacent to all
-others) is contractible; its Euler characteristic, from counted faces, must
-be 1.  A join X1*...*Xm (the graph's complement is disconnected, and each Xi
-is the clique complex on one of its components) takes its homology from its
-factors' by the join formula for integral homology (Milnor, "Construction of
-universal bundles II", Ann. Math. 63 (1956)):
+A clique complex that is a join X1*...*Xm (the graph's complement is
+disconnected, and each Xi is the clique complex on one of its components)
+takes its homology from its factors' by the join formula for integral
+homology (Milnor, "Construction of universal bundles II", Ann. Math. 63
+(1956)):
 
     H~_n(X*Y) = (+)_{i+j=n-1} H~_i(X) (x) H~_j(Y)  (+)  (+)_{i+j=n-2} Tor(H~_i(X), H~_j(Y))
 
 Its check: the reduced Euler characteristic of the result must equal
 (-1)^(m-1) times the product of the factors' reduced Euler characteristics,
-counted from the factors' faces; the join itself is never built or counted.
-This is how the cross-polytope rows (octahedron r=1, cube r=2, icosahedron
-r=2, dodecahedron r=4: joins of zero-spheres) are computed.  Complexes
-given by their faces (from_faces, complex files) have no graph and are
-always reduced.
+counted from the factors' faces; the join itself is never built.  So are
+computed the cross-polytope rows (joins of zero-spheres) and the cones,
+joins with an acyclic one-vertex factor, such as the full simplex at each
+solid's diameter.  Complexes given by their faces (from_faces, complex
+files) have no graph and are always reduced.
 
 The boundary convention used everywhere: for a simplex written with ascending
 vertices v1 < ... < vn,
@@ -45,7 +44,6 @@ from math import gcd
 
 from .errors import ParameterError, PreconditionError, StructuralError
 from .simplicial import Complex, Simplex, mask_of, signed_facets, simplex, vertices_of
-from .simplicial import _complement_components, _induced_clique_complex
 
 
 # ---------------------------------------------------------------------------
@@ -529,17 +527,8 @@ def _boundary_ranks(counts, columns) -> tuple[list[tuple[int, list[int]]], list[
 
 def homology(c: Complex, reduced: bool = False) -> HomologyResult:
     """Integral homology of a complex; Betti numbers are unreduced by default."""
-    if c.cone_vertex is not None:
-        # A vertex adjacent to everything else makes the clique complex a
-        # cone.  Its faces are counted, not built, unless already built.
-        if euler_characteristic(c) != 1:
-            raise StructuralError("cone complex with Euler characteristic != 1")
-        dims = len(c.f_vector())
-        result = HomologyResult(betti=(1,) + (0,) * (dims - 1), torsion=((),) * dims, reduced=False)
-    elif c.graph is not None and len(parts := _complement_components(c.graph)) > 1:
-        # A clique complex whose graph's complement is disconnected is a
-        # join; its own faces are neither built nor counted.
-        result = _join_homology([_induced_clique_complex(c.graph, p) for p in parts])
+    if c.join_factors:
+        result = _join_homology([x for _keep, x in c.join_factors])
     else:
         result = _homology_by_reduction(c)
     if reduced:
@@ -586,17 +575,23 @@ def _join_groups(x: list, y: list) -> list[tuple[int, list[int]]]:
     Tor(A, B) is Z/gcd(t, s) for each pair; the (x) terms of degrees i + j
     land in degree i + j + 1, the Tor terms in i + j + 2.  A complex's top
     homology group is a group of cycles, so free: Tor never lands past the end.
+    A pair with a zero group adds nothing, so an acyclic factor, such as a
+    cone point, folds in without a product.
     """
     rank = [0] * (len(x) + len(y))
     orders: list[list[int]] = [[] for _ in rank]
     for i, (a, t) in enumerate(x):
+        if not (a or t):
+            continue
         for j, (b, s) in enumerate(y):
+            if not (b or s):
+                continue
             pairs = [gcd(p, q) for p in t for q in s]
             rank[i + j + 1] += a * b
             orders[i + j + 1] += t * b + s * a + pairs
             if pairs:
                 orders[i + j + 2] += pairs
-    return [(r, _invariant_factors(o)) for r, o in zip(rank, orders)]
+    return [(r, _invariant_factors(o) if o else []) for r, o in zip(rank, orders)]
 
 
 def _invariant_factors(orders: list[int]) -> list[int]:

@@ -6,29 +6,30 @@ never leak through the public API except where documented.
 
 Clique complexes (vr_complex, antipodal_free_complex, full_simplex_complex)
 are built lazily: the constructor keeps the graph, and the faces are
-enumerated, once, when something first reads them.  Until then f_vector()
-and face_total() count the cliques without storing them: homology() of a
-cone never builds its faces, and the full simplex every solid reaches at its
-diameter is counted in O(n).  homology() of a join (a graph whose complement
-is disconnected) builds only the faces of its factors, the clique complexes
-of the subgraphs induced on the complement's components.
-maximal_simplices lists maximal cliques from the graph.  Every clique walk
-and from_faces closure stops with ParameterError past FACE_BUDGET faces.
+enumerated, once, when something first reads them.  A clique complex whose
+graph's complement is disconnected is the join of the clique complexes on
+the complement's components, and a cone is the case of a one-vertex
+component.  A join's f-vector, maximal faces and homology come from its
+factors and its own faces are never built: the full simplex each solid
+reaches at its diameter is a join of points.  Every clique walk,
+maximal-face listing and from_faces closure stops with ParameterError past
+FACE_BUDGET faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
+from itertools import product
+from math import prod
 
 from .errors import ParameterError, StructuralError
 from .polytopes import DistanceMatrix, build_solid, solid_info
 
 Simplex = tuple[int, ...]
 
-# No clique walk (enumerating, counting or listing maximal cliques) and no
-# from_faces closure visits more faces than this; past it, ParameterError.
+# No clique walk, maximal-face listing or from_faces closure visits more
+# faces than this; past it, ParameterError.
 FACE_BUDGET = 1 << 21
 
 
@@ -84,14 +85,16 @@ class Complex:
 
     faces[k] holds the bitmasks of all k-faces.  graph, when present, is the
     adjacency mask table of the graph whose clique complex this is; it enables
-    fast maximality tests.  cone_vertex marks a vertex adjacent to every other
-    vertex at the construction threshold, which forces contractibility.
+    fast maximality tests.  cone_vertex names a vertex adjacent to every other
+    one; the package does not read it (a cone is a join), but the benchmark
+    tracer in perfbench/ counts cones by it.
     """
 
     vertex_count: int
     faces: list[list[int]]
     graph: tuple[int, ...] | None = None
     cone_vertex: int | None = None
+    join_factors = ()  # a clique complex's own, see _CliqueComplex.join_factors
     _indexes: dict = field(default_factory=dict, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -102,14 +105,9 @@ class Complex:
             return False
         if self.graph is not None and other.graph is not None:
             return self.graph == other.graph  # a clique complex is fixed by its edges
-        if self.graph is None and other.graph is None:
-            return self.faces == other.faces
-        # Faces that are all cliques, and as many per dimension as the clique
-        # complex counts, are its faces: it is compared without being built.
-        clique, listed = (self, other) if self.graph is not None else (other, self)
-        return listed.f_vector() == clique.f_vector() and all(
-            _is_clique(clique.graph, m) for level in listed.faces for m in level
-        )
+        # any complex is fixed by its maximal faces, and a join lists them
+        # from its factors without building its own faces
+        return maximal_simplices(self) == maximal_simplices(other)
 
     @property
     def dim(self) -> int:
@@ -159,10 +157,6 @@ class Complex:
         return True
 
 
-def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
-    return all((mask ^ 1 << v) & ~adj[v] == 0 for v in vertices_of(mask))
-
-
 def _budget_error() -> ParameterError:
     return ParameterError(f"complex has more than {FACE_BUDGET:,} faces")
 
@@ -200,54 +194,12 @@ def _enumerate_cliques(adj: tuple[int, ...]) -> list[list[int]]:
     return levels
 
 
-def _count_cliques(adj: tuple[int, ...]) -> tuple[int, ...]:
-    """The f-vector of the clique complex, without storing a face.
-
-    The walk of _enumerate_cliques on generating polynomials: with F(P) the
-    clique polynomial of a candidate set P (x^j per j-vertex clique), the
-    vertices U of P adjacent to all of P factor out, F(P) = (1+x)^|U| F(P - U),
-    so a clique of c candidates is closed in one step by binomials C(c, j).
-    A complete graph, or a cone over one, is O(n) work.
-    """
-    # (s, P, e) stands for x^s (1+x)^e F(P); the root is F of every vertex
-    stack = [(0, (1 << len(adj)) - 1, 0)]
-    terms: dict[tuple[int, int], int] = {}  # (s, e) -> multiplicity of x^s (1+x)^e
-    walked = -1  # the empty clique is not a face
-    while stack:
-        size, cand, e = stack.pop()
-        walked += 1
-        if walked > FACE_BUDGET:
-            raise _budget_error()
-        rest = cand
-        m = cand
-        while m:
-            low = m & -m
-            m ^= low
-            if cand & ~adj[low.bit_length() - 1] == low:
-                rest ^= low
-                e += 1
-        terms[size, e] = terms.get((size, e), 0) + 1
-        m = rest
-        while m:
-            low = m & -m
-            m ^= low
-            stack.append((size + 1, m & adj[low.bit_length() - 1], e))
-    counts = [0] * (len(adj) + 1)  # counts[j]: cliques with j vertices
-    for (size, e), mult in terms.items():
-        for j in range(e + 1):
-            counts[size + j] += mult * comb(e, j)
-    while not counts[-1]:
-        counts.pop()
-    return tuple(counts[1:])
-
-
 class _CliqueComplex(Complex):
     """The clique complex of a graph, its faces enumerated on first read.
 
-    faces is then kept as a plain instance attribute; until then f_vector()
-    and face_total() count the cliques without storing any.  Complex itself
-    has no class attribute named faces, so complexes given by their faces
-    keep the plain attribute lookup in hot loops.
+    faces is then kept as a plain instance attribute.  Complex itself has no
+    class attribute named faces, so complexes given by their faces keep the
+    plain attribute lookup in hot loops.
     """
 
     def __init__(self, graph: tuple[int, ...], cone_vertex: int | None = None):
@@ -263,19 +215,44 @@ class _CliqueComplex(Complex):
     def faces(self) -> list[list[int]]:
         return _enumerate_cliques(self.graph)
 
+    @cached_property
+    def join_factors(self) -> list[tuple[Simplex, Complex]]:
+        """The complex as a join: each factor with the vertex ids it renumbers 0, 1, ...
+
+        A factor is the clique complex on one component of the graph's
+        complement, whose edges to every other component are all present; a
+        factor is never a join itself.  Empty if the complement is connected.
+        """
+        parts = _complement_components(self.graph)
+        if len(parts) < 2:
+            return []
+        out = []
+        for p in parts:
+            keep = vertices_of(p)
+            adj = tuple(
+                sum(1 << i for i, w in enumerate(keep) if self.graph[v] >> w & 1) for v in keep
+            )
+            out.append((keep, _CliqueComplex(adj)))
+        return out
+
     def f_vector(self) -> tuple[int, ...]:
-        if "faces" in self.__dict__:
+        if "faces" in self.__dict__ or not self.join_factors:
             return super().f_vector()
-        return _count_cliques(self.graph)
+        # a face of a join picks a face or nothing from each factor, so 1 + F
+        # is the product of the factors' 1 + F, with F = sum of x^|face|
+        poly = [1]
+        for _keep, x in self.join_factors:
+            factor = (1,) + x.f_vector()
+            out = [0] * (len(poly) + len(factor) - 1)
+            for i, a in enumerate(poly):
+                for j, b in enumerate(factor):
+                    out[i + j] += a * b
+            poly = out
+        return tuple(poly[1:])
 
 
 def _complement_components(adj: tuple[int, ...]) -> list[int]:
-    """Vertex masks of the connected components of the graph's complement, lowest vertex first.
-
-    With two or more, the clique complex is the join of the clique complexes
-    of the subgraphs induced on them, since every edge between two
-    components is present.  A one-vertex component is a cone point.
-    """
+    """Vertex masks of the connected components of the graph's complement, lowest vertex first."""
     out = []
     rest = (1 << len(adj)) - 1
     while rest:
@@ -289,19 +266,6 @@ def _complement_components(adj: tuple[int, ...]) -> list[int]:
         out.append(comp)
         rest ^= comp
     return out
-
-
-def _induced_clique_complex(adj: tuple[int, ...], mask: int) -> Complex:
-    """The clique complex of the subgraph induced on mask, vertices renumbered 0, 1, ..."""
-    keep = vertices_of(mask)
-    renumbered = []
-    for v in keep:
-        m = 0
-        for i, w in enumerate(keep):
-            if adj[v] >> w & 1:
-                m |= 1 << i
-        renumbered.append(m)
-    return _CliqueComplex(tuple(renumbered))
 
 
 def vr_complex(metric: DistanceMatrix, r: int) -> Complex:
@@ -397,51 +361,30 @@ def skeleton(c: Complex, k: int) -> Complex:
     return Complex(vertex_count=c.vertex_count, faces=faces)
 
 
-def _maximal_cliques(adj: tuple[int, ...]) -> list[int]:
-    """Masks of the maximal cliques of a graph: Bron-Kerbosch with pivoting.
-
-    Each call extends a distinct clique r, so the walk shares the face budget.
-    """
-    out: list[int] = []
-    room = FACE_BUDGET
-
-    def expand(r: int, p: int, x: int) -> None:
-        nonlocal room
-        room -= 1
-        if room < 0:
-            raise _budget_error()
-        if not p:
-            if not x:
-                out.append(r)
-            return
-        pivot = max(vertices_of(p | x), key=lambda u: (p & adj[u]).bit_count())
-        m = p & ~adj[pivot]
-        while m:
-            low = m & -m
-            m ^= low
-            nbrs = adj[low.bit_length() - 1]
-            expand(r | low, p & nbrs, x & nbrs)
-            p ^= low
-            x |= low
-
-    expand(0, (1 << len(adj)) - 1, 0)
-    return out
-
-
 def maximal_simplices(c: Complex) -> list[Simplex]:
     """Faces that are not contained in any larger face, in lexicographic order.
 
-    A clique complex lists the maximal cliques of its graph and builds no face;
-    any other complex marks the facets of every face in one pass.
+    A join lists the unions of one maximal face from each factor, and refuses
+    more than FACE_BUDGET of them before listing any; any other complex marks
+    the facets of every face in one pass.
     """
-    if c.graph is not None:
-        return sorted(vertices_of(m) for m in _maximal_cliques(c.graph))
+    if not c.join_factors:
+        return sorted(vertices_of(m) for m in _maximal_masks(c))
+    choices = [  # each factor's maximal faces as masks on the join's vertex ids
+        [sum(1 << keep[i] for i in vertices_of(m)) for m in _maximal_masks(x)]
+        for keep, x in c.join_factors
+    ]
+    if prod(map(len, choices)) > FACE_BUDGET:
+        raise _budget_error()
+    return sorted(vertices_of(sum(pick)) for pick in product(*choices))  # disjoint: sum is union
+
+
+def _maximal_masks(c: Complex) -> list[int]:
+    """Masks of the faces that are no facet of a face, in storage order."""
     covered: set[int] = set()
     for level in c.faces[1:]:
         _add_facets(covered, level, c.face_total())  # covered faces are faces
-    out = [vertices_of(m) for level in c.faces for m in level if m not in covered]
-    out.sort()
-    return out
+    return [m for level in c.faces for m in level if m not in covered]
 
 
 def delete_open_cells(c: Complex, cells) -> Complex:

@@ -100,12 +100,13 @@ def test_cone_vertex_at_diameter():
         assert c.face_total() == 2**metric.size - 1
 
 
-def test_boundary_complex_matches_scale1():
+def test_boundary_complex_matches_scale1(refuse_joins):
     for name in ("cube", "octahedron", "dodecahedron", "icosahedron"):
         c = vr_complex(_metric(name), 1)
         assert c == boundary_complex(name)
         assert boundary_complex(name) == c
-        assert "faces" not in vars(c)  # compared with counted faces, not built ones
+        if name == "octahedron":  # a join of three zero-spheres, compared through its factors
+            assert "faces" not in vars(c)
         assert boundary_complex(name).f_vector() == F_VECTORS_R1[name]
     # a face less, or one edge swapped for a non-edge, is a different complex
     c = vr_complex(_metric("cube"), 1)
@@ -322,11 +323,8 @@ def _enumerated_f_vector(c):
     return tuple(len(level) for level in c.faces)
 
 
-def _forbid_enumeration(monkeypatch):
-    def refuse(adj):
-        raise AssertionError(f"enumerated a {len(adj)}-vertex clique complex")
-
-    monkeypatch.setattr(simplicial, "_enumerate_cliques", refuse)
+def _is_join(c):
+    return len(_complement_components(c.graph)) > 1
 
 
 def test_counted_f_vector_matches_enumeration_on_solids():
@@ -335,7 +333,8 @@ def test_counted_f_vector_matches_enumeration_on_solids():
         for r in range(metric.diameter() + 1):
             c = vr_complex(metric, r)
             counted = c.f_vector()
-            assert "faces" not in vars(c)
+            if _is_join(c):  # the cross-polytope and diameter rows: counted from the factors
+                assert "faces" not in vars(c)
             assert counted == _enumerated_f_vector(c)
             assert c.f_vector() == counted  # now read from the built faces
 
@@ -356,7 +355,8 @@ def test_counted_f_vector_matches_enumeration_on_random_graphs(n, p, universal, 
     if universal:
         assert c.cone_vertex == 0
     counted = c.face_total()
-    assert "faces" not in vars(c)
+    if _is_join(c):
+        assert "faces" not in vars(c)
     assert c.f_vector() == _enumerated_f_vector(c)
     assert counted == sum(1 for _ in nx.enumerate_all_cliques(g))
 
@@ -370,21 +370,17 @@ def test_face_total_leaves_a_complex_unbuilt():
     assert "faces" in vars(c)
 
 
-def test_cone_homology_counts_without_enumerating(monkeypatch):
-    from ripstone.homology import homology
-
-    _forbid_enumeration(monkeypatch)
+def test_cone_homology_counts_without_enumerating(refuse_joins):
+    # the full simplex on 20 vertices is the join of its 20 points
     c = vr_complex(_metric("dodecahedron"), 5)
     assert homology(c).betti == (1,) + (0,) * 19
     assert c.face_total() == 2**20 - 1
     assert "faces" not in vars(c)
 
 
-def test_cone_beyond_the_face_budget_is_counted(monkeypatch):
-    from ripstone.homology import homology
-
-    _forbid_enumeration(monkeypatch)
-    # K_24 without the edge 22-23: a cone on vertex 0 with 2^24 - 2^22 - 1 faces
+def test_cone_beyond_the_face_budget_is_counted(refuse_joins):
+    # K_24 without the edge 22-23: a cone on vertex 0 with 2^24 - 2^22 - 1
+    # faces, the join of 22 points and the zero-sphere {22, 23}
     n = 24
     edges = {(i, j) for i in range(n) for j in range(i + 1, n)} - {(22, 23)}
     c = vr_complex(_graph_metric(n, edges), 1)
@@ -404,6 +400,21 @@ def test_face_budget_stops_enumeration():
     assert "faces" not in vars(c)
 
 
+def test_a_join_past_the_face_budget_counts_and_refuses_its_maximal_faces_fast():
+    # the same complex is the join of 32 zero-spheres: 3^32 - 1 faces and
+    # 2^32 maximal ones, which is more than the budget allows to list
+    c = vr_complex(combinatorial_metric(cube_graph(6)), 5)
+    start = time.perf_counter()
+    assert c.face_total() == 3**32 - 1
+    assert time.perf_counter() - start < 1.0
+    assert "faces" not in vars(c)
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="faces"):
+        maximal_simplices(c)
+    assert time.perf_counter() - start < 1.0
+    assert "faces" not in vars(c)
+
+
 def test_face_budget_bounds_every_clique_walk(monkeypatch):
     # cube 4 at scale 3: 3^8 - 1 = 6560 faces, 2^8 maximal ones
     metric = combinatorial_metric(cube_graph(4))
@@ -411,8 +422,8 @@ def test_face_budget_bounds_every_clique_walk(monkeypatch):
     with pytest.raises(ParameterError, match="6,559 faces"):
         vr_complex(metric, 3).faces
     monkeypatch.setattr(simplicial, "FACE_BUDGET", 100)
-    with pytest.raises(ParameterError):
-        vr_complex(metric, 3).f_vector()
+    # the join of 8 zero-spheres: its f-vector is arithmetic on the factors'
+    assert vr_complex(metric, 3).face_total() == 6560
     with pytest.raises(ParameterError):
         maximal_simplices(vr_complex(metric, 3))
     monkeypatch.setattr(simplicial, "FACE_BUDGET", 6560)
@@ -483,7 +494,8 @@ def test_maximal_cliques_match_the_face_walk(n, p, seed):
     g = nx.gnp_random_graph(n, p, seed=seed)
     c = vr_complex(_graph_metric(n, {(min(e), max(e)) for e in g.edges}), 1)
     from_graph = maximal_simplices(c)
-    assert "faces" not in vars(c)
+    if _is_join(c):  # listed from the factors' maximal faces
+        assert "faces" not in vars(c)
     graphless = Complex(vertex_count=n, faces=c.faces)
     assert from_graph == maximal_simplices(graphless)
     assert from_graph == sorted(tuple(sorted(q)) for q in nx.find_cliques(g))
@@ -525,10 +537,13 @@ def test_complement_components_match_networkx(n, p, universal, seed):
         nx.connected_components(nx.complement(g)), key=min
     )
     if universal or any(m.bit_count() == 1 for m in parts):
-        # a one-vertex component is a universal vertex: the cone branch,
-        # which the benchmark tracer counts through cone_vertex
+        # a one-vertex component is a universal vertex, which the benchmark
+        # tracer counts as a cone through cone_vertex
         assert c.cone_vertex is not None
-        assert homology(c).betti[0] == 1
-        assert "faces" not in vars(c)
     else:
         assert c.cone_vertex is None
+    h = homology(c)
+    if len(parts) > 1:  # a join, cones included: homology from the factors
+        assert "faces" not in vars(c)
+    if c.cone_vertex is not None:  # a cone is contractible
+        assert h.betti_stripped() == (1,) and not any(h.torsion)
