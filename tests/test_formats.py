@@ -1,9 +1,11 @@
 """Text grammars: round-trips and line-accurate error reporting."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ripstone.errors import FormatError
+from ripstone.errors import FormatError, SearchFailure
 from ripstone.formats import (
     parse_chain,
     parse_complex,
@@ -15,7 +17,7 @@ from ripstone.formats import (
     serialize_simplex_list,
 )
 from ripstone.homology import make_chain
-from ripstone.morse import fan_matching, matching_from_pairs
+from ripstone.morse import fan_matching, find_matching, matching_from_pairs
 from ripstone.simplicial import from_faces
 
 
@@ -87,6 +89,30 @@ def test_matching_round_trip():
     assert parse_matching(serialize_matching(m)).pairs == m.pairs
     empty = matching_from_pairs([])
     assert parse_matching(serialize_matching(empty)).pairs == ()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_found_matchings_serialize_in_vertex_tuple_order(seed):
+    # vertex ids up to 14, so that tuple order and bit order part ways
+    rng = random.Random(seed)
+    verts = rng.sample(range(15), 8)
+    c = from_faces(tuple(sorted(rng.sample(verts, rng.randint(1, 4)))) for _ in range(7))
+    cells = [s for k in range(c.dim + 1) for s in c.simplices(k)]
+    forced = []
+    while True:  # force the largest leftover cell of a stalled search critical
+        try:
+            m = find_matching(c, cells, forced_critical=forced, seed=seed, max_attempts=1)
+            break
+        except SearchFailure as e:
+            forced.append(max(e.surplus, key=len))
+    text = serialize_matching(m)
+    pairs = [
+        tuple(tuple(int(v) for v in side.split()) for side in line.split(" -> "))
+        for line in text.splitlines()[1:]
+    ]
+    assert len(pairs) == len(m) > 0
+    assert pairs == sorted(set(pairs), key=lambda p: (len(p[0]), p[0], p[1]))
+    assert parse_matching(text) == m
 
 
 CASES = [

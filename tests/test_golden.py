@@ -20,10 +20,15 @@ from ripstone.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 # The README's matching-engine example; collapse.vm is written by `morse find`.
+# rotor.vm is the rotating matching on the square, a directed cycle; clash.vm
+# uses the vertex 0 in three pairs (reported once) and a pair outside tet.cx.
 FILES = {
     "tet.cx": "0 1 2 3\n",
     "crit.sx": "0\n",
     "z.chain": "-1: 1 2\n1: 0 2\n-1: 0 1\n",
+    "square.cx": "0 1\n1 2\n2 3\n0 3\n",
+    "rotor.vm": "0 -> 0 1\n1 -> 1 2\n2 -> 2 3\n3 -> 0 3\n",
+    "clash.vm": "2 3 -> 2 3 9\n0 -> 0 3\n0 -> 0 1\n1 -> 1 2\n0 -> 0 2\n",
 }
 
 COMMANDS = (
@@ -39,6 +44,14 @@ COMMANDS = (
     ("cube_verify_n4", ["cube", "verify", "--n", "4"]),
     ("morse_find", ["morse", "find", "--complex", "tet.cx", "--critical", "crit.sx"]),
     ("morse_check", ["morse", "check", "--complex", "tet.cx", "--matching", "collapse.vm"]),
+    (
+        "morse_check_cycle",
+        ["morse", "check", "--complex", "square.cx", "--matching", "rotor.vm"],
+    ),
+    (
+        "morse_check_violations",
+        ["morse", "check", "--complex", "tet.cx", "--matching", "clash.vm"],
+    ),
     (
         "morse_flow",
         ["morse", "flow", "--complex", "tet.cx", "--matching", "collapse.vm", "--chain", "z.chain"],

@@ -84,6 +84,29 @@ def test_check_matching_reports_rule_violations():
     assert not rep.valid and "not a facet-cofacet pair" in rep.violations[0]
 
 
+def test_violations_follow_pair_order_and_name_a_cell_once():
+    # a matching file cannot hold a non-facet pair (the parser refuses it),
+    # so this pins the messages the morse check goldens cannot reach
+    c = full_simplex_complex(4)
+    m = matching_from_pairs(
+        [
+            ((2, 3), (2, 3, 9)),
+            ((0,), (0, 3)),
+            ((1,), (2, 3)),
+            ((0,), (0, 1)),
+            ((0, 1), (0, 1, 2, 3)),
+            ((0,), (0, 2)),
+            ((1, 2), (0, 1, 2)),
+        ]
+    )
+    assert check_matching(c, m).violations == (
+        "(0,) occurs in more than one pair",
+        "pair (1,) -> (2, 3) is not a facet-cofacet pair",
+        "pair (0, 1) -> (0, 1, 2, 3) is not a facet-cofacet pair",
+        "pair (2, 3) -> (2, 3, 9) uses a simplex outside the complex",
+    )
+
+
 def test_flow_pushes_off_apex_free_triangle():
     c = full_simplex_complex(4)
     m = fan_matching(4, 0)
