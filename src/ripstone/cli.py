@@ -44,7 +44,7 @@ from .polytopes import (
     solid_info,
 )
 from .reports import Report, row
-from .simplicial import maximal_simplices, vr_complex
+from .simplicial import maximal_simplices, vertices_of, vr_complex
 
 
 def _default_seed() -> int:
@@ -270,7 +270,7 @@ def _cmd_morse_find(args) -> int:
     )
     payload = {
         "seed": seed,
-        "pairs": [[list(lo), list(up)] for lo, up in m.pairs],
+        "pairs": [[list(vertices_of(lo)), list(vertices_of(up))] for lo, up in m.pairs],
     }
     return _emit_payload(payload, serialize_matching(m), args.format)
 

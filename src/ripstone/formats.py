@@ -15,7 +15,7 @@ from __future__ import annotations
 from .errors import FormatError
 from .homology import Chain, make_chain
 from .morse import Matching, matching_from_pairs
-from .simplicial import Complex, Simplex, from_faces, maximal_simplices
+from .simplicial import Complex, Simplex, from_faces, maximal_simplices, vertices_of
 
 
 def _content_lines(text: str):
@@ -140,8 +140,7 @@ def parse_matching(text: str) -> Matching:
 
 def serialize_matching(m: Matching) -> str:
     lines = ["# matched pairs, facet -> cofacet"]
-    for lo, up in m.pairs:
-        lines.append(
-            " ".join(str(v) for v in lo) + " -> " + " ".join(str(v) for v in up)
-        )
+    for pair in m.pairs:
+        lo, up = (" ".join(str(v) for v in vertices_of(mask)) for mask in pair)
+        lines.append(f"{lo} -> {up}")
     return "\n".join(lines) + "\n"

@@ -5,6 +5,9 @@ randomized constrained search by free-pair collapse, the algebraic flow that
 traces chains through a collapse, the homology of the critical complex, and
 the polygon fan/flip matchings.  The critical complex goes through
 homology()'s clearing, unit-pivot and residual-Smith routine.
+
+Matchings hold face bitmasks, and every step here works on them; vertex
+tuples appear only in matching_from_pairs, reports, messages and surpluses.
 """
 
 from __future__ import annotations
@@ -12,51 +15,63 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import ParameterError, PreconditionError, SearchFailure, StructuralError
 from .homology import Chain, HomologyResult, _boundary_ranks, _homology_from_counts, make_chain
 from .simplicial import Complex, Simplex, mask_of, signed_facets, simplex, vertices_of
 
+# find_matching stops after this many attempts x live cells, so that no
+# max_attempts can run for hours.
+SEARCH_WORK = 1 << 22
+
 
 @dataclass(frozen=True)
 class Matching:
-    """A partial pairing of simplices with cofacets; pairs are (lower, upper)."""
+    """A partial pairing of simplices with cofacets.
 
-    pairs: tuple
+    pairs holds (lower, upper) as vertex bitmasks (bit v set for vertex v),
+    without duplicates and ordered as their vertex tuples order, by
+    (len(lower), lower, upper).  matching_from_pairs builds one from vertex
+    tuples; formats and the command line print the tuples.
+    """
 
-    def lower_to_upper(self) -> dict:
-        return {lo: up for lo, up in self.pairs}
-
-    def upper_to_lower(self) -> dict:
-        return {up: lo for lo, up in self.pairs}
-
-    def cells(self) -> set:
-        out = set()
-        for lo, up in self.pairs:
-            out.add(lo)
-            out.add(up)
-        return out
+    pairs: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
         return len(self.pairs)
 
 
+def _tuple_order(mask: int) -> str:
+    """A sort key under which masks order as their vertex tuples do.
+
+    Read from vertex 0 up to the largest vertex, a vertex of the face is "1"
+    and any other is "2"; a shorter key that is a prefix sorts first.
+    """
+    return format(mask, "b")[::-1].replace("0", "2")
+
+
+def _matching(mask_pairs) -> Matching:
+    """The canonical Matching of (lower mask, upper mask) pairs."""
+
+    def key(pair):
+        return pair[0].bit_count(), _tuple_order(pair[0]), _tuple_order(pair[1])
+
+    return Matching(tuple(sorted(set(mask_pairs), key=key)))
+
+
 def matching_from_pairs(pairs) -> Matching:
-    """Canonicalize a pair collection; exact duplicates collapse to one pair."""
-    seen = set()
-    for lo, up in pairs:
-        seen.add((simplex(lo), simplex(up)))
-    ordered = sorted(seen, key=lambda p: (len(p[0]), p[0], p[1]))
-    return Matching(pairs=tuple(ordered))
+    """The matching of (lower, upper) vertex tuples; exact duplicates collapse to one pair."""
+    return _matching((mask_of(simplex(lo)), mask_of(simplex(up))) for lo, up in pairs)
 
 
 @dataclass(frozen=True)
 class MatchingReport:
     """Verdict of check_matching.
 
-    critical is empty when the matching is invalid; certificate is an
-    alternating cell sequence (upper, lower, upper, ...) tracing a directed
-    cycle, present exactly when valid but not acyclic.
+    Cells are vertex tuples.  critical is empty when the matching is invalid;
+    certificate is an alternating cell sequence (upper, lower, upper, ...)
+    tracing a directed cycle, present exactly when valid but not acyclic.
     """
 
     valid: bool
@@ -76,57 +91,55 @@ def check_matching(c: Complex, m: Matching) -> MatchingReport:
     minimal-length certificate found by breadth-first search.
     """
     violations = []
-    roles: dict[Simplex, int] = {}
+    roles: dict[int, int] = {}
     for lo, up in m.pairs:
-        if not c.has_face(lo) or not c.has_face(up):
-            violations.append(f"pair {lo} -> {up} uses a simplex outside the complex")
+        if not (c.has_mask(lo, lo.bit_count() - 1) and c.has_mask(up, up.bit_count() - 1)):
+            problem = "uses a simplex outside the complex"
+        elif up.bit_count() != lo.bit_count() + 1 or lo & ~up:
+            problem = "is not a facet-cofacet pair"
+        else:
+            for cell in (lo, up):
+                roles[cell] = roles.get(cell, 0) + 1
+                if roles[cell] == 2:
+                    violations.append(f"{vertices_of(cell)} occurs in more than one pair")
             continue
-        if len(up) != len(lo) + 1 or not set(lo) < set(up):
-            violations.append(f"pair {lo} -> {up} is not a facet-cofacet pair")
-            continue
-        for cell in (lo, up):
-            roles[cell] = roles.get(cell, 0) + 1
-            if roles[cell] == 2:
-                violations.append(f"{cell} occurs in more than one pair")
+        violations.append(f"pair {vertices_of(lo)} -> {vertices_of(up)} {problem}")
     if violations:
         return MatchingReport(False, False, (), None, tuple(violations))
 
-    matched_masks = {mask_of(s) for s in roles}
-
     certificate = None
-    for dim in sorted({len(lo) - 1 for lo, _up in m.pairs}):
-        nodes = [(mask_of(lo), mask_of(up)) for lo, up in m.pairs if len(lo) - 1 == dim]
+    # the pairs come sorted by dimension, so each group is one dimension's graph
+    for _size, group in groupby(m.pairs, key=lambda p: p[0].bit_count()):
+        nodes = list(group)
         lower_index = {lo: i for i, (lo, _up) in enumerate(nodes)}
-        succ: list[list[int]] = []
-        for lo, up in nodes:
-            out = []
-            for fmask, _sign in signed_facets(up):
-                j = lower_index.get(fmask)
-                if j is not None and fmask != lo:
-                    out.append(j)
-            succ.append(sorted(out))
+        succ = [
+            sorted(lower_index[f] for f, _sign in signed_facets(up) if f != lo and f in lower_index)
+            for lo, up in nodes
+        ]
         cycle = _minimal_cycle(succ)
-        if cycle is not None:
-            cells = []
-            k = len(cycle)
-            for i in range(k):
-                cells.append(vertices_of(nodes[cycle[i]][1]))
-                cells.append(vertices_of(nodes[cycle[(i + 1) % k]][0]))
-            certificate = tuple(cells)
+        if cycle is not None:  # each node's upper cell, then the next node's lower cell
+            steps = zip(cycle, cycle[1:] + cycle[:1])
+            certificate = tuple(
+                vertices_of(cell) for i, j in steps for cell in (nodes[i][1], nodes[j][0])
+            )
             break
 
-    critical = []
-    for level in c.faces:
-        for mask in level:
-            if mask not in matched_masks:
-                critical.append(vertices_of(mask))
     return MatchingReport(
         valid=True,
         acyclic=certificate is None,
-        critical=tuple(critical),
+        critical=tuple(vertices_of(mask) for level in _critical(c, m) for mask in level),
         certificate=certificate,
         violations=(),
     )
+
+
+def _critical(c: Complex, m: Matching) -> list[list[int]]:
+    """The masks of c's unmatched faces per dimension, up to the top dimension holding one."""
+    matched = {cell for pair in m.pairs for cell in pair}
+    levels = [[mask for mask in level if mask not in matched] for level in c.faces]
+    while levels and not levels[-1]:
+        levels.pop()
+    return levels
 
 
 def _minimal_cycle(succ: list[list[int]]) -> list[int] | None:
@@ -137,18 +150,17 @@ def _minimal_cycle(succ: list[list[int]]) -> list[int] | None:
         for j in outs:
             indeg[j] += 1
     queue = [i for i in range(n) if indeg[i] == 0]
-    alive = n
     while queue:
         i = queue.pop()
-        alive -= 1
         for j in succ[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
                 queue.append(j)
-    if alive == 0:
-        return None
+    # what Kahn's pass leaves is closed under successors: a node it removed
+    # had every predecessor removed first
     remaining = [i for i in range(n) if indeg[i] > 0]
-    rem = set(remaining)
+    if not remaining:
+        return None
     best: list[int] | None = None
     for s in remaining:
         parent = {s: -1}
@@ -161,8 +173,6 @@ def _minimal_cycle(succ: list[list[int]]) -> list[int] | None:
             nxt = []
             for u in frontier:
                 for v in succ[u]:
-                    if v not in rem:
-                        continue
                     if v == s:
                         found = u
                         break
@@ -196,7 +206,8 @@ def find_matching(
     candidate cofacets is still unpaired; pairing free cells in random order
     cannot create directed cycles (the earliest-removed pair of a hypothetical
     cycle would have had two live cofacets).  Restarts with seed+attempt on a
-    stall; raises SearchFailure carrying the best attempt's surplus.
+    stall, for at most max_attempts attempts and SEARCH_WORK attempts x live
+    cells; then raises SearchFailure carrying the best attempt's surplus.
     """
     if max_attempts < 1:
         raise ParameterError("max_attempts must be positive")
@@ -213,20 +224,20 @@ def find_matching(
             raise ParameterError(f"forced critical cell {s} is not in the candidate set")
         forced_masks.add(mask_of(s))
 
-    live0 = sorted(cand_masks - forced_masks, key=lambda m_: (m_.bit_count(), vertices_of(m_)))
+    live0 = sorted(cand_masks - forced_masks, key=lambda m_: (m_.bit_count(), _tuple_order(m_)))
     live0_set = set(live0)
     cofacets: dict[int, list[int]] = {}
     facets_in: dict[int, list[int]] = {}
     for mask in live0:
-        for v in vertices_of(mask):
-            sub = mask ^ (1 << v)
+        for sub, _sign in signed_facets(mask):
             if sub in live0_set:
                 cofacets.setdefault(sub, []).append(mask)
                 facets_in.setdefault(mask, []).append(sub)
     base_count = {m_: len(cofacets.get(m_, ())) for m_ in live0}
 
-    best_surplus: list[Simplex] | None = None
-    for attempt in range(max_attempts):
+    attempts = min(max_attempts, SEARCH_WORK // max(len(live0), 1))
+    best_live = live0_set
+    for attempt in range(attempts):
         rng = random.Random(seed + attempt)
         live = set(live0_set)
         count = dict(base_count)
@@ -250,20 +261,17 @@ def find_matching(
                         if count[sub] == 1:
                             free.append(sub)
         if not live:
-            m = matching_from_pairs(
-                (vertices_of(lo), vertices_of(up)) for lo, up in pairs
-            )
+            m = _matching(pairs)
             report = matching_report(c, m)  # cached for later flows
             if not report.ok():  # collapse order should certify; treat as a bug
                 raise StructuralError("collapse produced an uncertifiable matching")
             return m
-        surplus = sorted(vertices_of(m_) for m_ in live)
-        if best_surplus is None or len(surplus) < len(best_surplus):
-            best_surplus = surplus
+        best_live = min(best_live, live, key=len)
+    capped = f" (the work cap, {SEARCH_WORK} attempts x cells)" if attempts < max_attempts else ""
     raise SearchFailure(
-        f"no perfect matching on {len(live0)} cells within {max_attempts} attempts",
-        surplus=best_surplus or [],
-        attempts=max_attempts,
+        f"no perfect matching on {len(live0)} cells within {attempts} attempts{capped}",
+        surplus=sorted(vertices_of(m_) for m_ in best_live),
+        attempts=attempts,
     )
 
 
@@ -277,11 +285,7 @@ class FlowChain:
 
 def _pairing_operator(m: Matching) -> dict[int, tuple[int, int]]:
     """lower mask -> (upper mask, sign) with the sign fixed so dV(lower) cancels lower."""
-    v_map = {}
-    for lo, up in m.pairs:
-        lo_m, up_m = mask_of(lo), mask_of(up)
-        v_map[lo_m] = (up_m, -dict(signed_facets(up_m))[lo_m])
-    return v_map
+    return {lo: (up, -dict(signed_facets(up))[lo]) for lo, up in m.pairs}
 
 
 def _axpy(acc: dict, key: int, val: int) -> None:
@@ -339,15 +343,15 @@ def matching_report(c: Complex, m: Matching) -> MatchingReport:
     return _certify(c, m)[0]
 
 
-def _certified(c: Complex, m: Matching, purpose: str | None = None) -> tuple[MatchingReport, dict]:
-    """The cached report and pairing operator of a valid acyclic matching.
+def _certified(c: Complex, m: Matching, purpose: str | None = None) -> dict:
+    """The cached pairing operator of a valid acyclic matching.
 
     Raises PreconditionError otherwise; with a purpose, the error names it
     instead of the flow's own reasons.
     """
     report, v_map = _certify(c, m)
     if report.ok():
-        return report, v_map
+        return v_map
     if purpose is not None:
         raise PreconditionError(f"{purpose} requires a valid acyclic matching")
     if not report.valid:
@@ -357,7 +361,7 @@ def _certified(c: Complex, m: Matching, purpose: str | None = None) -> tuple[Mat
 
 def morse_flow(c: Complex, m: Matching, z: Chain) -> FlowChain:
     """Iterate the flow map id + dV + Vd until the chain is fixed."""
-    _report, v_map = _certified(c, m)
+    v_map = _certified(c, m)
     for s in z.terms:
         if not c.has_face(s):
             raise StructuralError(f"chain uses {s}, which is not a face of the complex")
@@ -373,11 +377,8 @@ def _morse_complex(c: Complex, m: Matching) -> tuple[list[int], Callable]:
     A critical cell's differential is the stabilized flow of its boundary on
     the critical cells; a skipped cell is never flowed.
     """
-    report, v_map = _certified(c, m, "critical complex")
-    top = max(len(s) for s in report.critical) - 1
-    crit: list[list[int]] = [[] for _ in range(top + 1)]
-    for s in report.critical:
-        crit[len(s) - 1].append(mask_of(s))
+    v_map = _certified(c, m, "critical complex")
+    crit = _critical(c, m)
     index = [{mask: i for i, mask in enumerate(level)} for level in crit]
     limit = c.face_total()
 
@@ -397,39 +398,33 @@ def critical_complex_homology(c: Complex, m: Matching) -> HomologyResult:
     return _homology_from_counts(counts, _boundary_ranks(counts, columns)[0])
 
 
-def fan_triangulation(ngon: int, apex: int) -> list[Simplex]:
-    """All faces of the fan triangulation of a convex n-gon at one apex."""
+def _fan(ngon: int, apex: int) -> set[int]:
+    """The face masks of the fan triangulation of a convex n-gon at one apex."""
     if not 3 <= ngon <= 12:
         raise ParameterError(f"ngon must be in 3..12, got {ngon}")
     if not 0 <= apex < ngon:
         raise ParameterError(f"apex {apex} outside 0..{ngon - 1}")
-    faces = [(i,) for i in range(ngon)]
-    for i in range(ngon):
-        faces.append(tuple(sorted((i, (i + 1) % ngon))))
-    for j in range(ngon):
-        if j != apex and (j + 1) % ngon != apex and (apex + 1) % ngon != j:
-            faces.append(tuple(sorted((apex, j))))
-    for i in range(ngon):
-        j = (i + 1) % ngon
-        if i != apex and j != apex:
-            faces.append(tuple(sorted((apex, i, j))))
-    return sorted(set(faces), key=lambda s: (len(s), s))
+    apex_bit = 1 << apex
+    faces = set()
+    for i in range(ngon):  # every vertex and boundary edge, and its join with the apex
+        edge = 1 << i | 1 << (i + 1) % ngon
+        faces |= {1 << i, 1 << i | apex_bit, edge, edge | apex_bit}
+    return faces
+
+
+def fan_triangulation(ngon: int, apex: int) -> list[Simplex]:
+    """All faces of the fan triangulation of a convex n-gon at one apex."""
+    return sorted((vertices_of(mask) for mask in _fan(ngon, apex)), key=lambda s: (len(s), s))
 
 
 def fan_matching(ngon: int, apex: int) -> Matching:
     """Pair every face containing the apex but outside the fan triangulation
     with its apex-free facet; a perfect matching off the triangulation."""
-    tri = set(fan_triangulation(ngon, apex))
+    tri = _fan(ngon, apex)
     apex_bit = 1 << apex
-    pairs = []
-    for sub in range(1, 1 << ngon):
-        if not sub & apex_bit:
-            continue
-        upper = vertices_of(sub)
-        if upper in tri:
-            continue
-        pairs.append((vertices_of(sub ^ apex_bit), upper))
-    return matching_from_pairs(pairs)
+    return _matching(
+        (sub ^ apex_bit, sub) for sub in range(1, 1 << ngon) if sub & apex_bit and sub not in tri
+    )
 
 
 def flip_matching_update(m: Matching, quad, old_diagonal) -> Matching:
@@ -448,27 +443,28 @@ def flip_matching_update(m: Matching, quad, old_diagonal) -> Matching:
         a, b, c_, d = b, c_, d, a
     if diag != tuple(sorted((a, c_))):
         raise ParameterError(f"{old_diagonal} is not a diagonal of {quad}")
-    ac = simplex(sorted((a, c_)))
-    bd = simplex(sorted((b, d)))
-    abc = simplex(sorted((a, b, c_)))
-    acd = simplex(sorted((a, c_, d)))
-    abd = simplex(sorted((a, b, d)))
-    bcd = simplex(sorted((b, c_, d)))
-    abcd = simplex(sorted((a, b, c_, d)))
+    a, b, c_, d = (mask_of(simplex((v,))) for v in (a, b, c_, d))  # vertex bits, ids checked
+    ac, bd = a | c_, b | d
+    abc, acd, abd, bcd = ac | b, ac | d, bd | a, bd | c_
+    abcd = ac | bd
     correspondence = {bcd: abc, abd: acd}
+    upper_of = dict(m.pairs)
+    lower_of = {up: lo for lo, up in m.pairs}
 
-    matched = m.cells()
     for cell in (ac, abc, acd):
-        if cell in matched:
-            raise StructuralError(f"{cell} must be critical before the flip")
-    partner3 = m.upper_to_lower().get(abcd)
+        if cell in upper_of or cell in lower_of:
+            raise StructuralError(f"{vertices_of(cell)} must be critical before the flip")
+    partner3 = lower_of.get(abcd)
     if partner3 not in (abd, bcd):
-        raise StructuralError(f"missing pair: {abcd} must be matched with {abd} or {bcd}")
+        raise StructuralError(
+            f"missing pair: {vertices_of(abcd)} must be matched with "
+            f"{vertices_of(abd)} or {vertices_of(bcd)}"
+        )
     other = bcd if partner3 == abd else abd
-    if m.lower_to_upper().get(bd) != other:
-        raise StructuralError(f"missing pair: {bd} -> {other}")
+    if upper_of.get(bd) != other:
+        raise StructuralError(f"missing pair: {vertices_of(bd)} -> {vertices_of(other)}")
 
     new_pairs = [p for p in m.pairs if p not in ((partner3, abcd), (bd, other))]
     new_pairs.append((correspondence[partner3], abcd))
     new_pairs.append((ac, correspondence[other]))
-    return matching_from_pairs(new_pairs)
+    return _matching(new_pairs)

@@ -2,7 +2,8 @@
 
 A simplex is a strictly ascending tuple of vertex ids.  Internally every face
 is a bitmask over vertex ids, which keeps face and coface tests cheap; masks
-never leak through the public API except where documented.
+never leak through the public API except where documented: Complex.faces,
+and morse.Matching.pairs, whose (lower, upper) pairs are face masks.
 
 Clique complexes (vr_complex, antipodal_free_complex, full_simplex_complex)
 are built lazily: the constructor keeps the graph, and the faces are

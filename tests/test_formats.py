@@ -18,7 +18,7 @@ from ripstone.formats import (
 )
 from ripstone.homology import make_chain
 from ripstone.morse import fan_matching, find_matching, matching_from_pairs
-from ripstone.simplicial import from_faces
+from ripstone.simplicial import from_faces, vertices_of
 
 
 @st.composite
@@ -89,6 +89,15 @@ def test_matching_round_trip():
     assert parse_matching(serialize_matching(m)).pairs == m.pairs
     empty = matching_from_pairs([])
     assert parse_matching(serialize_matching(empty)).pairs == ()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(simplices(max_vertex=14), simplices(max_vertex=14)), max_size=8))
+def test_matching_pairs_keep_vertex_tuple_order(pairs):
+    # any pairs, facet or not, so that one upper cell can be a prefix of another
+    m = matching_from_pairs(pairs)
+    listed = [(vertices_of(lo), vertices_of(up)) for lo, up in m.pairs]
+    assert listed == sorted(set(pairs), key=lambda p: (len(p[0]), p[0], p[1]))
 
 
 @pytest.mark.parametrize("seed", range(10))

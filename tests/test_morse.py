@@ -227,6 +227,21 @@ def test_find_matching_cannot_collapse_a_sphere():
     assert homology(c).betti == (1, 0, 1)  # the obstruction is real
 
 
+def test_find_matching_stops_at_the_work_cap(monkeypatch):
+    from ripstone import morse
+
+    c = vr_complex(combinatorial_metric(build_solid("octahedron")), 1)
+    monkeypatch.setattr(morse, "SEARCH_WORK", 26 * 7 + 25)  # 26 live cells
+    with pytest.raises(SearchFailure) as exc:
+        find_matching(c, all_faces(c), max_attempts=10**9)
+    assert exc.value.attempts == 7
+    assert len(exc.value.surplus) >= 2
+    assert "within 7 attempts (the work cap" in str(exc.value)
+    with pytest.raises(SearchFailure) as exc:  # max_attempts below the cap
+        find_matching(c, all_faces(c), max_attempts=5)
+    assert str(exc.value) == "no perfect matching on 26 cells within 5 attempts"
+
+
 def test_find_matching_guards_and_trivia():
     c = full_simplex_complex(3)
     assert find_matching(c, []).pairs == ()
