@@ -15,7 +15,7 @@ from __future__ import annotations
 from .errors import FormatError
 from .homology import Chain, make_chain
 from .morse import Matching, matching_from_pairs
-from .simplicial import Complex, Simplex, from_faces, maximal_simplices, vertices_of
+from .simplicial import Complex, Simplex, _closure, maximal_simplices, vertices_of
 
 
 def _content_lines(text: str):
@@ -49,12 +49,10 @@ def _parse_simplex(text: str, lineno: int) -> Simplex:
 
 
 def parse_complex(text: str) -> Complex:
-    faces = []
-    for lineno, body in _content_lines(text):
-        faces.append(_parse_simplex(body, lineno))
+    faces = [_parse_simplex(body, lineno) for lineno, body in _content_lines(text)]
     if not faces:
         raise FormatError("complex file lists no faces", line=1)
-    return from_faces(faces)
+    return _closure(faces)  # _parse_simplex made simplex()'s checks, with line numbers
 
 
 def serialize_complex(c: Complex) -> str:

@@ -550,13 +550,18 @@ def _join_homology(factors: list[Complex]) -> HomologyResult:
     The factors' reduced homology is folded by _join_groups.  The check: the
     join's reduced Euler characteristic is (-1)^(m-1) times the product of
     the m factors' reduced Euler characteristics, counted from their faces.
+    Identical factors, such as a cone's points, are reduced and counted once.
     """
     groups = None
     expected = -1
+    seen: dict[tuple[int, ...], tuple[list, int]] = {}  # graph -> reduced groups, 1 - chi
     for x in factors:
-        h = _homology_by_reduction(x)
-        expected *= 1 - euler_characteristic(x)  # times -(reduced chi of x)
-        tilde = [(b - (k == 0), list(t)) for k, (b, t) in enumerate(zip(h.betti, h.torsion))]
+        if x.graph not in seen:
+            h = _homology_by_reduction(x)
+            tilde = [(b - (k == 0), list(t)) for k, (b, t) in enumerate(zip(h.betti, h.torsion))]
+            seen[x.graph] = tilde, 1 - euler_characteristic(x)
+        tilde, chi = seen[x.graph]
+        expected *= chi  # times -(reduced chi of x)
         groups = tilde if groups is None else _join_groups(groups, tilde)
     if sum((-1) ** n * r for n, (r, _t) in enumerate(groups)) != expected:
         raise StructuralError("join homology disagrees with its factors' Euler characteristics")

@@ -290,13 +290,23 @@ def vr_complex(metric: DistanceMatrix, r: int) -> Complex:
 def from_faces(faces, vertex_count: int | None = None) -> Complex:
     """The downward closure of the given simplices, at most FACE_BUDGET faces.
 
+    Each face is validated by simplex() and closed by _closure, which also
+    records the complex's maximal faces for maximal_simplices.
+    """
+    return _closure(map(simplex, faces), vertex_count)
+
+
+def _closure(simplices, vertex_count: int | None = None) -> Complex:
+    """from_faces on simplices already validated as simplex() would.
+
     The closure is built level by level from the top dimension down: each
-    level is the facets of the level above plus the listed faces of its size.
+    level is the facets of the level above plus the listed faces of its
+    size, and the listed faces that no facet covers are its maximal faces.
+    They are kept, in storage order, as the complex's _cache["maximal"].
     """
     listed: dict[int, set[int]] = {}  # vertex count -> listed masks
     top = 0
-    for s in faces:
-        s = simplex(s)
+    for s in simplices:
         if (1 << len(s)) - 1 > FACE_BUDGET:  # its own closure is too big
             raise _budget_error()
         top = max(top, s[-1] + 1)
@@ -310,16 +320,22 @@ def from_faces(faces, vertex_count: int | None = None) -> Complex:
     room = FACE_BUDGET
     width = max(listed)
     faces: list[list[int]] = [[] for _ in range(width)]
+    maximal: list[list[int]] = []  # per level, top level first
     above: set[int] = set()
     for size in range(width, 0, -1):
-        level = listed.get(size, set())
+        level: set[int] = set()
         _add_facets(level, above, room)
+        uncovered = listed.pop(size, set()) - level
+        level |= uncovered
         room -= len(level)
         if room < 0:  # listed faces alone can overflow a level
             raise _budget_error()
         faces[size - 1] = _lex_sorted(level)
+        maximal.append(_lex_sorted(uncovered))
         above = level
-    return Complex(vertex_count=vertex_count, faces=faces)
+    c = Complex(vertex_count=vertex_count, faces=faces)
+    c._cache["maximal"] = [m for level in reversed(maximal) for m in level]
+    return c
 
 
 def _add_facets(into: set[int], masks, room: int) -> None:
@@ -343,7 +359,7 @@ def _lex_sorted(level) -> list[int]:
     digit strings compare the same way, since one is never a proper prefix
     of another of the same size, and cost only the mask's own length.
     """
-    return sorted(level, key=lambda m: format(m, "b")[::-1], reverse=True)
+    return sorted(level, key=lambda m: bin(m)[:1:-1], reverse=True)
 
 
 def full_simplex_complex(n: int) -> Complex:
@@ -366,8 +382,9 @@ def maximal_simplices(c: Complex) -> list[Simplex]:
     """Faces that are not contained in any larger face, in lexicographic order.
 
     A join lists the unions of one maximal face from each factor, and refuses
-    more than FACE_BUDGET of them before listing any; any other complex marks
-    the facets of every face in one pass.
+    more than FACE_BUDGET of them before listing any.  A from_faces complex
+    reads the maximal faces its closure recorded; any other complex marks the
+    facets of every face in one pass.
     """
     if not c.join_factors:
         return sorted(vertices_of(m) for m in _maximal_masks(c))
@@ -381,7 +398,14 @@ def maximal_simplices(c: Complex) -> list[Simplex]:
 
 
 def _maximal_masks(c: Complex) -> list[int]:
-    """Masks of the faces that are no facet of a face, in storage order."""
+    """Masks of the faces that are no facet of a face, in storage order.
+
+    from_faces recorded them while closing the complex; a complex built any
+    other way (a clique complex, skeleton, delete_open_cells, a plain
+    Complex) has no record and takes one facet pass.
+    """
+    if "maximal" in c._cache:
+        return c._cache["maximal"]
     covered: set[int] = set()
     for level in c.faces[1:]:
         _add_facets(covered, level, c.face_total())  # covered faces are faces

@@ -18,7 +18,8 @@ from ripstone.formats import (
 )
 from ripstone.homology import make_chain
 from ripstone.morse import fan_matching, find_matching, matching_from_pairs
-from ripstone.simplicial import from_faces, vertices_of
+from ripstone import simplicial
+from ripstone.simplicial import Complex, from_faces, vertices_of
 
 
 @st.composite
@@ -39,6 +40,26 @@ def simplices(draw, max_vertex=11, max_size=4):
 def test_complex_round_trip(faces):
     c = from_faces(faces)
     assert parse_complex(serialize_complex(c)) == c
+
+
+def test_a_parsed_complex_is_serialized_without_a_second_facet_pass(monkeypatch):
+    passes = []
+    add_facets = simplicial._add_facets
+    monkeypatch.setattr(simplicial, "_add_facets", lambda *a: passes.append(a) or add_facets(*a))
+
+    def refuse(_vertices):
+        raise AssertionError("parse_complex validated a simplex twice")
+
+    monkeypatch.setattr(simplicial, "simplex", refuse)
+    c = parse_complex("0 1 2 3\n2 3 4\n1 2  # not maximal\n4 5\n6\n2 3 4\n")
+    assert len(passes) == c.dim + 1  # the closure: one call per level
+    text = serialize_complex(c)
+    assert len(passes) == c.dim + 1
+    assert text.splitlines()[1:] == ["0 1 2 3", "2 3 4", "4 5", "6"]
+    # a complex with no record takes the facet pass, which this guard counts
+    unrecorded = Complex(vertex_count=c.vertex_count, faces=[list(level) for level in c.faces])
+    assert serialize_complex(unrecorded) == text
+    assert len(passes) == 2 * c.dim + 1
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -489,6 +489,18 @@ def test_join_with_a_flag_projective_plane_carries_its_torsion():
     assert homology(_graphless(cone)) == h
 
 
+def test_identical_join_factors_are_reduced_once(monkeypatch):
+    hom = importlib.import_module("ripstone.homology")
+    reduced = []
+    by_reduction = hom._homology_by_reduction
+    monkeypatch.setattr(hom, "_homology_by_reduction", lambda c: reduced.append(c) or by_reduction(c))
+    # K_20 is a cone of 20 one-vertex factors; octahedron r=1 joins three S^0
+    assert homology(full_simplex_complex(20)).betti == (1,) + (0,) * 19
+    octahedron = vr_complex(combinatorial_metric(build_solid("octahedron")), 1)
+    assert homology(octahedron).betti == (1, 0, 1)
+    assert [x.graph for x in reduced] == [(0,), (0, 0)]
+
+
 def test_join_of_two_projective_planes_has_tor():
     # Z/2 (x) Z/2 lands in H_3, Tor(Z/2, Z/2) in H_4
     c = _clique_complex(_join_graph([_barycentric_rp2_graph()] * 2))

@@ -241,6 +241,32 @@ def test_from_faces_and_maximal_faces_match_brute_force(faces):
     )
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(face_lists(max_n=9, max_size=5))
+def test_recorded_maximal_faces_match_the_facet_pass(faces):
+    # duplicates, listed faces that are not maximal, and mixed sizes
+    faces = faces + faces[:3] + [f[:-1] for f in faces if len(f) > 1] + [f[:1] for f in faces]
+    c = from_faces(faces)
+    assert "maximal" in c._cache
+    unrecorded = Complex(vertex_count=c.vertex_count, faces=[list(level) for level in c.faces])
+    assert simplicial._maximal_masks(c) == simplicial._maximal_masks(unrecorded)  # storage order
+    assert maximal_simplices(c) == maximal_simplices(unrecorded)
+    for level in c.faces:
+        assert simplicial._lex_sorted(level[::-1]) == sorted(level, key=vertices_of)
+
+
+def test_derived_complexes_report_their_own_maximal_faces():
+    c = from_faces([(0, 1, 2), (2, 3), (4,), (0, 1)])
+    assert maximal_simplices(c) == [(0, 1, 2), (2, 3), (4,)]
+    edges = [(0, 1), (0, 2), (1, 2), (2, 3)]
+    assert maximal_simplices(skeleton(c, 1)) == edges + [(4,)]
+    assert maximal_simplices(skeleton(c, 0)) == [(v,) for v in range(5)]
+    pruned = delete_open_cells(c, [(0, 1, 2), (4,)])
+    assert maximal_simplices(pruned) == edges
+    assert pruned == from_faces(edges, 5) != c
+    assert delete_open_cells(pruned, [(2, 3)]) == from_faces(edges[:3] + [(3,)], 5)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     st.sampled_from(SOLIDS),
