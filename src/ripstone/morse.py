@@ -202,29 +202,52 @@ def find_matching(
 ) -> Matching:
     """Search for an acyclic matching covering candidate minus forced_critical.
 
-    Randomized free-pair collapse: a cell is free when exactly one of its
-    candidate cofacets is still unpaired; pairing free cells in random order
-    cannot create directed cycles (the earliest-removed pair of a hypothetical
-    cycle would have had two live cofacets).  Restarts with seed+attempt on a
-    stall, for at most max_attempts attempts and SEARCH_WORK attempts x live
-    cells; then raises SearchFailure carrying the best attempt's surplus.
+    Validates the cells as simplices, and the candidates as faces of c; the
+    search itself, _find_matching, works on their masks.  Randomized
+    free-pair collapse: a cell is free when exactly one of its candidate
+    cofacets is still unpaired; pairing free cells in random order cannot
+    create directed cycles (the earliest-removed pair of a hypothetical
+    cycle would have had two live cofacets).  Restarts with seed+attempt on
+    a stall, for at most max_attempts attempts and SEARCH_WORK attempts x
+    live cells.  An attempt in which every pick had one free cell to choose
+    from used nothing of its seed, so every seed would repeat it: the
+    search stops after it.  Then raises SearchFailure carrying the best
+    attempt's surplus and the attempts made.
+    """
+    return _find_matching(
+        c,
+        (_face_mask(c, s) for s in candidate),
+        (mask_of(simplex(s)) for s in forced_critical),
+        seed,
+        max_attempts,
+    )
+
+
+def _face_mask(c: Complex, s) -> int:
+    s = simplex(s)
+    if not c.has_face(s):
+        raise StructuralError(f"candidate {s} is not a face of the complex")
+    return mask_of(s)
+
+
+def _find_matching(c: Complex, cand_masks, forced_masks, seed: int, max_attempts: int) -> Matching:
+    """find_matching on iterables of face masks of c, read in that order.
+
+    The found matching is certified, and so cached for later flows, before
+    it is returned.
     """
     if max_attempts < 1:
         raise ParameterError("max_attempts must be positive")
-    cand_masks = set()
-    for s in candidate:
-        s = simplex(s)
-        if not c.has_face(s):
-            raise StructuralError(f"candidate {s} is not a face of the complex")
-        cand_masks.add(mask_of(s))
-    forced_masks = set()
-    for s in forced_critical:
-        s = simplex(s)
-        if mask_of(s) not in cand_masks:
-            raise ParameterError(f"forced critical cell {s} is not in the candidate set")
-        forced_masks.add(mask_of(s))
+    cand = set(cand_masks)
+    forced = set()
+    for mask in forced_masks:
+        if mask not in cand:
+            raise ParameterError(
+                f"forced critical cell {vertices_of(mask)} is not in the candidate set"
+            )
+        forced.add(mask)
 
-    live0 = sorted(cand_masks - forced_masks, key=lambda m_: (m_.bit_count(), _tuple_order(m_)))
+    live0 = sorted(cand - forced, key=lambda m_: (m_.bit_count(), _tuple_order(m_)))
     live0_set = set(live0)
     cofacets: dict[int, list[int]] = {}
     facets_in: dict[int, list[int]] = {}
@@ -237,13 +260,17 @@ def find_matching(
 
     attempts = min(max_attempts, SEARCH_WORK // max(len(live0), 1))
     best_live = live0_set
+    tried = 0
     for attempt in range(attempts):
+        tried += 1
         rng = random.Random(seed + attempt)
         live = set(live0_set)
         count = dict(base_count)
         free = [m_ for m_ in live0 if count[m_] == 1]
         pairs: list[tuple[int, int]] = []
+        chose = False  # whether some pick had more than one free cell
         while free:
+            chose = chose or len(free) > 1
             i = rng.randrange(len(free))
             mask = free[i]
             free[i] = free[-1]
@@ -267,11 +294,18 @@ def find_matching(
                 raise StructuralError("collapse produced an uncertifiable matching")
             return m
         best_live = min(best_live, live, key=len)
-    capped = f" (the work cap, {SEARCH_WORK} attempts x cells)" if attempts < max_attempts else ""
+        if not chose:  # every seed repeats this attempt
+            break
+    if tried < attempts:
+        why = " (it made no random choice)"
+    elif attempts < max_attempts:
+        why = f" (the work cap, {SEARCH_WORK} attempts x cells)"
+    else:
+        why = ""
     raise SearchFailure(
-        f"no perfect matching on {len(live0)} cells within {attempts} attempts{capped}",
+        f"no perfect matching on {len(live0)} cells within {tried} attempts{why}",
         surplus=sorted(vertices_of(m_) for m_ in best_live),
-        attempts=attempts,
+        attempts=tried,
     )
 
 

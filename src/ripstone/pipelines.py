@@ -11,7 +11,7 @@ from collections import Counter
 
 from .errors import SearchFailure, VerificationError
 from .homology import cycle_class, homology, make_chain, simplex_boundary
-from .morse import critical_complex_homology, find_matching, matching_report, morse_flow
+from .morse import _find_matching, critical_complex_homology, matching_report, morse_flow
 from .patterns import diameter3_tetrahedra
 from .polytopes import SOLIDS, build_solid, combinatorial_metric
 from .reports import Report, row
@@ -19,15 +19,17 @@ from .simplicial import (
     antipodal_free_complex,
     boundary_complex,
     delete_open_cells,
-    face_diameter,
+    mask_of,
     maximal_simplices,
     vr_complex,
 )
 from .symmetry import automorphisms, rotation_subgroup, tetrahedra_orbits, verify_remark
 
 # Unreduced betti of the scale-r complex for every solid, r from 0 through
-# the contractible diameter case; trailing zeros dropped.  Wedges of spheres
-# carry no torsion, so betti plus torsion-freeness pins the homotopy type.
+# the contractible diameter case; trailing zeros dropped.  Only these Betti
+# numbers (and the absence of torsion) are certified: they do not pin the
+# homotopy types the paper states, which need a certificate of their own
+# (ROADMAP item 2).
 EXPECTED_BETTI = {
     "tetrahedron": ((4,), (1,)),
     "cube": ((8,), (1, 5), (1, 0, 0, 1), (1,)),
@@ -99,7 +101,16 @@ def trace_dodecahedron(seed: int = 1, max_attempts: int = 1000) -> Report:
     Finds a certified-acyclic matching on the diameter-3 faces whose
     critical cells are exactly the ten tetrahedra, checks the critical
     complex left after removing them, and flows each tetrahedron boundary
-    down to the 2-sphere class.
+    down to scale 2.  A face of the scale-3 complex has diameter 3 exactly
+    when it is not a face of VR_2, so every diameter question here is a
+    mask lookup in VR_2's faces.
+
+    Each flowed boundary is classified in VR_2, not in the punctured
+    complex the flow runs in.  The certified matching pairs every face of
+    the punctured complex outside VR_2, so the punctured complex collapses
+    onto VR_2 and the inclusion is an isomorphism on H_2 = Z: the two
+    classifications agree up to one global sign, that of the basis each
+    one fixes.  A flowed chain that leaves VR_2 fails its row.
     """
     title = "dodecahedron scale-3 trace"
     g = build_solid("dodecahedron")
@@ -108,16 +119,11 @@ def trace_dodecahedron(seed: int = 1, max_attempts: int = 1000) -> Report:
     rows = [row("pairwise-distance-3 tetrahedra", 10, len(tets))]
 
     c3 = vr_complex(metric, 3)
-    candidate = [
-        s
-        for k in range(c3.dim + 1)
-        for s in c3.simplices(k)
-        if face_diameter(metric, s) == 3
-    ]
+    c2 = vr_complex(metric, 2)
+    scale2 = {mask for level in c2.faces for mask in level}
+    candidate = {mask for level in c3.faces for mask in level if mask not in scale2}
     try:
-        m = find_matching(
-            c3, candidate, forced_critical=tets, seed=seed, max_attempts=max_attempts
-        )
+        m = _find_matching(c3, candidate, map(mask_of, tets), seed, max_attempts)
     except SearchFailure as e:
         rows.append(
             row(
@@ -129,11 +135,9 @@ def trace_dodecahedron(seed: int = 1, max_attempts: int = 1000) -> Report:
         )
         return Report(title=title, rows=tuple(rows))
 
-    report = matching_report(c3, m)  # certified inside find_matching
+    report = matching_report(c3, m)  # certified inside _find_matching
     rows.append(row("matching certified acyclic", True, report.ok()))
-    critical_d3 = sorted(
-        s for s in report.critical if face_diameter(metric, s) == 3
-    )
+    critical_d3 = sorted(s for s in report.critical if mask_of(s) not in scale2)
     rows.append(
         row(
             "critical diameter-3 cells are exactly the tetrahedra",
@@ -159,22 +163,19 @@ def trace_dodecahedron(seed: int = 1, max_attempts: int = 1000) -> Report:
         )
     )
 
-    in_scale2 = True
+    outside = []  # for each flowed boundary that leaves VR_2, a face it uses there
     for i, t in enumerate(tets, start=1):
         z = make_chain(2, dict(simplex_boundary(t)))
         flowed = morse_flow(pruned, m, z)
-        if any(face_diameter(metric, s) > 2 for s in flowed.chain.support()):
-            in_scale2 = False
-        cls = cycle_class(pruned, flowed.chain)
-        rows.append(
-            row(
-                f"class of the flowed boundary of tetrahedron {i}",
-                "(1) or (-1)",
-                cls,
-                passed=cls in ((1,), (-1,)),
-            )
-        )
-    rows.append(row("flowed boundaries live at scale 2", True, in_scale2))
+        subject = f"class of the flowed boundary of tetrahedron {i}"
+        stray = next((s for s in flowed.chain.support() if mask_of(s) not in scale2), None)
+        if stray is not None:
+            outside.append(f"tetrahedron {i} uses {stray}")
+            rows.append(row(subject, "(1) or (-1)", f"uses {stray}, not in VR_2", passed=False))
+            continue
+        cls = cycle_class(c2, flowed.chain)
+        rows.append(row(subject, "(1) or (-1)", cls, passed=cls in ((1,), (-1,))))
+    rows.append(row("flowed boundaries live at scale 2", True, "; ".join(outside) or True))
     rows.append(row("H3 rank at scale 3", 9, homology(c3).betti[3]))
     return Report(title=title, rows=tuple(rows))
 

@@ -202,12 +202,14 @@ def test_morse_find_failure_exits_one(tmp_path):
 def test_morse_find_stops_at_the_work_cap(tmp_path, monkeypatch):
     from ripstone import morse
 
+    # the octahedron sphere plus two pendant edges, so that every attempt
+    # makes a random choice and none ends the search early
     cpath = tmp_path / "octa.cx"
-    cpath.write_text(run(["vr", "build", "octahedron", "--r", "1"])[1])
-    monkeypatch.setattr(morse, "SEARCH_WORK", 26 * 40)  # the sphere has 26 faces
+    cpath.write_text(run(["vr", "build", "octahedron", "--r", "1"])[1] + "0 6\n1 7\n")
+    monkeypatch.setattr(morse, "SEARCH_WORK", 30 * 40)  # 30 faces
     code, _, err = run(["morse", "find", "--complex", str(cpath), "--max-attempts", "1000000000"])
     assert code == 1
-    assert "within 40 attempts (the work cap, 1040 attempts x cells)" in err
+    assert "within 40 attempts (the work cap, 1200 attempts x cells)" in err
 
 
 def test_missing_file_exits_two(tmp_path):

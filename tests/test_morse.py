@@ -1,6 +1,10 @@
 """Discrete vector fields: certification, search, flow, fans and flips."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
+
 
 from ripstone.errors import (
     ParameterError,
@@ -220,18 +224,29 @@ def test_find_matching_collapses_a_cone():
 
 def test_find_matching_cannot_collapse_a_sphere():
     c = vr_complex(combinatorial_metric(build_solid("octahedron")), 1)
-    with pytest.raises(SearchFailure) as exc:
-        find_matching(c, all_faces(c), max_attempts=4)
-    assert exc.value.attempts == 4
-    assert len(exc.value.surplus) >= 2
+    for max_attempts in (4, 10**9):
+        # no cell of the sphere is free, so no attempt draws a random choice
+        # and the first one stands for every seed
+        with pytest.raises(SearchFailure) as exc:
+            find_matching(c, all_faces(c), max_attempts=max_attempts)
+        assert exc.value.attempts == 1
+        assert "within 1 attempts (it made no random choice)" in str(exc.value)
+        assert len(exc.value.surplus) >= 2
     assert homology(c).betti == (1, 0, 1)  # the obstruction is real
+
+
+def _sphere_with_pendant_edges():
+    """The octahedron sphere plus edges (0, 6) and (1, 7): 30 cells, and
+    every search attempt chooses which pendant vertex to pair first."""
+    c = vr_complex(combinatorial_metric(build_solid("octahedron")), 1)
+    return from_faces([s for s in all_faces(c) if len(s) == 3] + [(0, 6), (1, 7)])
 
 
 def test_find_matching_stops_at_the_work_cap(monkeypatch):
     from ripstone import morse
 
-    c = vr_complex(combinatorial_metric(build_solid("octahedron")), 1)
-    monkeypatch.setattr(morse, "SEARCH_WORK", 26 * 7 + 25)  # 26 live cells
+    c = _sphere_with_pendant_edges()
+    monkeypatch.setattr(morse, "SEARCH_WORK", 30 * 7 + 29)  # 30 live cells
     with pytest.raises(SearchFailure) as exc:
         find_matching(c, all_faces(c), max_attempts=10**9)
     assert exc.value.attempts == 7
@@ -239,7 +254,7 @@ def test_find_matching_stops_at_the_work_cap(monkeypatch):
     assert "within 7 attempts (the work cap" in str(exc.value)
     with pytest.raises(SearchFailure) as exc:  # max_attempts below the cap
         find_matching(c, all_faces(c), max_attempts=5)
-    assert str(exc.value) == "no perfect matching on 26 cells within 5 attempts"
+    assert str(exc.value) == "no perfect matching on 30 cells within 5 attempts"
 
 
 def test_find_matching_guards_and_trivia():
@@ -283,6 +298,101 @@ def test_trace_certifies_each_matching_once(monkeypatch):
     # pipeline row and the critical complex reuse, and once on the complex
     # with the ten tetrahedra deleted
     assert calls == [3272, 3262]
+
+
+def test_trace_fails_a_flowed_chain_outside_scale_2(monkeypatch):
+    # a flow that lands outside VR_2 fails its class row and the scale-2 row
+    # instead of raising from cycle_class
+    from ripstone import pipelines
+    from ripstone.cli import main
+    from ripstone.morse import FlowChain
+    from ripstone.patterns import diameter3_tetrahedra
+    from ripstone.simplicial import face_diameter
+
+    metric = combinatorial_metric(build_solid("dodecahedron"))
+    tets = diameter3_tetrahedra(metric)
+    face = next(
+        s
+        for s in vr_complex(metric, 3).simplices(3)
+        if face_diameter(metric, s) == 3 and s not in tets
+    )
+    stray = FlowChain(chain=make_chain(2, dict(simplex_boundary(face))), steps=0)
+    monkeypatch.setattr(pipelines, "morse_flow", lambda c, m, z: stray)
+
+    report = pipelines.trace_dodecahedron(seed=1)
+    assert not report.passed
+    rows = {r.subject: r for r in report.rows}
+    classes = [r for r in report.rows if r.subject.startswith("class of the flowed")]
+    assert len(classes) == 10 and not any(r.passed for r in classes)
+    assert all("not in VR_2" in r.computed for r in classes)
+    scale2 = rows["flowed boundaries live at scale 2"]
+    assert not scale2.passed and scale2.computed.startswith("tetrahedron 1 uses ")
+    assert rows["matching certified acyclic"].passed
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(["dodeca", "trace", "--seed", "1"]) == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 1456464704])
+def test_trace_route_agrees_with_diameters_and_the_punctured_complex(monkeypatch, seed):
+    # the trace's candidates are the diameter-3 faces, and its classes in
+    # VR_2 are the classes in the punctured complex the flow runs in
+    from ripstone import pipelines
+    from ripstone.homology import cycle_class
+    from ripstone.reports import fmt_value
+    from ripstone.simplicial import face_diameter, mask_of
+
+    seen = {}
+    search, flow = pipelines._find_matching, pipelines.morse_flow
+
+    def recording_search(c, cand_masks, forced_masks, *rest):
+        seen["candidates"] = set(cand_masks)
+        return search(c, seen["candidates"], forced_masks, *rest)
+
+    def recording_flow(c, m, z):
+        flowed = flow(c, m, z)
+        seen.setdefault("flows", []).append((c, flowed.chain))
+        return flowed
+
+    monkeypatch.setattr(pipelines, "_find_matching", recording_search)
+    monkeypatch.setattr(pipelines, "morse_flow", recording_flow)
+    report = pipelines.trace_dodecahedron(seed=seed)
+    assert report.passed
+
+    metric = combinatorial_metric(build_solid("dodecahedron"))
+    c3 = vr_complex(metric, 3)
+    diameter3 = {mask_of(s) for s in all_faces(c3) if face_diameter(metric, s) == 3}
+    assert seen["candidates"] == diameter3
+    classes = [r.computed for r in report.rows if r.subject.startswith("class of the flowed")]
+    assert len(seen["flows"]) == 10
+    assert classes == [fmt_value(cycle_class(pruned, z)) for pruned, z in seen["flows"]]
+
+
+def test_trace_builds_homology_bases_at_scale_2_only(monkeypatch):
+    # no diameter is computed, and cycles are classified in the 342-face
+    # VR_2, never in the 3,262-face punctured complex
+    import importlib
+
+    from ripstone import pipelines, simplicial
+
+    homology = importlib.import_module("ripstone.homology")  # the package's name is a function
+
+    def refuse(*args):
+        raise AssertionError("face_diameter called")
+
+    sizes = []
+
+    class RecordingBasis(homology.HomologyBasis):
+        def __init__(self, c, k):
+            sizes.append(c.face_total())
+            super().__init__(c, k)
+
+    monkeypatch.setattr(simplicial, "face_diameter", refuse)
+    monkeypatch.setattr(pipelines, "face_diameter", refuse, raising=False)
+    monkeypatch.setattr(homology, "HomologyBasis", RecordingBasis)
+    assert pipelines.trace_dodecahedron(seed=1).passed
+    assert sizes and max(sizes) <= 342
 
 
 def test_critical_complex_flows_each_cell_once(monkeypatch):
