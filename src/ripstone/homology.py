@@ -9,6 +9,16 @@ stripped of every unit-pivot row; only what is left of such columns, the
 residual, goes to sparse Smith normal form, which also backs
 smith_normal_form and cycle_class's homology bases.
 
+homology() hands the reduction a complex's columns lazily, as Ripser does
+(Bauer, "Ripser: efficient computation of Vietoris-Rips persistence
+barcodes", J. Appl. Comput. Topol. 5 (2021)): each level is stored in
+lexicographic order, so a face's pivot is known from its mask, and its
+column is built only if that pivot collides (see _unit_pivot_columns).
+The order is checked, not trusted: one pass over the (k-1)-faces confirms
+it before d_k is reduced this way, and if it fails, d_k is built eagerly,
+as the Morse complex's always is.  A face whose column is built without
+one of its facets in the complex raises StructuralError.
+
 A clique complex that is a join X1*...*Xm (the graph's complement is
 disconnected, and each Xi is the clique complex on one of its components)
 takes its homology from its factors' by the join formula for integral
@@ -140,7 +150,56 @@ def _boundary_columns(c: Complex, k: int, skip=()):
     below = c.index(k - 1)
     for j, mask in enumerate(c.faces[k]):
         if j not in skip:
-            yield j, [(below[f], sign) for f, sign in signed_facets(mask)]
+            yield j, _facet_rows(below, mask)
+
+
+def _facet_rows(below: dict[int, int], mask: int) -> list[tuple[int, int]]:
+    """A face's boundary column as (row, sign) pairs; below maps each facet mask to its row."""
+    try:
+        return [(below[f], sign) for f, sign in signed_facets(mask)]
+    except KeyError as e:
+        raise _missing_facet(mask, e) from None
+
+
+def _missing_facet(mask: int, e: KeyError) -> StructuralError:
+    return StructuralError(
+        f"face {vertices_of(mask)} has no facet {vertices_of(e.args[0])} in the complex:"
+        " the complex is not closed downward"
+    )
+
+
+class _Faces:
+    """d_k of a complex whose (k-1)-faces are lex-ordered, as the masks of its k-faces.
+
+    _unit_pivot_columns reads each column's pivot off its mask and builds
+    the column only when it must.
+    """
+
+    __slots__ = ("below", "masks")
+
+    def __init__(self, below: dict[int, int], masks: list[int]):
+        self.below = below  # (k-1)-face mask -> row
+        self.masks = masks  # the k-faces not cleared, in storage order
+
+
+def _face_columns(c: Complex, k: int, skip=()):
+    """d_k of a complex for _boundary_ranks: lazy _Faces if its rows are lex-ordered.
+
+    If the (k-1)-faces are out of order, a face's largest row is not known
+    from its mask, and d_k is built eagerly by _boundary_columns.
+    """
+    if not _lex_ordered(c.faces[k - 1]):
+        return _boundary_columns(c, k, skip)
+    return _Faces(c.index(k - 1), [m for j, m in enumerate(c.faces[k]) if j not in skip])
+
+
+def _lex_ordered(level: list[int]) -> bool:
+    """Whether each mask comes before the next in lexicographic order of their vertex tuples.
+
+    Of two masks, the first is the one holding the lowest bit where they
+    differ; equal masks are out of order.
+    """
+    return all(a & (x := a ^ b) & -x for a, b in zip(level, level[1:]))
 
 
 def boundary_matrix(c: Complex, k: int) -> IntMatrix:
@@ -439,25 +498,50 @@ def _homology_from_counts(counts, ranks) -> HomologyResult:
     return HomologyResult(betti=betti, torsion=torsion, reduced=False)
 
 
-def _unit_pivot_columns(columns) -> tuple[dict[int, dict[int, int]], list]:
+def _unit_pivot_columns(columns) -> tuple[dict, list]:
     """Reduce boundary columns over Z, keeping only +-1 pivots.
 
-    columns yields (index, entries) in order; a column's pivot is its
-    largest row.  Returns pivot row -> reduced column, and the residual:
-    the (row, entry) pairs of each column whose pivot was not a unit, once
-    every pivot row is eliminated from it, largest first, if any are left.
-    The pivot columns are triangular with a +-1 diagonal, so this is exact
-    over Z.
+    columns yields (index, entries) in order, or is a complex's _Faces;
+    a column's pivot is its largest row.  Returns pivot row -> reduced
+    column, and the residual: the (row, entry) pairs of each column whose
+    pivot was not a unit, once every pivot row is eliminated from it,
+    largest first, if any are left.  The pivot columns are triangular with
+    a +-1 diagonal, so this is exact over Z.
+
+    A face's column in _Faces is its raw boundary.  The (k-1)-faces are
+    lex-ordered, and the facet that drops the face's smallest vertex comes
+    after every other facet (the others keep that vertex, which is where
+    they first differ from it), so that facet is the column's largest row,
+    with coefficient -1.  If no earlier column holds that row, the raw
+    column is already reduced with a unit pivot: its face mask is recorded
+    as the pivot and stands for the column, exactly, until a later column
+    or a residual must subtract it; then the column is built in its place.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[int, dict[int, int] | int] = {}  # a mask stands for its raw column
     aside: list[dict[int, int]] = []
-    for _j, entries in columns:
-        col = dict(entries)
+    lazy = isinstance(columns, _Faces)
+    if lazy:
+        below = columns.below
+        columns = columns.masks
+    for item in columns:
+        if lazy:
+            try:
+                low = below[item ^ (item & -item)]
+            except KeyError as e:
+                raise _missing_facet(item, e) from None
+            if low not in pivots:
+                pivots[low] = item
+                continue
+            col = dict(_facet_rows(below, item))
+        else:
+            col = dict(item[1])
         while col:
             low = max(col)
             other = pivots.get(low)
             if other is None:
                 break
+            if type(other) is int:
+                other = pivots[low] = dict(_facet_rows(below, other))
             _subtract(col, other, low)
         if col:
             if col[low] in (1, -1):
@@ -472,6 +556,8 @@ def _unit_pivot_columns(columns) -> tuple[dict[int, dict[int, int]], list]:
             low = -heapq.heappop(hits)
             if low in col:  # a row can be pushed twice
                 other = pivots[low]
+                if type(other) is int:
+                    other = pivots[low] = dict(_facet_rows(below, other))
                 _subtract(col, other, low)
                 for i in other:  # fill-in lies below low, in rows not yet popped
                     if i in col and i in pivots:
@@ -496,7 +582,8 @@ def _boundary_ranks(counts, columns) -> tuple[list[tuple[int, list[int]]], list[
     """Rank and torsion of every differential, by top-down reduction with clearing.
 
     counts[k] is the number of k-cells; columns(k, skip) yields d_k as
-    (column, its (row, coefficient) pairs), leaving out those in skip unbuilt.
+    (column, its (row, coefficient) pairs), or returns it as a complex's
+    _Faces, leaving out those in skip unbuilt.
     Entry k of the first list is (rank d_k, invariant factors > 1 of d_k);
     entry 0 is (0, []).  The second names the dimensions, top first, that
     left a non-empty residual for Smith reduction.
@@ -540,7 +627,7 @@ def homology(c: Complex, reduced: bool = False) -> HomologyResult:
 
 def _homology_by_reduction(c: Complex) -> HomologyResult:
     counts = [len(level) for level in c.faces]  # builds the faces, once
-    ranks, _fallbacks = _boundary_ranks(counts, partial(_boundary_columns, c))
+    ranks, _fallbacks = _boundary_ranks(counts, partial(_face_columns, c))
     return _homology_from_counts(counts, ranks)
 
 

@@ -84,11 +84,17 @@ def signed_facets(mask: int) -> list[tuple[int, int]]:
 class Complex:
     """A finite simplicial complex, faces stored per dimension in lexicographic order.
 
-    faces[k] holds the bitmasks of all k-faces.  graph, when present, is the
-    adjacency mask table of the graph whose clique complex this is; it enables
-    fast maximality tests.  cone_vertex names a vertex adjacent to every other
-    one; the package does not read it (a cone is a join), but the benchmark
-    tracer in perfbench/ counts cones by it.
+    faces[k] holds the bitmasks of all k-faces.  Every constructor here (the
+    clique walk, the from_faces closure, skeleton, delete_open_cells) stores
+    each level in the lexicographic order of its vertex tuples; homology
+    checks the order of each level it reads a pivot from instead of trusting
+    it, since a Complex can also be given its faces directly, in any order.
+
+    graph, when present, is the adjacency mask table of the graph whose
+    clique complex this is; it enables fast maximality tests.  cone_vertex
+    names a vertex adjacent to every other one; the package does not read it
+    (a cone is a join), but the benchmark tracer in perfbench/ counts cones
+    by it.
     """
 
     vertex_count: int
