@@ -17,7 +17,9 @@ column is built only if that pivot collides (see _unit_pivot_columns).
 The order is checked, not trusted: one pass over the (k-1)-faces confirms
 it before d_k is reduced this way, and if it fails, d_k is built eagerly,
 as the Morse complex's always is.  A face whose column is built without
-one of its facets in the complex raises StructuralError.
+one of its facets in the complex raises StructuralError.  So does, before
+any reduction, a complex not closed downward: the package's constructors
+mark what they build as closed, and any other complex is checked once.
 
 A clique complex that is a join X1*...*Xm (the graph's complement is
 disconnected, and each Xi is the clique complex on one of its components)
@@ -617,12 +619,30 @@ def homology(c: Complex, reduced: bool = False) -> HomologyResult:
     if c.join_factors:
         result = _join_homology([x for _keep, x in c.join_factors])
     else:
+        _check_closed(c)
         result = _homology_by_reduction(c)
     if reduced:
         betti = list(result.betti)
         betti[0] -= 1
         return HomologyResult(betti=tuple(betti), torsion=result.torsion, reduced=True)
     return result
+
+
+def _check_closed(c: Complex) -> None:
+    """Raise StructuralError naming a missing facet unless c is closed downward.
+
+    The lazy reduction looks up only the facets it needs, so it would not
+    notice a missing one elsewhere.  The package's constructors mark the
+    complexes they build as closed (c._cache["closed"]); any other complex
+    has each face's facets looked up once, and is marked if they all exist.
+    """
+    if c._cache.get("closed"):
+        return
+    for k in range(1, len(c.faces)):
+        below = c.index(k - 1)
+        for mask in c.faces[k]:
+            _facet_rows(below, mask)
+    c._cache["closed"] = True
 
 
 def _homology_by_reduction(c: Complex) -> HomologyResult:

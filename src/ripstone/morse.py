@@ -8,6 +8,12 @@ homology()'s clearing, unit-pivot and residual-Smith routine.
 
 Matchings hold face bitmasks, and every step here works on them; vertex
 tuples appear only in matching_from_pairs, reports, messages and surpluses.
+The search runs on integer positions of its live cells, in vertex tuple
+order.  Certification splits in two: whether the cells are faces of a
+complex, and which of its faces are critical, depend on the complex; the
+pairs' own rules, the acyclicity digraph with its cycle certificate and the
+pairing operator V depend on the pairs alone, and the last three are built
+once per Matching, however many complexes it is certified on.
 """
 
 from __future__ import annotations
@@ -15,10 +21,18 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 
 from .errors import ParameterError, PreconditionError, SearchFailure, StructuralError
-from .homology import Chain, HomologyResult, _boundary_ranks, _homology_from_counts, make_chain
+from .homology import (
+    Chain,
+    HomologyResult,
+    _boundary_ranks,
+    _homology_from_counts,
+    _lex_ordered,
+    make_chain,
+)
 from .simplicial import Complex, Simplex, mask_of, signed_facets, simplex, vertices_of
 
 # find_matching stops after this many attempts x live cells, so that no
@@ -40,6 +54,16 @@ class Matching:
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+    @cached_property
+    def _cycle(self) -> tuple | None:
+        """_cycle_certificate of the pairs, built once per matching."""
+        return _cycle_certificate(self.pairs)
+
+    @cached_property
+    def _operator(self) -> dict[int, tuple[int, int]]:
+        """_pairing_operator of the matching, built once per matching."""
+        return _pairing_operator(self)
 
 
 def _tuple_order(mask: int) -> str:
@@ -85,10 +109,14 @@ class MatchingReport:
 
 
 def check_matching(c: Complex, m: Matching) -> MatchingReport:
-    """Validate the pairing rules, then certify acyclicity dimension by dimension.
+    """Validate the pairing rules on c, then certify acyclicity dimension by dimension.
 
     Rule violations are reported, not raised; a directed cycle yields a
-    minimal-length certificate found by breadth-first search.
+    minimal-length certificate found by breadth-first search.  Whether
+    each cell is a face of c, and which faces of c are critical, depend on
+    c.  The rest, each pair being a facet and a cofacet, no cell in two
+    pairs, and the digraph the certificate comes from, depend on the pairs
+    alone, and the digraph is built once per Matching (Matching._cycle).
     """
     violations = []
     roles: dict[int, int] = {}
@@ -107,23 +135,7 @@ def check_matching(c: Complex, m: Matching) -> MatchingReport:
     if violations:
         return MatchingReport(False, False, (), None, tuple(violations))
 
-    certificate = None
-    # the pairs come sorted by dimension, so each group is one dimension's graph
-    for _size, group in groupby(m.pairs, key=lambda p: p[0].bit_count()):
-        nodes = list(group)
-        lower_index = {lo: i for i, (lo, _up) in enumerate(nodes)}
-        succ = [
-            sorted(lower_index[f] for f, _sign in signed_facets(up) if f != lo and f in lower_index)
-            for lo, up in nodes
-        ]
-        cycle = _minimal_cycle(succ)
-        if cycle is not None:  # each node's upper cell, then the next node's lower cell
-            steps = zip(cycle, cycle[1:] + cycle[:1])
-            certificate = tuple(
-                vertices_of(cell) for i, j in steps for cell in (nodes[i][1], nodes[j][0])
-            )
-            break
-
+    certificate = m._cycle
     return MatchingReport(
         valid=True,
         acyclic=certificate is None,
@@ -131,6 +143,36 @@ def check_matching(c: Complex, m: Matching) -> MatchingReport:
         certificate=certificate,
         violations=(),
     )
+
+
+def _cycle_certificate(pairs) -> tuple | None:
+    """The certificate of the first dimension whose pairs' digraph has a cycle, or None.
+
+    Each dimension's pairs are the nodes of one digraph, with an edge from
+    a pair to every other pair whose lower cell is a facet of its upper
+    cell.  The pairs must be valid: facet-cofacet pairs, no cell twice.
+    """
+    # the pairs come sorted by dimension, so each group is one dimension's graph
+    for _size, group in groupby(pairs, key=lambda p: p[0].bit_count()):
+        nodes = list(group)
+        lower_index = {lo: i for i, (lo, _up) in enumerate(nodes)}
+        succ = []
+        for lo, up in nodes:
+            outs = []
+            rest = up
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                facet = up ^ low
+                if facet != lo and facet in lower_index:
+                    outs.append(lower_index[facet])
+            outs.sort()
+            succ.append(outs)
+        cycle = _minimal_cycle(succ)
+        if cycle is not None:  # each node's upper cell, then the next node's lower cell
+            steps = zip(cycle, cycle[1:] + cycle[:1])
+            return tuple(vertices_of(cell) for i, j in steps for cell in (nodes[i][1], nodes[j][0]))
+    return None
 
 
 def _critical(c: Complex, m: Matching) -> list[list[int]]:
@@ -212,7 +254,10 @@ def find_matching(
     live cells.  An attempt in which every pick had one free cell to choose
     from used nothing of its seed, so every seed would repeat it: the
     search stops after it.  Then raises SearchFailure carrying the best
-    attempt's surplus and the attempts made.
+    attempt's surplus and the attempts made.  The search works on the live
+    cells' positions in vertex tuple order, and draws the same random
+    numbers, so finds the same matching, surplus and attempt count for a
+    seed, as one keyed by the cells themselves.
     """
     return _find_matching(
         c,
@@ -233,8 +278,10 @@ def _face_mask(c: Complex, s) -> int:
 def _find_matching(c: Complex, cand_masks, forced_masks, seed: int, max_attempts: int) -> Matching:
     """find_matching on iterables of face masks of c, read in that order.
 
-    The found matching is certified, and so cached for later flows, before
-    it is returned.
+    The search runs on the live cells' positions in _live_order, which is
+    vertex tuple order, so the found pairs sort as positions.  The found
+    matching is certified, and so cached for later flows, before it is
+    returned.
     """
     if max_attempts < 1:
         raise ParameterError("max_attempts must be positive")
@@ -247,53 +294,64 @@ def _find_matching(c: Complex, cand_masks, forced_masks, seed: int, max_attempts
             )
         forced.add(mask)
 
-    live0 = sorted(cand - forced, key=lambda m_: (m_.bit_count(), _tuple_order(m_)))
-    live0_set = set(live0)
-    cofacets: dict[int, list[int]] = {}
-    facets_in: dict[int, list[int]] = {}
-    for mask in live0:
-        for sub, _sign in signed_facets(mask):
-            if sub in live0_set:
-                cofacets.setdefault(sub, []).append(mask)
-                facets_in.setdefault(mask, []).append(sub)
-    base_count = {m_: len(cofacets.get(m_, ())) for m_ in live0}
+    live0 = _live_order(c, cand - forced)
+    n = len(live0)
+    pos = {mask: i for i, mask in enumerate(live0)}
+    cofacets: list[list[int]] = [[] for _ in live0]  # in position order
+    facets: list[list[int]] = [[] for _ in live0]  # dropping the smallest vertex first
+    for i, mask in enumerate(live0):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = pos.get(mask ^ low)
+            if j is not None:
+                cofacets[j].append(i)
+                facets[i].append(j)
+    base_count = [len(up) for up in cofacets]
+    free0 = [i for i in range(n) if base_count[i] == 1]
 
-    attempts = min(max_attempts, SEARCH_WORK // max(len(live0), 1))
-    best_live = live0_set
+    attempts = min(max_attempts, SEARCH_WORK // max(n, 1))
+    best_live = bytearray(b"\x01") * n
+    best_left = n
     tried = 0
     for attempt in range(attempts):
         tried += 1
-        rng = random.Random(seed + attempt)
-        live = set(live0_set)
-        count = dict(base_count)
-        free = [m_ for m_ in live0 if count[m_] == 1]
+        randrange = random.Random(seed + attempt).randrange
+        live = bytearray(b"\x01") * n
+        count = base_count[:]
+        free = free0[:]
         pairs: list[tuple[int, int]] = []
         chose = False  # whether some pick had more than one free cell
         while free:
             chose = chose or len(free) > 1
-            i = rng.randrange(len(free))
-            mask = free[i]
+            i = randrange(len(free))
+            x = free[i]
             free[i] = free[-1]
             free.pop()
-            if mask not in live or count[mask] != 1:
+            if not live[x] or count[x] != 1:
                 continue
-            tau = next(t for t in cofacets[mask] if t in live)
-            pairs.append((mask, tau))
-            live.discard(mask)
-            live.discard(tau)
-            for removed in (mask, tau):
-                for sub in facets_in.get(removed, ()):
-                    if sub in live:
+            for t in cofacets[x]:
+                if live[t]:
+                    break
+            pairs.append((x, t))
+            live[x] = live[t] = 0
+            for removed in (x, t):
+                for sub in facets[removed]:
+                    if live[sub]:
                         count[sub] -= 1
                         if count[sub] == 1:
                             free.append(sub)
-        if not live:
-            m = _matching(pairs)
+        left = n - 2 * len(pairs)
+        if not left:
+            pairs.sort()
+            m = Matching(tuple((live0[x], live0[t]) for x, t in pairs))
             report = matching_report(c, m)  # cached for later flows
             if not report.ok():  # collapse order should certify; treat as a bug
                 raise StructuralError("collapse produced an uncertifiable matching")
             return m
-        best_live = min(best_live, live, key=len)
+        if left < best_left:
+            best_live, best_left = live, left
         if not chose:  # every seed repeats this attempt
             break
     if tried < attempts:
@@ -303,10 +361,29 @@ def _find_matching(c: Complex, cand_masks, forced_masks, seed: int, max_attempts
     else:
         why = ""
     raise SearchFailure(
-        f"no perfect matching on {len(live0)} cells within {tried} attempts{why}",
-        surplus=sorted(vertices_of(m_) for m_ in best_live),
+        f"no perfect matching on {n} cells within {tried} attempts{why}",
+        surplus=sorted(vertices_of(live0[i]) for i in range(n) if best_live[i]),
         attempts=tried,
     )
+
+
+def _live_order(c: Complex, live: set[int]) -> list[int]:
+    """The masks of live in vertex tuple order: by size, then lexicographically.
+
+    That is c's storage order, level by level, when c holds every mask of
+    live and they come lex-ordered in each level, which one pass checks;
+    otherwise the masks are sorted by _tuple_order.
+    """
+    out: list[int] = []
+    for level in c.faces:
+        taken = [mask for mask in level if mask in live]
+        if not _lex_ordered(taken):
+            break
+        out += taken
+    else:
+        if len(out) == len(live):
+            return out
+    return sorted(live, key=lambda mask: (mask.bit_count(), _tuple_order(mask)))
 
 
 @dataclass(frozen=True)
@@ -318,8 +395,12 @@ class FlowChain:
 
 
 def _pairing_operator(m: Matching) -> dict[int, tuple[int, int]]:
-    """lower mask -> (upper mask, sign) with the sign fixed so dV(lower) cancels lower."""
-    return {lo: (up, -dict(signed_facets(up))[lo]) for lo, up in m.pairs}
+    """lower mask -> (upper mask, sign) with the sign fixed so dV(lower) cancels lower.
+
+    lower drops the i-th smallest vertex of upper (i = 0, 1, ...), with
+    coefficient (-1)^(i+1) in d(upper); i counts upper's vertices below it.
+    """
+    return {lo: (up, -1 if (up & ((up ^ lo) - 1)).bit_count() & 1 else 1) for lo, up in m.pairs}
 
 
 def _axpy(acc: dict, key: int, val: int) -> None:
@@ -361,14 +442,16 @@ def _flow_to_fixpoint(chain: dict, v_map: dict, limit: int) -> tuple[dict, int]:
 def _certify(c: Complex, m: Matching) -> tuple[MatchingReport, dict | None]:
     """check_matching(c, m) and, if it passes, the pairing operator of m.
 
-    Both are computed once and cached in c._cache under the (frozen,
-    hashable) matching, so finding a matching, reporting on it and flowing
-    many chains through it certify it once.
+    The report is cached in c._cache under the (frozen, hashable) matching,
+    so finding a matching, reporting on it and flowing many chains through
+    it check it on c once.  The pairing operator and the acyclicity digraph
+    depend on the pairs alone and are cached on m, so certifying m on a
+    second complex (the trace's punctured one) builds neither again.
     """
     key = ("matching", m)
     if key not in c._cache:
         report = check_matching(c, m)
-        c._cache[key] = (report, _pairing_operator(m) if report.ok() else None)
+        c._cache[key] = (report, m._operator if report.ok() else None)
     return c._cache[key]
 
 

@@ -72,16 +72,22 @@ def embeddings(p: PolytopeGraph, g: PolytopeGraph) -> list[tuple[int, ...]]:
 def diameter3_tetrahedra(metric: DistanceMatrix) -> list[Simplex]:
     """All 4-subsets with every pairwise hop distance equal to 3.
 
-    Brute force over all C(n, 4) subsets.  On the dodecahedron there must
-    be exactly ten; any other count is a verification failure.
+    The 4-cliques of the distance-3 relation, each extended from its
+    smallest vertex by larger common distance-3 neighbours, as vertex
+    masks; they come out in lexicographic order.  On the dodecahedron
+    there must be exactly ten; any other count is a verification failure.
     """
+    n = metric.size
+    far = [sum(1 << j for j, d in enumerate(metric.dist[i]) if d == 3) for i in range(n)]
     tets = [
-        q
-        for q in combinations(range(metric.size), 4)
-        if all(metric.d(a, b) == 3 for a, b in combinations(q, 2))
+        (a, b, c, d)
+        for a in range(n)
+        for b in vertices_of(far[a] & -1 << (a + 1))
+        for c in vertices_of(far[a] & far[b] & -1 << (b + 1))
+        for d in vertices_of(far[a] & far[b] & far[c] & -1 << (c + 1))
     ]
     if len(tets) != 10:
         raise VerificationError(
             f"expected 10 pairwise-distance-3 tetrahedra, found {len(tets)}"
         )
-    return sorted(tets)
+    return tets

@@ -89,6 +89,9 @@ class Complex:
     each level in the lexicographic order of its vertex tuples; homology
     checks the order of each level it reads a pivot from instead of trusting
     it, since a Complex can also be given its faces directly, in any order.
+    Those constructors also mark the complex closed downward in _cache
+    (skeleton and delete_open_cells when their input has the mark);
+    homology checks the closure of any complex without it, once.
 
     graph, when present, is the adjacency mask table of the graph whose
     clique complex this is; it enables fast maximality tests.  cone_vertex
@@ -216,7 +219,7 @@ class _CliqueComplex(Complex):
         self.graph = graph
         self.cone_vertex = cone_vertex
         self._indexes = {}
-        self._cache = {}
+        self._cache = {"closed": True}
 
     @cached_property
     def faces(self) -> list[list[int]]:
@@ -340,6 +343,7 @@ def _closure(simplices, vertex_count: int | None = None) -> Complex:
         maximal.append(_lex_sorted(uncovered))
         above = level
     c = Complex(vertex_count=vertex_count, faces=faces)
+    c._cache["closed"] = True
     c._cache["maximal"] = [m for level in reversed(maximal) for m in level]
     return c
 
@@ -381,7 +385,7 @@ def skeleton(c: Complex, k: int) -> Complex:
         raise ParameterError(f"skeleton dimension must be a non-negative integer, got {k!r}")
     cut = min(k, c.dim)
     faces = [list(level) for level in c.faces[: cut + 1]]
-    return Complex(vertex_count=c.vertex_count, faces=faces)
+    return _closed_as(c, Complex(vertex_count=c.vertex_count, faces=faces))
 
 
 def maximal_simplices(c: Complex) -> list[Simplex]:
@@ -442,7 +446,14 @@ def delete_open_cells(c: Complex, cells) -> Complex:
         faces.pop()
     if not faces:
         raise StructuralError("deletion would empty the complex")
-    return Complex(vertex_count=c.vertex_count, faces=faces)
+    return _closed_as(c, Complex(vertex_count=c.vertex_count, faces=faces))
+
+
+def _closed_as(c: Complex, sub: Complex) -> Complex:
+    """sub, marked closed downward if c is: a skeleton or a deletion of maximal faces stays closed."""
+    if c._cache.get("closed"):
+        sub._cache["closed"] = True
+    return sub
 
 
 def boundary_complex(name: str) -> Complex:

@@ -623,3 +623,39 @@ def test_a_join_beyond_the_face_budget_needs_no_face():
     assert time.perf_counter() - start < 1.0
     assert h.betti == (1,) + (0,) * 30 + (1,)
     assert not any(h.torsion)
+
+
+def test_homology_checks_the_closure_of_a_complex_no_constructor_built():
+    from ripstone.formats import parse_complex
+    from ripstone.simplicial import delete_open_cells, skeleton
+
+    # the edge (0, 2) without the vertex (0,): the lazy reduction never
+    # looks that facet up, so only the closure check can notice
+    c = Complex(vertex_count=3, faces=[[0b010, 0b100], [0b101]])
+    with pytest.raises(StructuralError, match=r"^face \(0, 2\) has no facet \(0,\) in the complex"):
+        homology(c)
+    assert not c._cache.get("closed")
+    assert not skeleton(c, 1)._cache.get("closed")  # a skeleton is as closed as its complex
+
+    # the package's constructors mark their complexes, so no workload pays
+    # for the check
+    dodeca = combinatorial_metric(build_solid("dodecahedron"))
+    vr = vr_complex(dodeca, 3)
+    octahedron = vr_complex(combinatorial_metric(build_solid("octahedron")), 1)
+    built = [
+        vr,
+        from_faces(RP2_FACES),
+        parse_complex("0 1 2\n"),
+        skeleton(vr, 2),
+        delete_open_cells(vr, diameter3_tetrahedra(dodeca)),
+        *(x for _keep, x in octahedron.join_factors),
+    ]
+    assert all(x._cache.get("closed") for x in built)
+
+    # the mark is trusted, and a checked complex is marked once it passes
+    marked = Complex(vertex_count=3, faces=[[0b010, 0b100], [0b101]])
+    marked._cache["closed"] = True
+    assert homology(marked).betti == (1, 0)
+    plain = Complex(vertex_count=vr.vertex_count, faces=[list(level) for level in vr.faces])
+    assert homology(plain).betti == (1, 0, 0, 9, 0, 0, 0)
+    assert plain._cache["closed"] is True

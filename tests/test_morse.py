@@ -427,3 +427,154 @@ def test_critical_complex_flows_each_cell_once(monkeypatch):
     assert critical_complex_homology(c3, m).betti[:4] == (1, 0, 0, 9)
     assert flowed and set(flowed) <= critical
     assert len(flowed) == len(set(flowed))
+
+
+# sha256 of serialize_matching of the trace's matching (the diameter-3 faces
+# of the dodecahedron's VR_3, the ten tetrahedra forced critical) per seed,
+# recorded from the search as it was before it ran on face positions.
+# 1456464704 and 1502171856 are the trace seeds of the scale3 benchmark at
+# --seed 1.
+PINNED_TRACE_MATCHINGS = {
+    1: "1f5a03058d6fda94c6b55e889f3a00ad15f7823a94450532daf2976db5eecda3",
+    2: "ff4f72ad0028d7b7613faf5ce7e7626acf60e91953e32edb64f38c2cae98f3b1",
+    3: "7808213015bab56a8dd1d9c7751deb9faa241ddd0ca160d242fcdf60cbbe8f6c",
+    4: "17662375c916ed3d295d79d2910eb83ff917fb2330b2b6460149d77bffc470ed",
+    5: "0bd8fc18c956bfcd117ce4920df90b3775d7c05d85c6da84458cecac3ea24a43",
+    6: "a8c7c0e37ff48cee1de17b426d9cc2e6a632906e52803e799fe4498dbb7b288e",
+    7: "7e25cb5605fb2acdd0bc386f80989fb8c88d744db4e889cf79713b30672afb18",
+    8: "7da067e33e4dbd822478f4a878fa4751bd0f1a37ff5439a02cf6f4e3f714b7c0",
+    1456464704: "100283448baeba7d5304e6a1d467b1623215f836e2505a70dc6e6b9106800ac9",
+    1502171856: "af5e41f7ebbc77973e51cbd6067e814c107e58581fe2ca2aba959426b41e6fd5",
+}
+
+
+def _trace_search():
+    """VR_3 of the dodecahedron, the trace's candidate masks and its forced tetrahedra."""
+    from ripstone.patterns import diameter3_tetrahedra
+    from ripstone.simplicial import mask_of
+
+    metric = combinatorial_metric(build_solid("dodecahedron"))
+    c3 = vr_complex(metric, 3)
+    scale2 = {mask for level in vr_complex(metric, 2).faces for mask in level}
+    candidate = {mask for level in c3.faces for mask in level if mask not in scale2}
+    return c3, candidate, [mask_of(t) for t in diameter3_tetrahedra(metric)]
+
+
+def _digest(m):
+    import hashlib
+
+    from ripstone.formats import serialize_matching
+
+    return hashlib.sha256(serialize_matching(m).encode()).hexdigest()
+
+
+def test_seeded_trace_matchings_are_pinned():
+    from ripstone.morse import _find_matching
+
+    c3, candidate, forced = _trace_search()
+    for seed, digest in PINNED_TRACE_MATCHINGS.items():
+        assert _digest(_find_matching(c3, candidate, forced, seed, 1000)) == digest, seed
+
+
+def test_shuffled_levels_take_the_sort_fallback_and_find_the_same_matching(monkeypatch):
+    import random
+
+    from ripstone import morse
+    from ripstone.simplicial import Complex
+
+    keyed = []
+    order = morse._tuple_order
+    monkeypatch.setattr(morse, "_tuple_order", lambda mask: keyed.append(mask) or order(mask))
+    c3, candidate, forced = _trace_search()
+    m = morse._find_matching(c3, candidate, forced, 1, 1000)
+    assert not keyed  # lex-ordered levels: the storage order is the tuple order
+    assert _digest(m) == PINNED_TRACE_MATCHINGS[1]
+
+    rng = random.Random(1)
+    shuffled = Complex(c3.vertex_count, [rng.sample(level, len(level)) for level in c3.faces])
+    again = morse._find_matching(shuffled, candidate, forced, 1, 1000)
+    assert len(keyed) == len(candidate) - len(forced)  # sorted by _tuple_order instead
+    assert again == m
+
+
+def test_failed_search_surplus_and_attempts_are_pinned():
+    # VR_3 has H_3 = Z^9, so no search collapses it onto one vertex; the best
+    # of three attempts' surplus (sha256 of its repr), recorded like the
+    # trace matchings above
+    import hashlib
+
+    c = vr_complex(combinatorial_metric(build_solid("dodecahedron")), 3)
+    pinned = {
+        1: (907, "f9bcddeddaf247c9164b1ef5f7034fb939fe0052b138f2315862c1544def2fa4"),
+        2: (883, "daa2a4e624c249600fbb8ac4e4f65f773167b1297dfc4174196b0a20aa7e25d8"),
+    }
+    for seed, (size, digest) in pinned.items():
+        with pytest.raises(SearchFailure) as exc:
+            find_matching(c, all_faces(c), forced_critical=[(0,)], seed=seed, max_attempts=3)
+        assert exc.value.attempts == 3
+        assert str(exc.value) == "no perfect matching on 3271 cells within 3 attempts"
+        assert len(exc.value.surplus) == size
+        assert hashlib.sha256(repr(exc.value.surplus).encode()).hexdigest() == digest
+
+
+def _count_digraph_builds(monkeypatch):
+    from ripstone import morse
+
+    builds = []
+    build = morse._cycle_certificate
+    monkeypatch.setattr(morse, "_cycle_certificate", lambda pairs: builds.append(1) or build(pairs))
+    return builds
+
+
+def test_trace_builds_the_acyclicity_digraph_once(monkeypatch):
+    from ripstone.pipelines import trace_dodecahedron
+
+    builds = _count_digraph_builds(monkeypatch)
+    assert trace_dodecahedron(seed=1).passed
+    assert len(builds) == 1  # for the scale-3 complex and the punctured one
+
+
+def test_validity_stays_per_complex_after_certification(monkeypatch):
+    from ripstone.morse import _find_matching
+    from ripstone.simplicial import delete_open_cells, vertices_of
+
+    builds = _count_digraph_builds(monkeypatch)
+    c3, candidate, forced = _trace_search()
+    m = _find_matching(c3, candidate, forced, 1, 1000)
+    assert check_matching(c3, m).ok()
+    lo, up = next(p for p in m.pairs if c3.is_maximal_mask(p[1], p[1].bit_count() - 1))
+    without = delete_open_cells(c3, [vertices_of(up)])
+    report = check_matching(without, m)
+    assert not report.valid and report.critical == () and report.certificate is None
+    assert report.violations == (
+        f"pair {vertices_of(lo)} -> {vertices_of(up)} uses a simplex outside the complex",
+    )
+    assert len(builds) == 1
+
+
+def test_a_cycle_certificate_is_shared_by_every_complex(monkeypatch):
+    builds = _count_digraph_builds(monkeypatch)
+    square, m = square_cycle_matching()
+    cycle = ((0, 1), (1,), (1, 2), (2,), (2, 3), (3,), (0, 3), (0,))
+    for c in (square, full_simplex_complex(4)):
+        report = check_matching(c, m)
+        assert report.valid and not report.acyclic and report.certificate == cycle
+    assert check_matching(full_simplex_complex(4), m).critical != ()
+    assert len(builds) == 1
+
+
+def test_candidates_outside_the_complex_take_the_sort_fallback(monkeypatch):
+    # the search order cannot come from c's storage when c lacks a candidate;
+    # the sorted search collapses the tetrahedron, and certifying that on
+    # c's 1-skeleton fails
+    from ripstone import morse
+    from ripstone.simplicial import skeleton
+
+    keyed = []
+    order = morse._tuple_order
+    monkeypatch.setattr(morse, "_tuple_order", lambda mask: keyed.append(mask) or order(mask))
+    tet = full_simplex_complex(4)
+    cells = [mask for level in tet.faces for mask in level]
+    with pytest.raises(StructuralError, match="uncertifiable"):
+        morse._find_matching(skeleton(tet, 1), cells, [1], 5, 10)
+    assert len(keyed) == len(cells) - 1

@@ -1,10 +1,19 @@
 """Induced pattern search on solid graphs, and the scattered tetrahedra."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from ripstone.errors import ParameterError, VerificationError
 from ripstone.patterns import diameter3_tetrahedra, embeddings, is_induced_embedding
-from ripstone.polytopes import PolytopeGraph, build_solid, combinatorial_metric, cube_graph
+from ripstone.polytopes import (
+    DistanceMatrix,
+    PolytopeGraph,
+    build_solid,
+    combinatorial_metric,
+    cube_graph,
+)
 from ripstone.symmetry import apply_to_simplex, automorphisms
 
 
@@ -90,3 +99,32 @@ def test_tetrahedra_rejected_off_the_dodecahedron():
         diameter3_tetrahedra(combinatorial_metric(build_solid("cube")))
     with pytest.raises(VerificationError):
         diameter3_tetrahedra(combinatorial_metric(cube_graph(4)))
+
+
+
+def _random_metric(seed, n=12):
+    """A symmetric table of hop-like values 1..4 (not a graph metric): many distance-3 cliques."""
+    rng = random.Random(seed)
+    dist = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        dist[i][j] = dist[j][i] = rng.choice((1, 2, 3, 3, 3, 4))
+    return DistanceMatrix(size=n, dist=tuple(map(tuple, dist)))
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [combinatorial_metric(build_solid(name)) for name in ("cube", "dodecahedron", "icosahedron")]
+    + [_random_metric(seed) for seed in range(6)],
+)
+def test_tetrahedra_agree_with_brute_force(metric):
+    # the 4-cliques of the distance-3 relation are every 4-subset at pairwise distance 3
+    brute = [
+        q
+        for q in combinations(range(metric.size), 4)
+        if all(metric.d(a, b) == 3 for a, b in combinations(q, 2))
+    ]
+    if len(brute) == 10:
+        assert diameter3_tetrahedra(metric) == brute
+    else:
+        with pytest.raises(VerificationError, match=f"found {len(brute)}$"):
+            diameter3_tetrahedra(metric)
