@@ -73,11 +73,6 @@ def parse_simplex_list(text: str) -> list:
     return out
 
 
-def serialize_simplex_list(faces) -> str:
-    lines = [" ".join(str(v) for v in s) for s in faces]
-    return "\n".join(lines) + "\n" if lines else ""
-
-
 def parse_chain(text: str) -> Chain:
     terms: dict = {}
     dim = None

@@ -14,12 +14,9 @@ homology() hands the reduction a complex's columns lazily, as Ripser does
 barcodes", J. Appl. Comput. Topol. 5 (2021)): each level is stored in
 lexicographic order, so a face's pivot is known from its mask, and its
 column is built only if that pivot collides (see _unit_pivot_columns).
-The order is checked, not trusted: one pass over the (k-1)-faces confirms
-it before d_k is reduced this way, and if it fails, d_k is built eagerly,
-as the Morse complex's always is.  A face whose column is built without
-one of its facets in the complex raises StructuralError.  So does, before
-any reduction, a complex not closed downward: the package's constructors
-mark what they build as closed, and any other complex is checked once.
+That order and the closure downward are invariants of Complex, checked
+where a complex is given its faces, so nothing here checks them again.
+The Morse complex has no such order, and its columns are built eagerly.
 
 A clique complex that is a join X1*...*Xm (the graph's complement is
 disconnected, and each Xi is the clique complex on one of its components)
@@ -124,12 +121,6 @@ class IntMatrix:
     cols: int
     entries: dict
 
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
     @classmethod
     def from_dense(cls, dense) -> "IntMatrix":
         entries = {}
@@ -157,21 +148,11 @@ def _boundary_columns(c: Complex, k: int, skip=()):
 
 def _facet_rows(below: dict[int, int], mask: int) -> list[tuple[int, int]]:
     """A face's boundary column as (row, sign) pairs; below maps each facet mask to its row."""
-    try:
-        return [(below[f], sign) for f, sign in signed_facets(mask)]
-    except KeyError as e:
-        raise _missing_facet(mask, e) from None
-
-
-def _missing_facet(mask: int, e: KeyError) -> StructuralError:
-    return StructuralError(
-        f"face {vertices_of(mask)} has no facet {vertices_of(e.args[0])} in the complex:"
-        " the complex is not closed downward"
-    )
+    return [(below[f], sign) for f, sign in signed_facets(mask)]
 
 
 class _Faces:
-    """d_k of a complex whose (k-1)-faces are lex-ordered, as the masks of its k-faces.
+    """d_k of a complex, as the masks of its k-faces.
 
     _unit_pivot_columns reads each column's pivot off its mask and builds
     the column only when it must.
@@ -184,32 +165,9 @@ class _Faces:
         self.masks = masks  # the k-faces not cleared, in storage order
 
 
-def _face_columns(c: Complex, k: int, skip=()):
-    """d_k of a complex for _boundary_ranks: lazy _Faces if its rows are lex-ordered.
-
-    If the (k-1)-faces are out of order, a face's largest row is not known
-    from its mask, and d_k is built eagerly by _boundary_columns.
-    """
-    if not _lex_ordered(c.faces[k - 1]):
-        return _boundary_columns(c, k, skip)
+def _face_columns(c: Complex, k: int, skip=()) -> _Faces:
+    """d_k of a complex for _boundary_ranks, its columns left unbuilt."""
     return _Faces(c.index(k - 1), [m for j, m in enumerate(c.faces[k]) if j not in skip])
-
-
-def _lex_ordered(level: list[int]) -> bool:
-    """Whether each mask comes before the next in lexicographic order of their vertex tuples.
-
-    Of two masks, the first is the one holding the lowest bit where they
-    differ; equal masks are out of order.
-    """
-    return all(a & (x := a ^ b) & -x for a, b in zip(level, level[1:]))
-
-
-def boundary_matrix(c: Complex, k: int) -> IntMatrix:
-    """Matrix of d_k: rows are (k-1)-faces, columns are k-faces, in storage order."""
-    if not 1 <= k <= c.dim:
-        raise ParameterError(f"no boundary matrix in dimension {k} for a complex of dim {c.dim}")
-    entries = {(i, j): sign for j, col in _boundary_columns(c, k) for i, sign in col}
-    return IntMatrix(rows=len(c.faces[k - 1]), cols=len(c.faces[k]), entries=entries)
 
 
 def _rows(columns) -> dict[int, dict[int, int]]:
@@ -527,10 +485,7 @@ def _unit_pivot_columns(columns) -> tuple[dict, list]:
         columns = columns.masks
     for item in columns:
         if lazy:
-            try:
-                low = below[item ^ (item & -item)]
-            except KeyError as e:
-                raise _missing_facet(item, e) from None
+            low = below[item ^ (item & -item)]
             if low not in pivots:
                 pivots[low] = item
                 continue
@@ -619,30 +574,12 @@ def homology(c: Complex, reduced: bool = False) -> HomologyResult:
     if c.join_factors:
         result = _join_homology([x for _keep, x in c.join_factors])
     else:
-        _check_closed(c)
         result = _homology_by_reduction(c)
     if reduced:
         betti = list(result.betti)
         betti[0] -= 1
         return HomologyResult(betti=tuple(betti), torsion=result.torsion, reduced=True)
     return result
-
-
-def _check_closed(c: Complex) -> None:
-    """Raise StructuralError naming a missing facet unless c is closed downward.
-
-    The lazy reduction looks up only the facets it needs, so it would not
-    notice a missing one elsewhere.  The package's constructors mark the
-    complexes they build as closed (c._cache["closed"]); any other complex
-    has each face's facets looked up once, and is marked if they all exist.
-    """
-    if c._cache.get("closed"):
-        return
-    for k in range(1, len(c.faces)):
-        below = c.index(k - 1)
-        for mask in c.faces[k]:
-            _facet_rows(below, mask)
-    c._cache["closed"] = True
 
 
 def _homology_by_reduction(c: Complex) -> HomologyResult:

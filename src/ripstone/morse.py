@@ -8,12 +8,13 @@ homology()'s clearing, unit-pivot and residual-Smith routine.
 
 Matchings hold face bitmasks, and every step here works on them; vertex
 tuples appear only in matching_from_pairs, reports, messages and surpluses.
-The search runs on integer positions of its live cells, in vertex tuple
-order.  Certification splits in two: whether the cells are faces of a
-complex, and which of its faces are critical, depend on the complex; the
-pairs' own rules, the acyclicity digraph with its cycle certificate and the
-pairing operator V depend on the pairs alone, and the last three are built
-once per Matching, however many complexes it is certified on.
+The search runs on integer positions of its live cells in the complex's
+storage order, which Complex keeps in vertex tuple order.  Certification
+splits in two: whether the cells are faces of a complex, and which of its
+faces are critical, depend on the complex; the pairs' own rules, the
+acyclicity digraph with its cycle certificate and the pairing operator V
+depend on the pairs alone, and the last three are built once per Matching,
+however many complexes it is certified on.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .homology import (
     HomologyResult,
     _boundary_ranks,
     _homology_from_counts,
-    _lex_ordered,
     make_chain,
 )
 from .simplicial import Complex, Simplex, mask_of, signed_facets, simplex, vertices_of
@@ -244,12 +244,12 @@ def find_matching(
 ) -> Matching:
     """Search for an acyclic matching covering candidate minus forced_critical.
 
-    Validates the cells as simplices, and the candidates as faces of c; the
-    search itself, _find_matching, works on their masks.  Randomized
-    free-pair collapse: a cell is free when exactly one of its candidate
-    cofacets is still unpaired; pairing free cells in random order cannot
-    create directed cycles (the earliest-removed pair of a hypothetical
-    cycle would have had two live cofacets).  Restarts with seed+attempt on
+    Validates the cells as simplices; the search itself, _find_matching,
+    works on their masks and refuses a candidate that is not a face of c.
+    Randomized free-pair collapse: a cell is free when exactly one of its
+    candidate cofacets is still unpaired; pairing free cells in random order
+    cannot create directed cycles (the earliest-removed pair of a
+    hypothetical cycle would have had two live cofacets).  Restarts with seed+attempt on
     a stall, for at most max_attempts attempts and SEARCH_WORK attempts x
     live cells.  An attempt in which every pick had one free cell to choose
     from used nothing of its seed, so every seed would repeat it: the
@@ -261,27 +261,20 @@ def find_matching(
     """
     return _find_matching(
         c,
-        (_face_mask(c, s) for s in candidate),
+        (mask_of(simplex(s)) for s in candidate),
         (mask_of(simplex(s)) for s in forced_critical),
         seed,
         max_attempts,
     )
 
 
-def _face_mask(c: Complex, s) -> int:
-    s = simplex(s)
-    if not c.has_face(s):
-        raise StructuralError(f"candidate {s} is not a face of the complex")
-    return mask_of(s)
-
-
 def _find_matching(c: Complex, cand_masks, forced_masks, seed: int, max_attempts: int) -> Matching:
     """find_matching on iterables of face masks of c, read in that order.
 
-    The search runs on the live cells' positions in _live_order, which is
-    vertex tuple order, so the found pairs sort as positions.  The found
-    matching is certified, and so cached for later flows, before it is
-    returned.
+    The search runs on the live cells' positions in _live_order, c's
+    storage order, which is vertex tuple order, so the found pairs sort as
+    positions.  The found matching is certified, and so cached for later
+    flows, before it is returned.
     """
     if max_attempts < 1:
         raise ParameterError("max_attempts must be positive")
@@ -294,7 +287,7 @@ def _find_matching(c: Complex, cand_masks, forced_masks, seed: int, max_attempts
             )
         forced.add(mask)
 
-    live0 = _live_order(c, cand - forced)
+    live0 = [mask for mask in _live_order(c, cand) if mask not in forced]
     n = len(live0)
     pos = {mask: i for i, mask in enumerate(live0)}
     cofacets: list[list[int]] = [[] for _ in live0]  # in position order
@@ -370,20 +363,14 @@ def _find_matching(c: Complex, cand_masks, forced_masks, seed: int, max_attempts
 def _live_order(c: Complex, live: set[int]) -> list[int]:
     """The masks of live in vertex tuple order: by size, then lexicographically.
 
-    That is c's storage order, level by level, when c holds every mask of
-    live and they come lex-ordered in each level, which one pass checks;
-    otherwise the masks are sorted by _tuple_order.
+    That is c's storage order, level by level.  Raises StructuralError if
+    a mask of live is not a face of c.
     """
-    out: list[int] = []
-    for level in c.faces:
-        taken = [mask for mask in level if mask in live]
-        if not _lex_ordered(taken):
-            break
-        out += taken
-    else:
-        if len(out) == len(live):
-            return out
-    return sorted(live, key=lambda mask: (mask.bit_count(), _tuple_order(mask)))
+    out = [mask for level in c.faces for mask in level if mask in live]
+    if len(out) < len(live):
+        stray = min(map(vertices_of, live.difference(out)))
+        raise StructuralError(f"candidate {stray} is not a face of the complex")
+    return out
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,11 @@
 A simplex is a strictly ascending tuple of vertex ids.  Internally every face
 is a bitmask over vertex ids, which keeps face and coface tests cheap; masks
 never leak through the public API except where documented: Complex.faces,
-and morse.Matching.pairs, whose (lower, upper) pairs are face masks.
+and morse.Matching.pairs, whose (lower, upper) pairs are face masks.  A
+Complex keeps each level in the lexicographic order of its vertex tuples
+and is closed downward; a complex given its faces is sorted and checked
+once, at construction, and the constructors here build both properties
+themselves, so no consumer checks them again.
 
 Clique complexes (vr_complex, antipodal_free_complex, full_simplex_complex)
 are built lazily: the constructor keeps the graph, and the faces are
@@ -19,7 +23,6 @@ FACE_BUDGET faces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from math import prod
@@ -80,18 +83,20 @@ def signed_facets(mask: int) -> list[tuple[int, int]]:
     return out if len(out) > 1 else []
 
 
-@dataclass(eq=False)
 class Complex:
     """A finite simplicial complex, faces stored per dimension in lexicographic order.
 
-    faces[k] holds the bitmasks of all k-faces.  Every constructor here (the
-    clique walk, the from_faces closure, skeleton, delete_open_cells) stores
-    each level in the lexicographic order of its vertex tuples; homology
-    checks the order of each level it reads a pivot from instead of trusting
-    it, since a Complex can also be given its faces directly, in any order.
-    Those constructors also mark the complex closed downward in _cache
-    (skeleton and delete_open_cells when their input has the mark);
-    homology checks the closure of any complex without it, once.
+    faces[k] is a tuple of the bitmasks of all k-faces, in the lexicographic
+    order of their vertex tuples, and the complex is closed downward.  Both
+    are invariants that homology and the Morse search read off the storage:
+    Complex(vertex_count, faces) sorts each level and raises StructuralError
+    for a face in the wrong level, a repeated face, a vertex id past
+    vertex_count or a missing facet.  The package's constructors build that
+    order and closure themselves: the clique walk, and the from_faces
+    closure, skeleton and delete_open_cells, which go through
+    Complex._built, which checks nothing.  faces and its levels are tuples, which cannot be edited
+    in place, so the lazy indexes and the _cache of homology bases,
+    certified matchings and maximal faces cannot go stale.
 
     graph, when present, is the adjacency mask table of the graph whose
     clique complex this is; it enables fast maximality tests.  cone_vertex
@@ -100,13 +105,47 @@ class Complex:
     by it.
     """
 
-    vertex_count: int
-    faces: list[list[int]]
     graph: tuple[int, ...] | None = None
     cone_vertex: int | None = None
     join_factors = ()  # a clique complex's own, see _CliqueComplex.join_factors
-    _indexes: dict = field(default_factory=dict, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
+
+    def __init__(self, vertex_count: int, faces):
+        levels = tuple(tuple(_lex_sorted(level)) for level in faces)
+        top = 1 << vertex_count
+        for k, level in enumerate(levels):
+            for mask in level:
+                if not 0 <= mask < top:
+                    raise StructuralError(
+                        f"face mask {mask} is not a set of vertex ids below {vertex_count}"
+                    )
+                if mask.bit_count() != k + 1:
+                    raise StructuralError(f"face {vertices_of(mask)} is listed among the {k}-faces")
+            for a, b in zip(level, level[1:]):
+                if a == b:
+                    raise StructuralError(f"face {vertices_of(a)} is listed twice")
+        self._init(vertex_count, levels)
+        for k in range(1, len(levels)):
+            below = self.index(k - 1)
+            for mask in levels[k]:
+                for facet, _sign in signed_facets(mask):
+                    if facet not in below:
+                        raise StructuralError(
+                            f"face {vertices_of(mask)} has no facet {vertices_of(facet)} in the"
+                            " complex: the complex is not closed downward"
+                        )
+
+    @classmethod
+    def _built(cls, vertex_count: int, faces: tuple[tuple[int, ...], ...]) -> Complex:
+        """A complex whose levels are already lex-ordered tuples closed downward, unchecked."""
+        c = cls.__new__(cls)
+        c._init(vertex_count, faces)
+        return c
+
+    def _init(self, vertex_count: int, faces: tuple[tuple[int, ...], ...]) -> None:
+        self.vertex_count = vertex_count
+        self.faces = faces
+        self._indexes: dict[int, dict[int, int]] = {}
+        self._cache: dict = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Complex):
@@ -219,11 +258,11 @@ class _CliqueComplex(Complex):
         self.graph = graph
         self.cone_vertex = cone_vertex
         self._indexes = {}
-        self._cache = {"closed": True}
+        self._cache = {}
 
     @cached_property
-    def faces(self) -> list[list[int]]:
-        return _enumerate_cliques(self.graph)
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, _enumerate_cliques(self.graph)))
 
     @cached_property
     def join_factors(self) -> list[tuple[Simplex, Complex]]:
@@ -328,7 +367,7 @@ def _closure(simplices, vertex_count: int | None = None) -> Complex:
         raise StructuralError("refusing to build an empty complex")
     room = FACE_BUDGET
     width = max(listed)
-    faces: list[list[int]] = [[] for _ in range(width)]
+    faces: list[tuple[int, ...]] = [() for _ in range(width)]
     maximal: list[list[int]] = []  # per level, top level first
     above: set[int] = set()
     for size in range(width, 0, -1):
@@ -339,11 +378,10 @@ def _closure(simplices, vertex_count: int | None = None) -> Complex:
         room -= len(level)
         if room < 0:  # listed faces alone can overflow a level
             raise _budget_error()
-        faces[size - 1] = _lex_sorted(level)
+        faces[size - 1] = tuple(_lex_sorted(level))
         maximal.append(_lex_sorted(uncovered))
         above = level
-    c = Complex(vertex_count=vertex_count, faces=faces)
-    c._cache["closed"] = True
+    c = Complex._built(vertex_count, tuple(faces))
     c._cache["maximal"] = [m for level in reversed(maximal) for m in level]
     return c
 
@@ -383,9 +421,7 @@ def skeleton(c: Complex, k: int) -> Complex:
     """The subcomplex of faces of dimension at most k."""
     if not isinstance(k, int) or k < 0:
         raise ParameterError(f"skeleton dimension must be a non-negative integer, got {k!r}")
-    cut = min(k, c.dim)
-    faces = [list(level) for level in c.faces[: cut + 1]]
-    return _closed_as(c, Complex(vertex_count=c.vertex_count, faces=faces))
+    return Complex._built(c.vertex_count, c.faces[: k + 1])
 
 
 def maximal_simplices(c: Complex) -> list[Simplex]:
@@ -441,19 +477,12 @@ def delete_open_cells(c: Complex, cells) -> Complex:
     faces = []
     for k, level in enumerate(c.faces):
         dead = doomed.get(k, ())
-        faces.append([m for m in level if m not in dead])
+        faces.append(tuple(m for m in level if m not in dead))
     while faces and not faces[-1]:
         faces.pop()
     if not faces:
         raise StructuralError("deletion would empty the complex")
-    return _closed_as(c, Complex(vertex_count=c.vertex_count, faces=faces))
-
-
-def _closed_as(c: Complex, sub: Complex) -> Complex:
-    """sub, marked closed downward if c is: a skeleton or a deletion of maximal faces stays closed."""
-    if c._cache.get("closed"):
-        sub._cache["closed"] = True
-    return sub
+    return Complex._built(c.vertex_count, tuple(faces))
 
 
 def boundary_complex(name: str) -> Complex:

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from ripstone.errors import ParameterError, PreconditionError, SearchFailure, StructuralError
+from ripstone.errors import PreconditionError, SearchFailure, StructuralError
 from ripstone.homology import (
     IntMatrix,
     _boundary_columns,
@@ -24,7 +24,6 @@ from ripstone.homology import (
     _reduce,
     _rows,
     boundary_chain,
-    boundary_matrix,
     cycle_class,
     euler_characteristic,
     homology,
@@ -41,6 +40,7 @@ from ripstone.simplicial import (
     face_diameter,
     from_faces,
     full_simplex_complex,
+    signed_facets,
     vr_complex,
 )
 
@@ -175,8 +175,12 @@ def test_homology_betti_against_rank_oracle():
         counts = list(c.f_vector())
         ranks = [0] * (c.dim + 2)
         for k in range(1, c.dim + 1):
-            m = boundary_matrix(c, k)
-            ranks[k] = Matrix(m.to_dense()).rank() if m.entries else 0
+            below = c.index(k - 1)
+            d = Matrix.zeros(counts[k - 1], counts[k])
+            for j, mask in enumerate(c.faces[k]):
+                for facet, sign in signed_facets(mask):
+                    d[below[facet], j] = sign
+            ranks[k] = d.rank()
         expected = tuple(
             counts[k] - ranks[k] - ranks[k + 1] for k in range(c.dim + 1)
         )
@@ -210,14 +214,6 @@ def test_cycle_class_edge_cases():
     # boundaries map to the zero coordinate vector
     w = boundary_chain(make_chain(2, {(0, 2, 4): 1}))
     assert cycle_class(c, w) == (0, 0, 0, 0, 0, 0)[: len(cycle_class(c, w))]
-
-
-def test_boundary_matrix_guards():
-    c = full_simplex_complex(3)
-    with pytest.raises(ParameterError):
-        boundary_matrix(c, 0)
-    with pytest.raises(ParameterError):
-        boundary_matrix(c, 3)
 
 
 def test_make_chain_drops_zero_terms():
@@ -323,9 +319,9 @@ def _shuffled(c, seed):
 
 def test_homology_checks_the_lex_order_of_each_level():
     # read off a level out of lex order, a face's last facet is not its
-    # largest row: without the order check, lazy pivots give these seeds'
-    # shuffles wrong Betti numbers (and some other seeds' a reduction that
-    # never ends, so they are not used here)
+    # largest row: if Complex kept these seeds' shuffles as given, lazy
+    # pivots would give them wrong Betti numbers (and some other seeds' a
+    # reduction that never ends, so they are not used here)
     join = from_faces([f + q for f in RP2_FACES for q in ((6,), (7, 8, 9), (10,))])
     dodeca = vr_complex(combinatorial_metric(build_solid("dodecahedron")), 3)
     for c, seeds in ((join, range(1, 6)), (dodeca, (1,))):
@@ -338,6 +334,17 @@ def test_homology_checks_the_lex_order_of_each_level():
     assert homology(dodeca).betti == (1, 0, 0, 9, 0, 0, 0)
 
 
+def test_shuffled_levels_give_the_same_cycle_classes():
+    c = vr_complex(combinatorial_metric(build_solid("octahedron")), 1)
+    for seed in (1, 2):
+        shuffled = _shuffled(c, seed)
+        assert shuffled.faces == c.faces and shuffled.graph is None
+        assert homology(shuffled) == homology(c)
+        for scale in (1, -3):
+            z = octa_fundamental_cycle(scale=scale)
+            assert cycle_class(shuffled, z) == cycle_class(c, z) != (0,)
+
+
 def test_homology_builds_only_the_columns_whose_pivot_collides(monkeypatch):
     hom = importlib.import_module("ripstone.homology")
     built = []
@@ -347,21 +354,22 @@ def test_homology_builds_only_the_columns_whose_pivot_collides(monkeypatch):
     assert c.face_total() == 3272 and not c.join_factors
     assert homology(c).betti == (1, 0, 0, 9, 0, 0, 0)
     assert len(built) <= c.face_total() // 10
-    # out of lex order, the columns are built eagerly, and counted the same way
+    # given its faces out of lex order, a Complex sorts them, and its columns
+    # are as lazy; the facet checks at construction are not counted here
+    shuffled = _shuffled(c, 1)
     built.clear()
-    assert homology(_shuffled(c, 1)).betti == (1, 0, 0, 9, 0, 0, 0)
-    assert len(built) > c.face_total() // 10
+    assert homology(shuffled).betti == (1, 0, 0, 9, 0, 0, 0)
+    assert len(built) <= c.face_total() // 10
 
 
 def test_a_complex_not_closed_downward_names_its_missing_facet():
-    # the edge (0, 2) without the vertex (2,)
-    c = Complex(vertex_count=3, faces=[[0b001, 0b010], [0b101]])
-    with pytest.raises(StructuralError, match=r"\(0, 2\) has no facet \(2,\)"):
-        homology(c)
-    with pytest.raises(StructuralError, match=r"\(0, 2\) has no facet \(2,\)"):
-        cycle_class(c, make_chain(0, {(0,): 1}))
-    with pytest.raises(StructuralError, match=r"has no facet \(2,\)"):
-        boundary_matrix(c, 1)
+    # the edge (0, 2) without the vertex (2,): refused before homology or
+    # cycle_class could read it
+    message = (
+        r"^face \(0, 2\) has no facet \(2,\) in the complex: the complex is not closed downward$"
+    )
+    with pytest.raises(StructuralError, match=message):
+        Complex(vertex_count=3, faces=[[0b001, 0b010], [0b101]])
 
 
 def _one_differential(nrows, columns):
@@ -623,39 +631,3 @@ def test_a_join_beyond_the_face_budget_needs_no_face():
     assert time.perf_counter() - start < 1.0
     assert h.betti == (1,) + (0,) * 30 + (1,)
     assert not any(h.torsion)
-
-
-def test_homology_checks_the_closure_of_a_complex_no_constructor_built():
-    from ripstone.formats import parse_complex
-    from ripstone.simplicial import delete_open_cells, skeleton
-
-    # the edge (0, 2) without the vertex (0,): the lazy reduction never
-    # looks that facet up, so only the closure check can notice
-    c = Complex(vertex_count=3, faces=[[0b010, 0b100], [0b101]])
-    with pytest.raises(StructuralError, match=r"^face \(0, 2\) has no facet \(0,\) in the complex"):
-        homology(c)
-    assert not c._cache.get("closed")
-    assert not skeleton(c, 1)._cache.get("closed")  # a skeleton is as closed as its complex
-
-    # the package's constructors mark their complexes, so no workload pays
-    # for the check
-    dodeca = combinatorial_metric(build_solid("dodecahedron"))
-    vr = vr_complex(dodeca, 3)
-    octahedron = vr_complex(combinatorial_metric(build_solid("octahedron")), 1)
-    built = [
-        vr,
-        from_faces(RP2_FACES),
-        parse_complex("0 1 2\n"),
-        skeleton(vr, 2),
-        delete_open_cells(vr, diameter3_tetrahedra(dodeca)),
-        *(x for _keep, x in octahedron.join_factors),
-    ]
-    assert all(x._cache.get("closed") for x in built)
-
-    # the mark is trusted, and a checked complex is marked once it passes
-    marked = Complex(vertex_count=3, faces=[[0b010, 0b100], [0b101]])
-    marked._cache["closed"] = True
-    assert homology(marked).betti == (1, 0)
-    plain = Complex(vertex_count=vr.vertex_count, faces=[list(level) for level in vr.faces])
-    assert homology(plain).betti == (1, 0, 0, 9, 0, 0, 0)
-    assert plain._cache["closed"] is True

@@ -476,7 +476,7 @@ def test_seeded_trace_matchings_are_pinned():
         assert _digest(_find_matching(c3, candidate, forced, seed, 1000)) == digest, seed
 
 
-def test_shuffled_levels_take_the_sort_fallback_and_find_the_same_matching(monkeypatch):
+def test_shuffled_levels_are_stored_sorted_and_find_the_same_matching(monkeypatch):
     import random
 
     from ripstone import morse
@@ -487,14 +487,14 @@ def test_shuffled_levels_take_the_sort_fallback_and_find_the_same_matching(monke
     monkeypatch.setattr(morse, "_tuple_order", lambda mask: keyed.append(mask) or order(mask))
     c3, candidate, forced = _trace_search()
     m = morse._find_matching(c3, candidate, forced, 1, 1000)
-    assert not keyed  # lex-ordered levels: the storage order is the tuple order
     assert _digest(m) == PINNED_TRACE_MATCHINGS[1]
 
     rng = random.Random(1)
     shuffled = Complex(c3.vertex_count, [rng.sample(level, len(level)) for level in c3.faces])
+    assert shuffled.faces == c3.faces  # Complex stores each level in lex order
     again = morse._find_matching(shuffled, candidate, forced, 1, 1000)
-    assert len(keyed) == len(candidate) - len(forced)  # sorted by _tuple_order instead
-    assert again == m
+    assert not keyed  # the search reads its order off the storage, never a sort key
+    assert _digest(again) == PINNED_TRACE_MATCHINGS[1]
 
 
 def test_failed_search_surplus_and_attempts_are_pinned():
@@ -563,18 +563,16 @@ def test_a_cycle_certificate_is_shared_by_every_complex(monkeypatch):
     assert len(builds) == 1
 
 
-def test_candidates_outside_the_complex_take_the_sort_fallback(monkeypatch):
-    # the search order cannot come from c's storage when c lacks a candidate;
-    # the sorted search collapses the tetrahedron, and certifying that on
-    # c's 1-skeleton fails
+def test_candidates_outside_the_complex_are_refused():
+    # the search order comes from c's storage, so every candidate must be a
+    # face of c, the mask core's as well as find_matching's
     from ripstone import morse
     from ripstone.simplicial import skeleton
 
-    keyed = []
-    order = morse._tuple_order
-    monkeypatch.setattr(morse, "_tuple_order", lambda mask: keyed.append(mask) or order(mask))
     tet = full_simplex_complex(4)
     cells = [mask for level in tet.faces for mask in level]
-    with pytest.raises(StructuralError, match="uncertifiable"):
+    message = r"^candidate \(0, 1, 2\) is not a face of the complex$"
+    with pytest.raises(StructuralError, match=message):
         morse._find_matching(skeleton(tet, 1), cells, [1], 5, 10)
-    assert len(keyed) == len(cells) - 1
+    with pytest.raises(StructuralError, match=message):
+        find_matching(skeleton(tet, 1), all_faces(tet), [(0,)], seed=5, max_attempts=10)

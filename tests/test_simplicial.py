@@ -232,10 +232,10 @@ def test_from_faces_and_maximal_faces_match_brute_force(faces):
     faces = faces + faces[:2] + [f[1:] for f in faces if len(f) > 1]
     closure = {sub for f in faces for k in range(len(f)) for sub in combinations(f, k + 1)}
     c = from_faces(faces)
-    assert c.faces == [
-        sorted((mask_of(s) for s in closure if len(s) == k + 1), key=vertices_of)
+    assert c.faces == tuple(
+        tuple(sorted((mask_of(s) for s in closure if len(s) == k + 1), key=vertices_of))
         for k in range(max(map(len, closure)))
-    ]
+    )
     assert maximal_simplices(c) == sorted(
         s for s in closure if not any(set(s) < set(t) for t in closure)
     )
@@ -291,8 +291,18 @@ def test_vr_faces_are_bounded_diameter_cliques(name, r):
 
 
 def _assert_lexicographic(c):
+    """Complex's invariant, checked against oracles of its own rather than _lex_sorted.
+
+    faces and each level are tuples, each level is in the lexicographic
+    order of its vertex tuples, and every facet of every face is present.
+    """
+    assert type(c.faces) is tuple
     for level in c.faces:
-        assert level == sorted(level, key=vertices_of)
+        assert type(level) is tuple
+        assert list(level) == sorted(level, key=vertices_of)
+    present = {vertices_of(m) for level in c.faces for m in level}
+    for s in present:
+        assert len(s) == 1 or set(combinations(s, len(s) - 1)) <= present, s
 
 
 def test_vr_levels_are_lexicographic_on_solids():
@@ -302,6 +312,60 @@ def test_vr_levels_are_lexicographic_on_solids():
         metric = _metric(name)
         for r in range(min(metric.diameter(), 4) + 1):
             _assert_lexicographic(vr_complex(metric, r))
+
+
+def test_every_constructor_keeps_the_complex_invariant():
+    from ripstone.formats import parse_complex
+    from ripstone.patterns import diameter3_tetrahedra
+
+    dodeca = _metric("dodecahedron")
+    vr3 = vr_complex(dodeca, 3)
+    listed = from_faces([(0, 4, 5), (1, 3), (2,), (0, 1, 2, 3), (4, 5)])
+    built = [
+        listed,
+        parse_complex("6 7\n0 1 4\n0 1 5\n2 3  # an edge\n1 2 3 4\n"),
+        skeleton(vr3, 2),
+        skeleton(listed, 1),
+        delete_open_cells(vr3, diameter3_tetrahedra(dodeca)),
+        delete_open_cells(listed, [(0, 1, 2, 3)]),
+        *(x for _keep, x in vr_complex(_metric("octahedron"), 1).join_factors),
+        *(x for _keep, x in vr_complex(_metric("cube"), 2).join_factors),
+        *(boundary_complex(name) for name in SOLIDS),
+        *(full_simplex_complex(n) for n in range(1, 9)),
+    ]
+    for name in ("octahedron", "icosahedron", "dodecahedron"):
+        metric = _metric(name)
+        built.append(antipodal_free_complex(metric, metric.diameter()))
+    for c in built:
+        _assert_lexicographic(c)
+
+
+def test_a_complex_given_its_faces_refuses_each_broken_invariant():
+    # the edge (0, 2) without its vertex (0,)
+    with pytest.raises(StructuralError, match=r"^face \(0, 2\) has no facet \(0,\) in the complex"):
+        Complex(vertex_count=3, faces=[[0b010, 0b100], [0b101]])
+    with pytest.raises(StructuralError, match=r"^face \(0, 1\) is listed twice$"):
+        Complex(vertex_count=2, faces=[[0b01, 0b10], [0b11, 0b11]])
+    with pytest.raises(StructuralError, match=r"^face \(0, 1\) is listed among the 0-faces$"):
+        Complex(vertex_count=2, faces=[[0b01, 0b11, 0b10]])
+    with pytest.raises(StructuralError, match=r"^face mask 4 is not a set of vertex ids below 2$"):
+        Complex(vertex_count=2, faces=[[0b01, 0b10, 0b100]])
+    with pytest.raises(StructuralError, match=r"^face mask -1 is not a set"):
+        Complex(vertex_count=2, faces=[[0b01, -1]])
+    with pytest.raises(StructuralError, match=r"^face \(\) is listed among the 0-faces$"):
+        Complex(vertex_count=2, faces=[[0b01, 0]])
+
+
+def test_a_complex_given_shuffled_levels_stores_them_sorted_and_immutable():
+    c = Complex(vertex_count=4, faces=[[0b1000, 0b0010, 0b0100, 0b0001], [0b1100, 0b0011, 0b0110]])
+    assert c.simplices(0) == [(0,), (1,), (2,), (3,)]
+    assert c.simplices(1) == [(0, 1), (1, 2), (2, 3)]
+    assert c == from_faces([(0, 1), (1, 2), (2, 3)])
+    _assert_lexicographic(c)
+    with pytest.raises(TypeError):
+        c.faces[1] = (0b0011,)
+    with pytest.raises(TypeError):
+        c.faces[1][0] = 0b1001
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -35,3 +35,18 @@ def test_benchmark_betti_table_is_the_program_table():
     # the benchmark pins the paper's Betti tables in its own copy; the two
     # must not drift apart
     assert _literal(PERFBENCH / "workloads.py", "PAPER_BETTI") == EXPECTED_BETTI
+
+
+def test_complexes_keep_what_the_tracer_reads():
+    # perfbench/tracing.py counts faces with face_total() and cones by
+    # cone_vertex; Complex is a plain class, so check both on each kind
+    from ripstone.simplicial import Complex, from_faces, full_simplex_complex
+
+    kinds = [
+        (Complex(vertex_count=2, faces=[[0b01, 0b10], [0b11]]), None, 3),
+        (full_simplex_complex(3), 0, 7),
+        (from_faces([(0, 1), (1, 2)]), None, 5),
+    ]
+    for c, cone, total in kinds:
+        assert c.cone_vertex == cone
+        assert c.face_total() == total
