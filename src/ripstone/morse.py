@@ -15,6 +15,14 @@ faces are critical, depend on the complex; the pairs' own rules, the
 acyclicity digraph with its cycle certificate and the pairing operator V
 depend on the pairs alone, and the last three are built once per Matching,
 however many complexes it is certified on.
+
+The stabilized flow of a chain depends on the matching alone too (Forman,
+"Morse theory for cell complexes", 1998), so a Matching keeps each flow
+it has made, keyed by the start chain, and a chain is flowed once per
+matching: the trace's two Morse complexes share their scale-2 columns,
+and its ten tetrahedron boundaries are flowed for the scale-3 Morse
+complex and reused by morse_flow.  Each flow step applies dV + Vd to the
+last step's change alone.
 """
 
 from __future__ import annotations
@@ -64,6 +72,16 @@ class Matching:
     def _operator(self) -> dict[int, tuple[int, int]]:
         """_pairing_operator of the matching, built once per matching."""
         return _pairing_operator(self)
+
+    @cached_property
+    def _matched(self) -> frozenset[int]:
+        """Every cell of a pair, built once per matching."""
+        return frozenset(cell for pair in self.pairs for cell in pair)
+
+    @cached_property
+    def _flows(self) -> dict[frozenset, tuple[dict, int]]:
+        """Stabilized flows through the matching, keyed by their start chain's terms."""
+        return {}
 
 
 def _tuple_order(mask: int) -> str:
@@ -120,10 +138,13 @@ def check_matching(c: Complex, m: Matching) -> MatchingReport:
     """
     violations = []
     roles: dict[int, int] = {}
+    index = [c.index(k) for k in range(c.dim + 1)]
+    top = len(index)
     for lo, up in m.pairs:
-        if not (c.has_mask(lo, lo.bit_count() - 1) and c.has_mask(up, up.bit_count() - 1)):
+        k, j = lo.bit_count() - 1, up.bit_count() - 1
+        if not (k < top and lo in index[k] and j < top and up in index[j]):
             problem = "uses a simplex outside the complex"
-        elif up.bit_count() != lo.bit_count() + 1 or lo & ~up:
+        elif j != k + 1 or lo & ~up:
             problem = "is not a facet-cofacet pair"
         else:
             for cell in (lo, up):
@@ -177,7 +198,7 @@ def _cycle_certificate(pairs) -> tuple | None:
 
 def _critical(c: Complex, m: Matching) -> list[list[int]]:
     """The masks of c's unmatched faces per dimension, up to the top dimension holding one."""
-    matched = {cell for pair in m.pairs for cell in pair}
+    matched = m._matched
     levels = [[mask for mask in level if mask not in matched] for level in c.faces]
     while levels and not levels[-1]:
         levels.pop()
@@ -390,72 +411,93 @@ def _pairing_operator(m: Matching) -> dict[int, tuple[int, int]]:
     return {lo: (up, -1 if (up & ((up ^ lo) - 1)).bit_count() & 1 else 1) for lo, up in m.pairs}
 
 
-def _axpy(acc: dict, key: int, val: int) -> None:
-    new = acc.get(key, 0) + val
-    if new:
-        acc[key] = new
-    else:
-        acc.pop(key, None)
-
-
-def _flow_once(cur: dict, v_map: dict) -> dict:
-    out = dict(cur)
-    for mask, co in cur.items():
-        hit = v_map.get(mask)
-        if hit is not None:  # d(V z)
-            up, vsign = hit
-            for fmask, fsign in signed_facets(up):
-                _axpy(out, fmask, co * vsign * fsign)
-        for fmask, fsign in signed_facets(mask):  # V(d z)
-            hit = v_map.get(fmask)
-            if hit is not None:
-                _axpy(out, hit[0], co * fsign * hit[1])
-    return out
-
-
 def _flow_to_fixpoint(chain: dict, v_map: dict, limit: int) -> tuple[dict, int]:
-    cur = chain
+    """Iterate z -> z + (dV + Vd)z from chain until it is fixed; the fixpoint and the steps.
+
+    The map is linear, so each step applies dV + Vd to the last step's
+    change alone: the first change is (dV + Vd)z, each next one is
+    D + (dV + Vd)D for the change D before it, and the chain is fixed once
+    the change is zero.  Facets and signs come from a bit loop under
+    signed_facets' rule, dropping the i-th smallest vertex with (-1)^(i+1).
+    """
+    cur = dict(chain)
+    change = chain
     steps = 0
     while True:
-        nxt = _flow_once(cur, v_map)
-        if nxt == cur:
+        nxt = dict(change) if steps else {}
+        for mask, co in change.items():
+            hit = v_map.get(mask)
+            if hit is not None:  # d(V z)
+                up, vsign = hit
+                co_up = -co * vsign
+                rest = up
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    nxt[up ^ low] = nxt.get(up ^ low, 0) + co_up
+                    co_up = -co_up
+            sign = -co
+            rest = mask
+            while rest:  # V(d z); a vertex's one "facet", 0, is never paired
+                low = rest & -rest
+                rest ^= low
+                hit = v_map.get(mask ^ low)
+                if hit is not None:
+                    nxt[hit[0]] = nxt.get(hit[0], 0) + sign * hit[1]
+                sign = -sign
+        change = {mask: co for mask, co in nxt.items() if co}
+        if not change:
             return cur, steps
-        cur = nxt
+        for mask, co in change.items():
+            co += cur.get(mask, 0)
+            if co:
+                cur[mask] = co
+            else:
+                del cur[mask]
         steps += 1
         if steps > limit:
             raise StructuralError("flow failed to stabilize; matching cannot be acyclic")
 
 
-def _certify(c: Complex, m: Matching) -> tuple[MatchingReport, dict | None]:
-    """check_matching(c, m) and, if it passes, the pairing operator of m.
+def _stable_flow(m: Matching, chain: dict, limit: int) -> tuple[dict, int]:
+    """_flow_to_fixpoint through m's pairing operator, computed once per matching and chain.
 
-    The report is cached in c._cache under the (frozen, hashable) matching,
-    so finding a matching, reporting on it and flowing many chains through
-    it check it on c once.  The pairing operator and the acyclicity digraph
-    depend on the pairs alone and are cached on m, so certifying m on a
-    second complex (the trace's punctured one) builds neither again.
+    The fixpoint depends on the matching and the chain alone, not on the
+    complex, so it is kept on m (Matching._flows); each caller gets its own
+    copy.  limit guards a matching that is not acyclic, and every flow kept
+    has stabilized.
     """
-    key = ("matching", m)
-    if key not in c._cache:
-        report = check_matching(c, m)
-        c._cache[key] = (report, m._operator if report.ok() else None)
-    return c._cache[key]
+    key = frozenset(chain.items())
+    if key not in m._flows:
+        m._flows[key] = _flow_to_fixpoint(chain, m._operator, limit)
+    fixed, steps = m._flows[key]
+    return dict(fixed), steps
 
 
 def matching_report(c: Complex, m: Matching) -> MatchingReport:
-    """check_matching(c, m), computed at most once per complex and matching."""
-    return _certify(c, m)[0]
+    """check_matching(c, m), computed at most once per complex and matching.
 
-
-def _certified(c: Complex, m: Matching, purpose: str | None = None) -> dict:
-    """The cached pairing operator of a valid acyclic matching.
-
-    Raises PreconditionError otherwise; with a purpose, the error names it
-    instead of the flow's own reasons.
+    The report is cached in c._cache under the (frozen, hashable) matching,
+    so finding a matching, reporting on it and flowing many chains through
+    it check it on c once.  The acyclicity digraph, the pairing operator
+    and the flows depend on the pairs alone and are cached on m, so
+    certifying m on a second complex (the trace's punctured one) builds
+    none of them again.
     """
-    report, v_map = _certify(c, m)
+    key = ("matching", m)
+    if key not in c._cache:
+        c._cache[key] = check_matching(c, m)
+    return c._cache[key]
+
+
+def _certified(c: Complex, m: Matching, purpose: str | None = None) -> None:
+    """Raise PreconditionError unless m is a valid acyclic matching on c.
+
+    With a purpose, the error names it instead of the flow's own reasons.
+    """
+    report = matching_report(c, m)
     if report.ok():
-        return v_map
+        return
     if purpose is not None:
         raise PreconditionError(f"{purpose} requires a valid acyclic matching")
     if not report.valid:
@@ -465,12 +507,12 @@ def _certified(c: Complex, m: Matching, purpose: str | None = None) -> dict:
 
 def morse_flow(c: Complex, m: Matching, z: Chain) -> FlowChain:
     """Iterate the flow map id + dV + Vd until the chain is fixed."""
-    v_map = _certified(c, m)
+    _certified(c, m)
     for s in z.terms:
         if not c.has_face(s):
             raise StructuralError(f"chain uses {s}, which is not a face of the complex")
     start = {mask_of(s): co for s, co in z.terms.items()}
-    fixed, steps = _flow_to_fixpoint(start, v_map, c.face_total())
+    fixed, steps = _stable_flow(m, start, c.face_total())
     terms = {vertices_of(mask): co for mask, co in fixed.items()}
     return FlowChain(chain=make_chain(z.dimension, terms), steps=steps)
 
@@ -481,7 +523,7 @@ def _morse_complex(c: Complex, m: Matching) -> tuple[list[int], Callable]:
     A critical cell's differential is the stabilized flow of its boundary on
     the critical cells; a skipped cell is never flowed.
     """
-    v_map = _certified(c, m, "critical complex")
+    _certified(c, m, "critical complex")
     crit = _critical(c, m)
     index = [{mask: i for i, mask in enumerate(level)} for level in crit]
     limit = c.face_total()
@@ -490,7 +532,7 @@ def _morse_complex(c: Complex, m: Matching) -> tuple[list[int], Callable]:
         below = index[k - 1]
         for j, mask in enumerate(crit[k]):
             if j not in skip:
-                fixed, _steps = _flow_to_fixpoint(dict(signed_facets(mask)), v_map, limit)
+                fixed, _steps = _stable_flow(m, dict(signed_facets(mask)), limit)
                 yield j, [(below[f], co) for f, co in fixed.items() if f in below]
 
     return [len(level) for level in crit], columns

@@ -48,6 +48,8 @@ def embeddings(p: PolytopeGraph, g: PolytopeGraph) -> list[tuple[int, ...]]:
         order.append(nxt)
         seen |= 1 << nxt
 
+    # for each depth, the placed vertices and whether each is adjacent to the next
+    placed = [[(u, p.adjacent(u, v)) for u in order[:depth]] for depth, v in enumerate(order)]
     results: list[tuple[int, ...]] = []
     img = [-1] * n
 
@@ -57,9 +59,9 @@ def embeddings(p: PolytopeGraph, g: PolytopeGraph) -> list[tuple[int, ...]]:
             return
         v = order[depth]
         cand = unused
-        for u in order[:depth]:
+        for u, adjacent in placed[depth]:
             nbrs = g.adjacency[img[u]]
-            cand &= nbrs if p.adjacent(u, v) else ~nbrs
+            cand &= nbrs if adjacent else ~nbrs
         for w in vertices_of(cand):
             img[v] = w
             place(depth + 1, unused ^ (1 << w))

@@ -90,13 +90,14 @@ class Complex:
     order of their vertex tuples, and the complex is closed downward.  Both
     are invariants that homology and the Morse search read off the storage:
     Complex(vertex_count, faces) sorts each level and raises StructuralError
-    for a face in the wrong level, a repeated face, a vertex id past
-    vertex_count or a missing facet.  The package's constructors build that
-    order and closure themselves: the clique walk, and the from_faces
-    closure, skeleton and delete_open_cells, which go through
-    Complex._built, which checks nothing.  faces and its levels are tuples, which cannot be edited
-    in place, so the lazy indexes and the _cache of homology bases,
-    certified matchings and maximal faces cannot go stale.
+    for an empty complex or top level, a face in the wrong level, a repeated
+    face, a vertex id past vertex_count or a missing facet.  The package's
+    constructors build that order and closure themselves: the clique walk,
+    and the from_faces closure, skeleton and delete_open_cells, which go
+    through Complex._built, which checks nothing.  faces and its levels are
+    tuples, which cannot be edited in place, so the lazy indexes and the
+    _cache of homology bases, certified matchings and maximal faces cannot
+    go stale.
 
     graph, when present, is the adjacency mask table of the graph whose
     clique complex this is; it enables fast maximality tests.  cone_vertex
@@ -111,6 +112,10 @@ class Complex:
 
     def __init__(self, vertex_count: int, faces):
         levels = tuple(tuple(_lex_sorted(level)) for level in faces)
+        if not any(levels):
+            raise StructuralError("refusing to build an empty complex")
+        if not levels[-1]:
+            raise StructuralError(f"the top level lists no {len(levels) - 1}-faces")
         top = 1 << vertex_count
         for k, level in enumerate(levels):
             for mask in level:

@@ -1,10 +1,12 @@
 """Edge-graph automorphism groups and the ten-tetrahedra character check.
 
 Groups are stored as generator lists with the order computed by an
-orbit-stabilizer chain.  The rotation subgroup is obtained purely
-combinatorially as the derived subgroup; for the dodecahedron this is the
-index-2 simple group of order 60, and the full group splits off a central
-involution (the antipodal map).  The closing verification compares the
+orbit-stabilizer chain; their elements come from a closure that skips
+each generator already in the group so far, so a redundant generator (a
+commutator, a class member) costs one membership test.  The rotation
+subgroup is obtained purely combinatorially as the derived subgroup; for
+the dodecahedron this is the index-2 simple group of order 60, and the
+full group splits off a central involution (the antipodal map).  The closing verification compares the
 permutation action on the ten distance-3 tetrahedra, class by class,
 against the character predicted by tensoring the doubled natural
 fixed-point counts with the two-element sign table.
@@ -92,17 +94,29 @@ def apply_to_simplex(p: Perm, s: Simplex) -> Simplex:
 
 @lru_cache(maxsize=None)
 def _closure(degree: int, generators: tuple) -> tuple:
+    """The group the generators generate, sorted, closed on one new generator at a time.
+
+    A generator already in the group so far is skipped.  The group so far
+    is closed under the kept generators, so a new one is composed with
+    each of its elements, and only the elements that brings in are composed
+    with every kept generator: each element meets each kept generator once.
+    """
     found = {identity_perm(degree)}
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for s in generators:
-                q = compose(s, p)
-                if q not in found:
-                    found.add(q)
-                    nxt.append(q)
-        frontier = nxt
+    kept: list[Perm] = []
+    for s in generators:
+        if s in found:
+            continue
+        kept.append(s)
+        frontier, gens = list(found), (s,)
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for g in gens:
+                    q = compose(g, p)
+                    if q not in found:
+                        found.add(q)
+                        nxt.append(q)
+            frontier, gens = nxt, kept
     return tuple(sorted(found))
 
 
@@ -213,7 +227,7 @@ def conjugacy_classes(group: PermGroup) -> list:
     smallest degree-n permutation.
     """
     elems = group_elements(group)
-    gens = group.generators
+    gens = [(s, inverse(s)) for s in group.generators]
     remaining = set(elems)
     classes = []
     for p in elems:
@@ -224,8 +238,8 @@ def conjugacy_classes(group: PermGroup) -> list:
         while frontier:
             nxt = []
             for x in frontier:
-                for s in gens:
-                    y = compose(s, compose(x, inverse(s)))
+                for s, s_inv in gens:
+                    y = compose(s, compose(x, s_inv))
                     if y not in cls:
                         cls.add(y)
                         nxt.append(y)

@@ -39,6 +39,9 @@ COMMANDS = (
     ("verify_main_theorem", ["verify", "main-theorem"]),
     ("dodeca_tetrahedra", ["dodeca", "tetrahedra"]),
     ("dodeca_trace_seed1", ["dodeca", "trace", "--seed", "1"]),
+    # the two trace seeds the scale3 benchmark workload runs
+    ("dodeca_trace_seed1456464704", ["dodeca", "trace", "--seed", "1456464704"]),
+    ("dodeca_trace_seed1502171856", ["dodeca", "trace", "--seed", "1502171856"]),
     ("symmetry_report", ["symmetry", "report"]),
     ("cube_series_max8", ["cube", "series", "--max-n", "8"]),
     ("cube_verify_n4", ["cube", "verify", "--n", "4"]),

@@ -1,10 +1,11 @@
 """Discrete vector fields: certification, search, flow, fans and flips."""
 
 import io
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-
+from hypothesis import given, settings, strategies as st
 
 from ripstone.errors import (
     ParameterError,
@@ -576,3 +577,179 @@ def test_candidates_outside_the_complex_are_refused():
         morse._find_matching(skeleton(tet, 1), cells, [1], 5, 10)
     with pytest.raises(StructuralError, match=message):
         find_matching(skeleton(tet, 1), all_faces(tet), [(0,)], seed=5, max_attempts=10)
+
+
+def _whole_chain_flow(chain, v_map, limit):
+    """Reference flow: id + dV + Vd applied to the whole chain at every step.
+
+    The flow as iterated before each step applied the map to the last
+    step's change alone; same fixpoint, same step count.
+    """
+    from ripstone.simplicial import signed_facets
+
+    def add(acc, key, val):
+        new = acc.get(key, 0) + val
+        if new:
+            acc[key] = new
+        else:
+            acc.pop(key, None)
+
+    cur, steps = chain, 0
+    while True:
+        nxt = dict(cur)
+        for mask, co in cur.items():
+            hit = v_map.get(mask)
+            if hit is not None:
+                up, vsign = hit
+                for fmask, fsign in signed_facets(up):
+                    add(nxt, fmask, co * vsign * fsign)
+            for fmask, fsign in signed_facets(mask):
+                hit = v_map.get(fmask)
+                if hit is not None:
+                    add(nxt, hit[0], co * fsign * hit[1])
+        if nxt == cur:
+            return cur, steps
+        cur = nxt
+        steps += 1
+        assert steps <= limit
+
+
+@st.composite
+def collapse_matchings(draw):
+    """A complex on at most 7 vertices and a matching of random elementary collapses.
+
+    Each pair is a free face and its one live cofacet, so the matching is
+    acyclic; it is partial when the collapses stop early or get stuck.
+    """
+    from ripstone.morse import _matching
+
+    n = draw(st.integers(min_value=2, max_value=7))
+    tops = draw(
+        st.lists(
+            st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=5),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    c = from_faces([tuple(sorted(t)) for t in tops])
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    live = {mask for level in c.faces for mask in level}
+    pairs = []
+    while rng.random() > 0.05:
+        free = []
+        for lo in sorted(live):
+            ups = [lo | 1 << v for v in range(n) if not lo >> v & 1 and lo | 1 << v in live]
+            if len(ups) == 1:
+                free.append((lo, ups[0]))
+        if not free:
+            break
+        lo, up = rng.choice(free)
+        pairs.append((lo, up))
+        live -= {lo, up}
+    return c, _matching(pairs), rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(collapse_matchings())
+def test_change_only_flow_matches_the_whole_chain_iteration(drawn):
+    from ripstone.morse import _flow_to_fixpoint
+    from ripstone.simplicial import signed_facets
+
+    c, m, rng = drawn
+    assert check_matching(c, m).ok()
+    limit = c.face_total()
+    starts = [dict(signed_facets(mask)) for level in c.faces[1:] for mask in level]
+    for level in c.faces:
+        chain = {mask: rng.randint(-3, 3) for mask in level if rng.random() < 0.5}
+        starts.append({mask: co for mask, co in chain.items() if co})
+    for start in starts:
+        expected = _whole_chain_flow(dict(start), m._operator, limit)
+        assert _flow_to_fixpoint(dict(start), m._operator, limit) == expected
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_change_only_flow_matches_the_whole_chain_iteration_on_the_trace(seed):
+    # every chain the trace flows: the boundary of each critical cell of VR_3,
+    # the ten tetrahedra among them; these are cycles, on which Vd cancels,
+    # so each matched edge and triangle is flowed on its own too
+    from ripstone.morse import _critical, _find_matching, _flow_to_fixpoint
+    from ripstone.simplicial import signed_facets
+
+    c3, candidate, forced = _trace_search()
+    m = _find_matching(c3, candidate, forced, seed, 1000)
+    limit = c3.face_total()
+    cells = [mask for level in _critical(c3, m)[1:] for mask in level]
+    assert set(forced) <= set(cells)
+    starts = [dict(signed_facets(mask)) for mask in cells]
+    starts += [{mask: 1} for mask in sorted(m._matched) if mask.bit_count() in (2, 3)]
+    steps = 0
+    for start in starts:
+        fixed = _flow_to_fixpoint(dict(start), m._operator, limit)
+        assert fixed == _whole_chain_flow(start, m._operator, limit), start
+        steps += fixed[1]
+    assert steps > 0
+
+
+def _counted_flows(monkeypatch):
+    """Patch morse._flow_to_fixpoint to record each start chain's terms."""
+    from ripstone import morse
+
+    starts = []
+    flow = morse._flow_to_fixpoint
+
+    def counted(chain, v_map, limit):
+        starts.append(frozenset(chain.items()))
+        return flow(chain, v_map, limit)
+
+    monkeypatch.setattr(morse, "_flow_to_fixpoint", counted)
+    return starts
+
+
+def test_a_chain_is_flowed_once_per_matching(monkeypatch):
+    starts = _counted_flows(monkeypatch)
+    c = full_simplex_complex(5)
+    m = fan_matching(5, 0)
+    z = make_chain(2, {(1, 2, 3): 1, (1, 3, 4): -2})
+    first = morse_flow(c, m, z)
+    assert first.steps > 0
+    assert morse_flow(c, m, z) == first
+    # another complex the matching is certified on shares the flow
+    assert morse_flow(full_simplex_complex(6), m, z) == first
+    assert len(starts) == 1
+    # an equal matching is another object, with flows of its own
+    assert morse_flow(c, fan_matching(5, 0), z) == first
+    assert len(starts) == 2
+
+
+def test_a_returned_flow_is_a_copy(monkeypatch):
+    from ripstone import morse
+
+    c = full_simplex_complex(5)
+    m = fan_matching(5, 0)
+    z = make_chain(2, {(1, 2, 3): 1})
+    first = morse_flow(c, m, z)
+    expected = dict(first.chain.terms)
+    first.chain.terms.clear()
+    assert morse_flow(c, m, z).chain.terms == expected
+    start = {0b11100: 1}
+    fixed, steps = morse._stable_flow(m, start, c.face_total())
+    kept = dict(fixed)
+    fixed[0b11100] = 7
+    fixed.pop(next(iter(kept)), None)
+    assert morse._stable_flow(m, start, c.face_total()) == (kept, steps)
+
+
+def test_the_trace_flows_each_start_chain_once(monkeypatch):
+    from ripstone.patterns import diameter3_tetrahedra
+    from ripstone.pipelines import trace_dodecahedron
+    from ripstone.simplicial import mask_of, signed_facets
+
+    starts = _counted_flows(monkeypatch)
+    report = trace_dodecahedron(seed=1)
+    assert all(r.passed for r in report.rows)
+    assert len(starts) == len(set(starts))
+    # the ten tetrahedron boundaries are among them, flowed once for both
+    # the critical complexes and the class rows
+    metric = combinatorial_metric(build_solid("dodecahedron"))
+    for t in diameter3_tetrahedra(metric):
+        assert frozenset(signed_facets(mask_of(t))) in set(starts)

@@ -356,6 +356,21 @@ def test_a_complex_given_its_faces_refuses_each_broken_invariant():
         Complex(vertex_count=2, faces=[[0b01, 0]])
 
 
+def test_a_complex_given_no_faces_is_refused():
+    # as every other constructor refuses it; it used to report dim -1
+    for faces in ([], [[]], [[], []]):
+        with pytest.raises(StructuralError, match=r"^refusing to build an empty complex$"):
+            Complex(vertex_count=2, faces=faces)
+
+
+def test_a_complex_given_an_empty_top_level_is_refused():
+    # it used to report dim 1 with no edge
+    with pytest.raises(StructuralError, match=r"^the top level lists no 1-faces$"):
+        Complex(vertex_count=2, faces=[[0b01, 0b10], []])
+    with pytest.raises(StructuralError, match=r"^the top level lists no 2-faces$"):
+        Complex(vertex_count=2, faces=[[0b01, 0b10], [0b11], []])
+
+
 def test_a_complex_given_shuffled_levels_stores_them_sorted_and_immutable():
     c = Complex(vertex_count=4, faces=[[0b1000, 0b0010, 0b0100, 0b0001], [0b1100, 0b0011, 0b0110]])
     assert c.simplices(0) == [(0,), (1,), (2,), (3,)]

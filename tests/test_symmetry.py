@@ -1,12 +1,14 @@
 """Automorphism groups of the solid graphs and the tetrahedra action."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from ripstone.errors import ParameterError, StructuralError, VerificationError
 from ripstone.patterns import diameter3_tetrahedra
 from ripstone.polytopes import SOLIDS, build_solid, combinatorial_metric
 from ripstone.symmetry import (
+    _closure,
     _derived_elements,
     apply_to_simplex,
     automorphisms,
@@ -195,3 +197,45 @@ def test_octahedron_and_cube_groups_agree():
     assert sorted(len(c) for c in conjugacy_classes(cube)) == sorted(
         len(c) for c in conjugacy_classes(octa)
     )
+
+
+def _plain_closure(degree, generators):
+    """Reference closure: breadth-first products with every generator, sorted."""
+    found = {identity_perm(degree)}
+    frontier = list(found)
+    while frontier:
+        frontier = [compose(s, p) for p in frontier for s in generators]
+        frontier = [p for p in set(frontier) if p not in found]
+        found.update(frontier)
+    return tuple(sorted(found))
+
+
+@st.composite
+def generator_tuples(draw):
+    """Permutations of degree <= 8 with the identity, repeats and redundant products mixed in."""
+    degree = draw(st.integers(min_value=1, max_value=8))
+    perm = st.permutations(range(degree)).map(tuple)
+    base = draw(st.lists(perm, min_size=1, max_size=3))
+    extra = [identity_perm(degree), base[0], compose(base[-1], base[0]), inverse(base[0])]
+    gens = draw(st.permutations(base + extra))
+    return degree, tuple(gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_tuples())
+def test_closure_on_new_generators_matches_the_plain_closure(drawn):
+    degree, gens = drawn
+    assert _closure.__wrapped__(degree, gens) == _plain_closure(degree, gens)
+
+
+def test_closure_composes_each_element_with_each_kept_generator_once(monkeypatch):
+    from ripstone import symmetry
+
+    g = dodeca_group()
+    elems = group_elements(g)
+    # every element after the generators is already in the group they generate
+    gens = (*g.generators, *elems[:40])
+    calls = []
+    monkeypatch.setattr(symmetry, "compose", lambda p, q: calls.append(1) or compose(p, q))
+    assert _closure.__wrapped__(g.degree, gens) == elems
+    assert len(calls) <= len(elems) * len(g.generators)
