@@ -7,7 +7,9 @@ and morse.Matching.pairs, whose (lower, upper) pairs are face masks.  A
 Complex keeps each level in the lexicographic order of its vertex tuples
 and is closed downward; a complex given its faces is sorted and checked
 once, at construction, and the constructors here build both properties
-themselves, so no consumer checks them again.
+themselves, so no consumer checks them again: the clique walk and the
+from_faces closure both emit each face once, by depth-first extension with
+larger vertices, already in that order.
 
 Clique complexes (vr_complex, antipodal_free_complex, full_simplex_complex)
 are built lazily: the constructor keeps the graph, and the faces are
@@ -92,12 +94,12 @@ class Complex:
     Complex(vertex_count, faces) sorts each level and raises StructuralError
     for an empty complex or top level, a face in the wrong level, a repeated
     face, a vertex id past vertex_count or a missing facet.  The package's
-    constructors build that order and closure themselves: the clique walk,
-    and the from_faces closure, skeleton and delete_open_cells, which go
-    through Complex._built, which checks nothing.  faces and its levels are
-    tuples, which cannot be edited in place, so the lazy indexes and the
-    _cache of homology bases, certified matchings and maximal faces cannot
-    go stale.
+    constructors build that order and closure themselves: the clique walk
+    and the from_faces walk emit the faces in order, and skeleton and
+    delete_open_cells keep it; the latter three go through Complex._built,
+    which checks nothing.  faces and its levels are tuples, which cannot be
+    edited in place, so the lazy indexes and the _cache of homology bases,
+    certified matchings and maximal faces cannot go stale.
 
     graph, when present, is the adjacency mask table of the graph whose
     clique complex this is; it enables fast maximality tests.  cone_vertex
@@ -343,8 +345,9 @@ def vr_complex(metric: DistanceMatrix, r: int) -> Complex:
 def from_faces(faces, vertex_count: int | None = None) -> Complex:
     """The downward closure of the given simplices, at most FACE_BUDGET faces.
 
-    Each face is validated by simplex() and closed by _closure, which also
-    records the complex's maximal faces for maximal_simplices.
+    Each face is validated by simplex() and closed by _closure, one walk per
+    vertex that emits the faces in storage order and records the complex's
+    maximal faces for maximal_simplices on the way.
     """
     return _closure(map(simplex, faces), vertex_count)
 
@@ -352,42 +355,89 @@ def from_faces(faces, vertex_count: int | None = None) -> Complex:
 def _closure(simplices, vertex_count: int | None = None) -> Complex:
     """from_faces on simplices already validated as simplex() would.
 
-    The closure is built level by level from the top dimension down: each
-    level is the facets of the level above plus the listed faces of its
-    size, and the listed faces that no facet covers are its maximal faces.
-    They are kept, in storage order, as the complex's _cache["maximal"].
+    One depth-first walk per vertex v, in ascending order, emits once each
+    face whose smallest vertex is v, extending only by larger vertices as
+    _enumerate_cliques does, so every level comes out in storage order.  The
+    walk numbers v's star (the listed faces holding v) locally and carries
+    with each face the star faces holding it; candidates are the vertices
+    sharing a listed face with each vertex added.  Once one listed face holds
+    a face, every extension inside it is a face and is emitted untested.  A
+    face is maximal exactly when its only holder is itself; the maximal faces
+    are kept, in storage order, as the complex's _cache["maximal"].  Tables
+    are keyed by the vertices present; a listed face of more than 21
+    vertices is refused before the walk, which stops past FACE_BUDGET faces.
     """
-    listed: dict[int, set[int]] = {}  # vertex count -> listed masks
-    top = 0
+    star: dict[int, tuple[list[int], list[Simplex]]] = {}  # vertex -> listed faces holding it
+    seen: set[int] = set()
+    width = top = 0
     for s in simplices:
         if (1 << len(s)) - 1 > FACE_BUDGET:  # its own closure is too big
             raise _budget_error()
+        m = mask_of(s)
+        if m in seen:
+            continue
+        seen.add(m)
+        width = max(width, len(s))
         top = max(top, s[-1] + 1)
-        listed.setdefault(len(s), set()).add(mask_of(s))
+        for v in s:
+            held = star.get(v)
+            if held is None:
+                star[v] = held = ([], [])
+            held[0].append(m)
+            held[1].append(s)
     if vertex_count is None:
         vertex_count = top
     elif vertex_count < top:
         raise ParameterError("vertex_count is smaller than the largest vertex id")
-    if not listed:
+    if not star:
         raise StructuralError("refusing to build an empty complex")
+    near = {}  # vertex -> the vertices sharing a listed face with it
+    for v, (masks, _) in star.items():
+        n = 0
+        for m in masks:
+            n |= m
+        near[v] = n
+    levels: list[list[int]] = [[] for _ in range(width)]
+    maximal: list[list[int]] = [[] for _ in range(width)]
     room = FACE_BUDGET
-    width = max(listed)
-    faces: list[tuple[int, ...]] = [() for _ in range(width)]
-    maximal: list[list[int]] = []  # per level, top level first
-    above: set[int] = set()
-    for size in range(width, 0, -1):
-        level: set[int] = set()
-        _add_facets(level, above, room)
-        uncovered = listed.pop(size, set()) - level
-        level |= uncovered
-        room -= len(level)
-        if room < 0:  # listed faces alone can overflow a level
+
+    def walk(face: int, dim: int, held: int, cand: int) -> None:
+        # emit face, held by the star faces in held, and its extensions by cand
+        nonlocal room
+        room -= 1
+        if room < 0:
             raise _budget_error()
-        faces[size - 1] = tuple(_lex_sorted(level))
-        maximal.append(_lex_sorted(uncovered))
-        above = level
-    c = Complex._built(vertex_count, tuple(faces))
-    c._cache["maximal"] = [m for level in reversed(maximal) for m in level]
+        levels[dim].append(face)
+        if held & (held - 1):  # two or more star faces hold it
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                w = low.bit_length() - 1
+                h = held & holders[w]
+                if h:
+                    walk(face | low, dim + 1, h, cand & near[w])
+            return
+        own = owns[held.bit_length() - 1]  # the one listed face holding it
+        if face == own:
+            maximal[dim].append(face)
+        rest = cand & own  # own holds every extension inside it: no tests
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            walk(face | low, dim + 1, held, rest)
+
+    for v in sorted(star):
+        owns, listed = star[v]  # the star's faces are numbered by their place here
+        holders = {}  # w > v -> the star faces holding w, as bits of their numbers
+        b = 1
+        for s in listed:
+            for w in s:
+                if w > v:
+                    holders[w] = holders.get(w, 0) | b
+            b <<= 1
+        walk(1 << v, 0, b - 1, near[v] & -(2 << v))
+    c = Complex._built(vertex_count, tuple(map(tuple, levels)))
+    c._cache["maximal"] = [m for level in maximal for m in level]
     return c
 
 

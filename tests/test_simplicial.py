@@ -225,20 +225,48 @@ def test_from_faces_is_downward_closed(faces):
     assert rebuilt == c
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(face_lists(max_n=10, max_size=6))
-def test_from_faces_and_maximal_faces_match_brute_force(faces):
-    # list some faces twice and some of their proper faces as well
-    faces = faces + faces[:2] + [f[1:] for f in faces if len(f) > 1]
+def _assert_closure_matches_brute_force(faces):
     closure = {sub for f in faces for k in range(len(f)) for sub in combinations(f, k + 1)}
     c = from_faces(faces)
     assert c.faces == tuple(
         tuple(sorted((mask_of(s) for s in closure if len(s) == k + 1), key=vertices_of))
         for k in range(max(map(len, closure)))
     )
-    assert maximal_simplices(c) == sorted(
-        s for s in closure if not any(set(s) < set(t) for t in closure)
-    )
+    maximal = [s for s in closure if not any(set(s) < set(t) for t in closure)]
+    assert maximal_simplices(c) == sorted(maximal)
+    # the record is in storage order: by dimension, then lexicographic
+    assert c._cache["maximal"] == [mask_of(s) for s in sorted(maximal, key=lambda s: (len(s), s))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(face_lists(max_n=10, max_size=6))
+def test_from_faces_and_maximal_faces_match_brute_force(faces):
+    # list some faces twice, and each one without its first, last and a middle vertex
+    faces = faces + faces[:2]
+    for f in faces[:]:
+        if len(f) > 1:
+            mid = len(f) // 2
+            faces += [f[1:], f[:-1], f[:mid] + f[mid + 1 :]]
+    _assert_closure_matches_brute_force(faces)
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        [(0, 1), (1,)],  # a listed face held only through a lower vertex
+        [(0, 1, 2), (2,)],
+        [(0, 1, 2), (0, 2)],  # a listed face inside a single holder
+        [(0, 1, 2), (1, 2, 3), (1, 2)],  # a listed face under two holders
+    ],
+)
+def test_the_maximal_record_of_pinned_closures(faces):
+    _assert_closure_matches_brute_force(faces)
+
+
+def test_from_faces_on_a_dense_edge_list_matches_brute_force():
+    # every root vertex's star holds many listed faces, most of them edges
+    faces = list(combinations(range(30), 2)) + [(0, 1, 2), (3, 17, 29), (5, 6, 28), (0, 1, 3)]
+    _assert_closure_matches_brute_force(faces)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
