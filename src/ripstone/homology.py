@@ -7,7 +7,8 @@ unit pivots span a direct summand, so each rank is exact and adds no torsion.
 A column whose pivot is not a unit is set aside and, once the pass is done,
 stripped of every unit-pivot row; only what is left of such columns, the
 residual, goes to sparse Smith normal form, which also backs
-smith_normal_form and cycle_class's homology bases.
+smith_normal_form.  cycle_class reads classes off a discrete Morse matching
+(see morse._element_matching) instead of a reduction.
 
 homology() hands the reduction a complex's columns lazily, as Ripser does
 (Bauer, "Ripser: efficient computation of Vietoris-Rips persistence
@@ -138,7 +139,8 @@ class IntMatrix:
 def _boundary_columns(c: Complex, k: int, skip=()):
     """d_k column by column in storage order, as (column, its (row, sign) pairs).
 
-    Columns whose index is in skip are left out without being built.
+    Columns whose index is in skip are left out without being built.  The
+    eager form of _face_columns, which tests reduce as the reference.
     """
     below = c.index(k - 1)
     for j, mask in enumerate(c.faces[k]):
@@ -189,7 +191,6 @@ class _Reduction:
     factors: list[int]
     u_rows: dict | None = None
     v_cols: dict | None = None
-    vinv_rows: dict | None = None
 
 
 def _add_into(dst: dict, src: dict, k: int) -> None:
@@ -201,18 +202,15 @@ def _add_into(dst: dict, src: dict, k: int) -> None:
             dst.pop(key, None)
 
 
-def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset()) -> _Reduction:
+def _reduce(nrows: int, ncols: int, row_data: dict, transforms: bool = False) -> _Reduction:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
-    row_data is consumed.  need may contain "U", "V", "Vinv"; the
-    requested transforms are returned with the final permutation and
-    divisibility normalization applied, so that U * A * V embeds the
-    invariant-factor diagonal at positions (0,0), (1,1), ...
+    row_data is consumed.  With transforms, U and V are returned with the
+    final permutation and divisibility normalization applied, so that
+    U * A * V embeds the invariant-factor diagonal at positions (0,0), (1,1), ...
     """
-    track = bool(need)
-    u_rows = {i: {i: 1} for i in range(nrows)} if "U" in need else None
-    v_cols = {j: {j: 1} for j in range(ncols)} if "V" in need else None
-    vinv_rows = {j: {j: 1} for j in range(ncols)} if "Vinv" in need else None
+    u_rows = {i: {i: 1} for i in range(nrows)} if transforms else None
+    v_cols = {j: {j: 1} for j in range(ncols)} if transforms else None
 
     col_rows: dict[int, set] = {}
     for r, row in row_data.items():
@@ -225,23 +223,19 @@ def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset(
 
     # Transform updates for elimination and the diagonal pass (after reindexing).
     def u_add(dst: int, src: int, k: int) -> None:
-        if u_rows is not None:
+        if transforms:
             _add_into(u_rows[dst], u_rows[src], k)
 
     def v_add(dst: int, src: int, k: int) -> None:
-        if v_cols is not None:
+        if transforms:
             _add_into(v_cols[dst], v_cols[src], k)
-        if vinv_rows is not None:
-            _add_into(vinv_rows[src], vinv_rows[dst], -k)
 
     def v_swap(i: int, j: int) -> None:
-        if v_cols is not None:
+        if transforms:
             v_cols[i], v_cols[j] = v_cols[j], v_cols[i]
-        if vinv_rows is not None:
-            vinv_rows[i], vinv_rows[j] = vinv_rows[j], vinv_rows[i]
 
     def u_negate(i: int) -> None:
-        if u_rows is not None:
+        if transforms:
             for key in u_rows[i]:
                 u_rows[i][key] = -u_rows[i][key]
 
@@ -329,7 +323,7 @@ def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset(
     # Unit pivots first, so the divisibility pass below runs over the tail only.
     pivots.sort(key=lambda p: abs(p[2]) != 1)
     units = sum(1 for p in pivots if abs(p[2]) == 1)
-    if track:
+    if transforms:
         # Move pivots onto the leading diagonal: transforms are reindexed on
         # their permuted axis, nothing else changes.
         row_perm = {}
@@ -347,12 +341,8 @@ def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset(
             if cc not in col_perm:
                 col_perm[cc] = nxt
                 nxt += 1
-        if u_rows is not None:
-            u_rows = {row_perm[r]: row for r, row in u_rows.items()}
-        if v_cols is not None:
-            v_cols = {col_perm[cc]: col for cc, col in v_cols.items()}
-        if vinv_rows is not None:
-            vinv_rows = {col_perm[cc]: row for cc, row in vinv_rows.items()}
+        u_rows = {row_perm[r]: row for r, row in u_rows.items()}
+        v_cols = {col_perm[cc]: col for cc, col in v_cols.items()}
 
     diag = [p[2] for p in pivots]
     for i in range(len(diag)):
@@ -390,9 +380,7 @@ def _reduce(nrows: int, ncols: int, row_data: dict, need: frozenset = frozenset(
                     w = -w
                 diag[i], diag[j] = x, w
 
-    return _Reduction(
-        rank=len(diag), factors=diag, u_rows=u_rows, v_cols=v_cols, vinv_rows=vinv_rows
-    )
+    return _Reduction(rank=len(diag), factors=diag, u_rows=u_rows, v_cols=v_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +404,7 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             raise ParameterError(f"entry {(i, j)} outside a {a.rows} x {a.cols} matrix")
         if v:
             row_data.setdefault(i, {})[j] = int(v)
-    red = _reduce(a.rows, a.cols, row_data, need=frozenset({"U", "V"}))
+    red = _reduce(a.rows, a.cols, row_data, transforms=True)
     diagonal = red.factors + [0] * (min(a.rows, a.cols) - red.rank)
     left = [[0] * a.rows for _ in range(a.rows)]
     for i, row in red.u_rows.items():
@@ -658,87 +646,20 @@ def euler_characteristic(c: Complex) -> int:
 # cycle classification
 
 
-class HomologyBasis:
-    """A fixed integral basis for the free part of H_k of one complex.
-
-    Built once per (complex, dimension); classify() expresses any k-cycle in
-    the basis.  Deterministic given the complex's face order.
-    """
-
-    def __init__(self, c: Complex, k: int):
-        if not 0 <= k <= c.dim:
-            raise ParameterError(f"dimension {k} outside 0..{c.dim}")
-        self.complex = c
-        self.k = k
-        n = len(c.faces[k])
-        if k >= 1:
-            red_a = _reduce(
-                len(c.faces[k - 1]), n, _rows(_boundary_columns(c, k)), need=frozenset({"Vinv"})
-            )
-            self.rank_a = red_a.rank
-            vinv_rows = red_a.vinv_rows
-        else:
-            self.rank_a = 0
-            vinv_rows = {j: {j: 1} for j in range(n)}
-        self.kernel_dim = n - self.rank_a
-        # column-oriented copy of Vinv for sparse vector transport
-        self.vinv_by_col: dict[int, dict[int, int]] = {}
-        for i, row in vinv_rows.items():
-            for j, v in row.items():
-                self.vinv_by_col.setdefault(j, {})[i] = v
-        # image of d_{k+1} in kernel coordinates
-        bhat: dict[int, dict[int, int]] = {}
-        ncols_b = 0
-        if k + 1 <= c.dim:
-            ncols_b = len(c.faces[k + 1])
-            for j, col in _boundary_columns(c, k + 1):
-                acc: dict[int, int] = {}
-                for i, sign in col:
-                    self._accumulate(acc, i, sign)
-                for pos, val in acc.items():
-                    if pos < self.rank_a:
-                        raise StructuralError("boundary column is not a cycle; bad complex")
-                    bhat.setdefault(pos - self.rank_a, {})[j] = val
-        red_b = _reduce(self.kernel_dim, ncols_b, bhat, need=frozenset({"U"}))
-        self.rank_b = red_b.rank
-        self.u_rows = red_b.u_rows
-
-    def _accumulate(self, acc: dict[int, int], col: int, coeff: int) -> None:
-        for i, v in self.vinv_by_col.get(col, {}).items():
-            new = acc.get(i, 0) + coeff * v
-            if new:
-                acc[i] = new
-            else:
-                del acc[i]
-
-    def classify(self, z: Chain) -> tuple[int, ...]:
-        index = self.complex.index(self.k)
-        acc: dict[int, int] = {}
-        for s, coeff in z.terms.items():
-            self._accumulate(acc, index[mask_of(s)], coeff)
-        if any(pos < self.rank_a for pos in acc):
-            raise PreconditionError("chain is not a cycle")
-        coords = []
-        for i in range(self.rank_b, self.kernel_dim):
-            row = self.u_rows[i]
-            coords.append(sum(v * acc.get(j + self.rank_a, 0) for j, v in row.items()))
-        return tuple(coords)
-
-
-def _basis(c: Complex, k: int) -> HomologyBasis:
-    key = ("basis", k)
-    if key not in c._cache:
-        c._cache[key] = HomologyBasis(c, k)
-    return c._cache[key]
-
-
 def cycle_class(c: Complex, z: Chain) -> tuple[int, ...]:
-    """Coordinates of a cycle's class in the fixed basis of the free part of H_k.
+    """Coordinates of a cycle's class in H_k, read off c's element matching.
 
-    The zero chain maps to the zero vector; a non-cycle raises
-    PreconditionError; a chain using simplices outside the complex raises
-    StructuralError.
+    They are z's coefficients on the critical k-cells, in storage order, of
+    its stabilized flow through morse._element_matching(c).  That flow is a
+    chain homotopy equivalence onto the Morse complex (Forman, "Morse theory
+    for cell complexes", Adv. Math. 134 (1998)), so where the Morse d_k and
+    d_(k+1) are zero, H_k is free on those cells and a boundary maps to
+    zero; elsewhere ParameterError names the differential that is not.  A
+    non-cycle raises PreconditionError; a chain using simplices outside the
+    complex raises StructuralError.
     """
+    from .morse import _class_cells, _stable_flow
+
     k = z.dimension
     if not 0 <= k <= c.dim:
         raise ParameterError(f"chain dimension {k} outside 0..{c.dim}")
@@ -750,4 +671,6 @@ def cycle_class(c: Complex, z: Chain) -> tuple[int, ...]:
         # boundary must vanish inside the complex; since the complex is closed
         # downward this is the full cycle condition
         raise PreconditionError("chain is not a cycle")
-    return _basis(c, k).classify(z)
+    m, cells = _class_cells(c, k)
+    fixed, _steps = _stable_flow(m, {mask_of(s): co for s, co in z.terms.items()}, c.face_total())
+    return tuple(fixed.get(cell, 0) for cell in cells)

@@ -2,8 +2,9 @@
 
 Covers certification (validity, acyclicity with explicit cycle certificates),
 randomized constrained search by free-pair collapse, the algebraic flow that
-traces chains through a collapse, the homology of the critical complex, and
-the polygon fan/flip matchings.  The critical complex goes through
+traces chains through a collapse, the homology of the critical complex, the
+element matching that homology.cycle_class reads classes off, and the
+polygon fan/flip matchings.  The critical complex goes through
 homology()'s clearing, unit-pivot and residual-Smith routine.
 
 Matchings hold face bitmasks, and every step here works on them; vertex
@@ -84,20 +85,11 @@ class Matching:
         return {}
 
 
-def _tuple_order(mask: int) -> str:
-    """A sort key under which masks order as their vertex tuples do.
-
-    Read from vertex 0 up to the largest vertex, a vertex of the face is "1"
-    and any other is "2"; a shorter key that is a prefix sorts first.
-    """
-    return format(mask, "b")[::-1].replace("0", "2")
-
-
 def _matching(mask_pairs) -> Matching:
     """The canonical Matching of (lower mask, upper mask) pairs."""
 
     def key(pair):
-        return pair[0].bit_count(), _tuple_order(pair[0]), _tuple_order(pair[1])
+        return pair[0].bit_count(), vertices_of(pair[0]), vertices_of(pair[1])
 
     return Matching(tuple(sorted(set(mask_pairs), key=key)))
 
@@ -542,6 +534,59 @@ def critical_complex_homology(c: Complex, m: Matching) -> HomologyResult:
     """Homology of the Morse chain complex on the critical cells; agrees with homology(c)."""
     counts, columns = _morse_complex(c, m)
     return _homology_from_counts(counts, _boundary_ranks(counts, columns)[0])
+
+
+def _element_matching(c: Complex) -> Matching:
+    """The element matching of c on the vertex order 0, 1, 2, ..., certified and cached.
+
+    For each vertex v in turn, every face t holding v is paired with t - v
+    when neither is paired yet.  A sequence of element matchings is acyclic
+    on any family of faces (Jonsson, Simplicial Complexes of Graphs, LNM
+    1928 (2008)); the result is certified all the same.  The faces are
+    bucketed by vertex once, so each is visited once per vertex it holds.
+    """
+    if "element matching" not in c._cache:
+        star: dict[int, list[int]] = {}  # vertex -> the faces of dimension >= 1 holding it
+        for level in c.faces[1:]:
+            for t in level:
+                for v in vertices_of(t):
+                    star.setdefault(v, []).append(t)
+        live = set().union(*c.faces)
+        upper = {}  # lower cell -> its pair's upper cell
+        for v in sorted(star):
+            for t in star[v]:
+                if t in live and t ^ 1 << v in live:
+                    live -= {t, t ^ 1 << v}
+                    upper[t ^ 1 << v] = t
+        # read off in storage order, the lower cells are in Matching's pair order
+        m = Matching(tuple((lo, upper[lo]) for level in c.faces for lo in level if lo in upper))
+        _certified(c, m, "cycle_class")
+        c._cache["element matching"] = m
+    return c._cache["element matching"]
+
+
+def _class_cells(c: Complex, k: int) -> tuple[Matching, list[int]]:
+    """c's element matching and its critical k-cells, if its Morse d_k and d_(k+1) are zero.
+
+    Raises ParameterError naming a differential that is not zero.  The
+    verdict is cached in c._cache, once per dimension.
+    """
+    key = ("class cells", k)
+    if key not in c._cache:
+        m = _element_matching(c)
+        counts, columns = _morse_complex(c, m)
+        for d in (k, k + 1):
+            if 0 < d < len(counts) and any(col for _j, col in columns(d)):
+                c._cache[key] = (
+                    f"cannot read cycle classes in dimension {k}:"
+                    f" the element matching's Morse d_{d} is not zero"
+                )
+                break
+        else:
+            c._cache[key] = m, _critical(c, m)[k] if k < len(counts) else []
+    if isinstance(c._cache[key], str):
+        raise ParameterError(c._cache[key])
+    return c._cache[key]
 
 
 def _fan(ngon: int, apex: int) -> set[int]:

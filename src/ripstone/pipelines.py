@@ -108,9 +108,10 @@ def trace_dodecahedron(seed: int = 1, max_attempts: int = 1000) -> Report:
     Each flowed boundary is classified in VR_2, not in the punctured
     complex the flow runs in.  The certified matching pairs every face of
     the punctured complex outside VR_2, so the punctured complex collapses
-    onto VR_2 and the inclusion is an isomorphism on H_2 = Z: the two
-    classifications agree up to one global sign, that of the basis each
-    one fixes.  A flowed chain that leaves VR_2 fails its row.
+    onto VR_2 and the inclusion is an isomorphism on H_2.  VR_2's element
+    matching leaves one vertex and one triangle critical, so by Forman's
+    theorem H_2(VR_2) = Z, and cycle_class reads a flowed boundary's class
+    off that triangle.  A flowed chain that leaves VR_2 fails its row.
     """
     title = "dodecahedron scale-3 trace"
     g = build_solid("dodecahedron")

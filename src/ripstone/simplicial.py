@@ -98,8 +98,8 @@ class Complex:
     and the from_faces walk emit the faces in order, and skeleton and
     delete_open_cells keep it; the latter three go through Complex._built,
     which checks nothing.  faces and its levels are tuples, which cannot be
-    edited in place, so the lazy indexes and the _cache of homology bases,
-    certified matchings and maximal faces cannot go stale.
+    edited in place, so the lazy indexes and the _cache of certified
+    matchings, cycle-class cells and maximal faces cannot go stale.
 
     graph, when present, is the adjacency mask table of the graph whose
     clique complex this is; it enables fast maximality tests.  cone_vertex
@@ -113,18 +113,21 @@ class Complex:
     join_factors = ()  # a clique complex's own, see _CliqueComplex.join_factors
 
     def __init__(self, vertex_count: int, faces):
-        levels = tuple(tuple(_lex_sorted(level)) for level in faces)
-        if not any(levels):
-            raise StructuralError("refusing to build an empty complex")
-        if not levels[-1]:
-            raise StructuralError(f"the top level lists no {len(levels) - 1}-faces")
+        levels = [tuple(level) for level in faces]
         top = 1 << vertex_count
-        for k, level in enumerate(levels):
+        for level in levels:  # before the sort: vertices_of never ends on a negative mask
             for mask in level:
                 if not 0 <= mask < top:
                     raise StructuralError(
                         f"face mask {mask} is not a set of vertex ids below {vertex_count}"
                     )
+        levels = tuple(tuple(sorted(level, key=vertices_of)) for level in levels)
+        if not any(levels):
+            raise StructuralError("refusing to build an empty complex")
+        if not levels[-1]:
+            raise StructuralError(f"the top level lists no {len(levels) - 1}-faces")
+        for k, level in enumerate(levels):
+            for mask in level:
                 if mask.bit_count() != k + 1:
                     raise StructuralError(f"face {vertices_of(mask)} is listed among the {k}-faces")
             for a, b in zip(level, level[1:]):
@@ -451,18 +454,6 @@ def _add_facets(into: set[int], masks, room: int) -> None:
             into.add(m ^ low)
         if len(into) > room:
             raise _budget_error()
-
-
-def _lex_sorted(level) -> list[int]:
-    """Masks of one size in the lexicographic order of their vertex tuples.
-
-    Two such tuples first differ where the masks' lowest differing bit is,
-    and the tuple holding that vertex comes first: so the order is
-    descending on the masks' binary digits read from bit 0 up.  Unpadded
-    digit strings compare the same way, since one is never a proper prefix
-    of another of the same size, and cost only the mask's own length.
-    """
-    return sorted(level, key=lambda m: bin(m)[:1:-1], reverse=True)
 
 
 def full_simplex_complex(n: int) -> Complex:

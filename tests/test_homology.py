@@ -9,10 +9,10 @@ from itertools import combinations
 import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from sympy import Matrix, ZZ
+from sympy import ZZ, Matrix, ilcm
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from ripstone.errors import PreconditionError, SearchFailure, StructuralError
+from ripstone.errors import ParameterError, PreconditionError, SearchFailure, StructuralError
 from ripstone.homology import (
     IntMatrix,
     _boundary_columns,
@@ -31,7 +31,16 @@ from ripstone.homology import (
     simplex_boundary,
     smith_normal_form,
 )
-from ripstone.morse import _morse_complex, critical_complex_homology, find_matching
+from ripstone.morse import (
+    _class_cells,
+    _critical,
+    _element_matching,
+    _matching,
+    _morse_complex,
+    check_matching,
+    critical_complex_homology,
+    find_matching,
+)
 from ripstone.patterns import diameter3_tetrahedra
 from ripstone.polytopes import SOLIDS, DistanceMatrix, build_solid, combinatorial_metric, cube_graph
 from ripstone.simplicial import (
@@ -214,6 +223,108 @@ def test_cycle_class_edge_cases():
     # boundaries map to the zero coordinate vector
     w = boundary_chain(make_chain(2, {(0, 2, 4): 1}))
     assert cycle_class(c, w) == (0, 0, 0, 0, 0, 0)[: len(cycle_class(c, w))]
+
+
+def _cycle_basis(c, k):
+    """Integer chains spanning the k-cycles of c over Q, from sympy's nullspace of d_k."""
+    cells = c.simplices(k)
+    if k == 0:
+        return [make_chain(0, {s: 1}) for s in cells]
+    rows = c.index(k - 1)
+    d = Matrix.zeros(len(rows), len(cells))
+    for j, mask in enumerate(c.faces[k]):
+        for facet, sign in signed_facets(mask):
+            d[rows[facet], j] = sign
+    basis = []
+    for v in d.nullspace():
+        scale = ilcm(*(x.q for x in v))
+        basis.append(make_chain(k, {s: int(x * scale) for s, x in zip(cells, v)}))
+    return basis
+
+
+def _added(*chains):
+    terms = {}
+    for z in chains:
+        for s, co in z.terms.items():
+            terms[s] = terms.get(s, 0) + co
+    return make_chain(chains[0].dimension, terms)
+
+
+def _times(n, z):
+    return make_chain(z.dimension, {s: n * co for s, co in z.terms.items()})
+
+
+@pytest.mark.parametrize(
+    "name, r, critical",
+    [
+        ("octahedron", 1, ((0,), (1, 3, 5))),
+        ("dodecahedron", 2, ((0,), (6, 7, 12))),
+    ],
+)
+def test_element_matching_critical_cells(name, r, critical):
+    c = vr_complex(combinatorial_metric(build_solid(name)), r)
+    m = _element_matching(c)
+    report = check_matching(c, m)
+    assert report.ok() and report.critical == critical
+    assert m == _matching(m.pairs)  # its pairs come in the canonical order
+    assert _element_matching(c) is m  # cached on the complex
+
+
+def test_cycle_class_refuses_a_matching_that_is_not_perfect():
+    # the identity order on icosahedron r=1 leaves critical counts (1, 1, 2),
+    # so H_1 = 0 and H_2 = Z cannot be read off its critical cells
+    c = vr_complex(combinatorial_metric(build_solid("icosahedron")), 1)
+    assert [len(level) for level in _critical(c, _element_matching(c))] == [1, 1, 2]
+    assert homology(c).betti == (1, 0, 1)
+    assert cycle_class(c, make_chain(0, {(3,): 1})) == (1,)
+    for k in (1, 2):
+        for z in _cycle_basis(c, k) + [make_chain(k, {})]:
+            with pytest.raises(ParameterError, match=r"Morse d_2 is not zero"):
+                cycle_class(c, z)
+
+
+def _assert_cycle_classes_are_coordinates(c, k, rng):
+    """cycle_class in dimension k is linear, kills boundaries and has rank betti_k."""
+    betti = homology(c).betti[k]
+    basis = _cycle_basis(c, k)
+    classes = [cycle_class(c, z) for z in basis]
+    assert all(len(x) == betti for x in classes)
+    assert (Matrix(classes).rank() if classes else 0) == betti
+    zero = (0,) * betti
+    for _ in range(5):
+        above = c.simplices(k + 1)
+        w = make_chain(k + 1, {rng.choice(above): rng.randint(-2, 2)} if above else {})
+        assert cycle_class(c, boundary_chain(w)) == zero
+        if not basis:
+            continue
+        a, b = rng.choice(basis), rng.choice(basis)
+        n = rng.randint(-3, 3)
+        expected = tuple(x + n * y for x, y in zip(cycle_class(c, a), cycle_class(c, b)))
+        assert cycle_class(c, _added(a, _times(n, b), boundary_chain(w))) == expected
+
+
+@pytest.mark.parametrize(
+    "name, r", [("cube", 1), ("dodecahedron", 1), ("octahedron", 1), ("cube", 2)]
+)
+def test_cycle_classes_on_solids_with_a_perfect_order(name, r):
+    c = vr_complex(combinatorial_metric(build_solid(name)), r)
+    rng = random.Random(1)
+    for k in range(c.dim + 1):
+        _assert_cycle_classes_are_coordinates(c, k, rng)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(min_value=4, max_value=8), st.sampled_from([0.3, 0.5, 0.7]), st.integers(0, 999))
+def test_cycle_classes_on_random_flag_complexes(n, p, seed):
+    # every dimension where the identity order's Morse differentials vanish
+    c = from_faces(_flag_faces(nx.gnp_random_graph(n, p, seed=seed)), n)
+    rng = random.Random(seed)
+    for k in range(c.dim + 1):
+        try:
+            _class_cells(c, k)
+        except ParameterError:
+            continue
+        _assert_cycle_classes_are_coordinates(c, k, rng)
 
 
 def test_make_chain_drops_zero_terms():

@@ -295,10 +295,11 @@ def test_trace_certifies_each_matching_once(monkeypatch):
     monkeypatch.setattr(morse, "check_matching", counted)
     report = trace_dodecahedron(seed=1)
     assert all(r.passed for r in report.rows)
-    # once on the scale-3 complex inside find_matching, whose report the
-    # pipeline row and the critical complex reuse, and once on the complex
-    # with the ten tetrahedra deleted
-    assert calls == [3272, 3262]
+    # the seeded matching once on the scale-3 complex inside find_matching,
+    # whose report the pipeline row and the critical complex reuse, and once
+    # on the complex with the ten tetrahedra deleted; then VR_2's element
+    # matching, once for the ten class rows
+    assert calls == [3272, 3262, 342]
 
 
 def test_trace_fails_a_flowed_chain_outside_scale_2(monkeypatch):
@@ -337,11 +338,13 @@ def test_trace_fails_a_flowed_chain_outside_scale_2(monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 1456464704])
 def test_trace_route_agrees_with_diameters_and_the_punctured_complex(monkeypatch, seed):
-    # the trace's candidates are the diameter-3 faces, and its classes in
-    # VR_2 are the classes in the punctured complex the flow runs in
+    # the trace's candidates are the diameter-3 faces; its classes are read
+    # in VR_2, because the punctured complex the flow runs in has no
+    # element matching to read them off: the identity order leaves critical
+    # counts (1, 0, 2, 1) there, and its Morse d_3 is not zero
     from ripstone import pipelines
     from ripstone.homology import cycle_class
-    from ripstone.reports import fmt_value
+    from ripstone.morse import _critical, _element_matching
     from ripstone.simplicial import face_diameter, mask_of
 
     seen = {}
@@ -365,35 +368,50 @@ def test_trace_route_agrees_with_diameters_and_the_punctured_complex(monkeypatch
     c3 = vr_complex(metric, 3)
     diameter3 = {mask_of(s) for s in all_faces(c3) if face_diameter(metric, s) == 3}
     assert seen["candidates"] == diameter3
-    classes = [r.computed for r in report.rows if r.subject.startswith("class of the flowed")]
     assert len(seen["flows"]) == 10
-    assert classes == [fmt_value(cycle_class(pruned, z)) for pruned, z in seen["flows"]]
+    pruned = seen["flows"][0][0]
+    assert pruned.face_total() == 3262
+    counts = [len(level) for level in _critical(pruned, _element_matching(pruned))]
+    assert counts == [1, 0, 2, 1]
+    for c, z in seen["flows"]:
+        with pytest.raises(ParameterError, match=r"Morse d_3 is not zero"):
+            cycle_class(c, z)
 
 
-def test_trace_builds_homology_bases_at_scale_2_only(monkeypatch):
+# The class rows of the ten flowed tetrahedron boundaries, recorded from the
+# trace when it classified them by Smith reduction of VR_2's boundary maps,
+# before classes were read off VR_2's element matching; the same for each
+# seed, sign included.
+RECORDED_CLASS_ROWS = ("(1)", "(1)", "(-1)", "(-1)", "(-1)", "(1)", "(-1)", "(1)", "(1)", "(-1)")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6, 7, 8, 1456464704, 1502171856])
+def test_trace_class_rows_match_the_recorded_classes(seed):
+    from ripstone.pipelines import trace_dodecahedron
+
+    report = trace_dodecahedron(seed=seed)
+    assert report.passed
+    rows = [r.computed for r in report.rows if r.subject.startswith("class of the flowed")]
+    assert tuple(rows) == RECORDED_CLASS_ROWS
+
+
+def test_trace_builds_the_element_matching_at_scale_2_only(monkeypatch):
     # no diameter is computed, and cycles are classified in the 342-face
     # VR_2, never in the 3,262-face punctured complex
-    import importlib
-
-    from ripstone import pipelines, simplicial
-
-    homology = importlib.import_module("ripstone.homology")  # the package's name is a function
+    from ripstone import morse, pipelines, simplicial
 
     def refuse(*args):
         raise AssertionError("face_diameter called")
 
     sizes = []
-
-    class RecordingBasis(homology.HomologyBasis):
-        def __init__(self, c, k):
-            sizes.append(c.face_total())
-            super().__init__(c, k)
-
+    build = morse._element_matching
     monkeypatch.setattr(simplicial, "face_diameter", refuse)
     monkeypatch.setattr(pipelines, "face_diameter", refuse, raising=False)
-    monkeypatch.setattr(homology, "HomologyBasis", RecordingBasis)
+    monkeypatch.setattr(
+        morse, "_element_matching", lambda c: sizes.append(c.face_total()) or build(c)
+    )
     assert pipelines.trace_dodecahedron(seed=1).passed
-    assert sizes and max(sizes) <= 342
+    assert sizes and set(sizes) == {342}
 
 
 def test_critical_complex_flows_each_cell_once(monkeypatch):
@@ -484,8 +502,8 @@ def test_shuffled_levels_are_stored_sorted_and_find_the_same_matching(monkeypatc
     from ripstone.simplicial import Complex
 
     keyed = []
-    order = morse._tuple_order
-    monkeypatch.setattr(morse, "_tuple_order", lambda mask: keyed.append(mask) or order(mask))
+    canonical = morse._matching  # sorts its pairs by their vertex tuples
+    monkeypatch.setattr(morse, "_matching", lambda pairs: keyed.append(1) or canonical(pairs))
     c3, candidate, forced = _trace_search()
     m = morse._find_matching(c3, candidate, forced, 1, 1000)
     assert _digest(m) == PINNED_TRACE_MATCHINGS[1]
@@ -532,7 +550,9 @@ def test_trace_builds_the_acyclicity_digraph_once(monkeypatch):
 
     builds = _count_digraph_builds(monkeypatch)
     assert trace_dodecahedron(seed=1).passed
-    assert len(builds) == 1  # for the scale-3 complex and the punctured one
+    # one for the seeded matching, certified on the scale-3 complex and the
+    # punctured one, and one for VR_2's element matching
+    assert len(builds) == 2
 
 
 def test_validity_stays_per_complex_after_certification(monkeypatch):
@@ -691,14 +711,14 @@ def test_change_only_flow_matches_the_whole_chain_iteration_on_the_trace(seed):
 
 
 def _counted_flows(monkeypatch):
-    """Patch morse._flow_to_fixpoint to record each start chain's terms."""
+    """Patch morse._flow_to_fixpoint to record each (matching, start chain's terms)."""
     from ripstone import morse
 
     starts = []
     flow = morse._flow_to_fixpoint
 
-    def counted(chain, v_map, limit):
-        starts.append(frozenset(chain.items()))
+    def counted(chain, v_map, limit):  # v_map is the matching's own pairing operator
+        starts.append((id(v_map), frozenset(chain.items())))
         return flow(chain, v_map, limit)
 
     monkeypatch.setattr(morse, "_flow_to_fixpoint", counted)
@@ -747,9 +767,13 @@ def test_the_trace_flows_each_start_chain_once(monkeypatch):
     starts = _counted_flows(monkeypatch)
     report = trace_dodecahedron(seed=1)
     assert all(r.passed for r in report.rows)
-    assert len(starts) == len(set(starts))
-    # the ten tetrahedron boundaries are among them, flowed once for both
-    # the critical complexes and the class rows
+    assert len(starts) == len(set(starts))  # once per matching and start chain
+    # the ten tetrahedron boundaries are among them, flowed once through the
+    # seeded matching for both the critical complexes and the class rows
     metric = combinatorial_metric(build_solid("dodecahedron"))
+    chains = [chain for _m, chain in starts]
     for t in diameter3_tetrahedra(metric):
-        assert frozenset(signed_facets(mask_of(t))) in set(starts)
+        assert chains.count(frozenset(signed_facets(mask_of(t)))) == 1
+    # the boundary of VR_2's critical triangle is a column of both matchings'
+    # Morse complexes, so it is flowed through each
+    assert chains.count(frozenset(signed_facets(mask_of((6, 7, 12))))) == 2
