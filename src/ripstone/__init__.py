@@ -7,6 +7,8 @@ certifies discrete Morse matchings, and traces the dodecahedron's ten
 distance-3 tetrahedra down to explicit homology classes.
 """
 
+import types
+
 from .cubeseries import (
     IntSeries,
     expand,
@@ -98,83 +100,9 @@ from .symmetry import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Chain",
-    "CharacterData",
-    "Complex",
-    "DistanceMatrix",
-    "DistanceTable",
-    "FlowChain",
-    "FormatError",
-    "HomologyResult",
-    "IntMatrix",
-    "IntSeries",
-    "Matching",
-    "MatchingReport",
-    "ParameterError",
-    "PermGroup",
-    "PolytopeGraph",
-    "PreconditionError",
-    "Report",
-    "ReportRow",
-    "RipstoneError",
-    "SNFResult",
-    "SOLIDS",
-    "SearchFailure",
-    "StructuralError",
-    "VerificationError",
-    "antipodal_free_complex",
-    "automorphisms",
-    "boundary_complex",
-    "build_solid",
-    "check_matching",
-    "combinatorial_metric",
-    "conjugacy_classes",
-    "critical_complex_homology",
-    "cube_graph",
-    "cycle_class",
-    "delete_open_cells",
-    "diameter3_tetrahedra",
-    "distance_table",
-    "embeddings",
-    "euler_characteristic",
-    "expand",
-    "face_count",
-    "face_diameter",
-    "fan_matching",
-    "fan_triangulation",
-    "find_matching",
-    "flip_matching_update",
-    "from_faces",
-    "full_simplex_complex",
-    "group_elements",
-    "homology",
-    "is_induced_embedding",
-    "make_chain",
-    "matching_from_pairs",
-    "maximal_simplices",
-    "morse_flow",
-    "parse_chain",
-    "parse_complex",
-    "parse_matching",
-    "parse_simplex_list",
-    "row",
-    "rotation_subgroup",
-    "serialize_chain",
-    "serialize_complex",
-    "serialize_matching",
-    "series_coefficient",
-    "simplex",
-    "simplex_boundary",
-    "skeleton",
-    "skeleton_betti_top",
-    "smith_normal_form",
-    "solid_info",
-    "symmetry_report",
-    "tetrahedra_orbits",
-    "trace_dodecahedron",
-    "verify_cube_vr2",
-    "verify_main_theorem",
-    "verify_remark",
-    "vr_complex",
-]
+# every public name imported above; the submodules bound on import are not
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -427,7 +427,6 @@ class HomologyResult:
 
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
-    reduced: bool
 
     def betti_stripped(self) -> tuple[int, ...]:
         out = list(self.betti)
@@ -443,7 +442,7 @@ def _homology_from_counts(counts, ranks) -> HomologyResult:
     if any(b < 0 for b in betti):
         raise StructuralError("negative Betti number: input was not a valid chain complex")
     torsion = tuple(tuple(tors) for _r, tors in ranks[1:]) + ((),)
-    return HomologyResult(betti=betti, torsion=torsion, reduced=False)
+    return HomologyResult(betti=betti, torsion=torsion)
 
 
 def _unit_pivot_columns(columns) -> tuple[dict, list]:
@@ -557,17 +556,15 @@ def _boundary_ranks(counts, columns) -> tuple[list[tuple[int, list[int]]], list[
     return out, fallbacks
 
 
-def homology(c: Complex, reduced: bool = False) -> HomologyResult:
-    """Integral homology of a complex; Betti numbers are unreduced by default."""
+def homology(c: Complex) -> HomologyResult:
+    """Integral homology of a complex: unreduced Betti numbers and torsion per dimension.
+
+    A join is folded from its distinct factors' homology; any other complex
+    goes through the boundary column reduction.
+    """
     if c.join_factors:
-        result = _join_homology([x for _keep, x in c.join_factors])
-    else:
-        result = _homology_by_reduction(c)
-    if reduced:
-        betti = list(result.betti)
-        betti[0] -= 1
-        return HomologyResult(betti=tuple(betti), torsion=result.torsion, reduced=True)
-    return result
+        return _join_homology([x for _keep, x in c.join_factors])
+    return _homology_by_reduction(c)
 
 
 def _homology_by_reduction(c: Complex) -> HomologyResult:
@@ -600,7 +597,6 @@ def _join_homology(factors: list[Complex]) -> HomologyResult:
     return HomologyResult(
         betti=(1,) + tuple(r for r, _t in groups[1:]),  # a join of non-empty complexes is connected
         torsion=tuple(tuple(t) for _r, t in groups),
-        reduced=False,
     )
 
 

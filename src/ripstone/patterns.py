@@ -11,7 +11,7 @@ from itertools import combinations
 
 from .errors import ParameterError, VerificationError
 from .polytopes import DistanceMatrix, PolytopeGraph
-from .simplicial import Simplex, vertices_of
+from .simplicial import Simplex, _enumerate_cliques, vertices_of
 
 
 def is_induced_embedding(p: PolytopeGraph, g: PolytopeGraph, images) -> bool:
@@ -74,20 +74,14 @@ def embeddings(p: PolytopeGraph, g: PolytopeGraph) -> list[tuple[int, ...]]:
 def diameter3_tetrahedra(metric: DistanceMatrix) -> list[Simplex]:
     """All 4-subsets with every pairwise hop distance equal to 3.
 
-    The 4-cliques of the distance-3 relation, each extended from its
-    smallest vertex by larger common distance-3 neighbours, as vertex
-    masks; they come out in lexicographic order.  On the dodecahedron
-    there must be exactly ten; any other count is a verification failure.
+    The 4-cliques of the distance-3 graph, read off its clique enumeration,
+    in lexicographic order.  On the dodecahedron there must be exactly ten;
+    any other count is a verification failure.
     """
     n = metric.size
-    far = [sum(1 << j for j, d in enumerate(metric.dist[i]) if d == 3) for i in range(n)]
-    tets = [
-        (a, b, c, d)
-        for a in range(n)
-        for b in vertices_of(far[a] & -1 << (a + 1))
-        for c in vertices_of(far[a] & far[b] & -1 << (b + 1))
-        for d in vertices_of(far[a] & far[b] & far[c] & -1 << (c + 1))
-    ]
+    far = tuple(sum(1 << j for j, d in enumerate(metric.dist[i]) if d == 3) for i in range(n))
+    levels = _enumerate_cliques(far)
+    tets = [vertices_of(m) for m in levels[3]] if len(levels) > 3 else []
     if len(tets) != 10:
         raise VerificationError(
             f"expected 10 pairwise-distance-3 tetrahedra, found {len(tets)}"

@@ -248,7 +248,7 @@ def _enumerate_cliques(adj: tuple[int, ...]) -> list[list[int]]:
     for v in range(len(adj)):
         above = -1 << (v + 1)
         extend(1 << v, 0, adj[v] & above)
-    while not levels[-1]:
+    while levels and not levels[-1]:  # a graph with no vertices has no levels
         levels.pop()
     return levels
 
@@ -444,16 +444,14 @@ def _closure(simplices, vertex_count: int | None = None) -> Complex:
     return c
 
 
-def _add_facets(into: set[int], masks, room: int) -> None:
-    """Add every facet of every mask to into, refusing to grow it past room."""
+def _add_facets(into: set[int], masks) -> None:
+    """Add every facet of every mask to into."""
     for m in masks:
         mm = m
         while mm:
             low = mm & -mm
             mm ^= low
             into.add(m ^ low)
-        if len(into) > room:
-            raise _budget_error()
 
 
 def full_simplex_complex(n: int) -> Complex:
@@ -500,7 +498,7 @@ def _maximal_masks(c: Complex) -> list[int]:
         return c._cache["maximal"]
     covered: set[int] = set()
     for level in c.faces[1:]:
-        _add_facets(covered, level, c.face_total())  # covered faces are faces
+        _add_facets(covered, level)  # a facet of a face is a face, so this stays in budget
     return [m for level in c.faces for m in level if m not in covered]
 
 

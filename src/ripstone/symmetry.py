@@ -1,22 +1,22 @@
 """Edge-graph automorphism groups and the ten-tetrahedra character check.
 
-Groups are stored as generator lists with the order computed by an
-orbit-stabilizer chain; their elements come from a closure that skips
-each generator already in the group so far, so a redundant generator (a
-commutator, a class member) costs one membership test.  The rotation
-subgroup is obtained purely combinatorially as the derived subgroup; for
-the dodecahedron this is the index-2 simple group of order 60, and the
-full group splits off a central involution (the antipodal map).  The closing verification compares the
-permutation action on the ten distance-3 tetrahedra, class by class,
-against the character predicted by tensoring the doubled natural
-fixed-point counts with the two-element sign table.
+Each group stores its sorted elements and the generators kept by one
+closure pass, which skips each generator already in the group so far, so
+a redundant generator (a commutator, a class member) costs one membership
+test; an orbit-stabilizer chain on the kept generators cross-checks the
+order.  The rotation subgroup is obtained purely combinatorially as the
+derived subgroup; for the dodecahedron this is the index-2 simple group
+of order 60, and the full group splits off a central involution (the
+antipodal map).  The closing verification compares the permutation
+action on the ten distance-3 tetrahedra, class by class, against the
+character predicted by tensoring the doubled natural fixed-point counts
+with the two-element sign table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ParameterError, StructuralError, VerificationError
 from .patterns import embeddings
@@ -32,11 +32,15 @@ _NATURAL_FIXED_BY_ORDER = {1: 5, 2: 1, 3: 2, 5: 0}
 
 @dataclass(frozen=True)
 class PermGroup:
-    """Permutation group on range(degree) given by generators."""
+    """Permutation group on range(degree): its generators and sorted elements."""
 
     degree: int
     generators: tuple
-    order: int
+    elements: tuple
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
 
 @dataclass(frozen=True)
@@ -92,14 +96,14 @@ def apply_to_simplex(p: Perm, s: Simplex) -> Simplex:
     return tuple(sorted(p[v] for v in s))
 
 
-@lru_cache(maxsize=None)
-def _closure(degree: int, generators: tuple) -> tuple:
-    """The group the generators generate, sorted, closed on one new generator at a time.
+def _closure(degree: int, generators) -> tuple[tuple, tuple]:
+    """The group the generators generate, sorted, and the generators kept.
 
-    A generator already in the group so far is skipped.  The group so far
-    is closed under the kept generators, so a new one is composed with
-    each of its elements, and only the elements that brings in are composed
-    with every kept generator: each element meets each kept generator once.
+    It is closed on one new generator at a time; a generator already in the
+    group so far is skipped.  The group so far is closed under the kept
+    generators, so a new one is composed with each of its elements, and only
+    the elements that brings in are composed with every kept generator: each
+    element meets each kept generator once.
     """
     found = {identity_perm(degree)}
     kept: list[Perm] = []
@@ -117,26 +121,12 @@ def _closure(degree: int, generators: tuple) -> tuple:
                         found.add(q)
                         nxt.append(q)
             frontier, gens = nxt, kept
-    return tuple(sorted(found))
+    return tuple(sorted(found)), tuple(kept)
 
 
 def group_elements(group: PermGroup) -> tuple:
-    """Every element, sorted; cached per generator tuple."""
-    return _closure(group.degree, group.generators)
-
-
-def _reduce_generators(degree: int, elements) -> tuple:
-    """Greedy small generating set drawn from sorted elements."""
-    total = len(set(elements))
-    gens: list[Perm] = []
-    have = {identity_perm(degree)}
-    for p in sorted(elements):
-        if len(have) == total:
-            break
-        if p not in have:
-            gens.append(p)
-            have = set(_closure(degree, tuple(gens)))
-    return tuple(gens)
+    """Every element, sorted."""
+    return group.elements
 
 
 def _chain_order(degree: int, generators) -> int:
@@ -172,28 +162,32 @@ def automorphisms(g: PolytopeGraph) -> PermGroup:
     pattern; an induced embedding of equal size is exactly an automorphism.
     """
     n = g.vertex_count
-    elements = tuple(embeddings(g, g))
-    gens = _reduce_generators(n, elements)
+    found = embeddings(g, g)
+    elements, gens = _closure(n, found)
     order = _chain_order(n, gens)
-    if order != len(elements):
+    if order != len(found):
         raise StructuralError(
-            f"orbit-stabilizer order {order} disagrees with enumeration {len(elements)}"
+            f"orbit-stabilizer order {order} disagrees with enumeration {len(found)}"
         )
-    return PermGroup(degree=n, generators=gens, order=order)
+    if elements != tuple(found):
+        raise StructuralError("the closure of the automorphisms is not the enumerated set")
+    return PermGroup(degree=n, generators=gens, elements=elements)
 
 
-def _derived_elements(g: PermGroup) -> tuple:
-    """[G, G], sorted, generated by the [a, s] with a in G and s a generator.
+def _derived(g: PermGroup) -> PermGroup:
+    """[G, G], generated by the [a, s] with a in G and s a generator.
 
+    Its generators are the commutators the closure kept.
     [a, st] = [a, s] s[a, t]s^-1 and s[a, t]s^-1 = [sa, t][t, s], so by
     induction on the word length of b these generate every [a, b].
     """
     comms = {
         compose(a, compose(s, compose(inverse(a), inverse(s))))
-        for a in group_elements(g)
+        for a in g.elements
         for s in g.generators
     }
-    return _closure(g.degree, tuple(sorted(comms)))
+    elements, gens = _closure(g.degree, sorted(comms))
+    return PermGroup(degree=g.degree, generators=gens, elements=elements)
 
 
 def rotation_subgroup(g: PermGroup) -> PermGroup:
@@ -202,16 +196,14 @@ def rotation_subgroup(g: PermGroup) -> PermGroup:
     Simplicity is certified by checking that every nontrivial conjugacy class
     generates the whole subgroup (a proper normal one is a union of classes).
     """
-    derived = _derived_elements(g)
-    gens = _reduce_generators(g.degree, derived)
-    order = _chain_order(g.degree, gens)
-    if order != len(derived):
+    sub = _derived(g)
+    order = _chain_order(sub.degree, sub.generators)
+    if order != sub.order:
         raise StructuralError("derived subgroup order mismatch")
     if order != 60:
         raise VerificationError(f"derived subgroup has order {order}, expected 60")
-    sub = PermGroup(degree=g.degree, generators=gens, order=order)
     for cls in conjugacy_classes(sub)[1:]:
-        closure = _closure(g.degree, tuple(cls))
+        closure, _kept = _closure(sub.degree, cls)
         if len(closure) != order:
             raise VerificationError(
                 f"class of order-{perm_order(cls[0])} elements generates a proper "
@@ -226,7 +218,7 @@ def conjugacy_classes(group: PermGroup) -> list:
     The identity class always comes first because the identity is the
     smallest degree-n permutation.
     """
-    elems = group_elements(group)
+    elems = group.elements
     gens = [(s, inverse(s)) for s in group.generators]
     remaining = set(elems)
     classes = []
@@ -247,13 +239,6 @@ def conjugacy_classes(group: PermGroup) -> list:
         remaining -= cls
         classes.append(tuple(sorted(cls)))
     return classes
-
-
-def center(group: PermGroup) -> tuple:
-    elems = group_elements(group)
-    return tuple(
-        p for p in elems if all(compose(p, s) == compose(s, p) for s in group.generators)
-    )
 
 
 def tetrahedra_orbits(h: PermGroup, tets) -> list:
@@ -302,7 +287,7 @@ def verify_remark(g: PermGroup, rot: PermGroup, tets, h3_rank: int) -> Character
         raise VerificationError(f"H3 rank {h3_rank} != {len(tets) - 1}")
     if g.order != 120:
         raise VerificationError(f"full group has order {g.order}, expected 120")
-    rotations = set(group_elements(rot))
+    rotations = set(rot.elements)
 
     reps = []
     sizes = []

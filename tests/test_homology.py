@@ -160,17 +160,6 @@ def test_torus_betti():
     assert all(t == () for t in h.torsion)
 
 
-def test_reduced_homology_drops_a_component():
-    c = from_faces(RP2_FACES)
-    plain = homology(c)
-    red = homology(c, reduced=True)
-    assert red.reduced and not plain.reduced
-    assert red.betti == (0, 0, 0)
-    assert red.torsion == plain.torsion
-    point = full_simplex_complex(1)
-    assert homology(point, reduced=True).betti == (0,)
-
-
 def test_homology_betti_against_rank_oracle():
     rng = random.Random(31337)
     for _ in range(30):

@@ -114,7 +114,8 @@ def _random_metric(seed, n=12):
 @pytest.mark.parametrize(
     "metric",
     [combinatorial_metric(build_solid(name)) for name in ("cube", "dodecahedron", "icosahedron")]
-    + [_random_metric(seed) for seed in range(6)],
+    + [_random_metric(seed) for seed in range(6)]
+    + [DistanceMatrix(size=0, dist=())],
 )
 def test_tetrahedra_agree_with_brute_force(metric):
     # the 4-cliques of the distance-3 relation are every 4-subset at pairwise distance 3

@@ -5,14 +5,13 @@ from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from ripstone.errors import ParameterError, StructuralError, VerificationError
-from ripstone.patterns import diameter3_tetrahedra
+from ripstone.patterns import diameter3_tetrahedra, embeddings
 from ripstone.polytopes import SOLIDS, build_solid, combinatorial_metric
 from ripstone.symmetry import (
     _closure,
-    _derived_elements,
+    _derived,
     apply_to_simplex,
     automorphisms,
-    center,
     compose,
     conjugacy_classes,
     group_elements,
@@ -35,6 +34,11 @@ GROUP_ORDERS = {
 
 def dodeca_group():
     return automorphisms(build_solid("dodecahedron"))
+
+
+def central_elements(group):
+    gens = group.generators
+    return [p for p in group.elements if all(compose(p, s) == compose(s, p) for s in gens)]
 
 
 def dodeca_tets():
@@ -68,7 +72,7 @@ def test_rotation_subgroup_is_simple_of_order_60():
     h = rotation_subgroup(g)
     assert h.order == 60
     assert g.order // h.order == 2
-    assert center(h) == (identity_perm(20),)
+    assert central_elements(h) == [identity_perm(20)]
     elements = set(group_elements(h))
     assert all(compose(p, q) in elements for p in list(elements)[:8] for q in list(elements)[:8])
     oracle = PermutationGroup([Permutation(list(p)) for p in h.generators])
@@ -92,12 +96,12 @@ def test_derived_subgroup_from_generator_commutators(name):
         frontier = [compose(s, p) for p in frontier for s in comms]
         frontier = [p for p in set(frontier) if p not in closure]
         closure.update(frontier)
-    assert set(_derived_elements(g)) == closure
+    assert set(_derived(g).elements) == closure
 
 
 def test_center_of_full_group_is_the_antipodal_flip():
     g = dodeca_group()
-    z = center(g)
+    z = central_elements(g)
     assert len(z) == 2
     nontrivial = next(p for p in z if p != identity_perm(20))
     assert perm_order(nontrivial) == 2
@@ -225,7 +229,8 @@ def generator_tuples(draw):
 @given(generator_tuples())
 def test_closure_on_new_generators_matches_the_plain_closure(drawn):
     degree, gens = drawn
-    assert _closure.__wrapped__(degree, gens) == _plain_closure(degree, gens)
+    elements, _kept = _closure(degree, gens)
+    assert elements == _plain_closure(degree, gens)
 
 
 def test_closure_composes_each_element_with_each_kept_generator_once(monkeypatch):
@@ -237,5 +242,39 @@ def test_closure_composes_each_element_with_each_kept_generator_once(monkeypatch
     gens = (*g.generators, *elems[:40])
     calls = []
     monkeypatch.setattr(symmetry, "compose", lambda p, q: calls.append(1) or compose(p, q))
-    assert _closure.__wrapped__(g.degree, gens) == elems
+    assert _closure(g.degree, gens) == (elems, g.generators)
     assert len(calls) <= len(elems) * len(g.generators)
+
+
+def _reduce_generators(degree, elements):
+    """Reference choice: each sorted element not in the group the earlier choices generate."""
+    total = len(set(elements))
+    gens = []
+    have = {identity_perm(degree)}
+    for p in sorted(elements):
+        if len(have) == total:
+            break
+        if p not in have:
+            gens.append(p)
+            have = set(_plain_closure(degree, tuple(gens)))
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("name", SOLIDS)
+def test_kept_generators_are_the_greedy_choice_over_sorted_elements(name):
+    # orbit and class searches visit elements in generator order, so the
+    # generators are pinned to this choice
+    solid = build_solid(name)
+    g = automorphisms(solid)
+    assert g.generators == _reduce_generators(g.degree, embeddings(solid, solid))
+    if name == "dodecahedron":
+        h = rotation_subgroup(g)
+        assert h.generators == _reduce_generators(h.degree, h.elements)
+
+
+@pytest.mark.parametrize("name", SOLIDS)
+def test_the_kept_generators_regenerate_the_group(name):
+    g = automorphisms(build_solid(name))
+    for group in (g, _derived(g)):
+        assert _closure(group.degree, group.generators) == (group.elements, group.generators)
+        assert group.order == len(set(group.elements))

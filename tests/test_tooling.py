@@ -3,6 +3,7 @@
 import ast
 import importlib
 from pathlib import Path
+from types import ModuleType
 
 import ripstone
 from ripstone.pipelines import EXPECTED_BETTI
@@ -29,6 +30,15 @@ def test_public_names_and_traced_functions_resolve():
         mod = importlib.import_module(f"ripstone.{module}")
         missing += [f"{module}.{name}" for name in names if not callable(getattr(mod, name, None))]
     assert missing == []
+
+
+def test_public_names_are_the_imported_objects_not_submodules():
+    # __all__ is derived from the package globals; homology is both a
+    # submodule and a function, and the package exports the function
+    modules = [name for name in ripstone.__all__ if isinstance(getattr(ripstone, name), ModuleType)]
+    assert modules == []
+    assert "homology" in ripstone.__all__
+    assert ripstone.homology is importlib.import_module("ripstone.homology").homology
 
 
 def test_benchmark_betti_table_is_the_program_table():
