@@ -326,10 +326,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ParameterError, OSError) as e:
+    except (FormatError, ParameterError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SearchFailure as e:

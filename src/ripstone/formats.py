@@ -13,9 +13,9 @@ matching  `v1 v2 ... -> w1 w2 ...` pairing a facet with a cofacet
 from __future__ import annotations
 
 from .errors import FormatError
-from .homology import Chain, make_chain
-from .morse import Matching, matching_from_pairs
-from .simplicial import Complex, Simplex, _closure, maximal_simplices, vertices_of
+from .homology import Chain
+from .morse import Matching, _matching
+from .simplicial import Complex, Simplex, _closure, mask_of, maximal_simplices, vertices_of
 
 
 def _content_lines(text: str):
@@ -97,7 +97,7 @@ def parse_chain(text: str) -> Chain:
         terms[s] = coeff
     if dim is None:
         raise FormatError("chain file has no terms", line=1)
-    return make_chain(dim, terms)
+    return Chain(dimension=dim, terms=terms)  # _parse_simplex made make_chain()'s checks
 
 
 def serialize_chain(z: Chain) -> str:
@@ -127,8 +127,8 @@ def parse_matching(text: str) -> Matching:
                 line=lineno,
                 token=body,
             )
-        pairs.append((lo, up))
-    return matching_from_pairs(pairs)
+        pairs.append((mask_of(lo), mask_of(up)))
+    return _matching(pairs)  # _parse_simplex made matching_from_pairs()'s checks
 
 
 def serialize_matching(m: Matching) -> str:

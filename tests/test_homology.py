@@ -20,6 +20,7 @@ from ripstone.homology import (
     _face_columns,
     _Faces,
     _homology_from_counts,
+    _invariant_factors,
     _join_groups,
     _reduce,
     _rows,
@@ -122,10 +123,22 @@ def test_snf_goldens():
 
 def test_snf_transforms_are_unimodular_and_diagonalize():
     rng = random.Random(20240917)
+    cases = []
     for _ in range(25):
         rows = rng.randrange(1, 6)
         cols = rng.randrange(1, 7)
-        dense = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
+        cases.append([[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)])
+    # sparse, up to 11 x 13, with entries that make torsion
+    rng = random.Random(20261019)
+    values = [1, -1, 2, -2, 3, 4, -6, 9]
+    for _ in range(120):
+        rows = rng.randrange(1, 12)
+        cols = rng.randrange(1, 14)
+        density = rng.choice([0.15, 0.3, 0.5])
+        flat = [rng.choice(values) if rng.random() < density else 0 for _ in range(rows * cols)]
+        cases.append([flat[i * cols : (i + 1) * cols] for i in range(rows)])
+    for dense in cases:
+        rows, cols = len(dense), len(dense[0])
         res = smith_normal_form(IntMatrix.from_dense(dense))
         u = Matrix(res.left_transform)
         v = Matrix(res.right_transform)
@@ -335,8 +348,8 @@ def _clearing_fallbacks(counts, columns):
     """
     snf = [(0, [])]
     for k in range(1, len(counts)):
-        red = _reduce(counts[k - 1], counts[k], _rows(columns(k, ())))
-        snf.append((red.rank, [d for d in red.factors if d > 1]))
+        factors, _u, _v = _reduce(counts[k - 1], counts[k], _rows(columns(k, ())))
+        snf.append((len(factors), [d for d in factors if d > 1]))
     clearing, fallbacks = _boundary_ranks(counts, columns)
     assert clearing == snf
     return fallbacks, snf
@@ -709,6 +722,9 @@ def test_joined_torsion_is_in_invariant_factor_form():
     assert _join_groups(x, y) == [(0, [])] * 3 + [(1, [6])] + [(0, [])] * 2
     z = [(0, []), (0, [2, 4]), (0, [])]
     assert _join_groups(z, z)[3:5] == [(0, [2, 2, 2, 4]), (0, [2, 2, 2, 4])]
+    assert _invariant_factors([2, 3, 4]) == [2, 12]
+    assert _invariant_factors([4, 6, 10]) == [2, 2, 60]
+    assert _invariant_factors([2, 2]) == [2, 2]
 
 
 def test_join_branch_checks_the_euler_characteristic_of_its_factors(monkeypatch):
