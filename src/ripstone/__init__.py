@@ -92,7 +92,6 @@ from .symmetry import (
     PermGroup,
     automorphisms,
     conjugacy_classes,
-    group_elements,
     rotation_subgroup,
     tetrahedra_orbits,
     verify_remark,

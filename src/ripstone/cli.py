@@ -4,7 +4,8 @@ Commands mirror the library layers: `solids` and `vr` expose construction,
 `morse` drives the matching engine over text files, and `verify`, `dodeca`,
 `cube`, and `symmetry` run the canned verification pipelines.  Exit code 0
 means every check passed, 1 means a verification or search failure, and 2
-means a usage, format, or file problem.
+means bad input: a usage, format, or file problem, or a cell that is not a
+face of the given complex.
 """
 
 from __future__ import annotations

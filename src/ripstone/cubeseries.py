@@ -17,7 +17,7 @@ from .errors import ParameterError
 from .homology import homology
 from .polytopes import combinatorial_metric, cube_graph
 from .reports import Report, row
-from .simplicial import vr_complex
+from .simplicial import _poly_mul, vr_complex
 
 _SERIES_KINDS = ("alpha_k", "beta_k", "main")
 _MAX_COEFF_INDEX = 64
@@ -62,15 +62,6 @@ def skeleton_betti_top(n: int, k: int) -> int:
         raise ParameterError("skeleton_betti_top needs 0 <= k <= n")
     chi = sum((-1) ** i * face_count(n, i) for i in range(k + 1))
     return (-1) ** k * (chi - 1)
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _rational_series(numer, denom, upto):

@@ -186,6 +186,7 @@ def _rows(columns) -> dict[int, dict[int, int]]:
 
 
 def _add_into(dst: dict, src: dict, k: int) -> None:
+    """dst += k * src, dropping zeros (pop: k may be 0 on a key dst lacks)."""
     for key, val in src.items():
         new = dst.get(key, 0) + k * val
         if new:
@@ -379,7 +380,7 @@ def _unit_pivot_columns(columns) -> tuple[dict, list]:
                 break
             if type(other) is int:
                 other = pivots[low] = dict(_facet_rows(below, other))
-            _subtract(col, other, low)
+            _add_into(col, other, -col[low] * other[low])  # other[low] is +-1
         if col:
             if col[low] in (1, -1):
                 pivots[low] = col
@@ -394,21 +395,10 @@ def _unit_pivot_columns(columns) -> tuple[dict, list]:
             other = pivots[low]
             if type(other) is int:
                 other = pivots[low] = dict(_facet_rows(below, other))
-            _subtract(col, other, low)
+            _add_into(col, other, -col[low] * other[low])  # other[low] is +-1
         if col:
             residual.append(list(col.items()))
     return pivots, residual
-
-
-def _subtract(col: dict[int, int], other: dict[int, int], low: int) -> None:
-    """Clear col's entry in row low with other, whose entry there is +-1."""
-    q = col[low] * other[low]  # other[low] is +-1, so q = col[low] / other[low]
-    for i, v in other.items():
-        new = col.get(i, 0) - q * v
-        if new:
-            col[i] = new
-        else:
-            del col[i]
 
 
 def _boundary_ranks(counts, columns) -> tuple[list[tuple[int, list[int]]], list[int]]:
@@ -541,7 +531,7 @@ def cycle_class(c: Complex, z: Chain) -> tuple[int, ...]:
     d_(k+1) are zero, H_k is free on those cells and a boundary maps to
     zero; elsewhere ParameterError names the differential that is not.  A
     non-cycle raises PreconditionError; a chain using simplices outside the
-    complex raises StructuralError.
+    complex raises ParameterError.
     """
     from .morse import _class_cells, _stable_flow
 
@@ -550,7 +540,7 @@ def cycle_class(c: Complex, z: Chain) -> tuple[int, ...]:
         raise ParameterError(f"chain dimension {k} outside 0..{c.dim}")
     for s in z.terms:
         if not c.has_face(s):
-            raise StructuralError(f"chain uses {s}, which is not a face of the complex")
+            raise ParameterError(f"chain uses {s}, which is not a face of the complex")
     bd = boundary_chain(z)
     if not bd.is_zero():
         # boundary must vanish inside the complex; since the complex is closed

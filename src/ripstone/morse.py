@@ -376,13 +376,13 @@ def _find_matching(c: Complex, cand_masks, forced_masks, seed: int, max_attempts
 def _live_order(c: Complex, live: set[int]) -> list[int]:
     """The masks of live in vertex tuple order: by size, then lexicographically.
 
-    That is c's storage order, level by level.  Raises StructuralError if
+    That is c's storage order, level by level.  Raises ParameterError if
     a mask of live is not a face of c.
     """
     out = [mask for level in c.faces for mask in level if mask in live]
     if len(out) < len(live):
         stray = min(map(vertices_of, live.difference(out)))
-        raise StructuralError(f"candidate {stray} is not a face of the complex")
+        raise ParameterError(f"candidate {stray} is not a face of the complex")
     return out
 
 
@@ -502,7 +502,7 @@ def morse_flow(c: Complex, m: Matching, z: Chain) -> FlowChain:
     _certified(c, m)
     for s in z.terms:
         if not c.has_face(s):
-            raise StructuralError(f"chain uses {s}, which is not a face of the complex")
+            raise ParameterError(f"chain uses {s}, which is not a face of the complex")
     start = {mask_of(s): co for s, co in z.terms.items()}
     fixed, steps = _stable_flow(m, start, c.face_total())
     terms = {vertices_of(mask): co for mask, co in fixed.items()}
@@ -568,8 +568,9 @@ def _element_matching(c: Complex) -> Matching:
 def _class_cells(c: Complex, k: int) -> tuple[Matching, list[int]]:
     """c's element matching and its critical k-cells, if its Morse d_k and d_(k+1) are zero.
 
-    Raises ParameterError naming a differential that is not zero.  The
-    verdict is cached in c._cache, once per dimension.
+    Raises ParameterError naming a differential that is not zero.  Only
+    the cells are cached in c._cache, once per dimension; a refusal is
+    worked out again on each call, from the flows the matching keeps.
     """
     key = ("class cells", k)
     if key not in c._cache:
@@ -577,15 +578,11 @@ def _class_cells(c: Complex, k: int) -> tuple[Matching, list[int]]:
         counts, columns = _morse_complex(c, m)
         for d in (k, k + 1):
             if 0 < d < len(counts) and any(col for _j, col in columns(d)):
-                c._cache[key] = (
+                raise ParameterError(
                     f"cannot read cycle classes in dimension {k}:"
                     f" the element matching's Morse d_{d} is not zero"
                 )
-                break
-        else:
-            c._cache[key] = m, _critical(c, m)[k] if k < len(counts) else []
-    if isinstance(c._cache[key], str):
-        raise ParameterError(c._cache[key])
+        c._cache[key] = m, _critical(c, m)[k] if k < len(counts) else []
     return c._cache[key]
 
 

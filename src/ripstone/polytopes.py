@@ -2,7 +2,9 @@
 
 Vertex numbering is fixed by the construction order of the coordinate lists
 below; nothing else in the package depends on a particular numbering, only on
-it being deterministic.
+it being deterministic.  A vertex set is a bitmask, bit v for vertex v, as
+in PolytopeGraph.adjacency; mask_of and vertices_of convert, here and in
+every module above.
 """
 
 from __future__ import annotations
@@ -20,6 +22,24 @@ SOLIDS = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
 # Chord-length gap between distinct distance classes is > 0.2 on every solid,
 # so a fixed tolerance is safe for adjacency detection.
 _TOL = 1e-9
+
+
+def mask_of(vertices) -> int:
+    """The bitmask of a vertex set: bit v set for vertex v."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def vertices_of(mask: int) -> tuple[int, ...]:
+    """The vertex ids of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -71,7 +91,7 @@ class PolytopeGraph:
         out = []
         for i in range(self.vertex_count):
             mask = self.adjacency[i] >> (i + 1) << (i + 1)
-            out.extend((i, j) for j in _bits(mask))
+            out.extend((i, j) for j in vertices_of(mask))
         return out
 
     def edge_count(self) -> int:
@@ -112,15 +132,6 @@ class DistanceTable:
     name: str
     rows: tuple[tuple[int, float, float], ...]
     phi: float = PHI
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _normalize(points: list[tuple[float, float, float]]) -> tuple[tuple[float, ...], ...]:
@@ -215,7 +226,7 @@ def combinatorial_metric(g: PolytopeGraph) -> DistanceMatrix:
         queue = deque([src])
         while queue:
             u = queue.popleft()
-            for w in _bits(g.adjacency[u]):
+            for w in vertices_of(g.adjacency[u]):
                 if dist[w] < 0:
                     dist[w] = dist[u] + 1
                     queue.append(w)

@@ -1,15 +1,16 @@
 """Simplicial complexes on integer vertex sets, with Vietoris-Rips constructors.
 
 A simplex is a strictly ascending tuple of vertex ids.  Internally every face
-is a bitmask over vertex ids, which keeps face and coface tests cheap; masks
-never leak through the public API except where documented: Complex.faces,
-and morse.Matching.pairs, whose (lower, upper) pairs are face masks.  A
-Complex keeps each level in the lexicographic order of its vertex tuples
-and is closed downward; a complex given its faces is sorted and checked
-once, at construction, and the constructors here build both properties
-themselves, so no consumer checks them again: the clique walk and the
-from_faces closure both emit each face once, by depth-first extension with
-larger vertices, already in that order.
+is a bitmask over vertex ids (polytopes.mask_of and vertices_of convert, and
+signed_facets lists a face's facets), which keeps face and coface tests
+cheap; masks never leak through the public API except where documented:
+Complex.faces, and morse.Matching.pairs, whose (lower, upper) pairs are
+face masks.  A Complex keeps each level in the lexicographic order of its
+vertex tuples and is closed downward; a complex given its faces is sorted
+and checked once, at construction, and the constructors here build both
+properties themselves, so no consumer checks them again: the clique walk
+and the from_faces closure both emit each face once, by depth-first
+extension with larger vertices, already in that order.
 
 Clique complexes (vr_complex, antipodal_free_complex, full_simplex_complex)
 are built lazily: the constructor keeps the graph, and the faces are
@@ -30,7 +31,7 @@ from itertools import product
 from math import prod
 
 from .errors import ParameterError, StructuralError
-from .polytopes import DistanceMatrix, build_solid, solid_info
+from .polytopes import DistanceMatrix, build_solid, mask_of, solid_info, vertices_of
 
 Simplex = tuple[int, ...]
 
@@ -49,22 +50,6 @@ def simplex(vertices) -> Simplex:
     if any(a >= b for a, b in zip(vs, vs[1:])):
         raise ParameterError(f"vertices must be strictly ascending: {vs!r}")
     return vs
-
-
-def mask_of(s: Simplex) -> int:
-    m = 0
-    for v in s:
-        m |= 1 << v
-    return m
-
-
-def vertices_of(mask: int) -> Simplex:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def signed_facets(mask: int) -> list[tuple[int, int]]:
@@ -102,7 +87,7 @@ class Complex:
     matchings, cycle-class cells and maximal faces cannot go stale.
 
     graph, when present, is the adjacency mask table of the graph whose
-    clique complex this is; it enables fast maximality tests.  cone_vertex
+    clique complex this is; it fixes the complex for ==.  cone_vertex
     names a vertex adjacent to every other one; the package does not read it
     (a cone is a join), but the benchmark tracer in perfbench/ counts cones
     by it.
@@ -190,11 +175,6 @@ class Complex:
             return False
         return mask_of(s) in self.index(k)
 
-    def has_mask(self, mask: int, k: int) -> bool:
-        if k >= len(self.faces):
-            return False
-        return mask in self.index(k)
-
     def simplices(self, k: int) -> list[Simplex]:
         """All k-faces as vertex tuples, in storage order."""
         if not 0 <= k <= self.dim:
@@ -202,11 +182,6 @@ class Complex:
         return [vertices_of(m) for m in self.faces[k]]
 
     def is_maximal_mask(self, mask: int, k: int) -> bool:
-        if self.graph is not None:
-            common = (1 << self.vertex_count) - 1
-            for v in vertices_of(mask):
-                common &= self.graph[v]
-            return common & ~mask == 0  # no common neighbor outside the face
         if k + 1 > self.dim:
             return True
         above = self.index(k + 1)
@@ -301,13 +276,18 @@ class _CliqueComplex(Complex):
         # is the product of the factors' 1 + F, with F = sum of x^|face|
         poly = [1]
         for _keep, x in self.join_factors:
-            factor = (1,) + x.f_vector()
-            out = [0] * (len(poly) + len(factor) - 1)
-            for i, a in enumerate(poly):
-                for j, b in enumerate(factor):
-                    out[i + j] += a * b
-            poly = out
+            poly = _poly_mul(poly, (1,) + x.f_vector())
         return tuple(poly[1:])
+
+
+def _poly_mul(a, b) -> list[int]:
+    """The product of two polynomials given by their coefficient lists, constant first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _complement_components(adj: tuple[int, ...]) -> list[int]:
@@ -444,16 +424,6 @@ def _closure(simplices, vertex_count: int | None = None) -> Complex:
     return c
 
 
-def _add_facets(into: set[int], masks) -> None:
-    """Add every facet of every mask to into."""
-    for m in masks:
-        mm = m
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            into.add(m ^ low)
-
-
 def full_simplex_complex(n: int) -> Complex:
     """Every non-empty subset of 0..n-1 (n <= 20)."""
     if not isinstance(n, int) or not 1 <= n <= 20:
@@ -496,9 +466,7 @@ def _maximal_masks(c: Complex) -> list[int]:
     """
     if "maximal" in c._cache:
         return c._cache["maximal"]
-    covered: set[int] = set()
-    for level in c.faces[1:]:
-        _add_facets(covered, level)  # a facet of a face is a face, so this stays in budget
+    covered = {f for level in c.faces[1:] for m in level for f, _sign in signed_facets(m)}
     return [m for level in c.faces for m in level if m not in covered]
 
 
@@ -513,7 +481,7 @@ def delete_open_cells(c: Complex, cells) -> Complex:
         s = simplex(s)
         k = len(s) - 1
         m = mask_of(s)
-        if not c.has_mask(m, k):
+        if not c.has_face(s):
             raise StructuralError(f"cannot delete {s}: not a face of the complex")
         if not c.is_maximal_mask(m, k):
             raise StructuralError(f"cannot delete {s}: the face is not maximal")

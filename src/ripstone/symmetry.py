@@ -4,13 +4,14 @@ Each group stores its sorted elements and the generators kept by one
 closure pass, which skips each generator already in the group so far, so
 a redundant generator (a commutator, a class member) costs one membership
 test; an orbit-stabilizer chain on the kept generators cross-checks the
-order.  The rotation subgroup is obtained purely combinatorially as the
-derived subgroup; for the dodecahedron this is the index-2 simple group
-of order 60, and the full group splits off a central involution (the
-antipodal map).  The closing verification compares the permutation
-action on the ten distance-3 tetrahedra, class by class, against the
-character predicted by tensoring the doubled natural fixed-point counts
-with the two-element sign table.
+order.  Conjugacy classes and tetrahedron orbits come from one orbit walk
+(_orbits), breadth-first over the kept generators.  The rotation subgroup
+is obtained purely combinatorially as the derived subgroup; for the
+dodecahedron this is the index-2 simple group of order 60, and the full
+group splits off a central involution (the antipodal map).  The closing
+verification compares the permutation action on the ten distance-3
+tetrahedra, class by class, against the character predicted by tensoring
+the doubled natural fixed-point counts with the two-element sign table.
 """
 
 from __future__ import annotations
@@ -124,11 +125,6 @@ def _closure(degree: int, generators) -> tuple[tuple, tuple]:
     return tuple(sorted(found)), tuple(kept)
 
 
-def group_elements(group: PermGroup) -> tuple:
-    """Every element, sorted."""
-    return group.elements
-
-
 def _chain_order(degree: int, generators) -> int:
     """Group order by recursive orbit-stabilizer with Schreier generators."""
     gens = tuple(sorted({g for g in generators if g != identity_perm(degree)}))
@@ -212,33 +208,40 @@ def rotation_subgroup(g: PermGroup) -> PermGroup:
     return sub
 
 
+def _orbits(points, images) -> list:
+    """The orbits of points, each a sorted tuple, in the order of their first point.
+
+    images(x) yields the points one step from x; an orbit is every point
+    reached by repeated steps, so images must stay inside points.
+    """
+    placed = set()
+    orbits = []
+    for p in points:
+        if p in placed:
+            continue
+        orbit = {p}
+        frontier = [p]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in images(x):
+                    if y not in orbit:
+                        orbit.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        placed |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
 def conjugacy_classes(group: PermGroup) -> list:
     """Classes as sorted tuples, ordered by their smallest member.
 
     The identity class always comes first because the identity is the
     smallest degree-n permutation.
     """
-    elems = group.elements
     gens = [(s, inverse(s)) for s in group.generators]
-    remaining = set(elems)
-    classes = []
-    for p in elems:
-        if p not in remaining:
-            continue
-        cls = {p}
-        frontier = [p]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s, s_inv in gens:
-                    y = compose(s, compose(x, s_inv))
-                    if y not in cls:
-                        cls.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        remaining -= cls
-        classes.append(tuple(sorted(cls)))
-    return classes
+    return _orbits(group.elements, lambda x: (compose(s, compose(x, s_inv)) for s, s_inv in gens))
 
 
 def tetrahedra_orbits(h: PermGroup, tets) -> list:
@@ -246,29 +249,15 @@ def tetrahedra_orbits(h: PermGroup, tets) -> list:
     tet_set = set(tets)
     if len(tet_set) != len(tets):
         raise ParameterError("duplicate tetrahedra")
-    orbits = []
-    placed = set()
-    for t in sorted(tets):
-        if t in placed:
-            continue
-        orbit = {t}
-        frontier = [t]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for p in h.generators:
-                    u = apply_to_simplex(p, s)
-                    if u not in tet_set:
-                        raise StructuralError(
-                            f"group moves tetrahedron {s} to {u}, outside the family"
-                        )
-                    if u not in orbit:
-                        orbit.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        placed |= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
+
+    def images(t):
+        for p in h.generators:
+            u = apply_to_simplex(p, t)
+            if u not in tet_set:
+                raise StructuralError(f"group moves tetrahedron {t} to {u}, outside the family")
+            yield u
+
+    return _orbits(sorted(tets), images)
 
 
 def verify_remark(g: PermGroup, rot: PermGroup, tets, h3_rank: int) -> CharacterData:

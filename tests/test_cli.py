@@ -212,6 +212,30 @@ def test_morse_find_stops_at_the_work_cap(tmp_path, monkeypatch):
     assert "within 40 attempts (the work cap, 1200 attempts x cells)" in err
 
 
+def test_morse_find_with_a_candidate_outside_the_complex_exits_two(tmp_path):
+    cpath = tmp_path / "tet.cx"
+    cpath.write_text("0 1 2 3\n")
+    cand = tmp_path / "cand.sx"
+    cand.write_text("0\n0 4\n")
+    code, out, err = run(["morse", "find", "--complex", str(cpath), "--candidate", str(cand)])
+    assert (code, out) == (2, "")
+    assert err == "error: candidate (0, 4) is not a face of the complex\n"
+
+
+def test_morse_flow_of_a_chain_outside_the_complex_exits_two(tmp_path):
+    cpath = tmp_path / "tet.cx"
+    cpath.write_text("0 1 2 3\n")
+    mpath = tmp_path / "pair.vm"
+    mpath.write_text("0 -> 0 1\n")
+    zpath = tmp_path / "z.chain"
+    zpath.write_text("1: 0 1\n1: 1 4\n")
+    code, out, err = run(
+        ["morse", "flow", "--complex", str(cpath), "--matching", str(mpath), "--chain", str(zpath)]
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: chain uses (1, 4), which is not a face of the complex\n"
+
+
 def test_missing_file_exits_two(tmp_path):
     code, _, err = run(["morse", "check", "--complex", str(tmp_path / "nope.cx"),
                         "--matching", str(tmp_path / "nope.vm")])

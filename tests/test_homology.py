@@ -220,7 +220,7 @@ def test_cycle_class_edge_cases():
     assert cycle_class(c, make_chain(2, {})) == (0,)
     with pytest.raises(PreconditionError):
         cycle_class(c, make_chain(2, {(0, 2, 4): 1}))  # not a cycle
-    with pytest.raises(StructuralError):
+    with pytest.raises(ParameterError):
         cycle_class(c, make_chain(2, {(0, 1, 2): 1}))  # (0,1) is antipodal
     # boundaries map to the zero coordinate vector
     w = boundary_chain(make_chain(2, {(0, 2, 4): 1}))
@@ -283,6 +283,7 @@ def test_cycle_class_refuses_a_matching_that_is_not_perfect():
         for z in _cycle_basis(c, k) + [make_chain(k, {})]:
             with pytest.raises(ParameterError, match=r"Morse d_2 is not zero"):
                 cycle_class(c, z)
+    assert ("class cells", 1) not in c._cache and ("class cells", 2) not in c._cache  # not cached
 
 
 def _assert_cycle_classes_are_coordinates(c, k, rng):

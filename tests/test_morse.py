@@ -130,7 +130,7 @@ def test_flow_error_paths():
         morse_flow(c, m, z)
     good = fan_matching(4, 0)
     full = full_simplex_complex(4)
-    with pytest.raises(StructuralError):
+    with pytest.raises(ParameterError, match=r"^chain uses \(0, 9\), which is not a face"):
         morse_flow(full, good, make_chain(1, {(0, 9): 1}))
     with pytest.raises(PreconditionError):
         critical_complex_homology(c, m)
@@ -261,7 +261,7 @@ def test_find_matching_stops_at_the_work_cap(monkeypatch):
 def test_find_matching_guards_and_trivia():
     c = full_simplex_complex(3)
     assert find_matching(c, []).pairs == ()
-    with pytest.raises(StructuralError):
+    with pytest.raises(ParameterError, match=r"^candidate \(0, 9\) is not a face"):
         find_matching(c, [(0, 9)])
     with pytest.raises(ParameterError):
         find_matching(c, [(0,), (1,)], forced_critical=[(2,)])
@@ -593,9 +593,9 @@ def test_candidates_outside_the_complex_are_refused():
     tet = full_simplex_complex(4)
     cells = [mask for level in tet.faces for mask in level]
     message = r"^candidate \(0, 1, 2\) is not a face of the complex$"
-    with pytest.raises(StructuralError, match=message):
+    with pytest.raises(ParameterError, match=message):
         morse._find_matching(skeleton(tet, 1), cells, [1], 5, 10)
-    with pytest.raises(StructuralError, match=message):
+    with pytest.raises(ParameterError, match=message):
         find_matching(skeleton(tet, 1), all_faces(tet), [(0,)], seed=5, max_attempts=10)
 
 

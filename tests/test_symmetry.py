@@ -1,5 +1,7 @@
 """Automorphism groups of the solid graphs and the tetrahedra action."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
@@ -14,7 +16,6 @@ from ripstone.symmetry import (
     automorphisms,
     compose,
     conjugacy_classes,
-    group_elements,
     identity_perm,
     inverse,
     perm_order,
@@ -73,7 +74,7 @@ def test_rotation_subgroup_is_simple_of_order_60():
     assert h.order == 60
     assert g.order // h.order == 2
     assert central_elements(h) == [identity_perm(20)]
-    elements = set(group_elements(h))
+    elements = set(h.elements)
     assert all(compose(p, q) in elements for p in list(elements)[:8] for q in list(elements)[:8])
     oracle = PermutationGroup([Permutation(list(p)) for p in h.generators])
     # a perfect group of order 60 is simple
@@ -86,7 +87,7 @@ def test_derived_subgroup_from_generator_commutators(name):
     # the closure of all |G|^2 commutators, computed here by breadth-first
     # products, against the closure of the [a, s] with s a generator
     g = automorphisms(build_solid(name))
-    elems = group_elements(g)
+    elems = g.elements
     comms = {
         compose(a, compose(b, compose(inverse(a), inverse(b)))) for a in elems for b in elems
     }
@@ -107,8 +108,19 @@ def test_center_of_full_group_is_the_antipodal_flip():
     assert perm_order(nontrivial) == 2
     metric = combinatorial_metric(build_solid("dodecahedron"))
     assert all(metric.d(v, nontrivial[v]) == 5 for v in range(20))
-    rotations = set(group_elements(rotation_subgroup(g)))
+    rotations = set(rotation_subgroup(g).elements)
     assert nontrivial not in rotations
+
+
+@pytest.mark.parametrize("name", SOLIDS)
+def test_conjugacy_classes_are_the_classes_of_all_conjugates(name):
+    # brute force: the class of x is {h x h^-1 : h in G}, over every h
+    g = automorphisms(build_solid(name))
+    classes = {
+        tuple(sorted({compose(h, compose(x, inverse(h))) for h in g.elements}))
+        for x in g.elements
+    }
+    assert conjugacy_classes(g) == sorted(classes)
 
 
 def test_tetrahedra_orbits():
@@ -121,12 +133,15 @@ def test_tetrahedra_orbits():
     assert [len(o) for o in full_orbits] == [10]
     # orbit-stabilizer: each tetrahedron has 12 rotational symmetries
     t0 = tets[0]
-    stab = [p for p in group_elements(h) if apply_to_simplex(p, t0) == t0]
+    stab = [p for p in h.elements if apply_to_simplex(p, t0) == t0]
     assert len(stab) == 12
     with pytest.raises(ParameterError):
         tetrahedra_orbits(h, [t0, t0])
-    with pytest.raises(StructuralError):
-        tetrahedra_orbits(h, [t0])  # orbit leaves the declared family
+    # the orbit leaves the declared family at the first generator that moves t0
+    u = next(apply_to_simplex(p, t0) for p in h.generators if apply_to_simplex(p, t0) != t0)
+    message = re.escape(f"group moves tetrahedron {t0} to {u}, outside the family")
+    with pytest.raises(StructuralError, match=f"^{message}$"):
+        tetrahedra_orbits(h, [t0])
 
 
 def test_character_table_of_the_tetrahedra_action():
@@ -237,7 +252,7 @@ def test_closure_composes_each_element_with_each_kept_generator_once(monkeypatch
     from ripstone import symmetry
 
     g = dodeca_group()
-    elems = group_elements(g)
+    elems = g.elements
     # every element after the generators is already in the group they generate
     gens = (*g.generators, *elems[:40])
     calls = []

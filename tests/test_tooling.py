@@ -60,3 +60,17 @@ def test_complexes_keep_what_the_tracer_reads():
     for c, cone, total in kinds:
         assert c.cone_vertex == cone
         assert c.face_total() == total
+
+
+def test_each_shared_helper_is_defined_once():
+    # one mask conversion, one facet rule, one polynomial product, one sparse
+    # row update and one orbit walk: a second copy anywhere fails here
+    shared = ("mask_of", "vertices_of", "signed_facets", "_poly_mul", "_add_into", "_orbits")
+    src = Path(ripstone.__file__).resolve().parent
+    defined = [
+        node.name
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in shared
+    ]
+    assert sorted(defined) == sorted(shared)
