@@ -11,14 +11,15 @@ which also backs smith_normal_form and the join formula's invariant
 factors.  cycle_class reads classes off a discrete Morse matching (see
 morse._element_matching) instead of a reduction.
 
-homology() hands the reduction a complex's columns lazily, as Ripser does
+Every row and column is keyed by its face (or critical cell) mask, and
+rows are ordered as numbers, which is colexicographic order, as in Ripser
 (Bauer, "Ripser: efficient computation of Vietoris-Rips persistence
-barcodes", J. Appl. Comput. Topol. 5 (2021)): each level is stored in
-lexicographic order, so a face's pivot is known from its mask, and its
-column is built only if that pivot collides (see _unit_pivot_columns).
-That order and the closure downward are invariants of Complex, checked
-where a complex is given its faces, so nothing here checks them again.
-The Morse complex has no such order, and its columns are built eagerly.
+barcodes", J. Appl. Comput. Topol. 5 (2021)).  So a face's pivot is read
+off its mask, and homology() hands the reduction a complex's faces as
+masks: a column is built only if its apparent or emergent pair collides
+(see _unit_pivot_columns).  Nothing here looks a face up by its place in
+its level, so the result does not depend on the order a level is stored
+in.  The Morse complex's columns are built eagerly.
 
 A clique complex that is a join X1*...*Xm (the graph's complement is
 disconnected, and each Xi is the clique complex on one of its components)
@@ -49,7 +50,6 @@ needed beyond avoiding floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import gcd
 
 from .errors import ParameterError, PreconditionError, StructuralError
@@ -136,42 +136,6 @@ class IntMatrix:
         return cls(rows=rows, cols=cols, entries=entries)
 
 
-def _boundary_columns(c: Complex, k: int, skip=()):
-    """d_k column by column in storage order, as (column, its (row, sign) pairs).
-
-    Columns whose index is in skip are left out without being built.  The
-    eager form of _face_columns, which tests reduce as the reference.
-    """
-    below = c.index(k - 1)
-    for j, mask in enumerate(c.faces[k]):
-        if j not in skip:
-            yield j, _facet_rows(below, mask)
-
-
-def _facet_rows(below: dict[int, int], mask: int) -> list[tuple[int, int]]:
-    """A face's boundary column as (row, sign) pairs; below maps each facet mask to its row."""
-    return [(below[f], sign) for f, sign in signed_facets(mask)]
-
-
-class _Faces:
-    """d_k of a complex, as the masks of its k-faces.
-
-    _unit_pivot_columns reads each column's pivot off its mask and builds
-    the column only when it must.
-    """
-
-    __slots__ = ("below", "masks")
-
-    def __init__(self, below: dict[int, int], masks: list[int]):
-        self.below = below  # (k-1)-face mask -> row
-        self.masks = masks  # the k-faces not cleared, in storage order
-
-
-def _face_columns(c: Complex, k: int, skip=()) -> _Faces:
-    """d_k of a complex for _boundary_ranks, its columns left unbuilt."""
-    return _Faces(c.index(k - 1), [m for j, m in enumerate(c.faces[k]) if j not in skip])
-
-
 def _rows(columns) -> dict[int, dict[int, int]]:
     """Row-oriented copy of (column, its (row, entry) pairs), the input of _reduce."""
     rows: dict[int, dict[int, int]] = {}
@@ -214,9 +178,9 @@ def _reduce(nrows: int, ncols: int, rows: dict, transforms: bool = False):
 
     No index and no heap: the inputs are small.  The paper's complexes
     leave no residual, so main_theorem and scale3 never come here; the
-    random_files batches of seeds 1-20 make 136 calls, the largest 12
-    columns with 428 nonzeros, 0.03 s in all.  The largest matrices are
-    the tests' references for clearing, up to 252 x 210.
+    random_files batches of seeds 1-20 make 163 calls in colex order, the
+    largest 16 columns with 588 nonzeros, about 0.02 s in all.  The largest
+    matrices are the tests' references for clearing, up to 252 x 210.
     """
     u = {i: {i: 1} for i in range(nrows)} if transforms else None
     v = {j: {j: 1} for j in range(ncols)} if transforms else None
@@ -339,47 +303,74 @@ def _homology_from_counts(counts, ranks) -> HomologyResult:
     return HomologyResult(betti=betti, torsion=torsion)
 
 
+def _column(pivot) -> dict[int, int]:
+    """The column a lazy pivot stands for, as {row mask: entry}.
+
+    A face mask stands for its boundary.  A pair (sigma, tau) of faces that
+    drop their smallest vertices to the same facet stands for
+    d(sigma) - d(tau): that facet is -1 in both and cancels, and no other
+    facet is shared, as each holds its own face's smallest vertex.
+    """
+    if type(pivot) is int:
+        return dict(signed_facets(pivot))
+    sigma, tau = pivot
+    col = dict(signed_facets(sigma))
+    for facet, sign in signed_facets(tau):
+        col[facet] = col.get(facet, 0) - sign
+    del col[sigma ^ (sigma & -sigma)]
+    return col
+
+
 def _unit_pivot_columns(columns) -> tuple[dict, list]:
     """Reduce boundary columns over Z, keeping only +-1 pivots.
 
-    columns yields (index, entries) in order, or is a complex's _Faces;
-    a column's pivot is its largest row.  Returns pivot row -> reduced
-    column, and the residual: the (row, entry) pairs of each column whose
-    pivot was not a unit, once every pivot row is eliminated from it,
+    columns yields a face mask, whose column is its boundary, or a list of
+    (row mask, entry) pairs.  Rows are ordered as numbers, which is colex
+    order, and a column's pivot is its largest row.  Returns pivot row ->
+    reduced column, and the residual: the (row, entry) pairs of each column
+    whose pivot was not a unit, once every pivot row is eliminated from it,
     largest first, if any are left.  The pivot columns are triangular with
-    a +-1 diagonal, so this is exact over Z.
+    a +-1 diagonal, so this is exact over Z, in whatever order the columns
+    come.
 
-    A face's column in _Faces is its raw boundary.  The (k-1)-faces are
-    lex-ordered, and the facet that drops the face's smallest vertex comes
-    after every other facet (the others keep that vertex, which is where
-    they first differ from it), so that facet is the column's largest row,
-    with coefficient -1.  If no earlier column holds that row, the raw
-    column is already reduced with a unit pivot: its face mask is recorded
-    as the pivot and stands for the column, exactly, until a later column
-    or a residual must subtract it; then the column is built in its place.
+    Face columns are kept lazily, as Ripser keeps them (Bauer, 2021).
+    Of a face's facets, the one that drops its smallest vertex is the
+    largest number, with coefficient -1.  If no pivot holds that row, the
+    face's raw column is reduced (an apparent pair), and its mask is kept
+    as the pivot.  If a raw face tau holds it, d(sigma) - d(tau) cancels
+    that row, and its largest row is max(sigma, tau) less the row's smallest
+    vertex, with coefficient +-1; if no pivot holds that one, the pair
+    (sigma, tau) is kept as the pivot (an emergent pair).  A kept mask or
+    pair stands for its column exactly, and the column is built only when
+    a later column or a residual must subtract it.
     """
-    pivots: dict[int, dict[int, int] | int] = {}  # a mask stands for its raw column
+    pivots: dict[int, int | tuple[int, int] | dict[int, int]] = {}
     aside: list[dict[int, int]] = []
-    lazy = isinstance(columns, _Faces)
-    if lazy:
-        below = columns.below
-        columns = columns.masks
     for item in columns:
-        if lazy:
-            low = below[item ^ (item & -item)]
-            if low not in pivots:
+        if type(item) is int:
+            low = item ^ (item & -item)
+            other = pivots.get(low)
+            if other is None:  # apparent pair
                 pivots[low] = item
                 continue
-            col = dict(_facet_rows(below, item))
+            if type(other) is int:
+                pair = item, other
+                low = max(pair) ^ (low & -low)
+                if low not in pivots:  # emergent pair
+                    pivots[low] = pair
+                    continue
+                col = _column(pair)
+            else:
+                col = dict(signed_facets(item))
         else:
-            col = dict(item[1])
+            col = dict(item)
         while col:
             low = max(col)
             other = pivots.get(low)
             if other is None:
                 break
-            if type(other) is int:
-                other = pivots[low] = dict(_facet_rows(below, other))
+            if type(other) is not dict:
+                other = pivots[low] = _column(other)
             _add_into(col, other, -col[low] * other[low])  # other[low] is +-1
         if col:
             if col[low] in (1, -1):
@@ -393,8 +384,8 @@ def _unit_pivot_columns(columns) -> tuple[dict, list]:
             if low is None:
                 break
             other = pivots[low]
-            if type(other) is int:
-                other = pivots[low] = dict(_facet_rows(below, other))
+            if type(other) is not dict:
+                other = pivots[low] = _column(other)
             _add_into(col, other, -col[low] * other[low])  # other[low] is +-1
         if col:
             residual.append(list(col.items()))
@@ -405,22 +396,22 @@ def _boundary_ranks(counts, columns) -> tuple[list[tuple[int, list[int]]], list[
     """Rank and torsion of every differential, by top-down reduction with clearing.
 
     counts[k] is the number of k-cells; columns(k, skip) yields d_k as
-    (column, its (row, coefficient) pairs), or returns it as a complex's
-    _Faces, leaving out those in skip unbuilt.
-    Entry k of the first list is (rank d_k, invariant factors > 1 of d_k);
-    entry 0 is (0, []).  The second names the dimensions, top first, that
-    left a non-empty residual for Smith reduction.
+    _unit_pivot_columns reads it, leaving out the k-cells in skip unbuilt.
+    Rows and cells are keyed by their masks.  Entry k of the first list is
+    (rank d_k, invariant factors > 1 of d_k); entry 0 is (0, []).  The
+    second names the dimensions, top first, that left a non-empty residual
+    for Smith reduction.
 
     A k-cell that is the pivot of a reduced d_{k+1} column is skipped
-    (cleared): that column is +-1 times the cell plus earlier cells and,
+    (cleared): that column is +-1 times the cell plus smaller cells and,
     as d_k d_{k+1} = 0 in any chain complex, a cycle, so the cell's column
-    is a combination of earlier columns of d_k.  The unit-pivot columns
-    span a direct summand of the (k-1)-chains, complementary to the chains
-    on the other rows, where the residual lives; so SNF(d_k) is
-    1^|pivots| + SNF(residual): rank d_k is |pivots| + rank(residual), and
-    its torsion is the residual's.  Each reduced column is a Z-combination
-    of d_{k+1} columns, so the unit pivots of every dimension clear the
-    dimension below, residual or not.
+    is a combination of smaller cells' columns, and by induction of those
+    not cleared.  The unit-pivot columns span a direct summand of the
+    (k-1)-chains, complementary to the chains on the other rows, where the
+    residual lives; so SNF(d_k) is 1^|pivots| + SNF(residual): rank d_k is
+    |pivots| + rank(residual), and its torsion is the residual's.  Each
+    reduced column is a Z-combination of d_{k+1} columns, so the unit
+    pivots of every dimension clear the dimension below, residual or not.
     """
     out: list[tuple[int, list[int]]] = [(0, [])] * len(counts)
     fallbacks: list[int] = []
@@ -448,7 +439,9 @@ def homology(c: Complex) -> HomologyResult:
 
 def _homology_by_reduction(c: Complex) -> HomologyResult:
     counts = [len(level) for level in c.faces]  # builds the faces, once
-    ranks, _fallbacks = _boundary_ranks(counts, partial(_face_columns, c))
+    ranks, _fallbacks = _boundary_ranks(
+        counts, lambda k, skip: [mask for mask in c.faces[k] if mask not in skip]
+    )
     return _homology_from_counts(counts, ranks)
 
 
@@ -547,5 +540,6 @@ def cycle_class(c: Complex, z: Chain) -> tuple[int, ...]:
         # downward this is the full cycle condition
         raise PreconditionError("chain is not a cycle")
     m, cells = _class_cells(c, k)
-    fixed, _steps = _stable_flow(m, {mask_of(s): co for s, co in z.terms.items()}, c.face_total())
+    start = {mask_of(s): co for s, co in z.terms.items()}
+    fixed, _steps = _stable_flow(m, start, c.face_total(), cycle=True)
     return tuple(fixed.get(cell, 0) for cell in cells)

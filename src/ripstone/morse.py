@@ -23,7 +23,8 @@ it has made, keyed by the start chain, and a chain is flowed once per
 matching: the trace's two Morse complexes share their scale-2 columns,
 and its ten tetrahedron boundaries are flowed for the scale-3 Morse
 complex and reused by morse_flow.  Each flow step applies dV + Vd to the
-last step's change alone.
+last step's change alone, and to a cycle's change, itself a cycle, dV
+alone.
 """
 
 from __future__ import annotations
@@ -403,7 +404,9 @@ def _pairing_operator(m: Matching) -> dict[int, tuple[int, int]]:
     return {lo: (up, -1 if (up & ((up ^ lo) - 1)).bit_count() & 1 else 1) for lo, up in m.pairs}
 
 
-def _flow_to_fixpoint(chain: dict, v_map: dict, limit: int) -> tuple[dict, int]:
+def _flow_to_fixpoint(
+    chain: dict, v_map: dict, limit: int, cycle: bool = False
+) -> tuple[dict, int]:
     """Iterate z -> z + (dV + Vd)z from chain until it is fixed; the fixpoint and the steps.
 
     The map is linear, so each step applies dV + Vd to the last step's
@@ -411,6 +414,9 @@ def _flow_to_fixpoint(chain: dict, v_map: dict, limit: int) -> tuple[dict, int]:
     D + (dV + Vd)D for the change D before it, and the chain is fixed once
     the change is zero.  Facets and signs come from a bit loop under
     signed_facets' rule, dropping the i-th smallest vertex with (-1)^(i+1).
+    With cycle set, chain must be a cycle: the map is a chain map, so every
+    change is a cycle too, V(dD) = 0, and the Vd half is skipped; the
+    fixpoint and the steps are the same.
     """
     cur = dict(chain)
     change = chain
@@ -428,6 +434,8 @@ def _flow_to_fixpoint(chain: dict, v_map: dict, limit: int) -> tuple[dict, int]:
                     rest ^= low
                     nxt[up ^ low] = nxt.get(up ^ low, 0) + co_up
                     co_up = -co_up
+            if cycle:
+                continue
             sign = -co
             rest = mask
             while rest:  # V(d z); a vertex's one "facet", 0, is never paired
@@ -451,17 +459,18 @@ def _flow_to_fixpoint(chain: dict, v_map: dict, limit: int) -> tuple[dict, int]:
             raise StructuralError("flow failed to stabilize; matching cannot be acyclic")
 
 
-def _stable_flow(m: Matching, chain: dict, limit: int) -> tuple[dict, int]:
+def _stable_flow(m: Matching, chain: dict, limit: int, cycle: bool = False) -> tuple[dict, int]:
     """_flow_to_fixpoint through m's pairing operator, computed once per matching and chain.
 
     The fixpoint depends on the matching and the chain alone, not on the
     complex, so it is kept on m (Matching._flows); each caller gets its own
     copy.  limit guards a matching that is not acyclic, and every flow kept
-    has stabilized.
+    has stabilized.  cycle, for a chain known to be a cycle, skips work
+    without changing the result, so the kept flows serve either way.
     """
     key = frozenset(chain.items())
     if key not in m._flows:
-        m._flows[key] = _flow_to_fixpoint(chain, m._operator, limit)
+        m._flows[key] = _flow_to_fixpoint(chain, m._operator, limit, cycle)
     fixed, steps = m._flows[key]
     return dict(fixed), steps
 
@@ -512,20 +521,20 @@ def morse_flow(c: Complex, m: Matching, z: Chain) -> FlowChain:
 def _morse_complex(c: Complex, m: Matching) -> tuple[list[int], Callable]:
     """Cell counts and columns(k, skip) of the Morse complex, for _boundary_ranks.
 
-    A critical cell's differential is the stabilized flow of its boundary on
-    the critical cells; a skipped cell is never flowed.
+    A critical cell's differential is the stabilized flow of its boundary,
+    a cycle, on the critical cells, as (cell mask, coefficient) pairs; a
+    skipped cell is never flowed.
     """
     _certified(c, m, "critical complex")
     crit = _critical(c, m)
-    index = [{mask: i for i, mask in enumerate(level)} for level in crit]
+    matched = m._matched
     limit = c.face_total()
 
     def columns(k: int, skip=()):
-        below = index[k - 1]
-        for j, mask in enumerate(crit[k]):
-            if j not in skip:
-                fixed, _steps = _stable_flow(m, dict(signed_facets(mask)), limit)
-                yield j, [(below[f], co) for f, co in fixed.items() if f in below]
+        for mask in crit[k]:
+            if mask not in skip:
+                fixed, _steps = _stable_flow(m, dict(signed_facets(mask)), limit, cycle=True)
+                yield [(f, co) for f, co in fixed.items() if f not in matched]
 
     return [len(level) for level in crit], columns
 
@@ -577,7 +586,7 @@ def _class_cells(c: Complex, k: int) -> tuple[Matching, list[int]]:
         m = _element_matching(c)
         counts, columns = _morse_complex(c, m)
         for d in (k, k + 1):
-            if 0 < d < len(counts) and any(col for _j, col in columns(d)):
+            if 0 < d < len(counts) and any(columns(d)):
                 raise ParameterError(
                     f"cannot read cycle classes in dimension {k}:"
                     f" the element matching's Morse d_{d} is not zero"

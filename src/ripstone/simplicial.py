@@ -75,7 +75,8 @@ class Complex:
 
     faces[k] is a tuple of the bitmasks of all k-faces, in the lexicographic
     order of their vertex tuples, and the complex is closed downward.  Both
-    are invariants that homology and the Morse search read off the storage:
+    are invariants.  The lex order is read only by the Morse search and by
+    outputs; homology orders rows by mask and reads no storage order.
     Complex(vertex_count, faces) sorts each level and raises StructuralError
     for an empty complex or top level, a face in the wrong level, a repeated
     face, a vertex id past vertex_count or a missing facet.  The package's

@@ -15,10 +15,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from ripstone.errors import ParameterError, PreconditionError, SearchFailure, StructuralError
 from ripstone.homology import (
     IntMatrix,
-    _boundary_columns,
     _boundary_ranks,
-    _face_columns,
-    _Faces,
     _homology_from_counts,
     _invariant_factors,
     _join_groups,
@@ -349,16 +346,26 @@ def _clearing_fallbacks(counts, columns):
     """
     snf = [(0, [])]
     for k in range(1, len(counts)):
-        factors, _u, _v = _reduce(counts[k - 1], counts[k], _rows(columns(k, ())))
+        factors, _u, _v = _reduce(counts[k - 1], counts[k], _rows(enumerate(columns(k, ()))))
         snf.append((len(factors), [d for d in factors if d > 1]))
     clearing, fallbacks = _boundary_ranks(counts, columns)
     assert clearing == snf
     return fallbacks, snf
 
 
+def _eager_columns(c, k, skip):
+    """d_k of c built column by column from signed_facets, each row keyed by its mask."""
+    return [signed_facets(mask) for mask in c.faces[k] if mask not in skip]
+
+
+def _lazy_columns(c, k, skip):
+    """d_k of c as homology() hands it over: the masks of the k-faces not cleared."""
+    return [mask for mask in c.faces[k] if mask not in skip]
+
+
 def _complex_fallbacks(c):
     counts = list(c.f_vector())
-    fallbacks, snf = _clearing_fallbacks(counts, partial(_boundary_columns, c))
+    fallbacks, snf = _clearing_fallbacks(counts, partial(_eager_columns, c))
     assert homology(c) == _homology_from_counts(counts, snf)
     return fallbacks
 
@@ -384,24 +391,28 @@ def test_clearing_matches_snf_on_projective_plane_joins(g):
     _complex_fallbacks(from_faces(faces))
 
 
+RP2_JOIN = [f + q for f in RP2_FACES for q in ((6,), (7, 8, 9), (10,))]
+# in colex order, d_5 and d_4 leave residuals with no torsion, and d_3 one
+# carrying the Z/2
+RP2_JOIN_FALLBACKS = [5, 4, 3]
+
+
 def test_clearing_falls_back_on_torsion_only_where_needed():
     # H_1(RP^2) = Z/2 cannot come from unit pivots, so d_2 falls back
     assert 2 in _complex_fallbacks(from_faces(RP2_FACES))
-    # d_5 and d_4 have unit pivots, d_3 leaves a residual carrying the Z/2:
     # d_3's unit pivots still clear d_2, which needs no Smith reduction
-    join = [f + q for f in RP2_FACES for q in ((6,), (7, 8, 9), (10,))]
-    assert _complex_fallbacks(from_faces(join)) == [3]
+    fallbacks = _complex_fallbacks(from_faces(RP2_JOIN))
+    assert fallbacks == RP2_JOIN_FALLBACKS and 2 not in fallbacks
     c = vr_complex(combinatorial_metric(build_solid("dodecahedron")), 4)
-    assert _boundary_ranks(c.f_vector(), partial(_boundary_columns, c))[1] == []
+    assert _boundary_ranks(c.f_vector(), partial(_eager_columns, c))[1] == []
 
 
 def _assert_lazy_columns_agree(c):
-    # the lazy _Faces of every dimension reduce to exactly what the eager
-    # columns do: ranks, torsion and the dimensions that fall back
+    # face masks, with their apparent and emergent pairs, reduce to exactly
+    # what the eager columns do: ranks, torsion and the dimensions that fall back
     counts = list(c.f_vector())
-    assert all(isinstance(_face_columns(c, k), _Faces) for k in range(1, len(counts)))
-    lazy = _boundary_ranks(counts, partial(_face_columns, c))
-    assert lazy == _boundary_ranks(counts, partial(_boundary_columns, c))
+    lazy = _boundary_ranks(counts, partial(_lazy_columns, c))
+    assert lazy == _boundary_ranks(counts, partial(_eager_columns, c))
     return lazy
 
 
@@ -419,33 +430,62 @@ def test_lazy_columns_agree_with_eager_on_projective_plane_joins(g):
 
 
 def test_lazy_columns_fall_back_where_the_eager_ones_do():
-    join = [f + q for f in RP2_FACES for q in ((6,), (7, 8, 9), (10,))]
-    assert _assert_lazy_columns_agree(from_faces(join))[1] == [3]
+    assert _assert_lazy_columns_agree(from_faces(RP2_JOIN))[1] == RP2_JOIN_FALLBACKS
     assert _assert_lazy_columns_agree(from_faces(RP2_FACES))[1] == [2]
 
 
-def _shuffled(c, seed):
-    """A plain Complex with c's faces, each level in a seeded random order."""
+def _shuffled_levels(c, seed):
+    """c's levels, each in a seeded random order."""
     rng = random.Random(seed)
-    faces = [rng.sample(level, len(level)) for level in c.faces]
-    return Complex(vertex_count=c.vertex_count, faces=faces)
+    return tuple(tuple(rng.sample(level, len(level))) for level in c.faces)
+
+
+def _shuffled(c, seed):
+    """A plain Complex given c's faces, each level in a seeded random order."""
+    return Complex(vertex_count=c.vertex_count, faces=_shuffled_levels(c, seed))
 
 
 def test_homology_checks_the_lex_order_of_each_level():
-    # read off a level out of lex order, a face's last facet is not its
-    # largest row: if Complex kept these seeds' shuffles as given, lazy
-    # pivots would give them wrong Betti numbers (and some other seeds' a
-    # reduction that never ends, so they are not used here)
-    join = from_faces([f + q for f in RP2_FACES for q in ((6,), (7, 8, 9), (10,))])
+    # a Complex given its faces out of lex order sorts each level, which the
+    # Morse search and the outputs read; homology gets the same result from
+    # the sorted levels as from the order the faces came in
+    join = from_faces(RP2_JOIN)
     dodeca = vr_complex(combinatorial_metric(build_solid("dodecahedron")), 3)
-    for c, seeds in ((join, range(1, 6)), (dodeca, (1,))):
+    for c in (join, dodeca):
         want = homology(c)
-        for seed in seeds:
+        for seed in range(1, 6):
             shuffled = _shuffled(c, seed)
-            assert shuffled.graph is None
+            assert shuffled.graph is None and shuffled.faces == c.faces
             assert homology(shuffled) == want, seed
     assert homology(join).torsion[2] == (2, 2)
     assert homology(dodeca).betti == (1, 0, 0, 9, 0, 0, 0)
+
+
+def test_homology_does_not_read_the_storage_order_of_a_level():
+    # rows are ordered by mask, not by place in a level, so a complex whose
+    # levels are kept out of lex order still gets exact homology; reading a
+    # face's last facet in its level as its pivot, as homology once did,
+    # gave some of these wrong Betti numbers and others a reduction that
+    # never ended
+    join = from_faces(RP2_JOIN)
+    dodeca = vr_complex(combinatorial_metric(build_solid("dodecahedron")), 3)
+    for c in (join, dodeca):
+        want = homology(c)
+        for seed in range(1, 6):
+            unsorted = Complex._built(c.vertex_count, _shuffled_levels(c, seed))
+            assert unsorted.faces != c.faces
+            assert homology(unsorted) == want, seed
+
+
+def test_homology_builds_no_position_index():
+    # homology looks no face up by its place in its level
+    for c in (
+        from_faces(RP2_JOIN),
+        vr_complex(combinatorial_metric(build_solid("dodecahedron")), 3),
+    ):
+        assert not c.join_factors
+        homology(c)
+        assert c._indexes == {}
 
 
 def test_shuffled_levels_give_the_same_cycle_classes():
@@ -488,8 +528,8 @@ def test_a_complex_not_closed_downward_names_its_missing_facet():
 
 def _one_differential(nrows, columns):
     """counts and columns(k, skip) of a chain complex whose only map is d_1."""
-    def cols(k, skip):
-        return ((j, list(col.items())) for j, col in enumerate(columns) if j not in skip)
+    def cols(k, skip):  # only d_1, so nothing is ever cleared
+        return [list(col.items()) for col in columns]
 
     return [nrows, len(columns)], cols
 

@@ -435,12 +435,12 @@ def test_critical_complex_flows_each_cell_once(monkeypatch):
     flowed = []
     flow = morse._flow_to_fixpoint
 
-    def counted(chain, v_map, limit):
+    def counted(chain, v_map, limit, cycle=False):
         cell = 0
         for facet in chain:  # the boundary of a cell; its facets span it
             cell |= facet
         flowed.append(cell)
-        return flow(chain, v_map, limit)
+        return flow(chain, v_map, limit, cycle)
 
     monkeypatch.setattr(morse, "_flow_to_fixpoint", counted)
     assert critical_complex_homology(c3, m).betti[:4] == (1, 0, 0, 9)
@@ -678,13 +678,16 @@ def test_change_only_flow_matches_the_whole_chain_iteration(drawn):
     c, m, rng = drawn
     assert check_matching(c, m).ok()
     limit = c.face_total()
-    starts = [dict(signed_facets(mask)) for level in c.faces[1:] for mask in level]
+    boundaries = [dict(signed_facets(mask)) for level in c.faces[1:] for mask in level]
+    starts = list(boundaries)
     for level in c.faces:
         chain = {mask: rng.randint(-3, 3) for mask in level if rng.random() < 0.5}
         starts.append({mask: co for mask, co in chain.items() if co})
-    for start in starts:
+    for i, start in enumerate(starts):
         expected = _whole_chain_flow(dict(start), m._operator, limit)
         assert _flow_to_fixpoint(dict(start), m._operator, limit) == expected
+        if i < len(boundaries):  # a cycle: skipping V(d.) keeps the fixpoint and the steps
+            assert _flow_to_fixpoint(dict(start), m._operator, limit, cycle=True) == expected
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -717,9 +720,9 @@ def _counted_flows(monkeypatch):
     starts = []
     flow = morse._flow_to_fixpoint
 
-    def counted(chain, v_map, limit):  # v_map is the matching's own pairing operator
+    def counted(chain, v_map, limit, cycle=False):  # v_map is the matching's own pairing operator
         starts.append((id(v_map), frozenset(chain.items())))
-        return flow(chain, v_map, limit)
+        return flow(chain, v_map, limit, cycle)
 
     monkeypatch.setattr(morse, "_flow_to_fixpoint", counted)
     return starts
