@@ -4,6 +4,7 @@ import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,33 @@ SQUARE_COMPLEX = """\
 2 3
 0 3
 """
+
+
+# Usage, help and parse-error argvs whose stdout, stderr and exit code are
+# pinned in golden/cli_usage.json.  Regenerate (only when a usage text is
+# meant to change) with
+#
+#     PYTHONPATH=src python tests/test_cli.py
+USAGE_TABLE = Path(__file__).parent / "golden" / "cli_usage.json"
+GROUPS = ("solids", "vr", "verify", "dodeca", "morse", "cube", "symmetry")
+USAGE_ARGVS = (
+    [],
+    ["-h"],
+    ["--help"],
+    *([group] for group in GROUPS),
+    *([group, "-h"] for group in GROUPS),
+    ["-h", "verify"],
+    ["frobnicate"],
+    ["--bogus", "verify", "main-theorem"],
+    ["--format", "json", "verify", "main-theorem"],
+    ["--", "solids", "list"],
+    ["--", "frobnicate"],
+    ["verify", "main-theorem", "-h"],
+    ["solids", "distances", "teapot"],
+    ["cube", "series", "--max-n", "x"],
+    ["dodeca", "trace", "--seed", "x"],
+    ["vr", "homology", "cube"],
+)
 
 
 def run(argv, env=None, monkeypatch=None):
@@ -289,3 +317,19 @@ def test_symmetry_report_runs():
 def test_help_exits_zero():
     code, out, _ = run(["--help"])
     assert code == 0
+
+
+def _usage_rows():
+    return [dict(zip(("argv", "code", "stdout", "stderr"), (argv, *run(argv)))) for argv in USAGE_ARGVS]
+
+
+def test_usage_help_and_parse_errors_match_the_table(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    assert _usage_rows() == json.loads(USAGE_TABLE.read_text(encoding="utf-8"))
+
+
+if __name__ == "__main__":
+    import os
+
+    os.environ["COLUMNS"] = "80"
+    USAGE_TABLE.write_text(json.dumps(_usage_rows(), indent=2) + "\n", encoding="utf-8")
