@@ -2,10 +2,12 @@
 
 Commands mirror the library layers: `solids` and `vr` expose construction,
 `morse` drives the matching engine over text files, and `verify`, `dodeca`,
-`cube`, and `symmetry` run the canned verification pipelines.  Exit code 0
-means every check passed, 1 means a verification or search failure, and 2
-means bad input: a usage, format, or file problem, or a cell that is not a
-face of the given complex.
+`cube`, and `symmetry` run the canned verification pipelines.  A call builds
+the action parsers of one group only: the group named by its first argument
+that does not start with "-", which is the token argparse reads as the
+command.  Exit code 0 means every check passed, 1 means a verification or
+search failure, and 2 means bad input: a usage, format, or file problem, or
+a cell that is not a face of the given complex.
 """
 
 from __future__ import annotations
@@ -58,11 +60,7 @@ def _default_seed() -> int:
         raise ParameterError(f"RIPSTONE_SEED must be an integer, got {raw!r}") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument(
-        "--format", choices=("table", "json"), default="table", help="output format"
-    )
+def _seed_options() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument(
         "--seed",
@@ -73,6 +71,22 @@ def _build_parser() -> argparse.ArgumentParser:
     seeded.add_argument(
         "--max-attempts", type=int, default=1000, help="seeded restarts before giving up"
     )
+    return seeded
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv: every command group, but the actions of one only.
+
+    The group named by argv's first token that does not start with "-" gets
+    its action parsers.  The top-level parser has no option that takes a
+    value, so argparse reads that same token as the command and never parses
+    another group; help and usage errors print as with the full tree.
+    """
+    command = next((a for a in argv if not a.startswith("-")), None)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
+        "--format", choices=("table", "json"), default="table", help="output format"
+    )
 
     p = argparse.ArgumentParser(
         prog="ripstone",
@@ -80,72 +94,69 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    solids = sub.add_parser("solids", help="solid constructions and distances")
-    ssub = solids.add_subparsers(dest="action", required=True)
-    ssub.add_parser("list", parents=[fmt], help="list the five solids").set_defaults(
-        func=_cmd_solids_list
-    )
-    dist = ssub.add_parser("distances", parents=[fmt], help="distance table per hop")
-    dist.add_argument("name", choices=SOLIDS)
-    dist.set_defaults(func=_cmd_solids_distances)
+    def actions(name: str, blurb: str):
+        group = sub.add_parser(name, help=blurb)
+        return group.add_subparsers(dest="action", required=True) if name == command else None
 
-    vr = sub.add_parser("vr", help="Vietoris-Rips complexes at integer scales")
-    vsub = vr.add_subparsers(dest="action", required=True)
-    for action, blurb, func in (
-        ("build", "emit the complex", _cmd_vr_build),
-        ("homology", "betti/torsion", _cmd_vr_homology),
-    ):
-        q = vsub.add_parser(action, parents=[fmt], help=blurb)
-        q.add_argument("name", choices=SOLIDS)
-        q.add_argument("--r", type=int, required=True, help="integer scale")
-        q.set_defaults(func=func)
+    if (ssub := actions("solids", "solid constructions and distances")) is not None:
+        ssub.add_parser("list", parents=[fmt], help="list the five solids").set_defaults(
+            func=_cmd_solids_list
+        )
+        dist = ssub.add_parser("distances", parents=[fmt], help="distance table per hop")
+        dist.add_argument("name", choices=SOLIDS)
+        dist.set_defaults(func=_cmd_solids_distances)
 
-    verify = sub.add_parser("verify", help="canned verification pipelines")
-    wsub = verify.add_subparsers(dest="action", required=True)
-    wsub.add_parser(
-        "main-theorem", parents=[fmt], help="betti tables for all solids and scales"
-    ).set_defaults(func=lambda args: _emit_report(verify_main_theorem(), args.format))
+    if (vsub := actions("vr", "Vietoris-Rips complexes at integer scales")) is not None:
+        for action, blurb, func in (
+            ("build", "emit the complex", _cmd_vr_build),
+            ("homology", "betti/torsion", _cmd_vr_homology),
+        ):
+            q = vsub.add_parser(action, parents=[fmt], help=blurb)
+            q.add_argument("name", choices=SOLIDS)
+            q.add_argument("--r", type=int, required=True, help="integer scale")
+            q.set_defaults(func=func)
 
-    dodeca = sub.add_parser("dodeca", help="the ten tetrahedra and the scale-3 trace")
-    dsub = dodeca.add_subparsers(dest="action", required=True)
-    dsub.add_parser("tetrahedra", parents=[fmt], help="list the ten tetrahedra").set_defaults(
-        func=_cmd_dodeca_tetrahedra
-    )
-    dsub.add_parser("trace", parents=[fmt, seeded], help="full scale-3 trace").set_defaults(
-        func=_cmd_dodeca_trace
-    )
+    if (wsub := actions("verify", "canned verification pipelines")) is not None:
+        wsub.add_parser(
+            "main-theorem", parents=[fmt], help="betti tables for all solids and scales"
+        ).set_defaults(func=lambda args: _emit_report(verify_main_theorem(), args.format))
 
-    morse = sub.add_parser("morse", help="matching engine over text files")
-    msub = morse.add_subparsers(dest="action", required=True)
-    chk = msub.add_parser("check", parents=[fmt], help="validate and certify a matching")
-    chk.add_argument("--complex", required=True, dest="complex_path")
-    chk.add_argument("--matching", required=True, dest="matching_path")
-    chk.set_defaults(func=_cmd_morse_check)
-    fnd = msub.add_parser("find", parents=[fmt, seeded], help="search for a matching")
-    fnd.add_argument("--complex", required=True, dest="complex_path")
-    fnd.add_argument("--candidate", dest="candidate_path", help="cells allowed in pairs")
-    fnd.add_argument("--critical", dest="critical_path", help="cells forced critical")
-    fnd.set_defaults(func=_cmd_morse_find)
-    flw = msub.add_parser("flow", parents=[fmt], help="flow a chain to the critical complex")
-    flw.add_argument("--complex", required=True, dest="complex_path")
-    flw.add_argument("--matching", required=True, dest="matching_path")
-    flw.add_argument("--chain", required=True, dest="chain_path")
-    flw.set_defaults(func=_cmd_morse_flow)
+    if (dsub := actions("dodeca", "the ten tetrahedra and the scale-3 trace")) is not None:
+        dsub.add_parser("tetrahedra", parents=[fmt], help="list the ten tetrahedra").set_defaults(
+            func=_cmd_dodeca_tetrahedra
+        )
+        dsub.add_parser(
+            "trace", parents=[fmt, _seed_options()], help="full scale-3 trace"
+        ).set_defaults(func=_cmd_dodeca_trace)
 
-    cube = sub.add_parser("cube", help="cube-graph series and cross-checks")
-    csub = cube.add_subparsers(dest="action", required=True)
-    ser = csub.add_parser("series", parents=[fmt], help="main series identity table")
-    ser.add_argument("--max-n", type=int, default=10)
-    ser.set_defaults(func=_cmd_cube_series)
-    cvf = csub.add_parser("verify", parents=[fmt], help="direct homology cross-check")
-    cvf.add_argument("--n", type=int, required=True)
-    cvf.set_defaults(func=lambda args: _emit_report(verify_cube_vr2(args.n), args.format))
+    if (msub := actions("morse", "matching engine over text files")) is not None:
+        chk = msub.add_parser("check", parents=[fmt], help="validate and certify a matching")
+        chk.add_argument("--complex", required=True, dest="complex_path")
+        chk.add_argument("--matching", required=True, dest="matching_path")
+        chk.set_defaults(func=_cmd_morse_check)
+        fnd = msub.add_parser("find", parents=[fmt, _seed_options()], help="search for a matching")
+        fnd.add_argument("--complex", required=True, dest="complex_path")
+        fnd.add_argument("--candidate", dest="candidate_path", help="cells allowed in pairs")
+        fnd.add_argument("--critical", dest="critical_path", help="cells forced critical")
+        fnd.set_defaults(func=_cmd_morse_find)
+        flw = msub.add_parser("flow", parents=[fmt], help="flow a chain to the critical complex")
+        flw.add_argument("--complex", required=True, dest="complex_path")
+        flw.add_argument("--matching", required=True, dest="matching_path")
+        flw.add_argument("--chain", required=True, dest="chain_path")
+        flw.set_defaults(func=_cmd_morse_flow)
 
-    symmetry = sub.add_parser("symmetry", help="automorphisms and the character check")
-    ysub = symmetry.add_subparsers(dest="action", required=True)
-    ysub.add_parser("report", parents=[fmt], help="groups, orbits, fixed points").set_defaults(
-        func=lambda args: _emit_report(symmetry_report(), args.format)
-    )
+    if (csub := actions("cube", "cube-graph series and cross-checks")) is not None:
+        ser = csub.add_parser("series", parents=[fmt], help="main series identity table")
+        ser.add_argument("--max-n", type=int, default=10)
+        ser.set_defaults(func=_cmd_cube_series)
+        cvf = csub.add_parser("verify", parents=[fmt], help="direct homology cross-check")
+        cvf.add_argument("--n", type=int, required=True)
+        cvf.set_defaults(func=lambda args: _emit_report(verify_cube_vr2(args.n), args.format))
+
+    if (ysub := actions("symmetry", "automorphisms and the character check")) is not None:
+        ysub.add_parser("report", parents=[fmt], help="groups, orbits, fixed points").set_defaults(
+            func=lambda args: _emit_report(symmetry_report(), args.format)
+        )
 
     return p
 
@@ -320,8 +331,9 @@ def _cmd_cube_series(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as e:
         code = e.code if e.code is not None else 0
         return code if isinstance(code, int) else 2

@@ -16,8 +16,8 @@ from .patterns import diameter3_tetrahedra
 from .polytopes import SOLIDS, build_solid, combinatorial_metric
 from .reports import Report, row
 from .simplicial import (
+    _boundary_complex,
     antipodal_free_complex,
-    boundary_complex,
     delete_open_cells,
     mask_of,
     maximal_simplices,
@@ -29,7 +29,7 @@ from .symmetry import automorphisms, rotation_subgroup, tetrahedra_orbits, verif
 # the contractible diameter case; trailing zeros dropped.  Only these Betti
 # numbers (and the absence of torsion) are certified: they do not pin the
 # homotopy types the paper states, which need a certificate of their own
-# (ROADMAP item 2).
+# (the homotopy-certificate item of the ROADMAP).
 EXPECTED_BETTI = {
     "tetrahedron": ((4,), (1,)),
     "cube": ((8,), (1, 5), (1, 0, 0, 1), (1,)),
@@ -54,9 +54,11 @@ def verify_main_theorem() -> Report:
     """Betti tables for every solid and scale, plus the structural identities."""
     rows = []
     cached = {}
+    graphs = {}
     metrics = {}
     for name in SOLIDS:
-        metric = combinatorial_metric(build_solid(name))
+        graphs[name] = build_solid(name)
+        metric = combinatorial_metric(graphs[name])
         metrics[name] = metric
         for r, expected in enumerate(EXPECTED_BETTI[name]):
             c = vr_complex(metric, r)
@@ -72,7 +74,7 @@ def verify_main_theorem() -> Report:
             row(
                 f"{name} r=1 equals the boundary complex",
                 True,
-                cached[(name, 1)] == boundary_complex(name),
+                cached[(name, 1)] == _boundary_complex(graphs[name]),
             )
         )
     for name, r in _ANTIPODAL_ROWS:

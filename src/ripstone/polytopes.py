@@ -190,13 +190,13 @@ def build_solid(name: str) -> PolytopeGraph:
     info = solid_info(name)
     coords = _coords(name)
     n = len(coords)
-    minimum = min(_chord(coords[i], coords[j]) for i in range(n) for j in range(i + 1, n))
+    chords = {(i, j): _chord(coords[i], coords[j]) for i in range(n) for j in range(i + 1, n)}
+    minimum = min(chords.values())
     adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(_chord(coords[i], coords[j]) - minimum) < _TOL:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    for (i, j), chord in chords.items():
+        if abs(chord - minimum) < _TOL:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     g = PolytopeGraph(name=name, vertex_count=n, adjacency=tuple(adj), coords=coords)
     if any(g.degree(i) != info.n for i in range(n)):
         raise StructuralError(f"{name}: construction produced a non-{info.n}-regular graph")

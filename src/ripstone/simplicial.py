@@ -9,8 +9,9 @@ face masks.  A Complex keeps each level in the lexicographic order of its
 vertex tuples and is closed downward; a complex given its faces is sorted
 and checked once, at construction, and the constructors here build both
 properties themselves, so no consumer checks them again: the clique walk
-and the from_faces closure both emit each face once, by depth-first
-extension with larger vertices, already in that order.
+and the from_faces closure both emit each face once, by extending smaller
+faces with larger vertices, already in that order.  The clique walk builds
+one level from the one below; the closure walks depth-first.
 
 Clique complexes (vr_complex, antipodal_free_complex, full_simplex_complex)
 are built lazily: the constructor keeps the graph, and the faces are
@@ -31,7 +32,9 @@ from itertools import product
 from math import prod
 
 from .errors import ParameterError, StructuralError
-from .polytopes import DistanceMatrix, build_solid, mask_of, solid_info, vertices_of
+from .polytopes import (
+    DistanceMatrix, PolytopeGraph, build_solid, mask_of, solid_info, vertices_of,
+)
 
 Simplex = tuple[int, ...]
 
@@ -197,35 +200,37 @@ def _budget_error() -> ParameterError:
 
 
 def _enumerate_cliques(adj: tuple[int, ...]) -> list[list[int]]:
-    """All cliques of the graph, as per-dimension mask lists.
+    """All cliques of the graph, as per-dimension mask lists in lexicographic order.
 
-    Depth-first extension by ascending vertex id: a clique is extended only by
-    vertices larger than its maximum, so each clique is produced once, and
-    each list comes out in lexicographic order (a preorder walk of the
-    lexicographic prefix tree).
+    Built one level at a time, by extending each clique with the common
+    neighbours of its vertices (Zomorodian's inductive construction).  Each
+    clique carries its candidates, the common neighbours above its top
+    vertex.  Level k + 1 is every k-clique, in order, extended by each of its
+    candidates w in ascending order, and the child keeps the candidates above
+    w that are adjacent to w.  So each clique is produced once, from its
+    prefix, and each level comes out in lexicographic order.  The budget is
+    checked as each parent's children are appended, so a walk past
+    FACE_BUDGET stops having held at most FACE_BUDGET + len(adj) masks.
     """
-    levels: list[list[int]] = [[] for _ in adj]
-    room = FACE_BUDGET
-
-    def extend(mask: int, dim: int, cand: int) -> None:
-        nonlocal room
-        room -= 1
-        if room < 0:
-            raise _budget_error()
-        levels[dim].append(mask)
-        m = cand
-        while m:
-            low = m & -m
-            w = low.bit_length() - 1
-            m ^= low
-            above = -1 << (w + 1)
-            extend(mask | low, dim + 1, cand & adj[w] & above)
-
-    for v in range(len(adj)):
-        above = -1 << (v + 1)
-        extend(1 << v, 0, adj[v] & above)
-    while levels and not levels[-1]:  # a graph with no vertices has no levels
-        levels.pop()
+    room = FACE_BUDGET - len(adj)
+    if room < 0:
+        raise _budget_error()
+    masks = [1 << v for v in range(len(adj))]
+    cands = [a & -(2 << v) for v, a in enumerate(adj)]
+    levels = []
+    while masks:
+        levels.append(masks)
+        next_masks, next_cands = [], []
+        for mask, cand in zip(masks, cands):
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                next_masks.append(mask | low)
+                next_cands.append(cand & adj[low.bit_length() - 1])
+            if len(next_masks) > room:
+                raise _budget_error()
+        room -= len(next_masks)
+        masks, cands = next_masks, next_cands
     return levels
 
 
@@ -340,9 +345,9 @@ def _closure(simplices, vertex_count: int | None = None) -> Complex:
     """from_faces on simplices already validated as simplex() would.
 
     One depth-first walk per vertex v, in ascending order, emits once each
-    face whose smallest vertex is v, extending only by larger vertices as
-    _enumerate_cliques does, so every level comes out in storage order.  The
-    walk numbers v's star (the listed faces holding v) locally and carries
+    face whose smallest vertex is v, extending a face only by vertices larger
+    than its own, so every level comes out in storage order.  The walk
+    numbers v's star (the listed faces holding v) locally and carries
     with each face the star faces holding it; candidates are the vertices
     sharing a listed face with each vertex added.  Once one listed face holds
     a face, every extension inside it is a face and is emitted untested.  A
@@ -504,9 +509,13 @@ def boundary_complex(name: str) -> Complex:
     The triangular facets are the triangles of the edge graph; no clique
     complex is built.
     """
-    g = build_solid(name)
+    return _boundary_complex(build_solid(name))
+
+
+def _boundary_complex(g: PolytopeGraph) -> Complex:
+    """boundary_complex of the solid whose edge graph build_solid gave as g."""
     faces = g.edges()  # every vertex lies on an edge
-    if solid_info(name).m == 3:
+    if solid_info(g.name).m == 3:
         adj = g.adjacency
         faces += [
             (a, b, c) for a, b in g.edges() for c in vertices_of(adj[a] & adj[b] & -1 << (b + 1))

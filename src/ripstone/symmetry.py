@@ -131,18 +131,11 @@ def _chain_order(degree: int, generators) -> int:
     if not gens:
         return 1
     beta = min(i for g in gens for i in range(degree) if g[i] != i)
-    orbit = {beta: identity_perm(degree)}
-    frontier = [beta]
-    while frontier:
-        nxt = []
-        for pt in frontier:
-            rep = orbit[pt]
-            for s in gens:
-                q = s[pt]
-                if q not in orbit:
-                    orbit[q] = compose(s, rep)
-                    nxt.append(q)
-        frontier = nxt
+    reached = {}
+    _orbits([beta], lambda pt: (s[pt] for s in gens), reached)
+    orbit = {beta: identity_perm(degree)}  # point -> a group element taking beta to it
+    for q, pt in list(reached.items())[1:]:  # pt was reached before q
+        orbit[q] = compose(next(s for s in gens if s[pt] == q), orbit[pt])
     stab = set()
     for pt, rep in orbit.items():
         for s in gens:
@@ -208,28 +201,27 @@ def rotation_subgroup(g: PermGroup) -> PermGroup:
     return sub
 
 
-def _orbits(points, images) -> list:
+def _orbits(points, images, reached=None) -> list:
     """The orbits of points, each a sorted tuple, in the order of their first point.
 
-    images(x) yields the points one step from x; an orbit is every point
-    reached by repeated steps, so images must stay inside points.
+    images(x) yields the points one step from x, by permutations of a finite
+    set, so an orbit is every point reached by repeated steps; images must
+    stay inside points.  The walk is breadth-first.  reached, when given, is
+    filled in the order the walk reaches each point, with the point it was
+    reached from, or None for the first point of an orbit.
     """
-    placed = set()
+    reached = {} if reached is None else reached
     orbits = []
     for p in points:
-        if p in placed:
+        if p in reached:
             continue
-        orbit = {p}
-        frontier = [p]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in images(x):
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        placed |= orbit
+        reached[p] = None
+        orbit = [p]
+        for x in orbit:  # the list grows as it is walked: a queue
+            for y in images(x):
+                if y not in reached:
+                    reached[y] = x
+                    orbit.append(y)
         orbits.append(tuple(sorted(orbit)))
     return orbits
 

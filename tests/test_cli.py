@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ripstone import simplicial
-from ripstone.cli import main
+from ripstone.cli import _build_parser, main
 
 CYCLIC_MATCHING = """\
 0 -> 0 1
@@ -320,12 +320,34 @@ def test_help_exits_zero():
 
 
 def _usage_rows():
-    return [dict(zip(("argv", "code", "stdout", "stderr"), (argv, *run(argv)))) for argv in USAGE_ARGVS]
+    rows = []
+    for argv in USAGE_ARGVS:
+        code, out, err = run(argv)
+        rows.append({"argv": argv, "code": code, "stdout": out, "stderr": err})
+    return rows
 
 
 def test_usage_help_and_parse_errors_match_the_table(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     assert _usage_rows() == json.loads(USAGE_TABLE.read_text(encoding="utf-8"))
+
+
+
+def _action_groups(parser):
+    """The command groups of a parser that were given action subparsers."""
+    (commands,) = (a for a in parser._actions if a.dest == "command")
+    return [
+        name
+        for name, group in commands.choices.items()
+        if any(a.dest == "action" for a in group._actions)
+    ]
+
+
+def test_only_the_named_group_gets_action_parsers():
+    assert _action_groups(_build_parser(["verify", "main-theorem"])) == ["verify"]
+    assert _action_groups(_build_parser(["--bogus", "morse", "find"])) == ["morse"]
+    assert _action_groups(_build_parser(["-h"])) == []
+    assert _action_groups(_build_parser(["frobnicate"])) == []
 
 
 if __name__ == "__main__":

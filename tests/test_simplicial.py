@@ -8,7 +8,7 @@ from math import comb
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ripstone import simplicial
 from ripstone.errors import ParameterError, StructuralError
@@ -564,6 +564,52 @@ def test_face_budget_bounds_every_clique_walk(monkeypatch):
     assert c.face_total() == 6560
     assert len(maximal_simplices(c)) == 2**8
     assert _enumerated_f_vector(c) == tuple(comb(8, k + 1) * 2 ** (k + 1) for k in range(8))
+
+
+def test_a_clique_walk_past_the_face_budget_stops_within_a_level(monkeypatch):
+    # K_n has n(n - 1)/2 edges: a walk that checked the budget once per level
+    # would hold them all before refusing; it stops after one vertex's edges
+    for n, budget, mib in ((3000, 100, 5), (1000, 1100, 2)):
+        full = (1 << n) - 1
+        adj = tuple(full ^ (1 << v) for v in range(n))
+        monkeypatch.setattr(simplicial, "FACE_BUDGET", budget)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=f"{budget:,} faces"):
+                simplicial._enumerate_cliques(adj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20
+
+
+def _brute_force_cliques(n, edges):
+    """Every clique of the graph by testing each vertex set, per dimension, in lex order."""
+    levels = [
+        [mask_of(q) for q in combinations(range(n), k + 1) if edges.issuperset(combinations(q, 2))]
+        for k in range(n)
+    ]
+    while levels and not levels[-1]:
+        levels.pop()
+    return levels
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.booleans(), min_size=comb(n, 2), max_size=comb(n, 2))
+        )
+    )
+)
+@example((0, []))  # the empty graph: no levels
+@example((6, [False] * 15))  # isolated vertices
+@example((12, [True] * 66))  # the complete graph
+def test_clique_levels_match_brute_force(graph):
+    n, picks = graph  # picks[i] keeps the i-th pair of combinations(range(n), 2)
+    edges = {e for e, keep in zip(combinations(range(n), 2), picks) if keep}
+    adj = tuple(sum(1 << w for w in range(n) if (min(v, w), max(v, w)) in edges) for v in range(n))
+    assert simplicial._enumerate_cliques(adj) == _brute_force_cliques(n, edges)
 
 
 def test_face_budget_bounds_the_closure_of_listed_faces(monkeypatch):
