@@ -19,7 +19,8 @@ off its mask, and homology() hands the reduction a complex's faces as
 masks: a column is built only if its apparent or emergent pair collides
 (see _unit_pivot_columns).  Nothing here looks a face up by its place in
 its level, so the result does not depend on the order a level is stored
-in.  The Morse complex's columns are built eagerly.
+in.  The Morse complex hands over a flowed column for a critical cell with
+a matched facet, and the cell's mask, read as here, for any other.
 
 A clique complex that is a join X1*...*Xm (the graph's complement is
 disconnected, and each Xi is the clique complex on one of its components)
@@ -524,22 +525,27 @@ def cycle_class(c: Complex, z: Chain) -> tuple[int, ...]:
     d_(k+1) are zero, H_k is free on those cells and a boundary maps to
     zero; elsewhere ParameterError names the differential that is not.  A
     non-cycle raises PreconditionError; a chain using simplices outside the
-    complex raises ParameterError.
+    complex raises ParameterError.  Membership and the cycle condition are
+    checked on face masks.
     """
     from .morse import _class_cells, _stable_flow
 
     k = z.dimension
     if not 0 <= k <= c.dim:
         raise ParameterError(f"chain dimension {k} outside 0..{c.dim}")
-    for s in z.terms:
+    start = {}
+    for s, co in z.terms.items():
         if not c.has_face(s):
             raise ParameterError(f"chain uses {s}, which is not a face of the complex")
-    bd = boundary_chain(z)
-    if not bd.is_zero():
+        start[mask_of(s)] = co
+    bd: dict[int, int] = {}
+    for mask, co in start.items():
+        for facet, sign in signed_facets(mask):
+            bd[facet] = bd.get(facet, 0) + sign * co
+    if any(bd.values()):
         # boundary must vanish inside the complex; since the complex is closed
         # downward this is the full cycle condition
         raise PreconditionError("chain is not a cycle")
     m, cells = _class_cells(c, k)
-    start = {mask_of(s): co for s, co in z.terms.items()}
     fixed, _steps = _stable_flow(m, start, c.face_total(), cycle=True)
     return tuple(fixed.get(cell, 0) for cell in cells)

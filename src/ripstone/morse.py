@@ -11,20 +11,29 @@ Matchings hold face bitmasks, and every step here works on them; vertex
 tuples appear only in matching_from_pairs, reports, messages and surpluses.
 The search runs on integer positions of its live cells in the complex's
 storage order, which Complex keeps in vertex tuple order.  Certification
-splits in two: whether the cells are faces of a complex, and which of its
-faces are critical, depend on the complex; the pairs' own rules, the
-acyclicity digraph with its cycle certificate and the pairing operator V
-depend on the pairs alone, and the last three are built once per Matching,
-however many complexes it is certified on.
+splits in two.  The pairs' own rules (each pair a facet and a cofacet, no
+cell in two pairs), the acyclicity digraph with its cycle certificate, the
+pairing operator V and the matching's hash depend on the pairs alone and
+are worked out once per Matching, however many complexes it is certified
+on.  On a complex, one scan of its faces lists the critical ones and
+counts the matched ones, which are all of the matching's cells exactly
+when every cell is a face there; the critical cells are kept per complex
+and matching, for the report, the Morse complex and the class cells.  Only
+a matching that fails these tests is checked pair by pair, for its
+violation messages.
 
 The stabilized flow of a chain depends on the matching alone too (Forman,
 "Morse theory for cell complexes", 1998), so a Matching keeps each flow
 it has made, keyed by the start chain, and a chain is flowed once per
-matching: the trace's two Morse complexes share their scale-2 columns,
-and its ten tetrahedron boundaries are flowed for the scale-3 Morse
-complex and reused by morse_flow.  Each flow step applies dV + Vd to the
-last step's change alone, and to a cycle's change, itself a cycle, dV
-alone.
+matching: the ten tetrahedron boundaries of the trace are flowed for the
+scale-3 Morse complex and reused by morse_flow.  A critical cell none of
+whose facets is matched has its boundary as its Morse boundary: that
+boundary is a cycle of critical cells, which the flow leaves fixed.  Its
+Morse column is handed over as its mask, which the reduction reads as the
+cell's boundary and keeps lazily, as it keeps a face's column in
+homology(); so no cell of the trace's VR_2 is flowed through the trace's
+matching.  Each flow step applies dV + Vd to the last step's change
+alone, and to a cycle's change, itself a cycle, dV alone.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 
 from .errors import ParameterError, PreconditionError, SearchFailure, StructuralError
 from .homology import (
@@ -41,7 +49,6 @@ from .homology import (
     HomologyResult,
     _boundary_ranks,
     _homology_from_counts,
-    make_chain,
 )
 from .simplicial import Complex, Simplex, mask_of, signed_facets, simplex, vertices_of
 
@@ -58,12 +65,29 @@ class Matching:
     without duplicates and ordered as their vertex tuples order, by
     (len(lower), lower, upper).  matching_from_pairs builds one from vertex
     tuples; formats and the command line print the tuples.
+
+    What depends on the pairs alone, the hash that keys each complex's
+    cache included, is worked out once per Matching, on first use.
     """
 
     pairs: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.pairs)
+
+    @cached_property
+    def _rules_hold(self) -> bool:
+        """Whether every pair is a facet and a cofacet, and no cell is in two pairs."""
+        return len(self._matched) == 2 * len(self.pairs) and all(
+            up.bit_count() == lo.bit_count() + 1 and not lo & ~up for lo, up in self.pairs
+        )
 
     @cached_property
     def _cycle(self) -> tuple | None:
@@ -123,12 +147,32 @@ def check_matching(c: Complex, m: Matching) -> MatchingReport:
     """Validate the pairing rules on c, then certify acyclicity dimension by dimension.
 
     Rule violations are reported, not raised; a directed cycle yields a
-    minimal-length certificate found by breadth-first search.  Whether
-    each cell is a face of c, and which faces of c are critical, depend on
-    c.  The rest, each pair being a facet and a cofacet, no cell in two
-    pairs, and the digraph the certificate comes from, depend on the pairs
-    alone, and the digraph is built once per Matching (Matching._cycle).
+    minimal-length certificate found by breadth-first search.  Each pair
+    being a facet and a cofacet, no cell in two pairs, and the digraph the
+    certificate comes from depend on the pairs alone and are worked out
+    once per Matching (Matching._rules_hold, Matching._cycle).  What
+    depends on c is one scan of its faces (_critical): the matching's cells
+    are all faces of c exactly when c has as many matched faces as the
+    matching has cells.  A matching that fails either test is checked pair
+    by pair (_violations), for the messages.
     """
+    crit = _critical(c, m)
+    if not (m._rules_hold and c.face_total() - sum(map(len, crit)) == len(m._matched)):
+        violations = _violations(c, m)
+        if violations:
+            return MatchingReport(False, False, (), None, violations)
+    certificate = m._cycle
+    return MatchingReport(
+        valid=True,
+        acyclic=certificate is None,
+        critical=tuple(vertices_of(mask) for level in crit for mask in level),
+        certificate=certificate,
+        violations=(),
+    )
+
+
+def _violations(c: Complex, m: Matching) -> tuple[str, ...]:
+    """The pairing rules m breaks on c, in pair order, each repeated cell named once."""
     violations = []
     roles: dict[int, int] = {}
     index = [c.index(k) for k in range(c.dim + 1)]
@@ -146,17 +190,7 @@ def check_matching(c: Complex, m: Matching) -> MatchingReport:
                     violations.append(f"{vertices_of(cell)} occurs in more than one pair")
             continue
         violations.append(f"pair {vertices_of(lo)} -> {vertices_of(up)} {problem}")
-    if violations:
-        return MatchingReport(False, False, (), None, tuple(violations))
-
-    certificate = m._cycle
-    return MatchingReport(
-        valid=True,
-        acyclic=certificate is None,
-        critical=tuple(vertices_of(mask) for level in _critical(c, m) for mask in level),
-        certificate=certificate,
-        violations=(),
-    )
+    return tuple(violations)
 
 
 def _cycle_certificate(pairs) -> tuple | None:
@@ -165,10 +199,13 @@ def _cycle_certificate(pairs) -> tuple | None:
     Each dimension's pairs are the nodes of one digraph, with an edge from
     a pair to every other pair whose lower cell is a facet of its upper
     cell.  The pairs must be valid: facet-cofacet pairs, no cell twice.
+    They are bucketed by dimension whatever their order, and each bucket
+    keeps their order.
     """
-    # the pairs come sorted by dimension, so each group is one dimension's graph
-    for _size, group in groupby(pairs, key=lambda p: p[0].bit_count()):
-        nodes = list(group)
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    for pair in pairs:
+        buckets.setdefault(pair[0].bit_count(), []).append(pair)
+    for _size, nodes in sorted(buckets.items()):
         lower_index = {lo: i for i, (lo, _up) in enumerate(nodes)}
         succ = []
         for lo, up in nodes:
@@ -189,13 +226,20 @@ def _cycle_certificate(pairs) -> tuple | None:
     return None
 
 
-def _critical(c: Complex, m: Matching) -> list[list[int]]:
-    """The masks of c's unmatched faces per dimension, up to the top dimension holding one."""
-    matched = m._matched
-    levels = [[mask for mask in level if mask not in matched] for level in c.faces]
-    while levels and not levels[-1]:
-        levels.pop()
-    return levels
+def _critical(c: Complex, m: Matching) -> tuple[tuple[int, ...], ...]:
+    """The masks of c's unmatched faces per dimension, up to the top dimension holding one.
+
+    Kept in c._cache once per matching, for check_matching, the Morse
+    complex and the class cells.
+    """
+    key = ("critical", m)
+    if key not in c._cache:
+        matched = m._matched
+        levels = [tuple(mask for mask in level if mask not in matched) for level in c.faces]
+        while levels and not levels[-1]:
+            levels.pop()
+        c._cache[key] = tuple(levels)
+    return c._cache[key]
 
 
 def _minimal_cycle(succ: list[list[int]]) -> list[int] | None:
@@ -479,11 +523,11 @@ def matching_report(c: Complex, m: Matching) -> MatchingReport:
     """check_matching(c, m), computed at most once per complex and matching.
 
     The report is cached in c._cache under the (frozen, hashable) matching,
-    so finding a matching, reporting on it and flowing many chains through
-    it check it on c once.  The acyclicity digraph, the pairing operator
-    and the flows depend on the pairs alone and are cached on m, so
-    certifying m on a second complex (the trace's punctured one) builds
-    none of them again.
+    whose hash is computed once, so finding a matching, reporting on it and
+    flowing many chains through it check it on c once.  The pairing rules,
+    the acyclicity digraph, the pairing operator and the flows depend on
+    the pairs alone and are cached on m, so certifying m on a second
+    complex (the trace's punctured one) builds none of them again.
     """
     key = ("matching", m)
     if key not in c._cache:
@@ -514,16 +558,20 @@ def morse_flow(c: Complex, m: Matching, z: Chain) -> FlowChain:
             raise ParameterError(f"chain uses {s}, which is not a face of the complex")
     start = {mask_of(s): co for s, co in z.terms.items()}
     fixed, steps = _stable_flow(m, start, c.face_total())
-    terms = {vertices_of(mask): co for mask, co in fixed.items()}
-    return FlowChain(chain=make_chain(z.dimension, terms), steps=steps)
+    # the flow stays among c's faces of z's dimension: make_chain would check nothing new
+    terms = {vertices_of(mask): co for mask, co in fixed.items() if co}
+    return FlowChain(chain=Chain(z.dimension, terms), steps=steps)
 
 
 def _morse_complex(c: Complex, m: Matching) -> tuple[list[int], Callable]:
     """Cell counts and columns(k, skip) of the Morse complex, for _boundary_ranks.
 
     A critical cell's differential is the stabilized flow of its boundary,
-    a cycle, on the critical cells, as (cell mask, coefficient) pairs; a
-    skipped cell is never flowed.
+    a cycle, on the critical cells, as (cell mask, coefficient) pairs.  A
+    cell none of whose facets is matched yields its mask instead: V is zero
+    on its boundary, so the flow leaves that boundary as it is, and the
+    reduction reads the mask as the boundary, lazily (Forman 1998; Ripser's
+    apparent pairs).  A skipped cell is never flowed.
     """
     _certified(c, m, "critical complex")
     crit = _critical(c, m)
@@ -532,9 +580,19 @@ def _morse_complex(c: Complex, m: Matching) -> tuple[list[int], Callable]:
 
     def columns(k: int, skip=()):
         for mask in crit[k]:
-            if mask not in skip:
-                fixed, _steps = _stable_flow(m, dict(signed_facets(mask)), limit, cycle=True)
-                yield [(f, co) for f, co in fixed.items() if f not in matched]
+            if mask in skip:
+                continue
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if mask ^ low in matched:
+                    break
+            else:  # no facet matched: the column is the cell's boundary
+                yield mask
+                continue
+            fixed, _steps = _stable_flow(m, dict(signed_facets(mask)), limit, cycle=True)
+            yield [(f, co) for f, co in fixed.items() if f not in matched]
 
     return [len(level) for level in crit], columns
 
@@ -552,21 +610,26 @@ def _element_matching(c: Complex) -> Matching:
     when neither is paired yet.  A sequence of element matchings is acyclic
     on any family of faces (Jonsson, Simplicial Complexes of Graphs, LNM
     1928 (2008)); the result is certified all the same.  The faces are
-    bucketed by vertex once, so each is visited once per vertex it holds.
+    bucketed by vertex bit once, with a bit loop, so each is visited once
+    per vertex it holds.
     """
     if "element matching" not in c._cache:
-        star: dict[int, list[int]] = {}  # vertex -> the faces of dimension >= 1 holding it
+        star: dict[int, list[int]] = {}  # vertex bit -> the faces of dimension >= 1 holding it
         for level in c.faces[1:]:
             for t in level:
-                for v in vertices_of(t):
-                    star.setdefault(v, []).append(t)
+                rest = t
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    star.setdefault(low, []).append(t)
         live = set().union(*c.faces)
         upper = {}  # lower cell -> its pair's upper cell
-        for v in sorted(star):
-            for t in star[v]:
-                if t in live and t ^ 1 << v in live:
-                    live -= {t, t ^ 1 << v}
-                    upper[t ^ 1 << v] = t
+        for bit in sorted(star):
+            for t in star[bit]:
+                if t in live and t ^ bit in live:
+                    live.remove(t)
+                    live.remove(t ^ bit)
+                    upper[t ^ bit] = t
         # read off in storage order, the lower cells are in Matching's pair order
         m = Matching(tuple((lo, upper[lo]) for level in c.faces for lo in level if lo in upper))
         _certified(c, m, "cycle_class")
@@ -574,7 +637,7 @@ def _element_matching(c: Complex) -> Matching:
     return c._cache["element matching"]
 
 
-def _class_cells(c: Complex, k: int) -> tuple[Matching, list[int]]:
+def _class_cells(c: Complex, k: int) -> tuple[Matching, tuple[int, ...]]:
     """c's element matching and its critical k-cells, if its Morse d_k and d_(k+1) are zero.
 
     Raises ParameterError naming a differential that is not zero.  Only
@@ -591,7 +654,7 @@ def _class_cells(c: Complex, k: int) -> tuple[Matching, list[int]]:
                     f"cannot read cycle classes in dimension {k}:"
                     f" the element matching's Morse d_{d} is not zero"
                 )
-        c._cache[key] = m, _critical(c, m)[k] if k < len(counts) else []
+        c._cache[key] = m, _critical(c, m)[k] if k < len(counts) else ()
     return c._cache[key]
 
 

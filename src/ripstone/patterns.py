@@ -62,9 +62,11 @@ def embeddings(p: PolytopeGraph, g: PolytopeGraph) -> list[tuple[int, ...]]:
         for u, adjacent in placed[depth]:
             nbrs = g.adjacency[img[u]]
             cand &= nbrs if adjacent else ~nbrs
-        for w in vertices_of(cand):
-            img[v] = w
-            place(depth + 1, unused ^ (1 << w))
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            img[v] = low.bit_length() - 1
+            place(depth + 1, unused ^ low)
 
     place(0, (1 << g.vertex_count) - 1)
     results.sort()

@@ -10,7 +10,6 @@ every module above.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import ParameterError, StructuralError
@@ -217,20 +216,34 @@ def cube_graph(n: int) -> PolytopeGraph:
 
 
 def combinatorial_metric(g: PolytopeGraph) -> DistanceMatrix:
-    """All-pairs hop distances via breadth-first search from every vertex."""
+    """All-pairs hop distances via breadth-first search from every vertex.
+
+    Each search is on bitsets: the next layer is the union of the current
+    layer's neighbourhoods, less every vertex already reached.
+    """
     n = g.vertex_count
+    adj = g.adjacency
+    everyone = (1 << n) - 1
     rows = []
     for src in range(n):
-        dist = [-1] * n
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in vertices_of(g.adjacency[u]):
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if min(dist) < 0:
+        dist = [0] * n
+        seen = layer = 1 << src
+        hops = 0
+        while layer:
+            hops += 1
+            reach = 0
+            while layer:
+                low = layer & -layer
+                layer ^= low
+                reach |= adj[low.bit_length() - 1]
+            layer = reach & ~seen
+            seen |= layer
+            rest = layer
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                dist[low.bit_length() - 1] = hops
+        if seen != everyone:
             raise StructuralError(f"graph {g.name!r} is disconnected")
         rows.append(tuple(dist))
     return DistanceMatrix(size=n, dist=tuple(rows))

@@ -91,7 +91,9 @@ class Complex:
     matchings, cycle-class cells and maximal faces cannot go stale.
 
     graph, when present, is the adjacency mask table of the graph whose
-    clique complex this is; it fixes the complex for ==.  cone_vertex
+    clique complex this is; it fixes the complex for ==.  Otherwise two
+    complexes that are not joins compare their levels, and a join compares
+    its maximal faces, listed from its factors.  cone_vertex
     names a vertex adjacent to every other one; the package does not read it
     (a cone is a join), but the benchmark tracer in perfbench/ counts cones
     by it.
@@ -153,6 +155,8 @@ class Complex:
             return False
         if self.graph is not None and other.graph is not None:
             return self.graph == other.graph  # a clique complex is fixed by its edges
+        if not (self.join_factors or other.join_factors):
+            return self.faces == other.faces  # both levels in storage order
         # any complex is fixed by its maximal faces, and a join lists them
         # from its factors without building its own faces
         return maximal_simplices(self) == maximal_simplices(other)
@@ -319,12 +323,12 @@ def vr_complex(metric: DistanceMatrix, r: int) -> Complex:
         raise ParameterError(f"scale must be a non-negative integer, got {r!r}")
     n = metric.size
     adj = []
-    for i in range(n):
+    for i, row in enumerate(metric.dist):
         m = 0
-        for j in range(n):
-            if j != i and metric.d(i, j) <= r:
+        for j, d in enumerate(row):
+            if d <= r:
                 m |= 1 << j
-        adj.append(m)
+        adj.append(m & ~(1 << i))
     adj = tuple(adj)
     full = (1 << n) - 1
     cone = next((v for v in range(n) if adj[v] == full ^ (1 << v)), None)

@@ -67,7 +67,7 @@ def identity_perm(degree: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Apply q first, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple([p[x] for x in q])
 
 
 def inverse(p: Perm) -> Perm:
@@ -269,6 +269,7 @@ def verify_remark(g: PermGroup, rot: PermGroup, tets, h3_rank: int) -> Character
     if g.order != 120:
         raise VerificationError(f"full group has order {g.order}, expected 120")
     rotations = set(rot.elements)
+    tet_masks = [(t, sum(1 << v for v in t)) for t in tets]
 
     reps = []
     sizes = []
@@ -278,8 +279,8 @@ def verify_remark(g: PermGroup, rot: PermGroup, tets, h3_rank: int) -> Character
     predicted = []
     for cls in conjugacy_classes(g):
         rep = cls[0]
-        fixed_per_member = {
-            sum(1 for t in tets if apply_to_simplex(p, t) == t) for p in cls
+        fixed_per_member = {  # p fixes t when it maps t's vertex set onto itself
+            sum(1 for t, mask in tet_masks if sum(1 << p[v] for v in t) == mask) for p in cls
         }
         if len(fixed_per_member) != 1:
             raise VerificationError(

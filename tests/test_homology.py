@@ -35,6 +35,7 @@ from ripstone.morse import (
     _element_matching,
     _matching,
     _morse_complex,
+    _stable_flow,
     check_matching,
     critical_complex_homology,
     find_matching,
@@ -572,9 +573,30 @@ def test_unit_pivots_and_residual_match_snf_on_any_matrix(matrix):
 
 
 def _morse_fallbacks(c, m):
-    """_clearing_fallbacks on the Morse complex of m; its homology must be c's."""
+    """_clearing_fallbacks on the Morse complex of m; its homology must be c's.
+
+    A column the Morse complex hands over as a cell's mask stands for that
+    cell's boundary, as the reduction reads it.  The Smith reference reads
+    it so, and so does the clearing it is checked against; the clearing on
+    the columns as handed over must agree.  Each column must equal the
+    flow of its cell's boundary on the critical cells, flowed here whatever
+    the cell.
+    """
     counts, columns = _morse_complex(c, m)
-    fallbacks, snf = _clearing_fallbacks(counts, columns)
+    matched, limit = m._matched, c.face_total()
+
+    def read(k, skip):  # a mask item as its cell's boundary
+        return [signed_facets(item) if type(item) is int else item for item in columns(k, skip)]
+
+    for k in range(1, len(counts)):
+        flowed = [
+            {f: co for f, co in _stable_flow(m, dict(signed_facets(cell)), limit)[0].items()
+             if f not in matched}
+            for cell in _critical(c, m)[k]
+        ]
+        assert [dict(col) for col in read(k, ())] == flowed
+    fallbacks, snf = _clearing_fallbacks(counts, read)
+    assert _boundary_ranks(counts, columns) == (snf, fallbacks)
     hm, h = critical_complex_homology(c, m), homology(c)
     assert hm == _homology_from_counts(counts, snf)
     pad = len(h.betti) - len(hm.betti)  # no critical cell above dimension dim - pad

@@ -777,6 +777,159 @@ def test_the_trace_flows_each_start_chain_once(monkeypatch):
     chains = [chain for _m, chain in starts]
     for t in diameter3_tetrahedra(metric):
         assert chains.count(frozenset(signed_facets(mask_of(t)))) == 1
-    # the boundary of VR_2's critical triangle is a column of both matchings'
-    # Morse complexes, so it is flowed through each
-    assert chains.count(frozenset(signed_facets(mask_of((6, 7, 12))))) == 2
+    # the boundary of VR_2's critical triangle is flowed through VR_2's
+    # element matching alone: the seeded matching pairs none of its facets,
+    # so its column in the seeded matching's Morse complexes is its boundary
+    assert chains.count(frozenset(signed_facets(mask_of((6, 7, 12))))) == 1
+
+
+def test_the_trace_morse_complexes_flow_only_the_tetrahedron_boundaries(monkeypatch):
+    # the seeded matching pairs no facet of a VR_2 face, so each of the 342
+    # VR_2 cells, critical in both Morse complexes, hands over its mask; the
+    # punctured complex flows nothing and the scale-3 one the ten tetrahedra
+    from ripstone.morse import _find_matching
+    from ripstone.simplicial import delete_open_cells, signed_facets, vertices_of
+
+    c3, candidate, forced = _trace_search()
+    m = _find_matching(c3, candidate, forced, 1, 1000)
+    pruned = delete_open_cells(c3, [vertices_of(t) for t in forced])
+    starts = _counted_flows(monkeypatch)
+    assert critical_complex_homology(pruned, m).betti_stripped() == (1, 0, 1)
+    assert starts == []
+    assert critical_complex_homology(c3, m).betti_stripped() == (1, 0, 0, 9)
+    assert sorted(chain for _m, chain in starts) == sorted(
+        frozenset(signed_facets(t)) for t in forced
+    )
+
+
+def test_a_cycle_split_by_a_pair_of_another_dimension_is_certified_cyclic():
+    # the triangle's 3-cycle (0) -> (0, 1), (1) -> (1, 2), (2) -> (0, 2), with
+    # a pair of dimension 1 between its pairs, in a Matching built directly
+    from ripstone.morse import Matching
+    from ripstone.simplicial import mask_of
+
+    c = from_faces([(0, 1), (1, 2), (0, 2), (3, 4, 5)])
+    pairs = [((0,), (0, 1)), ((3, 4), (3, 4, 5)), ((1,), (1, 2)), ((2,), (0, 2))]
+    m = Matching(tuple((mask_of(lo), mask_of(up)) for lo, up in pairs))
+    report = check_matching(c, m)
+    assert report.valid and not report.acyclic and not report.ok()
+    assert report.certificate == ((0, 1), (1,), (1, 2), (2,), (0, 2), (0,))
+    assert report.certificate == check_matching(c, matching_from_pairs(pairs)).certificate
+
+
+def _pair_by_pair(c, m):
+    """check_matching as a reference: each pair's rules checked on c in turn.
+
+    Acyclicity is read off the whole Hasse diagram, every face to each of
+    its facets except a matched facet, which points up to its pair: the
+    matching is acyclic exactly when that digraph is.
+    """
+    from ripstone.morse import MatchingReport
+    from ripstone.simplicial import signed_facets, vertices_of
+
+    faces = {mask for level in c.faces for mask in level}
+    violations, roles = [], {}
+    for lo, up in m.pairs:
+        if lo not in faces or up not in faces:
+            problem = "uses a simplex outside the complex"
+        elif up.bit_count() != lo.bit_count() + 1 or lo & ~up:
+            problem = "is not a facet-cofacet pair"
+        else:
+            for cell in (lo, up):
+                roles[cell] = roles.get(cell, 0) + 1
+                if roles[cell] == 2:
+                    violations.append(f"{vertices_of(cell)} occurs in more than one pair")
+            continue
+        violations.append(f"pair {vertices_of(lo)} -> {vertices_of(up)} {problem}")
+    if violations:
+        return MatchingReport(False, False, (), None, tuple(violations))
+    upper = dict(m.pairs)
+    succ = {mask: [f for f, _s in signed_facets(mask) if upper.get(f) != mask] for mask in faces}
+    for lo, up in m.pairs:
+        succ[lo].append(up)
+    indeg = {mask: 0 for mask in faces}
+    for outs in succ.values():
+        for f in outs:
+            indeg[f] += 1
+    queue = [mask for mask in faces if not indeg[mask]]
+    while queue:
+        for f in succ[queue.pop()]:
+            indeg[f] -= 1
+            if not indeg[f]:
+                queue.append(f)
+    acyclic = not any(indeg.values())
+    matched = {cell for pair in m.pairs for cell in pair}
+    critical = tuple(vertices_of(mask) for level in c.faces for mask in level if mask not in matched)
+    return MatchingReport(True, acyclic, critical, None, ())
+
+
+# the planted faults of matchings_with_faults, none in a quarter of the draws
+FAULTS = ((), (), ("outside",), ("non-facet",), ("repeated",), ("twice",), ("outside", "repeated"),
+          ("non-facet", "twice"))
+
+
+@st.composite
+def matchings_with_faults(draw):
+    """A complex on at most 6 vertices and a Matching of drawn pairs in drawn order.
+
+    The pairs are facet-cofacet pairs of the complex, cycles allowed, plus
+    any of the planted faults: a cell outside the complex, a non-facet pair,
+    a cell repeated in another pair, a pair listed twice.
+    """
+    from ripstone.morse import Matching
+    from ripstone.simplicial import vertices_of
+
+    n = draw(st.integers(min_value=2, max_value=6))
+    tops = draw(
+        st.lists(
+            st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=4),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    c = from_faces([tuple(sorted(t)) for t in tops], n)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    faces = [mask for level in c.faces for mask in level]
+    used, pairs = set(), []
+    triangles = c.faces[2] if c.dim >= 2 else ()
+    if triangles and draw(st.booleans()):  # a rotating, cyclic matching on a triangle's edges
+        a, b, d = (1 << v for v in vertices_of(rng.choice(triangles)))
+        pairs += [(a, a | b), (b, b | d), (d, a | d)]
+        used |= {a, b, d, a | b, b | d, a | d}
+    for up in rng.sample(faces, len(faces)):
+        lows = [up ^ 1 << v for v in range(n) if up >> v & 1 and up ^ 1 << v in faces]
+        lo = rng.choice(lows) if lows else None
+        if lo is not None and not {lo, up} & used and rng.random() < 0.6:
+            pairs.append((lo, up))
+            used |= {lo, up}
+    faults = draw(st.sampled_from(FAULTS))
+    if "outside" in faults:  # a cell outside the complex
+        pairs.append((1 << n, 1 << n | 1))
+    if "non-facet" in faults:
+        lo = rng.choice(faces)
+        pairs.append((lo, lo | 0b11 << n))
+    if "repeated" in faults and pairs:  # a cell repeated in another pair
+        lo, up = rng.choice(pairs)
+        pairs.append((lo, up | 1 << n + 2))
+    if "twice" in faults and pairs:  # a pair listed twice
+        pairs.append(rng.choice(pairs))
+    rng.shuffle(pairs)
+    return c, Matching(tuple(pairs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matchings_with_faults())
+def test_certification_agrees_with_the_pair_by_pair_check(drawn):
+    c, m = drawn
+    report, reference = check_matching(c, m), _pair_by_pair(c, m)
+    assert report.violations == reference.violations
+    assert (report.valid, report.acyclic, report.critical) == (
+        reference.valid, reference.acyclic, reference.critical,
+    )
+    assert (report.certificate is None) == (not report.valid or report.acyclic)
+    # a second complex gets its own verdict from the pairs' cached one
+    bigger = from_faces([tuple(range(c.vertex_count + 3))])
+    again, expected = check_matching(bigger, m), _pair_by_pair(bigger, m)
+    assert (again.valid, again.acyclic, again.critical, again.violations) == (
+        expected.valid, expected.acyclic, expected.critical, expected.violations,
+    )

@@ -5,11 +5,13 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ripstone.errors import ParameterError
+from ripstone.errors import ParameterError, StructuralError
 from ripstone.polytopes import (
     PHI,
     SOLIDS,
+    PolytopeGraph,
     build_solid,
     combinatorial_metric,
     cube_graph,
@@ -184,3 +186,67 @@ def test_guards():
         cube_graph(0)
     with pytest.raises(ParameterError):
         cube_graph(13)
+
+
+def _floyd_warshall(g):
+    """All-pairs hop distances by Floyd-Warshall, None where no path exists."""
+    n = g.vertex_count
+    far = n + 1
+    dist = [[0 if i == j else 1 if g.adjacent(i, j) else far for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if dist[i][k] + dist[k][j] < dist[i][j]:
+                    dist[i][j] = dist[i][k] + dist[k][j]
+    return [[None if d == far else d for d in row] for row in dist]
+
+
+def _graph(n, edges):
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return PolytopeGraph(name="drawn", vertex_count=n, adjacency=tuple(adj))
+
+
+@st.composite
+def graphs(draw, connected):
+    """A graph on 1-14 vertices; when connected, a random spanning tree is added."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    pairs = list(combinations(range(n), 2))
+    edges = set(draw(st.lists(st.sampled_from(pairs), max_size=30))) if pairs else set()
+    if connected:
+        for v in range(1, n):
+            edges.add((draw(st.integers(min_value=0, max_value=v - 1)), v))
+    return _graph(n, edges)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graphs(connected=True))
+def test_bitset_metric_matches_floyd_warshall_on_connected_graphs(g):
+    assert [list(row) for row in combinatorial_metric(g).dist] == _floyd_warshall(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build_solid(name) for name in SOLIDS] + [cube_graph(n) for n in range(2, 7)],
+    ids=list(SOLIDS) + [f"Q{n}" for n in range(2, 7)],
+)
+def test_bitset_metric_matches_floyd_warshall_on_solids_and_cubes(g):
+    assert [list(row) for row in combinatorial_metric(g).dist] == _floyd_warshall(g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs(connected=False))
+def test_bitset_metric_refuses_exactly_the_disconnected_graphs(g):
+    reference = _floyd_warshall(g)
+    if any(d is None for row in reference for d in row):
+        with pytest.raises(StructuralError, match="is disconnected"):
+            combinatorial_metric(g)
+    else:
+        assert [list(row) for row in combinatorial_metric(g).dist] == reference
+
+
+def test_a_graph_with_an_isolated_vertex_is_disconnected():
+    with pytest.raises(StructuralError, match=r"^graph 'drawn' is disconnected$"):
+        combinatorial_metric(_graph(4, {(0, 1), (1, 2)}))

@@ -1,5 +1,6 @@
 """Complex construction: clique expansion, skeleta, deletions, closures."""
 
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -726,3 +727,38 @@ def test_complement_components_match_networkx(n, p, universal, seed):
         assert "faces" not in vars(c)
     if c.cone_vertex is not None:  # a cone is contractible
         assert h.betti_stripped() == (1,) and not any(h.torsion)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.sampled_from([0.2, 0.5, 0.8, 0.9, 1.0]),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=0, max_value=40),
+)
+def test_equality_matches_maximal_faces_for_joins_and_non_joins(n, p, universal, seed, toggle):
+    # two non-joins compare their levels, and a join its maximal faces listed
+    # from its factors; either way == must say what the maximal faces say
+    g = nx.gnp_random_graph(n, p, seed=seed)
+    g.add_edges_from((u, v) for u in range(min(universal, n)) for v in range(n) if u != v)
+    edges = {(min(e), max(e)) for e in g.edges}
+    pairs = list(combinations(range(n), 2))
+    relabel = random.Random(seed).sample(range(n), n)  # the f-vector stays, faces move
+    graphs = (
+        edges,
+        edges ^ set(pairs[toggle : toggle + 1]),
+        {tuple(sorted((relabel[u], relabel[v]))) for u, v in edges},
+    )
+
+    def complexes(edges):  # the clique complex, then the same faces with no graph
+        c = vr_complex(_graph_metric(n, edges), 1)
+        return c, Complex(vertex_count=n, faces=vr_complex(_graph_metric(n, edges), 1).faces)
+
+    for x in complexes(graphs[0]):
+        for y in [z for other in graphs for z in complexes(other)]:
+            assert (x == y) == (maximal_simplices(x) == maximal_simplices(y))
+            if x.join_factors or y.join_factors:  # a join's own faces stay unbuilt
+                assert all("faces" not in vars(z) for z in (x, y) if z.join_factors)
+    wider = from_faces(maximal_simplices(complexes(graphs[0])[1]), n + 1)
+    assert complexes(graphs[0])[1] != wider  # the same faces on more vertex ids
