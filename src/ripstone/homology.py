@@ -515,6 +515,17 @@ def euler_characteristic(c: Complex) -> int:
 # cycle classification
 
 
+def _face_terms(c: Complex, z: Chain) -> dict[int, int]:
+    """z's terms keyed by face mask; ParameterError for a simplex that is not a face of c."""
+    out = {}
+    for s, co in z.terms.items():
+        mask = mask_of(s)
+        if mask not in c.face_set:
+            raise ParameterError(f"chain uses {s}, which is not a face of the complex")
+        out[mask] = co
+    return out
+
+
 def cycle_class(c: Complex, z: Chain) -> tuple[int, ...]:
     """Coordinates of a cycle's class in H_k, read off c's element matching.
 
@@ -533,11 +544,7 @@ def cycle_class(c: Complex, z: Chain) -> tuple[int, ...]:
     k = z.dimension
     if not 0 <= k <= c.dim:
         raise ParameterError(f"chain dimension {k} outside 0..{c.dim}")
-    start = {}
-    for s, co in z.terms.items():
-        if not c.has_face(s):
-            raise ParameterError(f"chain uses {s}, which is not a face of the complex")
-        start[mask_of(s)] = co
+    start = _face_terms(c, z)
     bd: dict[int, int] = {}
     for mask, co in start.items():
         for facet, sign in signed_facets(mask):

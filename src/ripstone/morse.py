@@ -48,6 +48,7 @@ from .homology import (
     Chain,
     HomologyResult,
     _boundary_ranks,
+    _face_terms,
     _homology_from_counts,
 )
 from .simplicial import Complex, Simplex, mask_of, signed_facets, simplex, vertices_of
@@ -175,13 +176,11 @@ def _violations(c: Complex, m: Matching) -> tuple[str, ...]:
     """The pairing rules m breaks on c, in pair order, each repeated cell named once."""
     violations = []
     roles: dict[int, int] = {}
-    index = [c.index(k) for k in range(c.dim + 1)]
-    top = len(index)
+    faces = c.face_set
     for lo, up in m.pairs:
-        k, j = lo.bit_count() - 1, up.bit_count() - 1
-        if not (k < top and lo in index[k] and j < top and up in index[j]):
+        if not (lo in faces and up in faces):
             problem = "uses a simplex outside the complex"
-        elif j != k + 1 or lo & ~up:
+        elif up.bit_count() != lo.bit_count() + 1 or lo & ~up:
             problem = "is not a facet-cofacet pair"
         else:
             for cell in (lo, up):
@@ -553,11 +552,7 @@ def _certified(c: Complex, m: Matching, purpose: str | None = None) -> None:
 def morse_flow(c: Complex, m: Matching, z: Chain) -> FlowChain:
     """Iterate the flow map id + dV + Vd until the chain is fixed."""
     _certified(c, m)
-    for s in z.terms:
-        if not c.has_face(s):
-            raise ParameterError(f"chain uses {s}, which is not a face of the complex")
-    start = {mask_of(s): co for s, co in z.terms.items()}
-    fixed, steps = _stable_flow(m, start, c.face_total())
+    fixed, steps = _stable_flow(m, _face_terms(c, z), c.face_total())
     # the flow stays among c's faces of z's dimension: make_chain would check nothing new
     terms = {vertices_of(mask): co for mask, co in fixed.items() if co}
     return FlowChain(chain=Chain(z.dimension, terms), steps=steps)
@@ -622,7 +617,7 @@ def _element_matching(c: Complex) -> Matching:
                     low = rest & -rest
                     rest ^= low
                     star.setdefault(low, []).append(t)
-        live = set().union(*c.faces)
+        live = set(c.face_set)
         upper = {}  # lower cell -> its pair's upper cell
         for bit in sorted(star):
             for t in star[bit]:
@@ -640,22 +635,19 @@ def _element_matching(c: Complex) -> Matching:
 def _class_cells(c: Complex, k: int) -> tuple[Matching, tuple[int, ...]]:
     """c's element matching and its critical k-cells, if its Morse d_k and d_(k+1) are zero.
 
-    Raises ParameterError naming a differential that is not zero.  Only
-    the cells are cached in c._cache, once per dimension; a refusal is
-    worked out again on each call, from the flows the matching keeps.
+    Raises ParameterError naming a differential that is not zero.  Nothing
+    is cached here: the matching, its critical cells and its flows already
+    are, so a second call flows nothing again.
     """
-    key = ("class cells", k)
-    if key not in c._cache:
-        m = _element_matching(c)
-        counts, columns = _morse_complex(c, m)
-        for d in (k, k + 1):
-            if 0 < d < len(counts) and any(columns(d)):
-                raise ParameterError(
-                    f"cannot read cycle classes in dimension {k}:"
-                    f" the element matching's Morse d_{d} is not zero"
-                )
-        c._cache[key] = m, _critical(c, m)[k] if k < len(counts) else ()
-    return c._cache[key]
+    m = _element_matching(c)
+    counts, columns = _morse_complex(c, m)
+    for d in (k, k + 1):
+        if 0 < d < len(counts) and any(columns(d)):
+            raise ParameterError(
+                f"cannot read cycle classes in dimension {k}:"
+                f" the element matching's Morse d_{d} is not zero"
+            )
+    return m, _critical(c, m)[k] if k < len(counts) else ()
 
 
 def _fan(ngon: int, apex: int) -> set[int]:

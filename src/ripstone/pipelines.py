@@ -123,8 +123,8 @@ def trace_dodecahedron(seed: int = 1, max_attempts: int = 1000) -> Report:
 
     c3 = vr_complex(metric, 3)
     c2 = vr_complex(metric, 2)
-    scale2 = {mask for level in c2.faces for mask in level}
-    candidate = {mask for level in c3.faces for mask in level if mask not in scale2}
+    scale2 = c2.face_set
+    candidate = c3.face_set - scale2
     try:
         m = _find_matching(c3, candidate, map(mask_of, tets), seed, max_attempts)
     except SearchFailure as e:

@@ -110,16 +110,6 @@ class DistanceMatrix:
     def diameter(self) -> int:
         return max(max(row) for row in self.dist)
 
-    def eccentricity(self, i: int) -> int:
-        return max(self.dist[i])
-
-    def pair_count(self, value: int) -> int:
-        """Number of unordered vertex pairs at exactly the given distance."""
-        n = self.size
-        return sum(
-            1 for i in range(n) for j in range(i + 1, n) if self.dist[i][j] == value
-        )
-
 
 @dataclass(frozen=True)
 class DistanceTable:
@@ -130,7 +120,6 @@ class DistanceTable:
 
     name: str
     rows: tuple[tuple[int, float, float], ...]
-    phi: float = PHI
 
 
 def _normalize(points: list[tuple[float, float, float]]) -> tuple[tuple[float, ...], ...]:

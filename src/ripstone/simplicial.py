@@ -87,8 +87,9 @@ class Complex:
     and the from_faces walk emit the faces in order, and skeleton and
     delete_open_cells keep it; the latter three go through Complex._built,
     which checks nothing.  faces and its levels are tuples, which cannot be
-    edited in place, so the lazy indexes and the _cache of certified
-    matchings, cycle-class cells and maximal faces cannot go stale.
+    edited in place, so face_set, the one set of all face masks that every
+    membership test reads, and the _cache of certified matchings, critical
+    cells and maximal faces cannot go stale.
 
     graph, when present, is the adjacency mask table of the graph whose
     clique complex this is; it fixes the complex for ==.  Otherwise two
@@ -125,11 +126,11 @@ class Complex:
                 if a == b:
                     raise StructuralError(f"face {vertices_of(a)} is listed twice")
         self._init(vertex_count, levels)
-        for k in range(1, len(levels)):
-            below = self.index(k - 1)
-            for mask in levels[k]:
+        faces = self.face_set
+        for level in levels[1:]:
+            for mask in level:
                 for facet, _sign in signed_facets(mask):
-                    if facet not in below:
+                    if facet not in faces:
                         raise StructuralError(
                             f"face {vertices_of(mask)} has no facet {vertices_of(facet)} in the"
                             " complex: the complex is not closed downward"
@@ -145,7 +146,6 @@ class Complex:
     def _init(self, vertex_count: int, faces: tuple[tuple[int, ...], ...]) -> None:
         self.vertex_count = vertex_count
         self.faces = faces
-        self._indexes: dict[int, dict[int, int]] = {}
         self._cache: dict = {}
 
     def __eq__(self, other) -> bool:
@@ -171,32 +171,23 @@ class Complex:
     def face_total(self) -> int:
         return sum(self.f_vector())
 
-    def index(self, k: int) -> dict[int, int]:
-        """Mask -> position lookup for dimension k, built lazily."""
-        if k not in self._indexes:
-            self._indexes[k] = {m: i for i, m in enumerate(self.faces[k])}
-        return self._indexes[k]
+    @cached_property
+    def face_set(self) -> frozenset[int]:
+        """The masks of all faces, every level in one set, built on first read.
+
+        A mask fixes its own dimension, so this answers every membership
+        question, whatever the level.
+        """
+        return frozenset().union(*self.faces)
 
     def has_face(self, s: Simplex) -> bool:
-        k = len(s) - 1
-        if k >= len(self.faces):
-            return False
-        return mask_of(s) in self.index(k)
+        return mask_of(s) in self.face_set
 
     def simplices(self, k: int) -> list[Simplex]:
         """All k-faces as vertex tuples, in storage order."""
         if not 0 <= k <= self.dim:
             return []
         return [vertices_of(m) for m in self.faces[k]]
-
-    def is_maximal_mask(self, mask: int, k: int) -> bool:
-        if k + 1 > self.dim:
-            return True
-        above = self.index(k + 1)
-        for bit in self.faces[0]:  # the complex's own vertices, not every id below vertex_count
-            if not mask & bit and (mask | bit) in above:
-                return False
-        return True
 
 
 def _budget_error() -> ParameterError:
@@ -252,7 +243,6 @@ class _CliqueComplex(Complex):
         self.vertex_count = len(graph)
         self.graph = graph
         self.cone_vertex = cone_vertex
-        self._indexes = {}
         self._cache = {}
 
     @cached_property
@@ -486,20 +476,18 @@ def delete_open_cells(c: Complex, cells) -> Complex:
     Removing a non-maximal face would break downward closure, so that is an
     error.
     """
-    doomed: dict[int, set[int]] = {}
+    present = c.face_set
+    doomed = set()
     for s in cells:
         s = simplex(s)
-        k = len(s) - 1
         m = mask_of(s)
-        if not c.has_face(s):
+        if m not in present:
             raise StructuralError(f"cannot delete {s}: not a face of the complex")
-        if not c.is_maximal_mask(m, k):
+        # a cofacet adds one of the complex's own vertices
+        if any(not m & bit and m | bit in present for bit in c.faces[0]):
             raise StructuralError(f"cannot delete {s}: the face is not maximal")
-        doomed.setdefault(k, set()).add(m)
-    faces = []
-    for k, level in enumerate(c.faces):
-        dead = doomed.get(k, ())
-        faces.append(tuple(m for m in level if m not in dead))
+        doomed.add(m)
+    faces = [tuple(m for m in level if m not in doomed) for level in c.faces]
     while faces and not faces[-1]:
         faces.pop()
     if not faces:

@@ -12,6 +12,8 @@ group splits off a central involution (the antipodal map).  The closing
 verification compares the permutation action on the ten distance-3
 tetrahedra, class by class, against the character predicted by tensoring
 the doubled natural fixed-point counts with the two-element sign table.
+That is the permutation character; the group's action on H3 of the
+scale-3 complex is not computed here.
 """
 
 from __future__ import annotations
@@ -48,17 +50,17 @@ class PermGroup:
 class CharacterData:
     """Classwise data for a group action on the ten tetrahedra.
 
-    h3_character is the permutation character minus the trivial one, the
-    character of the degree-9 kernel representation.
+    One entry per conjugacy class, in conjugacy_classes order: its size,
+    element order, whether it lies in the rotation subgroup, and the fixed
+    tetrahedron count of the permutation action beside the predicted one.
+    These are counts of the permutation action, not a character of H3.
     """
 
-    class_reps: tuple
     class_sizes: tuple
     element_orders: tuple
     in_rotation: tuple
     fixed_counts: tuple
     predicted_counts: tuple
-    h3_character: tuple
 
 
 def identity_perm(degree: int) -> Perm:
@@ -257,9 +259,9 @@ def verify_remark(g: PermGroup, rot: PermGroup, tets, h3_rank: int) -> Character
 
     rot is g's rotation subgroup (rotation_subgroup(g)).  The predicted
     count doubles the natural five-point fixed counts on the rotation
-    subgroup and vanishes off it; the rank-9 homology matches the kernel of
-    the augmentation on the free module over the tetrahedra.  Raises on the
-    first failing class.
+    subgroup and vanishes off it.  h3_rank must be 9, one less than the
+    number of tetrahedra; only the rank is compared, not the action on H3.
+    Raises on the first failing class.
     """
     tets = sorted(tets)
     if len(tets) != 10:
@@ -271,7 +273,6 @@ def verify_remark(g: PermGroup, rot: PermGroup, tets, h3_rank: int) -> Character
     rotations = set(rot.elements)
     tet_masks = [(t, sum(1 << v for v in t)) for t in tets]
 
-    reps = []
     sizes = []
     orders = []
     in_rot = []
@@ -308,7 +309,6 @@ def verify_remark(g: PermGroup, rot: PermGroup, tets, h3_rank: int) -> Character
                 f"{'rotation' if inh else 'reflective'}): fixed {fixed} != "
                 f"predicted {pred}"
             )
-        reps.append(rep)
         sizes.append(len(cls))
         orders.append(order)
         in_rot.append(inh)
@@ -318,11 +318,9 @@ def verify_remark(g: PermGroup, rot: PermGroup, tets, h3_rank: int) -> Character
     if sum(sizes) != g.order:
         raise StructuralError("class sizes do not sum to the group order")
     return CharacterData(
-        class_reps=tuple(reps),
         class_sizes=tuple(sizes),
         element_orders=tuple(orders),
         in_rotation=tuple(in_rot),
         fixed_counts=tuple(fixed_counts),
         predicted_counts=tuple(predicted),
-        h3_character=tuple(f - 1 for f in fixed_counts),
     )

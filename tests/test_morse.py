@@ -563,7 +563,13 @@ def test_validity_stays_per_complex_after_certification(monkeypatch):
     c3, candidate, forced = _trace_search()
     m = _find_matching(c3, candidate, forced, 1, 1000)
     assert check_matching(c3, m).ok()
-    lo, up = next(p for p in m.pairs if c3.is_maximal_mask(p[1], p[1].bit_count() - 1))
+    assert "face_set" not in c3.__dict__  # a valid matching is certified by counting
+    faces = {mask for level in c3.faces for mask in level}
+
+    def maximal(mask):
+        return not any(mask | bit in faces for bit in c3.faces[0] if not mask & bit)
+
+    lo, up = next(p for p in m.pairs if maximal(p[1]))
     without = delete_open_cells(c3, [vertices_of(up)])
     report = check_matching(without, m)
     assert not report.valid and report.critical == () and report.certificate is None

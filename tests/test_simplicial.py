@@ -226,6 +226,40 @@ def test_from_faces_is_downward_closed(faces):
     assert rebuilt == c
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(face_lists())
+def test_membership_questions_match_a_tuple_set_oracle(faces):
+    # every vertex set on one vertex id more than the complex has, of every
+    # size, so sets above the top dimension and off the vertices are asked too
+    from ripstone.morse import Matching, check_matching
+
+    closure = {sub for f in faces for k in range(len(f)) for sub in combinations(f, k + 1)}
+    c = from_faces(faces)
+    ids = range(c.vertex_count + 1)
+    for s in (s for k in range(1, len(ids) + 1) for s in combinations(ids, k)):
+        assert c.has_face(s) == (s in closure)
+        if s not in closure:
+            refusal = "not a face"
+        elif any(set(s) < set(t) for t in closure):
+            refusal = "not maximal"
+        elif closure == {s}:
+            refusal = "would empty"
+        else:
+            refusal = None
+        if refusal is None:
+            left = delete_open_cells(c, [s])
+            assert {t for k in range(left.dim + 1) for t in left.simplices(k)} == closure - {s}
+        else:
+            with pytest.raises(StructuralError, match=refusal):
+                delete_open_cells(c, [s])
+        if len(s) > 1:
+            report = check_matching(c, Matching(((mask_of(s[1:]), mask_of(s)),)))
+            outside = not {s, s[1:]} <= closure
+            assert report.violations == (
+                (f"pair {s[1:]} -> {s} uses a simplex outside the complex",) if outside else ()
+            )
+
+
 def _assert_closure_matches_brute_force(faces):
     closure = {sub for f in faces for k in range(len(f)) for sub in combinations(f, k + 1)}
     c = from_faces(faces)

