@@ -1,5 +1,6 @@
 """Text grammars: round-trips and line-accurate error reporting."""
 
+import hashlib
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from ripstone.formats import (
     serialize_complex,
     serialize_matching,
 )
-from ripstone.homology import make_chain
+from ripstone.homology import homology, make_chain
 from ripstone.morse import fan_matching, find_matching, matching_from_pairs
 from ripstone import simplicial
 from ripstone.simplicial import Complex, from_faces, vertices_of
@@ -178,3 +179,131 @@ def test_comments_and_blanks_are_ignored_everywhere():
     assert parse_simplex_list(text) == [(0, 1, 2)]
     c = parse_complex(text)
     assert c.f_vector() == (3, 3, 1)
+
+
+# Small complex files pinned by f-vector, Betti numbers, torsion and the
+# sha256 of their serialized text: joins of the projective plane with small
+# flag complexes under shuffled vertex ids, a cone, files with duplicate and
+# non-maximal lines, and two tetrahedra sharing an edge, a cone on two points.
+RP2 = [
+    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
+    (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5),
+]
+
+
+def _text(faces):
+    return "".join(" ".join(map(str, s)) + "\n" for s in faces)
+
+
+def _join(a, b, seed):
+    """The join of two face lists, b's vertex ids after a's, all ids shuffled by the seed."""
+    shift = max(v for s in a for v in s) + 1
+    n = shift + max(v for s in b for v in s) + 1
+    relabel = random.Random(seed).sample(range(n), n)
+    return [tuple(sorted(relabel[v] for v in s + tuple(w + shift for w in t))) for s in a for t in b]
+
+
+S0 = [(0,), (1,)]
+PENTAGON = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+COMPLEX_FILES = {
+    "rp2": _text(RP2),
+    "rp2_join_s0": _text(_join(RP2, S0, 1)),
+    "rp2_join_path": _text(_join(RP2, [(0, 1), (1, 2)], 2)),
+    "rp2_join_square": _text(_join(RP2, [(0, 1), (1, 2), (2, 3), (0, 3)], 3)),
+    "pentagon_join_rp2": _text(_join(PENTAGON, RP2, 4)),
+    "rp2_join_two_edges_and_a_point": _text(_join(RP2, [(0, 1), (2, 3), (4,)], 5)),
+    "rp2_join_rp2": _text(_join(RP2, RP2, 6)),
+    "cone_over_pentagon": _text(_join(PENTAGON, [(0,)], 7)),
+    "rp2_and_a_non_maximal_edge": _text(RP2 + [(1, 4)]),
+    "duplicate_and_non_maximal_lines": _text(
+        _join(RP2, S0, 8)[:7] + [(0, 1)] + _join(RP2, S0, 8)[3:]
+    ),
+    "duplicate_lines": _text(_join(RP2, S0, 9) + _join(RP2, S0, 9)[::3]),
+    "two_tetrahedra_on_an_edge": "0 1 2 3\n2 3 4 5\n",
+}
+
+# name -> (f-vector, Betti numbers, torsion, sha256 of serialize_complex)
+PINNED = {
+    "rp2": (
+        (6, 15, 10),
+        (1, 0, 0),
+        ((), (2,), ()),
+        "9d1135da2e8c3a413fda1b5ddc19ff441a5ca2325f883c059ddb9b6e8031f9b1",
+    ),
+    "rp2_join_s0": (
+        (8, 27, 40, 20),
+        (1, 0, 0, 0),
+        ((), (), (2,), ()),
+        "86716f0763776c6700bdbcb613ff8c77c2bca681dec6ceebcb634f189d1c0e17",
+    ),
+    "rp2_join_path": (
+        (9, 35, 67, 60, 20),
+        (1, 0, 0, 0, 0),
+        ((), (), (), (), ()),
+        "001157dcf632101483390927c312e43f48d92a4c7cfb0b295dbf65af560c8e08",
+    ),
+    "rp2_join_square": (
+        (10, 43, 94, 100, 40),
+        (1, 0, 0, 0, 0),
+        ((), (), (), (2,), ()),
+        "6c708d95ef7c4f9ee593f78f81d6dcd2d8e9d2dea603acb45ebc81d048661916",
+    ),
+    "pentagon_join_rp2": (
+        (11, 50, 115, 125, 50),
+        (1, 0, 0, 0, 0),
+        ((), (), (), (2,), ()),
+        "d5c5ca76494d361f1e28b3eeb448440b862ac9fd6e8e9ef5e3676538e32ea9fd",
+    ),
+    "rp2_join_two_edges_and_a_point": (
+        (11, 47, 97, 80, 20),
+        (1, 0, 0, 0, 0),
+        ((), (), (2, 2), (), ()),
+        "0fbc35a5d1e8fff555f67207dfbfb6b1fdb2373fddef23235e9c7d69a5ad7fe8",
+    ),
+    "rp2_join_rp2": (
+        (12, 66, 200, 345, 300, 100),
+        (1, 0, 0, 0, 0, 0),
+        ((), (), (), (2,), (2,), ()),
+        "bac7e9298b0d9001c4235d071c00d00684c68f0b24b9eae4714ccb54b2ddbb57",
+    ),
+    "cone_over_pentagon": (
+        (6, 10, 5),
+        (1, 0, 0),
+        ((), (), ()),
+        "701a72bbcfed0c6f233a1446eddc3f6ef2a4c0464cfaf5ad190f1125c6df1f71",
+    ),
+    "rp2_and_a_non_maximal_edge": (
+        (6, 15, 10),
+        (1, 0, 0),
+        ((), (2,), ()),
+        "9d1135da2e8c3a413fda1b5ddc19ff441a5ca2325f883c059ddb9b6e8031f9b1",
+    ),
+    "duplicate_and_non_maximal_lines": (
+        (8, 27, 40, 20),
+        (1, 0, 0, 0),
+        ((), (), (2,), ()),
+        "7deee3dbdefd686cf23953dfd668ae3c9d0e7eb0a4705bee2fdd4f54aea71acc",
+    ),
+    "duplicate_lines": (
+        (8, 27, 40, 20),
+        (1, 0, 0, 0),
+        ((), (), (2,), ()),
+        "86716f0763776c6700bdbcb613ff8c77c2bca681dec6ceebcb634f189d1c0e17",
+    ),
+    "two_tetrahedra_on_an_edge": (
+        (6, 11, 8, 2),
+        (1, 0, 0, 0),
+        ((), (), (), ()),
+        "61b7883aad0a6bd404542b04067432ec460cac1adfdac96a401b425d77599582",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_FILES))
+def test_small_complex_files_keep_their_pinned_outputs(name):
+    c = parse_complex(COMPLEX_FILES[name])
+    h = homology(c)
+    text = serialize_complex(c)
+    assert (c.f_vector(), h.betti, h.torsion) == PINNED[name][:3]
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name][3]
+    assert parse_complex(text) == c

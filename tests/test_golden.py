@@ -22,6 +22,8 @@ GOLDEN = Path(__file__).parent / "golden"
 # The README's matching-engine example; collapse.vm is written by `morse find`.
 # rotor.vm is the rotating matching on the square, a directed cycle; clash.vm
 # uses the vertex 0 in three pairs (reported once) and a pair outside tet.cx.
+# cone.cx is a join, the cone with apex 2 over the square 0-3-1-4, and
+# cone.vm collapses it onto its apex.
 FILES = {
     "tet.cx": "0 1 2 3\n",
     "crit.sx": "0\n",
@@ -29,6 +31,9 @@ FILES = {
     "square.cx": "0 1\n1 2\n2 3\n0 3\n",
     "rotor.vm": "0 -> 0 1\n1 -> 1 2\n2 -> 2 3\n3 -> 0 3\n",
     "clash.vm": "2 3 -> 2 3 9\n0 -> 0 3\n0 -> 0 1\n1 -> 1 2\n0 -> 0 2\n",
+    "cone.cx": "0 2 3\n1 2 3\n0 2 4\n1 2 4\n",
+    "cone.vm": "0 -> 0 2\n1 -> 1 2\n3 -> 2 3\n4 -> 2 4\n"
+    "0 3 -> 0 2 3\n1 3 -> 1 2 3\n0 4 -> 0 2 4\n1 4 -> 1 2 4\n",
 }
 
 COMMANDS = (
@@ -55,6 +60,7 @@ COMMANDS = (
         "morse_check_violations",
         ["morse", "check", "--complex", "tet.cx", "--matching", "clash.vm"],
     ),
+    ("morse_check_join", ["morse", "check", "--complex", "cone.cx", "--matching", "cone.vm"]),
     (
         "morse_flow",
         ["morse", "flow", "--complex", "tet.cx", "--matching", "collapse.vm", "--chain", "z.chain"],
