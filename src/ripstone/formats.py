@@ -56,8 +56,9 @@ def parse_complex(text: str) -> Complex:
 
 
 def serialize_complex(c: Complex) -> str:
+    """The maximal faces, sorted; a parsed complex gives them as the tuples its file listed."""
     lines = ["# maximal faces, one per line, vertices ascending"]
-    lines.extend(" ".join(str(v) for v in s) for s in maximal_simplices(c))
+    lines.extend(" ".join(map(str, s)) for s in maximal_simplices(c))
     return "\n".join(lines) + "\n"
 
 

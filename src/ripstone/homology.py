@@ -22,11 +22,12 @@ its level, so the result does not depend on the order a level is stored
 in.  The Morse complex hands over a flowed column for a critical cell with
 a matched facet, and the cell's mask, read as here, for any other.
 
-A clique complex that is a join X1*...*Xm (the graph's complement is
-disconnected, and each Xi is the clique complex on one of its components)
-takes its homology from its factors' by the join formula for integral
-homology (Milnor, "Construction of universal bundles II", Ann. Math. 63
-(1956)):
+A complex that is a join X1*...*Xm (a clique complex whose graph's
+complement is disconnected, each Xi the clique complex on one of its
+components, or a complex file that simplicial._listed_join splits into
+listed factors) takes its homology from its factors' by the join formula
+for integral homology (Milnor, "Construction of universal bundles II",
+Ann. Math. 63 (1956)):
 
     H~_n(X*Y) = (+)_{i+j=n-1} H~_i(X) (x) H~_j(Y)  (+)  (+)_{i+j=n-2} Tor(H~_i(X), H~_j(Y))
 
@@ -35,8 +36,8 @@ Its check: the reduced Euler characteristic of the result must equal
 counted from the factors' faces; the join itself is never built.  So are
 computed the cross-polytope rows (joins of zero-spheres) and the cones,
 joins with an acyclic one-vertex factor, such as the full simplex at each
-solid's diameter.  Complexes given by their faces (from_faces, complex
-files) have no graph and are always reduced.
+solid's diameter, and the random_files joins of RP^2 with a flag complex.
+A complex given by its faces that is not split is reduced whole.
 
 The boundary convention used everywhere: for a simplex written with ascending
 vertices v1 < ... < vn,
@@ -54,7 +55,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import ParameterError, PreconditionError, StructuralError
-from .simplicial import Complex, Simplex, mask_of, signed_facets, simplex, vertices_of
+from .simplicial import (
+    Complex, Simplex, mask_of, maximal_simplices, signed_facets, simplex, vertices_of,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +181,12 @@ def _reduce(nrows: int, ncols: int, rows: dict, transforms: bool = False):
     U * A * V holds the factors on its leading diagonal and zeros elsewhere.
 
     No index and no heap: the inputs are small.  The paper's complexes
-    leave no residual, so main_theorem and scale3 never come here; the
-    random_files batches of seeds 1-20 make 163 calls in colex order, the
-    largest 16 columns with 588 nonzeros, about 0.02 s in all.  The largest
-    matrices are the tests' references for clearing, up to 252 x 210.
+    leave no residual, so main_theorem and scale3 never come here.  The
+    random_files batches of seeds 1-20 make 122 residual calls in colex
+    order, 120 of them the one Z/2 column of an RP^2 join factor, the
+    largest one column with 82 nonzeros, and 121 _invariant_factors calls
+    of at most 12 orders, about 0.005 s in all.  The largest matrices are
+    the tests' references for clearing, up to 252 x 210.
     """
     u = {i: {i: 1} for i in range(nrows)} if transforms else None
     v = {j: {j: 1} for j in range(ncols)} if transforms else None
@@ -451,19 +456,22 @@ def _join_homology(factors: list[Complex]) -> HomologyResult:
 
     The factors' reduced homology is folded by _join_groups.  The check: the
     join's reduced Euler characteristic is (-1)^(m-1) times the product of
-    the m factors' reduced Euler characteristics, counted from their faces.
-    Identical factors, such as a cone's points, are reduced and counted once.
+    the m factors' reduced Euler characteristics, each counted from that
+    factor's own f-vector.  Identical factors, such as a cone's points, are
+    reduced once: a clique factor is known by its graph, a listed one by
+    its maximal faces.
     """
     groups = None
     expected = -1
-    seen: dict[tuple[int, ...], tuple[list, int]] = {}  # graph -> reduced groups, 1 - chi
+    seen: dict[tuple, list] = {}  # graph or maximal faces -> reduced groups
     for x in factors:
-        if x.graph not in seen:
+        key = x.graph if x.graph is not None else tuple(maximal_simplices(x))
+        tilde = seen.get(key)
+        if tilde is None:
             h = _homology_by_reduction(x)
             tilde = [(b - (k == 0), list(t)) for k, (b, t) in enumerate(zip(h.betti, h.torsion))]
-            seen[x.graph] = tilde, 1 - euler_characteristic(x)
-        tilde, chi = seen[x.graph]
-        expected *= chi  # times -(reduced chi of x)
+            seen[key] = tilde
+        expected *= 1 - euler_characteristic(x)  # times -(reduced chi of x)
         groups = tilde if groups is None else _join_groups(groups, tilde)
     if sum((-1) ** n * r for n, (r, _t) in enumerate(groups)) != expected:
         raise StructuralError("join homology disagrees with its factors' Euler characteristics")

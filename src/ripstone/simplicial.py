@@ -18,11 +18,15 @@ are built lazily: the constructor keeps the graph, and the faces are
 enumerated, once, when something first reads them.  A clique complex whose
 graph's complement is disconnected is the join of the clique complexes on
 the complement's components, and a cone is the case of a one-vertex
-component.  A join's f-vector, maximal faces and homology come from its
-factors and its own faces are never built: the full simplex each solid
-reaches at its diameter is a join of points.  Every clique walk,
-maximal-face listing and from_faces closure stops with ParameterError past
-FACE_BUDGET faces.
+component.  A complex given its faces (from_faces, complex files) is split
+the same way when its listed faces show it is a join (see _listed_join):
+its factors are closed at once, and its own faces only when something
+first reads them.  Either way a join's f-vector, maximal faces and
+homology come from its factors and its own faces are never built: the
+full simplex each solid reaches at its diameter is a join of points.
+Every clique walk, maximal-face listing and from_faces closure stops with
+ParameterError past FACE_BUDGET faces, and a listed join past it is
+refused when it is split.
 """
 
 from __future__ import annotations
@@ -94,7 +98,10 @@ class Complex:
     graph, when present, is the adjacency mask table of the graph whose
     clique complex this is; it fixes the complex for ==.  Otherwise two
     complexes that are not joins compare their levels, and a join compares
-    its maximal faces, listed from its factors.  cone_vertex
+    its maximal faces, listed from its factors or as its file gave them.
+    join_factors, when not empty, lists the factors of a join (see
+    _CliqueComplex and _ListedJoin), and f_vector multiplies theirs while
+    the join's own faces are unbuilt.  cone_vertex
     names a vertex adjacent to every other one; the package does not read it
     (a cone is a join), but the benchmark tracer in perfbench/ counts cones
     by it.
@@ -102,7 +109,7 @@ class Complex:
 
     graph: tuple[int, ...] | None = None
     cone_vertex: int | None = None
-    join_factors = ()  # a clique complex's own, see _CliqueComplex.join_factors
+    join_factors = ()  # set by a join: _CliqueComplex.join_factors, _ListedJoin
 
     def __init__(self, vertex_count: int, faces):
         levels = [tuple(level) for level in faces]
@@ -166,7 +173,14 @@ class Complex:
         return len(self.faces) - 1
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.faces)
+        if "faces" in self.__dict__ or not self.join_factors:
+            return tuple(len(level) for level in self.faces)
+        # a face of a join picks a face or nothing from each factor, so 1 + F
+        # is the product of the factors' 1 + F, with F = sum of x^|face|
+        poly = [1]
+        for _keep, x in self.join_factors:
+            poly = _poly_mul(poly, (1,) + x.f_vector())
+        return tuple(poly[1:])
 
     def face_total(self) -> int:
         return sum(self.f_vector())
@@ -269,16 +283,6 @@ class _CliqueComplex(Complex):
             out.append((keep, _CliqueComplex(adj)))
         return out
 
-    def f_vector(self) -> tuple[int, ...]:
-        if "faces" in self.__dict__ or not self.join_factors:
-            return super().f_vector()
-        # a face of a join picks a face or nothing from each factor, so 1 + F
-        # is the product of the factors' 1 + F, with F = sum of x^|face|
-        poly = [1]
-        for _keep, x in self.join_factors:
-            poly = _poly_mul(poly, (1,) + x.f_vector())
-        return tuple(poly[1:])
-
 
 def _poly_mul(a, b) -> list[int]:
     """The product of two polynomials given by their coefficient lists, constant first."""
@@ -290,10 +294,15 @@ def _poly_mul(a, b) -> list[int]:
     return out
 
 
-def _complement_components(adj: tuple[int, ...]) -> list[int]:
-    """Vertex masks of the connected components of the graph's complement, lowest vertex first."""
+def _complement_components(adj, rest: int | None = None) -> list[int]:
+    """Vertex masks of the connected components of the graph's complement, lowest vertex first.
+
+    adj maps each vertex of rest, a vertex mask (by default every vertex of
+    the adjacency table), to the mask of its neighbours, itself allowed.
+    """
     out = []
-    rest = (1 << len(adj)) - 1
+    if rest is None:
+        rest = (1 << len(adj)) - 1
     while rest:
         comp = frontier = rest & -rest
         while frontier:
@@ -328,9 +337,9 @@ def vr_complex(metric: DistanceMatrix, r: int) -> Complex:
 def from_faces(faces, vertex_count: int | None = None) -> Complex:
     """The downward closure of the given simplices, at most FACE_BUDGET faces.
 
-    Each face is validated by simplex() and closed by _closure, one walk per
-    vertex that emits the faces in storage order and records the complex's
-    maximal faces for maximal_simplices on the way.
+    Each face is validated by simplex() and handed to _closure, which splits
+    a join into its factors and closes any other complex at once, recording
+    its maximal faces, as given, for maximal_simplices on the way.
     """
     return _closure(map(simplex, faces), vertex_count)
 
@@ -338,90 +347,170 @@ def from_faces(faces, vertex_count: int | None = None) -> Complex:
 def _closure(simplices, vertex_count: int | None = None) -> Complex:
     """from_faces on simplices already validated as simplex() would.
 
-    One depth-first walk per vertex v, in ascending order, emits once each
-    face whose smallest vertex is v, extending a face only by vertices larger
-    than its own, so every level comes out in storage order.  The walk
-    numbers v's star (the listed faces holding v) locally and carries
-    with each face the star faces holding it; candidates are the vertices
-    sharing a listed face with each vertex added.  Once one listed face holds
-    a face, every extension inside it is a face and is emitted untested.  A
-    face is maximal exactly when its only holder is itself; the maximal faces
-    are kept, in storage order, as the complex's _cache["maximal"].  Tables
-    are keyed by the vertices present; a listed face of more than 21
-    vertices is refused before the walk, which stops past FACE_BUDGET faces.
+    The distinct listed faces are numbered once, by their first place.  If
+    _listed_join finds that they close to a join, a _ListedJoin of the
+    closed factors comes back, and the join itself is not closed; any other
+    complex is closed by _walk.  A listed face of more than 21 vertices is
+    refused first.
     """
-    star: dict[int, tuple[list[int], list[Simplex]]] = {}  # vertex -> listed faces holding it
-    seen: set[int] = set()
-    width = top = 0
+    listed: dict[int, Simplex] = {}  # mask -> the listed face
+    top = 0
     for s in simplices:
         if (1 << len(s)) - 1 > FACE_BUDGET:  # its own closure is too big
             raise _budget_error()
         m = mask_of(s)
-        if m in seen:
-            continue
-        seen.add(m)
-        width = max(width, len(s))
-        top = max(top, s[-1] + 1)
-        for v in s:
-            held = star.get(v)
-            if held is None:
-                star[v] = held = ([], [])
-            held[0].append(m)
-            held[1].append(s)
+        if m not in listed:
+            listed[m] = s
+            top = max(top, s[-1] + 1)
     if vertex_count is None:
         vertex_count = top
     elif vertex_count < top:
         raise ParameterError("vertex_count is smaller than the largest vertex id")
-    if not star:
+    if not listed:
         raise StructuralError("refusing to build an empty complex")
-    near = {}  # vertex -> the vertices sharing a listed face with it
-    for v, (masks, _) in star.items():
-        n = 0
-        for m in masks:
-            n |= m
-        near[v] = n
-    levels: list[list[int]] = [[] for _ in range(width)]
-    maximal: list[list[int]] = [[] for _ in range(width)]
+    inc, near = _incidence(listed)
+    factors = _listed_join(listed, near)
+    if factors:
+        return _ListedJoin(vertex_count, list(listed.values()), factors)
+    return _walk(listed, inc, near, vertex_count)
+
+
+def _incidence(listed: dict[int, Simplex]) -> tuple[dict[int, int], dict[int, int]]:
+    """Per vertex, the listed faces holding it, as number bits (inc), and their union (near)."""
+    inc: dict[int, int] = {}
+    near: dict[int, int] = {}
+    b = 1
+    for m, s in listed.items():
+        for v in s:
+            inc[v] = inc.get(v, 0) | b
+            near[v] = near.get(v, 0) | m
+        b <<= 1
+    return inc, near
+
+
+def _walk(listed: dict[int, Simplex], inc: dict, near: dict, vertex_count: int) -> Complex:
+    """The closure of the distinct listed faces (mask -> tuple), with _incidence's tables.
+
+    One depth-first walk per vertex v, in ascending order, emits once each
+    face whose smallest vertex is v, extending a face only by vertices
+    larger than its own, so every level comes out in storage order.  Each
+    face carries the listed faces holding it, and candidates are the
+    vertices sharing a listed face with each vertex added.  Once one listed
+    face holds a face, every extension inside it is a face and is emitted
+    untested.  A face is maximal exactly when its only holder is itself;
+    the listed tuples of the maximal faces are kept as the complex's
+    _cache["maximal"].  Tables are keyed by the vertices present, and the
+    walk stops past FACE_BUDGET faces.
+    """
+    owns = list(listed)
+    given = list(listed.values())
+    levels: list[list[int]] = [[] for _ in range(max(map(len, given)))]
+    maximal: list[Simplex] = []
     room = FACE_BUDGET
 
     def walk(face: int, dim: int, held: int, cand: int) -> None:
-        # emit face, held by the star faces in held, and its extensions by cand
+        # emit face, held by the listed faces in held, and its extensions by cand
         nonlocal room
         room -= 1
         if room < 0:
             raise _budget_error()
         levels[dim].append(face)
-        if held & (held - 1):  # two or more star faces hold it
+        if held & (held - 1):  # two or more listed faces hold it
             while cand:
                 low = cand & -cand
                 cand ^= low
                 w = low.bit_length() - 1
-                h = held & holders[w]
+                h = held & inc[w]
                 if h:
                     walk(face | low, dim + 1, h, cand & near[w])
             return
-        own = owns[held.bit_length() - 1]  # the one listed face holding it
+        i = held.bit_length() - 1  # the one listed face holding it
+        own = owns[i]
         if face == own:
-            maximal[dim].append(face)
+            maximal.append(given[i])
         rest = cand & own  # own holds every extension inside it: no tests
         while rest:
             low = rest & -rest
             rest ^= low
             walk(face | low, dim + 1, held, rest)
 
-    for v in sorted(star):
-        owns, listed = star[v]  # the star's faces are numbered by their place here
-        holders = {}  # w > v -> the star faces holding w, as bits of their numbers
-        b = 1
-        for s in listed:
-            for w in s:
-                if w > v:
-                    holders[w] = holders.get(w, 0) | b
-            b <<= 1
-        walk(1 << v, 0, b - 1, near[v] & -(2 << v))
+    for v in sorted(inc):
+        walk(1 << v, 0, inc[v], near[v] & -(2 << v))
     c = Complex._built(vertex_count, tuple(map(tuple, levels)))
-    c._cache["maximal"] = [m for level in maximal for m in level]
+    c._cache["maximal"] = maximal
     return c
+
+
+def _listed_join(listed: dict[int, Simplex], near: dict[int, int]) -> list[tuple[Simplex, Complex]]:
+    """The closure K of the listed faces as a join: each closed factor with the ids it renumbers.
+
+    Empty unless K splits.  Candidate blocks are the components of the
+    complement of K's 1-skeleton.  For a block B, K is the join of its
+    restrictions to B and to the rest exactly when every listed face meets
+    B in a maximal element of {t & B}, meets the rest in a maximal element
+    of {t - B}, and the listed faces number the product of the two counts
+    (Bjorner, "Topological methods", Handbook of Combinatorics, 1995).
+    Given the counts, the listed faces are the products of their parts, so
+    the maximality conditions all say that no listed face holds another:
+    the blocks passing the count become factors, the others one factor
+    together, and the split stands if each factor's closure keeps every one
+    of its listed faces maximal.  A factor found is exact, though a rest
+    that is a join of several blocks is not split.
+    """
+    present = 0
+    for v in near:
+        present |= 1 << v
+    parts = _complement_components(near, present)
+    if len(parts) < 2:
+        return []
+    blocks, rest = [], 0
+    for p in parts:
+        if len({m & p for m in listed}) * len({m & ~p for m in listed}) == len(listed):
+            blocks.append(p)
+        else:
+            rest |= p
+    if not blocks:
+        return []
+    if rest:
+        blocks.append(rest)
+    out = []
+    for p in sorted(blocks, key=lambda p: p & -p):
+        keep = vertices_of(p)
+        index = {v: i for i, v in enumerate(keep)}
+        part = {}
+        for s in listed.values():
+            t = tuple(index[v] for v in s if v in index)
+            part[mask_of(t)] = t
+        if 0 in part:  # a listed face misses the block, so another holds it
+            return []
+        x = _walk(part, *_incidence(part), len(keep))
+        if len(x._cache["maximal"]) < len(part):  # a listed face holds another
+            return []
+        out.append((keep, x))
+    return out
+
+
+class _ListedJoin(Complex):
+    """A complex given by listed faces that is a join of the closed factors, itself unclosed.
+
+    Every listed face is maximal, so the listed tuples are its maximal
+    faces.  Its faces are closed on first read, as a clique complex
+    enumerates its own; f_vector, face_total, maximal_simplices, == and
+    homology read the factors and the listed faces instead.  A join past
+    FACE_BUDGET faces is refused here.
+    """
+
+    def __init__(self, vertex_count: int, given: list[Simplex], join_factors):
+        self.vertex_count = vertex_count
+        self.join_factors = join_factors
+        self._cache = {"maximal": given}
+        if self.face_total() > FACE_BUDGET:
+            raise _budget_error()
+
+    @cached_property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        listed = {mask_of(s): s for s in self._cache["maximal"]}
+        return _walk(listed, *_incidence(listed), self.vertex_count).faces
 
 
 def full_simplex_complex(n: int) -> Complex:
@@ -441,11 +530,14 @@ def skeleton(c: Complex, k: int) -> Complex:
 def maximal_simplices(c: Complex) -> list[Simplex]:
     """Faces that are not contained in any larger face, in lexicographic order.
 
-    A join lists the unions of one maximal face from each factor, and refuses
-    more than FACE_BUDGET of them before listing any.  A from_faces complex
-    reads the maximal faces its closure recorded; any other complex marks the
+    A complex built from listed faces sorts the maximal ones its closure
+    recorded, or, for a join, the listed faces themselves.  A clique join
+    lists the unions of one maximal face from each factor, and refuses more
+    than FACE_BUDGET of them before listing any; any other complex marks the
     facets of every face in one pass.
     """
+    if "maximal" in c._cache:
+        return sorted(c._cache["maximal"])
     if not c.join_factors:
         return sorted(vertices_of(m) for m in _maximal_masks(c))
     choices = [  # each factor's maximal faces as masks on the join's vertex ids
@@ -458,14 +550,7 @@ def maximal_simplices(c: Complex) -> list[Simplex]:
 
 
 def _maximal_masks(c: Complex) -> list[int]:
-    """Masks of the faces that are no facet of a face, in storage order.
-
-    from_faces recorded them while closing the complex; a complex built any
-    other way (a clique complex, skeleton, delete_open_cells, a plain
-    Complex) has no record and takes one facet pass.
-    """
-    if "maximal" in c._cache:
-        return c._cache["maximal"]
+    """Masks of the faces that are no facet of a face, in storage order, by one facet pass."""
     covered = {f for level in c.faces[1:] for m in level for f, _sign in signed_facets(m)}
     return [m for level in c.faces for m in level if m not in covered]
 
@@ -492,7 +577,9 @@ def delete_open_cells(c: Complex, cells) -> Complex:
         faces.pop()
     if not faces:
         raise StructuralError("deletion would empty the complex")
-    return Complex._built(c.vertex_count, tuple(faces))
+    out = Complex._built(c.vertex_count, tuple(faces))
+    out.face_set = present - doomed
+    return out
 
 
 def boundary_complex(name: str) -> Complex:

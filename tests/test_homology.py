@@ -19,6 +19,7 @@ from ripstone.homology import (
     _homology_from_counts,
     _invariant_factors,
     _join_groups,
+    _join_homology,
     _reduce,
     _rows,
     boundary_chain,
@@ -394,16 +395,24 @@ def test_clearing_matches_snf_on_projective_plane_joins(g):
 
 
 RP2_JOIN = [f + q for f in RP2_FACES for q in ((6,), (7, 8, 9), (10,))]
-# in colex order, d_5 and d_4 leave residuals with no torsion, and d_3 one
-# carrying the Z/2
+# reduced whole, in colex order, d_5 and d_4 leave residuals with no
+# torsion, and d_3 one carrying the Z/2
 RP2_JOIN_FALLBACKS = [5, 4, 3]
+
+
+def _whole(faces):
+    """The closure of the listed faces as a plain Complex: homology reduces it whole."""
+    c = from_faces(faces)
+    whole = Complex._built(c.vertex_count, c.faces)  # closed and in order: no facet check
+    assert not whole.join_factors
+    return whole
 
 
 def test_clearing_falls_back_on_torsion_only_where_needed():
     # H_1(RP^2) = Z/2 cannot come from unit pivots, so d_2 falls back
     assert 2 in _complex_fallbacks(from_faces(RP2_FACES))
     # d_3's unit pivots still clear d_2, which needs no Smith reduction
-    fallbacks = _complex_fallbacks(from_faces(RP2_JOIN))
+    fallbacks = _complex_fallbacks(_whole(RP2_JOIN))
     assert fallbacks == RP2_JOIN_FALLBACKS and 2 not in fallbacks
     c = vr_complex(combinatorial_metric(build_solid("dodecahedron")), 4)
     assert _boundary_ranks(c.f_vector(), partial(_eager_columns, c))[1] == []
@@ -432,7 +441,7 @@ def test_lazy_columns_agree_with_eager_on_projective_plane_joins(g):
 
 
 def test_lazy_columns_fall_back_where_the_eager_ones_do():
-    assert _assert_lazy_columns_agree(from_faces(RP2_JOIN))[1] == RP2_JOIN_FALLBACKS
+    assert _assert_lazy_columns_agree(_whole(RP2_JOIN))[1] == RP2_JOIN_FALLBACKS
     assert _assert_lazy_columns_agree(from_faces(RP2_FACES))[1] == [2]
 
 
@@ -482,7 +491,7 @@ def test_homology_does_not_read_the_storage_order_of_a_level():
 def test_homology_builds_no_face_set():
     # homology asks no membership question: it builds no set of the faces
     for c in (
-        from_faces(RP2_JOIN),
+        _whole(RP2_JOIN),
         vr_complex(combinatorial_metric(build_solid("dodecahedron")), 3),
     ):
         assert not c.join_factors
@@ -667,7 +676,7 @@ def test_clearing_matches_snf_on_trace_morse_complexes(seed, fallbacks):
 def _graphless(c):
     """The same faces as c, given by listing them: homology reduces every one."""
     copy = from_faces((s for k in range(c.dim + 1) for s in c.simplices(k)), c.vertex_count)
-    assert copy.graph is None
+    assert copy.graph is None and not copy.join_factors  # every face listed: no split
     return copy
 
 
@@ -766,6 +775,19 @@ def test_identical_join_factors_are_reduced_once(monkeypatch):
     octahedron = vr_complex(combinatorial_metric(build_solid("octahedron")), 1)
     assert homology(octahedron).betti == (1, 0, 1)
     assert [x.graph for x in reduced] == [(0,), (0, 0)]
+
+
+def test_listed_join_factors_are_told_apart_by_their_faces():
+    # two listed factors have no graph; keyed by it, they once shared one
+    # memo entry, and the Euler check read the same entry, so the join of
+    # RP^2 and two points came out with Z/2 in degrees 3 and 4, and the
+    # other order with Betti numbers (1, 1)
+    rp2 = from_faces(RP2_FACES)
+    s0 = from_faces([(0,), (1,)])
+    suspension = homology(_whole([f + q for f in RP2_FACES for q in ((6,), (7,))]))
+    assert suspension.betti == (1, 0, 0, 0) and suspension.torsion == ((), (), (2,), ())
+    assert _join_homology([rp2, s0]) == suspension
+    assert _join_homology([s0, rp2]) == suspension
 
 
 def test_join_of_two_projective_planes_has_tor():

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from ripstone import simplicial
 from ripstone.errors import ParameterError, StructuralError
 from ripstone.polytopes import SOLIDS, DistanceMatrix, build_solid, combinatorial_metric, cube_graph
+from ripstone.formats import serialize_complex
 from ripstone.homology import homology
 from ripstone.simplicial import (
     Complex,
@@ -249,6 +250,7 @@ def test_membership_questions_match_a_tuple_set_oracle(faces):
         if refusal is None:
             left = delete_open_cells(c, [s])
             assert {t for k in range(left.dim + 1) for t in left.simplices(k)} == closure - {s}
+            assert left.face_set == frozenset().union(*left.faces)  # handed down, not rebuilt
         else:
             with pytest.raises(StructuralError, match=refusal):
                 delete_open_cells(c, [s])
@@ -269,8 +271,8 @@ def _assert_closure_matches_brute_force(faces):
     )
     maximal = [s for s in closure if not any(set(s) < set(t) for t in closure)]
     assert maximal_simplices(c) == sorted(maximal)
-    # the record is in storage order: by dimension, then lexicographic
-    assert c._cache["maximal"] == [mask_of(s) for s in sorted(maximal, key=lambda s: (len(s), s))]
+    # the record lists each maximal face once, as the tuple it was given
+    assert sorted(c._cache["maximal"]) == sorted(maximal)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -312,7 +314,8 @@ def test_recorded_maximal_faces_match_the_facet_pass(faces):
     c = from_faces(faces)
     assert "maximal" in c._cache
     unrecorded = Complex(vertex_count=c.vertex_count, faces=[list(level) for level in c.faces])
-    assert simplicial._maximal_masks(c) == simplicial._maximal_masks(unrecorded)  # storage order
+    facet_pass = simplicial._maximal_masks(unrecorded)
+    assert sorted(c._cache["maximal"]) == sorted(map(vertices_of, facet_pass))
     assert maximal_simplices(c) == maximal_simplices(unrecorded)
     reversed_levels = Complex(vertex_count=c.vertex_count, faces=[level[::-1] for level in c.faces])
     assert reversed_levels.faces == c.faces
@@ -796,3 +799,96 @@ def test_equality_matches_maximal_faces_for_joins_and_non_joins(n, p, universal,
                 assert all("faces" not in vars(z) for z in (x, y) if z.join_factors)
     wider = from_faces(maximal_simplices(complexes(graphs[0])[1]), n + 1)
     assert complexes(graphs[0])[1] != wider  # the same faces on more vertex ids
+
+
+def _maximal_only(faces):
+    """The maximal elements of a face list, each once."""
+    sets = {frozenset(f) for f in faces}
+    return sorted(tuple(sorted(f)) for f in sets if not any(f < g for g in sets))
+
+
+def _complement_is_connected(faces):
+    """Whether the complement of the 1-skeleton of the faces' closure is connected."""
+    verts = {v for f in faces for v in f}
+    g = nx.complete_graph(verts)
+    g.remove_edges_from(e for f in faces for e in combinations(f, 2))
+    return nx.is_connected(g)
+
+
+@st.composite
+def listed_joins(draw):
+    """The maximal faces of a join of 2-3 listed complexes, vertex ids shuffled, and a flag
+    telling whether the join must split: some factor's 1-skeleton has a connected complement."""
+    factors = [
+        _maximal_only(draw(face_lists(max_n=5, max_size=3)))
+        for _ in range(draw(st.integers(min_value=2, max_value=3)))
+    ]
+    faces, shift = [()], 0
+    for f in factors:  # each factor on the vertex ids after the last one's
+        faces = [a + tuple(v + shift for v in b) for a in faces for b in f]
+        shift += max(v for s in f for v in s) + 1
+    relabel = random.Random(draw(st.integers(min_value=0, max_value=2**16))).sample(
+        range(shift + 3), shift
+    )
+    faces = [tuple(relabel[v] for v in f) for f in faces]
+    return [tuple(sorted(f)) for f in faces], any(map(_complement_is_connected, factors))
+
+
+def _assert_listed_complex_matches_whole_closure(faces):
+    c = from_faces(faces)
+    closure = {sub for f in faces for k in range(len(f)) for sub in combinations(f, k + 1)}
+    levels = [[] for _ in range(max(map(len, closure)))]
+    for t in closure:
+        levels[len(t) - 1].append(mask_of(t))
+    whole = Complex(vertex_count=c.vertex_count, faces=levels)
+    got = (c.f_vector(), c.face_total(), homology(c), maximal_simplices(c), serialize_complex(c))
+    if c.join_factors:  # a join answers all of these from its factors and listed faces
+        assert "faces" not in vars(c)
+        assert c == whole and whole == c
+        assert "faces" not in vars(c)
+    else:
+        assert c == whole and whole == c
+    want = (
+        whole.f_vector(), whole.face_total(), homology(whole), maximal_simplices(whole),
+        serialize_complex(whole),
+    )
+    assert got == want
+    assert c.faces == whole.faces  # a join's faces, closed on first read
+    return c
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(listed_joins())
+def test_a_listed_join_matches_its_whole_closure(join):
+    faces, must_split = join
+    c = _assert_listed_complex_matches_whole_closure(faces)
+    assert bool(c.join_factors) >= must_split
+    for keep, x in c.join_factors:  # each factor is the restriction to its vertices, renumbered
+        assert not x.join_factors
+        part = {tuple(keep.index(v) for v in f if v in keep) for f in faces}
+        assert maximal_simplices(x) == sorted(part)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(face_lists(max_n=8, max_size=4))
+def test_a_listed_non_join_matches_its_whole_closure(faces):
+    # duplicates and non-maximal lines too; a split found here must hold as well
+    faces += faces[:2] + [f[1:] for f in faces[:2] if f[1:]]
+    _assert_listed_complex_matches_whole_closure(faces)
+
+
+@pytest.mark.parametrize(
+    "faces, parts",
+    [
+        # the projective plane's 1-skeleton is complete: every vertex block fails the count
+        ([(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
+          (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5)], []),
+        ([(0, 1, 2, 3), (2, 3, 4, 5)], [(0, 1, 4, 5), (2,), (3,)]),  # {2} * {3} * two edges
+        ([(0, 1, 2, 3), (2, 3, 4, 5), (2, 3)], []),  # a listed face that is not maximal
+        ([(0, 1), (1, 2), (2, 3), (0, 3)], [(0, 2), (1, 3)]),  # the square is S^0 * S^0
+    ],
+)
+def test_listed_complexes_split_into_their_join_factors(faces, parts):
+    c = from_faces(faces)
+    assert [keep for keep, _x in c.join_factors] == parts
+    _assert_listed_complex_matches_whole_closure(faces)
