@@ -269,18 +269,23 @@ class _CliqueComplex(Complex):
 
         A factor is the clique complex on one component of the graph's
         complement, whose edges to every other component are all present; a
-        factor is never a join itself.  Empty if the complement is connected.
+        factor is never a join itself.  Components with the same renumbered
+        graph, such as a cone's points, share one factor, so its faces are
+        enumerated once.  Empty if the complement is connected.
         """
         parts = _complement_components(self.graph)
         if len(parts) < 2:
             return []
         out = []
+        made: dict[tuple[int, ...], _CliqueComplex] = {}
         for p in parts:
             keep = vertices_of(p)
             adj = tuple(
                 sum(1 << i for i, w in enumerate(keep) if self.graph[v] >> w & 1) for v in keep
             )
-            out.append((keep, _CliqueComplex(adj)))
+            if adj not in made:
+                made[adj] = _CliqueComplex(adj)
+            out.append((keep, made[adj]))
         return out
 
 
@@ -474,7 +479,7 @@ def _listed_join(listed: dict[int, Simplex], near: dict[int, int]) -> list[tuple
     if rest:
         blocks.append(rest)
     out = []
-    for p in sorted(blocks, key=lambda p: p & -p):
+    for p in blocks:
         keep = vertices_of(p)
         index = {v: i for i, v in enumerate(keep)}
         part = {}

@@ -49,6 +49,7 @@ from ripstone.simplicial import (
     face_diameter,
     from_faces,
     full_simplex_complex,
+    maximal_simplices,
     signed_facets,
     vr_complex,
 )
@@ -775,6 +776,12 @@ def test_identical_join_factors_are_reduced_once(monkeypatch):
     octahedron = vr_complex(combinatorial_metric(build_solid("octahedron")), 1)
     assert homology(octahedron).betti == (1, 0, 1)
     assert [x.graph for x in reduced] == [(0,), (0, 0)]
+    # listed factors are told apart by their maximal faces: the listed
+    # octahedron boundary joins three S^0 too
+    reduced.clear()
+    listed = from_faces([(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)])
+    assert homology(listed).betti == (1, 0, 1)
+    assert [maximal_simplices(x) for x in reduced] == [[(0,), (1,)]]
 
 
 def test_listed_join_factors_are_told_apart_by_their_faces():
