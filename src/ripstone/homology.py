@@ -185,7 +185,7 @@ def _reduce(nrows: int, ncols: int, rows: dict, transforms: bool = False):
     random_files batches of seeds 1-20 make 122 residual calls in colex
     order, 120 of them the one Z/2 column of an RP^2 join factor, the
     largest one column with 82 nonzeros, and 121 _invariant_factors calls
-    of at most 12 orders, about 0.005 s in all.  The largest matrices are
+    of at most 12 orders, about 0.007 s in all.  The largest matrices are
     the tests' references for clearing, up to 252 x 210.
     """
     u = {i: {i: 1} for i in range(nrows)} if transforms else None

@@ -184,7 +184,8 @@ def test_comments_and_blanks_are_ignored_everywhere():
 # Small complex files pinned by f-vector, Betti numbers, torsion and the
 # sha256 of their serialized text: joins of the projective plane with small
 # flag complexes under shuffled vertex ids, a cone, files with duplicate and
-# non-maximal lines, and two tetrahedra sharing an edge, a cone on two points.
+# non-maximal lines, and two tetrahedra sharing an edge (that edge joined
+# with two disjoint edges).
 RP2 = [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
     (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5),
