@@ -60,7 +60,7 @@ from .morse import (
     matching_from_pairs,
     morse_flow,
 )
-from .patterns import diameter3_tetrahedra, embeddings, is_induced_embedding
+from .patterns import diameter3_tetrahedra, embeddings
 from .pipelines import symmetry_report, trace_dodecahedron, verify_main_theorem
 from .polytopes import (
     SOLIDS,
@@ -77,14 +77,11 @@ from .reports import Report, ReportRow, row
 from .simplicial import (
     Complex,
     antipodal_free_complex,
-    boundary_complex,
     delete_open_cells,
-    face_diameter,
     from_faces,
     full_simplex_complex,
     maximal_simplices,
     simplex,
-    skeleton,
     vr_complex,
 )
 from .symmetry import (

@@ -11,7 +11,6 @@ recurrence induced by the denominator polynomial, never from floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .errors import ParameterError
 from .homology import homology
@@ -145,11 +144,3 @@ def verify_cube_vr2(n: int) -> Report:
     )
     return Report(title=f"cube distance-2 cross-check, n={n}", rows=rows)
 
-
-def closed_form_face_count(n: int, k: int) -> int:
-    """Binomial closed form, kept separate as a cross-check target."""
-    if n < 0 or k < 0:
-        raise ParameterError("closed_form_face_count needs n, k >= 0")
-    if k > n:
-        return 0
-    return comb(n, k) * 2 ** (n - k)

@@ -55,9 +55,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import ParameterError, PreconditionError, StructuralError
-from .simplicial import (
-    Complex, Simplex, mask_of, maximal_simplices, signed_facets, simplex, vertices_of,
-)
+from .simplicial import Complex, Simplex, mask_of, signed_facets, simplex, vertices_of
 
 
 # ---------------------------------------------------------------------------
@@ -457,20 +455,20 @@ def _join_homology(factors: list[Complex]) -> HomologyResult:
     The factors' reduced homology is folded by _join_groups.  The check: the
     join's reduced Euler characteristic is (-1)^(m-1) times the product of
     the m factors' reduced Euler characteristics, each counted from that
-    factor's own f-vector.  Identical factors, such as a cone's points, are
-    reduced once: a clique factor is known by its graph, a listed one by
-    its maximal faces.
+    factor's own f-vector.  The join split of either kind hands identical
+    factors, such as a cone's points, one object (see
+    _CliqueComplex.join_factors and simplicial._listed_join), and each
+    object is reduced once.
     """
     groups = None
     expected = -1
-    seen: dict[tuple, list] = {}  # graph or maximal faces -> reduced groups
+    seen: dict[int, list] = {}  # id of a factor -> reduced groups
     for x in factors:
-        key = x.graph if x.graph is not None else tuple(maximal_simplices(x))
-        tilde = seen.get(key)
+        tilde = seen.get(id(x))
         if tilde is None:
             h = _homology_by_reduction(x)
             tilde = [(b - (k == 0), list(t)) for k, (b, t) in enumerate(zip(h.betti, h.torsion))]
-            seen[key] = tilde
+            seen[id(x)] = tilde
         expected *= 1 - euler_characteristic(x)  # times -(reduced chi of x)
         groups = tilde if groups is None else _join_groups(groups, tilde)
     if sum((-1) ** n * r for n, (r, _t) in enumerate(groups)) != expected:

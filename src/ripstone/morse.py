@@ -73,9 +73,6 @@ class Matching:
 
     pairs: tuple[tuple[int, int], ...]
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
     def __hash__(self) -> int:
         return self._hash
 

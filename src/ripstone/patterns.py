@@ -7,23 +7,9 @@ With the host itself as the pattern, the embeddings are its automorphisms.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .errors import ParameterError, VerificationError
 from .polytopes import DistanceMatrix, PolytopeGraph
 from .simplicial import Simplex, _enumerate_cliques, vertices_of
-
-
-def is_induced_embedding(p: PolytopeGraph, g: PolytopeGraph, images) -> bool:
-    """Re-verify a claimed embedding from scratch; images[i] is the image of vertex i."""
-    if len(images) != p.vertex_count or len(set(images)) != len(images):
-        return False
-    if any(not 0 <= w < g.vertex_count for w in images):
-        return False
-    return all(
-        p.adjacent(u, v) == g.adjacent(images[u], images[v])
-        for u, v in combinations(range(p.vertex_count), 2)
-    )
 
 
 def embeddings(p: PolytopeGraph, g: PolytopeGraph) -> list[tuple[int, ...]]:

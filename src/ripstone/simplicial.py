@@ -21,9 +21,11 @@ the complement's components, and a cone is the case of a one-vertex
 component.  A complex given its faces (from_faces, complex files) is split
 the same way when its listed faces show it is a join (see _listed_join):
 its factors are closed at once, and its own faces only when something
-first reads them.  Either way a join's f-vector, maximal faces and
-homology come from its factors and its own faces are never built: the
-full simplex each solid reaches at its diameter is a join of points.
+first reads them.  Either way the split hands identical factors one
+object, so each is built and reduced once, and a join's f-vector, maximal
+faces and homology come from its factors and its own faces are never
+built: the full simplex each solid reaches at its diameter is a join of
+points.
 Every clique walk, maximal-face listing and from_faces closure stops with
 ParameterError past FACE_BUDGET faces, and a listed join past it is
 refused when it is split.
@@ -36,9 +38,7 @@ from itertools import product
 from math import prod
 
 from .errors import ParameterError, StructuralError
-from .polytopes import (
-    DistanceMatrix, PolytopeGraph, build_solid, mask_of, solid_info, vertices_of,
-)
+from .polytopes import DistanceMatrix, PolytopeGraph, mask_of, solid_info, vertices_of
 
 Simplex = tuple[int, ...]
 
@@ -88,9 +88,9 @@ class Complex:
     for an empty complex or top level, a face in the wrong level, a repeated
     face, a vertex id past vertex_count or a missing facet.  The package's
     constructors build that order and closure themselves: the clique walk
-    and the from_faces walk emit the faces in order, and skeleton and
-    delete_open_cells keep it; the latter three go through Complex._built,
-    which checks nothing.  faces and its levels are tuples, which cannot be
+    and the from_faces walk emit the faces in order, and delete_open_cells
+    keeps it; the latter two go through Complex._built, which checks
+    nothing.  faces and its levels are tuples, which cannot be
     edited in place, so face_set, the one set of all face masks that every
     membership test reads, and the _cache of certified matchings, critical
     cells and maximal faces cannot go stale.
@@ -100,11 +100,11 @@ class Complex:
     complexes that are not joins compare their levels, and a join compares
     its maximal faces, listed from its factors or as its file gave them.
     join_factors, when not empty, lists the factors of a join (see
-    _CliqueComplex and _ListedJoin), and f_vector multiplies theirs while
-    the join's own faces are unbuilt.  cone_vertex
-    names a vertex adjacent to every other one; the package does not read it
-    (a cone is a join), but the benchmark tracer in perfbench/ counts cones
-    by it.
+    _CliqueComplex and _ListedJoin), identical factors as one object, and
+    f_vector multiplies theirs, whether or not the join's own faces are
+    built.  cone_vertex names a vertex adjacent to every other one; the
+    package does not read it (a cone is a join), but the benchmark tracer
+    in perfbench/ counts cones by it.
     """
 
     graph: tuple[int, ...] | None = None
@@ -173,7 +173,7 @@ class Complex:
         return len(self.faces) - 1
 
     def f_vector(self) -> tuple[int, ...]:
-        if "faces" in self.__dict__ or not self.join_factors:
+        if not self.join_factors:
             return tuple(len(level) for level in self.faces)
         # a face of a join picks a face or nothing from each factor, so 1 + F
         # is the product of the factors' 1 + F, with F = sum of x^|face|
@@ -193,9 +193,6 @@ class Complex:
         question, whatever the level.
         """
         return frozenset().union(*self.faces)
-
-    def has_face(self, s: Simplex) -> bool:
-        return mask_of(s) in self.face_set
 
     def simplices(self, k: int) -> list[Simplex]:
         """All k-faces as vertex tuples, in storage order."""
@@ -459,8 +456,9 @@ def _listed_join(listed: dict[int, Simplex], near: dict[int, int]) -> list[tuple
     the maximality conditions all say that no listed face holds another:
     the blocks passing the count become factors, the others one factor
     together, and the split stands if each factor's closure keeps every one
-    of its listed faces maximal.  A factor found is exact, though a rest
-    that is a join of several blocks is not split.
+    of its listed faces maximal.  Blocks whose renumbered listed faces are
+    the same share one factor, closed once.  A factor found is exact,
+    though a rest that is a join of several blocks is not split.
     """
     present = 0
     for v in near:
@@ -479,6 +477,7 @@ def _listed_join(listed: dict[int, Simplex], near: dict[int, int]) -> list[tuple
     if rest:
         blocks.append(rest)
     out = []
+    made: dict[frozenset[int], Complex] = {}
     for p in blocks:
         keep = vertices_of(p)
         index = {v: i for i, v in enumerate(keep)}
@@ -488,10 +487,13 @@ def _listed_join(listed: dict[int, Simplex], near: dict[int, int]) -> list[tuple
             part[mask_of(t)] = t
         if 0 in part:  # a listed face misses the block, so another holds it
             return []
-        x = _walk(part, *_incidence(part), len(keep))
-        if len(x._cache["maximal"]) < len(part):  # a listed face holds another
-            return []
-        out.append((keep, x))
+        key = frozenset(part)
+        if key not in made:
+            x = _walk(part, *_incidence(part), len(keep))
+            if len(x._cache["maximal"]) < len(part):  # a listed face holds another
+                return []
+            made[key] = x
+        out.append((keep, made[key]))
     return out
 
 
@@ -523,13 +525,6 @@ def full_simplex_complex(n: int) -> Complex:
     if not isinstance(n, int) or not 1 <= n <= 20:
         raise ParameterError(f"full simplex size must be in 1..20, got {n!r}")
     return _CliqueComplex(tuple(((1 << n) - 1) ^ (1 << v) for v in range(n)), cone_vertex=0)
-
-
-def skeleton(c: Complex, k: int) -> Complex:
-    """The subcomplex of faces of dimension at most k."""
-    if not isinstance(k, int) or k < 0:
-        raise ParameterError(f"skeleton dimension must be a non-negative integer, got {k!r}")
-    return Complex._built(c.vertex_count, c.faces[: k + 1])
 
 
 def maximal_simplices(c: Complex) -> list[Simplex]:
@@ -587,17 +582,12 @@ def delete_open_cells(c: Complex, cells) -> Complex:
     return out
 
 
-def boundary_complex(name: str) -> Complex:
-    """Vertices and edges of a platonic solid, plus the triangular facets when there are any.
+def _boundary_complex(g: PolytopeGraph) -> Complex:
+    """Vertices and edges of a solid, given by its edge graph, plus its triangular facets, if any.
 
     The triangular facets are the triangles of the edge graph; no clique
     complex is built.
     """
-    return _boundary_complex(build_solid(name))
-
-
-def _boundary_complex(g: PolytopeGraph) -> Complex:
-    """boundary_complex of the solid whose edge graph build_solid gave as g."""
     faces = g.edges()  # every vertex lies on an edge
     if solid_info(g.name).m == 3:
         adj = g.adjacency
@@ -628,13 +618,3 @@ def antipodal_free_complex(metric: DistanceMatrix, k: int) -> Complex:
     adj = tuple(full ^ (1 << i) ^ (1 << partner[i]) for i in range(n))
     return _CliqueComplex(adj)
 
-
-def face_diameter(metric: DistanceMatrix, s: Simplex) -> int:
-    """Largest pairwise distance within a vertex set."""
-    best = 0
-    for a in range(len(s)):
-        for b in range(a + 1, len(s)):
-            d = metric.d(s[a], s[b])
-            if d > best:
-                best = d
-    return best

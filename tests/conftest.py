@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+from itertools import combinations
+
 import networkx as nx
 import pytest
 
@@ -25,3 +27,13 @@ def refuse_joins(monkeypatch):
         return enumerate_cliques(adj)
 
     monkeypatch.setattr(simplicial, "_enumerate_cliques", guarded)
+
+
+@pytest.fixture
+def face_diameter():
+    """The largest pairwise distance within a vertex set: the oracle for diameter-3 faces."""
+
+    def diameter(metric, s):
+        return max((metric.d(a, b) for a, b in combinations(s, 2)), default=0)
+
+    return diameter

@@ -139,7 +139,7 @@ def test_found_matchings_serialize_in_vertex_tuple_order(seed):
         tuple(tuple(int(v) for v in side.split()) for side in line.split(" -> "))
         for line in text.splitlines()[1:]
     ]
-    assert len(pairs) == len(m) > 0
+    assert len(pairs) == len(m.pairs) > 0
     assert pairs == sorted(set(pairs), key=lambda p: (len(p[0]), p[0], p[1]))
     assert parse_matching(text) == m
 

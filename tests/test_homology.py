@@ -46,7 +46,6 @@ from ripstone.polytopes import SOLIDS, DistanceMatrix, build_solid, combinatoria
 from ripstone.simplicial import (
     Complex,
     _complement_components,
-    face_diameter,
     from_faces,
     full_simplex_complex,
     maximal_simplices,
@@ -654,7 +653,7 @@ def test_morse_complex_of_projective_plane_falls_back_on_torsion():
 @pytest.mark.parametrize(
     "seed, fallbacks", [(1, []), (2, []), (3, [])], ids=["seed1", "seed2", "seed3"]
 )
-def test_clearing_matches_snf_on_trace_morse_complexes(seed, fallbacks):
+def test_clearing_matches_snf_on_trace_morse_complexes(face_diameter, seed, fallbacks):
     # the scale-3 matchings of `dodeca trace`; seed 3's Morse complex meets
     # a non-unit pivot in d_3, but later unit pivots eliminate that column
     # to zero, so no dimension leaves a residual for Smith reduction
@@ -776,10 +775,12 @@ def test_identical_join_factors_are_reduced_once(monkeypatch):
     octahedron = vr_complex(combinatorial_metric(build_solid("octahedron")), 1)
     assert homology(octahedron).betti == (1, 0, 1)
     assert [x.graph for x in reduced] == [(0,), (0, 0)]
-    # listed factors are told apart by their maximal faces: the listed
-    # octahedron boundary joins three S^0 too
+    # the listed octahedron boundary joins three S^0 too, and its split
+    # hands them one factor object
     reduced.clear()
     listed = from_faces([(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)])
+    x, y, z = (x for _keep, x in listed.join_factors)
+    assert x is y is z
     assert homology(listed).betti == (1, 0, 1)
     assert [maximal_simplices(x) for x in reduced] == [[(0,), (1,)]]
 

@@ -302,14 +302,13 @@ def test_trace_certifies_each_matching_once(monkeypatch):
     assert calls == [3272, 3262, 342]
 
 
-def test_trace_fails_a_flowed_chain_outside_scale_2(monkeypatch):
+def test_trace_fails_a_flowed_chain_outside_scale_2(monkeypatch, face_diameter):
     # a flow that lands outside VR_2 fails its class row and the scale-2 row
     # instead of raising from cycle_class
     from ripstone import pipelines
     from ripstone.cli import main
     from ripstone.morse import FlowChain
     from ripstone.patterns import diameter3_tetrahedra
-    from ripstone.simplicial import face_diameter
 
     metric = combinatorial_metric(build_solid("dodecahedron"))
     tets = diameter3_tetrahedra(metric)
@@ -337,7 +336,9 @@ def test_trace_fails_a_flowed_chain_outside_scale_2(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 1456464704])
-def test_trace_route_agrees_with_diameters_and_the_punctured_complex(monkeypatch, seed):
+def test_trace_route_agrees_with_diameters_and_the_punctured_complex(
+    monkeypatch, face_diameter, seed
+):
     # the trace's candidates are the diameter-3 faces; its classes are read
     # in VR_2, because the punctured complex the flow runs in has no
     # element matching to read them off: the identity order leaves critical
@@ -345,7 +346,7 @@ def test_trace_route_agrees_with_diameters_and_the_punctured_complex(monkeypatch
     from ripstone import pipelines
     from ripstone.homology import cycle_class
     from ripstone.morse import _critical, _element_matching
-    from ripstone.simplicial import face_diameter, mask_of
+    from ripstone.simplicial import mask_of
 
     seen = {}
     search, flow = pipelines._find_matching, pipelines.morse_flow
@@ -396,17 +397,12 @@ def test_trace_class_rows_match_the_recorded_classes(seed):
 
 
 def test_trace_builds_the_element_matching_at_scale_2_only(monkeypatch):
-    # no diameter is computed, and cycles are classified in the 342-face
-    # VR_2, never in the 3,262-face punctured complex
-    from ripstone import morse, pipelines, simplicial
-
-    def refuse(*args):
-        raise AssertionError("face_diameter called")
+    # cycles are classified in the 342-face VR_2, never in the 3,262-face
+    # punctured complex
+    from ripstone import morse, pipelines
 
     sizes = []
     build = morse._element_matching
-    monkeypatch.setattr(simplicial, "face_diameter", refuse)
-    monkeypatch.setattr(pipelines, "face_diameter", refuse, raising=False)
     monkeypatch.setattr(
         morse, "_element_matching", lambda c: sizes.append(c.face_total()) or build(c)
     )
@@ -414,12 +410,12 @@ def test_trace_builds_the_element_matching_at_scale_2_only(monkeypatch):
     assert sizes and set(sizes) == {342}
 
 
-def test_critical_complex_flows_each_cell_once(monkeypatch):
+def test_critical_complex_flows_each_cell_once(monkeypatch, face_diameter):
     # seed 3's Morse complex meets a non-unit pivot in d_3; finishing the
     # unit-pivot pass around it must not flow any critical cell again
     from ripstone import morse
     from ripstone.patterns import diameter3_tetrahedra
-    from ripstone.simplicial import face_diameter, mask_of
+    from ripstone.simplicial import mask_of
 
     metric = combinatorial_metric(build_solid("dodecahedron"))
     c3 = vr_complex(metric, 3)
@@ -594,15 +590,16 @@ def test_candidates_outside_the_complex_are_refused():
     # the search order comes from c's storage, so every candidate must be a
     # face of c, the mask core's as well as find_matching's
     from ripstone import morse
-    from ripstone.simplicial import skeleton
+    from ripstone.simplicial import Complex
 
     tet = full_simplex_complex(4)
+    edges = Complex._built(tet.vertex_count, tet.faces[:2])
     cells = [mask for level in tet.faces for mask in level]
     message = r"^candidate \(0, 1, 2\) is not a face of the complex$"
     with pytest.raises(ParameterError, match=message):
-        morse._find_matching(skeleton(tet, 1), cells, [1], 5, 10)
+        morse._find_matching(edges, cells, [1], 5, 10)
     with pytest.raises(ParameterError, match=message):
-        find_matching(skeleton(tet, 1), all_faces(tet), [(0,)], seed=5, max_attempts=10)
+        find_matching(edges, all_faces(tet), [(0,)], seed=5, max_attempts=10)
 
 
 def _whole_chain_flow(chain, v_map, limit):

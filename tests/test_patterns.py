@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from ripstone.errors import ParameterError, VerificationError
-from ripstone.patterns import diameter3_tetrahedra, embeddings, is_induced_embedding
+from ripstone.patterns import diameter3_tetrahedra, embeddings
 from ripstone.polytopes import (
     DistanceMatrix,
     PolytopeGraph,
@@ -32,6 +32,18 @@ PENTAGON = pattern("pentagon", 5, [(i, (i + 1) % 5) for i in range(5)])
 
 def dodeca():
     return build_solid("dodecahedron")
+
+
+def is_induced_embedding(p, g, images):
+    """Re-verify a claimed embedding from scratch; images[i] is the image of vertex i."""
+    if len(images) != p.vertex_count or len(set(images)) != len(images):
+        return False
+    if any(not 0 <= w < g.vertex_count for w in images):
+        return False
+    return all(
+        p.adjacent(u, v) == g.adjacent(images[u], images[v])
+        for u, v in combinations(range(p.vertex_count), 2)
+    )
 
 
 def images(p, g):

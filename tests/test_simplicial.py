@@ -18,17 +18,15 @@ from ripstone.formats import serialize_complex
 from ripstone.homology import homology
 from ripstone.simplicial import (
     Complex,
+    _boundary_complex,
     _complement_components,
     antipodal_free_complex,
-    boundary_complex,
     delete_open_cells,
-    face_diameter,
     from_faces,
     full_simplex_complex,
     mask_of,
     maximal_simplices,
     simplex,
-    skeleton,
     vertices_of,
     vr_complex,
 )
@@ -105,11 +103,11 @@ def test_cone_vertex_at_diameter():
 def test_boundary_complex_matches_scale1(refuse_joins):
     for name in ("cube", "octahedron", "dodecahedron", "icosahedron"):
         c = vr_complex(_metric(name), 1)
-        assert c == boundary_complex(name)
-        assert boundary_complex(name) == c
+        assert c == _boundary_complex(build_solid(name))
+        assert _boundary_complex(build_solid(name)) == c
         if name == "octahedron":  # a join of three zero-spheres, compared through its factors
             assert "faces" not in vars(c)
-        assert boundary_complex(name).f_vector() == F_VECTORS_R1[name]
+        assert _boundary_complex(build_solid(name)).f_vector() == F_VECTORS_R1[name]
     # a face less, or one edge swapped for a non-edge, is a different complex
     c = vr_complex(_metric("cube"), 1)
     edges = c.simplices(1)
@@ -136,9 +134,11 @@ def test_antipodal_free_guards():
 def test_full_simplex_and_skeleton():
     c = full_simplex_complex(4)
     assert c.f_vector() == (4, 6, 4, 1)
-    s1 = skeleton(c, 1)
-    assert s1.f_vector() == (4, 6)
-    assert skeleton(c, 9).f_vector() == c.f_vector()
+    # a join of five points multiplies its factors' f-vectors even once
+    # its own faces are built
+    c = full_simplex_complex(5)
+    levels = c.faces
+    assert c.f_vector() == tuple(map(len, levels)) == (5, 10, 10, 5, 1)
     with pytest.raises(ParameterError):
         full_simplex_complex(0)
     with pytest.raises(ParameterError):
@@ -148,8 +148,8 @@ def test_full_simplex_and_skeleton():
 def test_from_faces_downward_closure():
     c = from_faces([(0, 1, 2), (2, 3)])
     assert c.f_vector() == (4, 4, 1)
-    assert c.has_face((0, 2))
-    assert not c.has_face((1, 3))
+    assert mask_of((0, 2)) in c.face_set
+    assert mask_of((1, 3)) not in c.face_set
 
 
 def test_delete_open_cells():
@@ -174,7 +174,7 @@ def test_deleting_a_face_at_a_far_vertex_id_is_fast():
         delete_open_cells(c, [(3,)])
 
 
-def test_face_diameter():
+def test_face_diameter(face_diameter):
     metric = _metric("dodecahedron")
     assert face_diameter(metric, (0,)) == 0
     edge = vr_complex(metric, 1).simplices(1)[0]
@@ -220,9 +220,9 @@ def test_from_faces_is_downward_closed(faces):
             for drop in range(len(s)):
                 facet = s[:drop] + s[drop + 1 :]
                 if facet:
-                    assert c.has_face(facet)
+                    assert mask_of(facet) in c.face_set
     # every listed face is present, and rebuilding from maximal faces is stable
-    assert all(c.has_face(f) for f in faces)
+    assert all(mask_of(f) in c.face_set for f in faces)
     rebuilt = from_faces(maximal_simplices(c), vertex_count=c.vertex_count)
     assert rebuilt == c
 
@@ -238,7 +238,7 @@ def test_membership_questions_match_a_tuple_set_oracle(faces):
     c = from_faces(faces)
     ids = range(c.vertex_count + 1)
     for s in (s for k in range(1, len(ids) + 1) for s in combinations(ids, k)):
-        assert c.has_face(s) == (s in closure)
+        assert (mask_of(s) in c.face_set) == (s in closure)
         if s not in closure:
             refusal = "not a face"
         elif any(set(s) < set(t) for t in closure):
@@ -321,12 +321,17 @@ def test_recorded_maximal_faces_match_the_facet_pass(faces):
     assert reversed_levels.faces == c.faces
 
 
+def _skeleton(c, k):
+    """The faces of c of dimension at most k, as a complex of its own."""
+    return Complex._built(c.vertex_count, c.faces[: k + 1])
+
+
 def test_derived_complexes_report_their_own_maximal_faces():
     c = from_faces([(0, 1, 2), (2, 3), (4,), (0, 1)])
     assert maximal_simplices(c) == [(0, 1, 2), (2, 3), (4,)]
     edges = [(0, 1), (0, 2), (1, 2), (2, 3)]
-    assert maximal_simplices(skeleton(c, 1)) == edges + [(4,)]
-    assert maximal_simplices(skeleton(c, 0)) == [(v,) for v in range(5)]
+    assert maximal_simplices(_skeleton(c, 1)) == edges + [(4,)]
+    assert maximal_simplices(_skeleton(c, 0)) == [(v,) for v in range(5)]
     pruned = delete_open_cells(c, [(0, 1, 2), (4,)])
     assert maximal_simplices(pruned) == edges
     assert pruned == from_faces(edges, 5) != c
@@ -390,13 +395,13 @@ def test_every_constructor_keeps_the_complex_invariant():
     built = [
         listed,
         parse_complex("6 7\n0 1 4\n0 1 5\n2 3  # an edge\n1 2 3 4\n"),
-        skeleton(vr3, 2),
-        skeleton(listed, 1),
+        _skeleton(vr3, 2),
+        _skeleton(listed, 1),
         delete_open_cells(vr3, diameter3_tetrahedra(dodeca)),
         delete_open_cells(listed, [(0, 1, 2, 3)]),
         *(x for _keep, x in vr_complex(_metric("octahedron"), 1).join_factors),
         *(x for _keep, x in vr_complex(_metric("cube"), 2).join_factors),
-        *(boundary_complex(name) for name in SOLIDS),
+        *(_boundary_complex(build_solid(name)) for name in SOLIDS),
         *(full_simplex_complex(n) for n in range(1, 9)),
     ]
     for name in ("octahedron", "icosahedron", "dodecahedron"):
@@ -863,6 +868,9 @@ def test_a_listed_join_matches_its_whole_closure(join):
     faces, must_split = join
     c = _assert_listed_complex_matches_whole_closure(faces)
     assert bool(c.join_factors) >= must_split
+    # its faces, the whole closure's, are read by now; a join still
+    # multiplies its factors' f-vectors
+    assert c.f_vector() == tuple(map(len, c.faces))
     for keep, x in c.join_factors:  # each factor is the restriction to its vertices, renumbered
         assert not x.join_factors
         part = {tuple(keep.index(v) for v in f if v in keep) for f in faces}

@@ -35,6 +35,28 @@ def test_public_names_and_traced_functions_resolve():
     assert missing == []
 
 
+def test_public_surface_is_pinned():
+    # a name added to or dropped from the exports must change this list too
+    assert sorted(ripstone.__all__) == [
+        "Chain", "CharacterData", "Complex", "DistanceMatrix", "DistanceTable", "FlowChain",
+        "FormatError", "HomologyResult", "IntMatrix", "IntSeries", "Matching", "MatchingReport",
+        "ParameterError", "PermGroup", "PolytopeGraph", "PreconditionError", "Report", "ReportRow",
+        "RipstoneError", "SNFResult", "SOLIDS", "SearchFailure", "StructuralError",
+        "VerificationError", "antipodal_free_complex", "automorphisms", "build_solid",
+        "check_matching", "combinatorial_metric", "conjugacy_classes", "critical_complex_homology",
+        "cube_graph", "cycle_class", "delete_open_cells", "diameter3_tetrahedra", "distance_table",
+        "embeddings", "euler_characteristic", "expand", "face_count", "fan_matching",
+        "fan_triangulation", "find_matching", "flip_matching_update", "from_faces",
+        "full_simplex_complex", "homology", "make_chain", "matching_from_pairs",
+        "maximal_simplices", "morse_flow", "parse_chain", "parse_complex", "parse_matching",
+        "parse_simplex_list", "rotation_subgroup", "row", "serialize_chain", "serialize_complex",
+        "serialize_matching", "series_coefficient", "simplex", "simplex_boundary",
+        "skeleton_betti_top", "smith_normal_form", "solid_info", "symmetry_report",
+        "tetrahedra_orbits", "trace_dodecahedron", "verify_cube_vr2", "verify_main_theorem",
+        "verify_remark", "vr_complex",
+    ]
+
+
 def test_public_names_are_the_imported_objects_not_submodules():
     # __all__ is derived from the package globals; homology is both a
     # submodule and a function, and the package exports the function
