@@ -9,14 +9,7 @@ distance-3 tetrahedra down to explicit homology classes.
 
 import types
 
-from .cubeseries import (
-    IntSeries,
-    expand,
-    face_count,
-    series_coefficient,
-    skeleton_betti_top,
-    verify_cube_vr2,
-)
+from .cubeseries import face_count, skeleton_betti_top, verify_cube_series, verify_cube_vr2
 from .errors import (
     FormatError,
     ParameterError,

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .cubeseries import expand, face_count, skeleton_betti_top, verify_cube_vr2
+from .cubeseries import verify_cube_series, verify_cube_vr2
 from .errors import (
     FormatError,
     ParameterError,
@@ -148,7 +148,7 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     if (csub := actions("cube", "cube-graph series and cross-checks")) is not None:
         ser = csub.add_parser("series", parents=[fmt], help="main series identity table")
         ser.add_argument("--max-n", type=int, default=10)
-        ser.set_defaults(func=_cmd_cube_series)
+        ser.set_defaults(func=lambda args: _emit_report(verify_cube_series(args.max_n), args.format))
         cvf = csub.add_parser("verify", parents=[fmt], help="direct homology cross-check")
         cvf.add_argument("--n", type=int, required=True)
         cvf.set_defaults(func=lambda args: _emit_report(verify_cube_vr2(args.n), args.format))
@@ -303,31 +303,6 @@ def _cmd_morse_flow(args) -> int:
         ],
     }
     return _emit_payload(payload, table, args.format)
-
-
-def _cmd_cube_series(args) -> int:
-    if args.max_n < 0:
-        raise ParameterError("--max-n must be >= 0")
-    main = expand("main", None, args.max_n).coefficients
-    rows = []
-    for n in range(args.max_n + 1):
-        if n >= 2:
-            via_counts = 2 * face_count(n, 3) - skeleton_betti_top(n, 2)
-            via_next = skeleton_betti_top(n + 1, 3)
-        else:
-            via_counts = 0
-            via_next = 0
-        rows.append(
-            row(
-                f"x^{n} coefficient, count formula and shifted skeleton",
-                (main[n], main[n]),
-                (via_counts, via_next),
-            )
-        )
-    return _emit_report(
-        Report(title=f"cube series identities through n={args.max_n}", rows=tuple(rows)),
-        args.format,
-    )
 
 
 def main(argv=None) -> int:

@@ -1,16 +1,15 @@
-"""Exact integer series for cube-graph skeleta and their top betti numbers.
+"""The cube family's main series, face counts and skeleton betti numbers.
 
-Counts k-dimensional cubical faces of the n-cube and the reduced Euler
-characteristics of its skeleta, then cross-checks the closed-form rational
-generating functions against homology computed directly on small instances.
-
-All series arithmetic is exact: coefficients come from the linear
-recurrence induced by the denominator polynomial, never from floats.
+The main series x^3/((1-2x)^4 (1-x)) generates the third betti numbers of
+the distance-2 complexes of cube graphs.  Its coefficients come from the
+linear recurrence its denominator gives, never from floats, and are checked
+against the face counts of the n-cube, the reduced Euler characteristics of
+its skeleta, and homology computed directly on small instances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import comb
 
 from .errors import ParameterError
 from .homology import homology
@@ -18,37 +17,20 @@ from .polytopes import combinatorial_metric, cube_graph
 from .reports import Report, row
 from .simplicial import _poly_mul, vr_complex
 
-_SERIES_KINDS = ("alpha_k", "beta_k", "main")
 _MAX_COEFF_INDEX = 64
-
-
-@dataclass(frozen=True)
-class IntSeries:
-    """Initial segment of an integer power series; coefficients[n] is c_n."""
-
-    coefficients: tuple
 
 
 def face_count(n: int, k: int) -> int:
     """Number of k-dimensional cubical faces of the n-cube.
 
-    Computed by the recurrence f(n+1, k+1) = 2 f(n, k+1) + f(n, k) with
-    f(n, 0) = 2^n: a (k+1)-face of the (n+1)-cube either sits in one of the
-    two opposite n-cube copies (2 f(n, k+1)) or joins a k-face to its
-    translate (f(n, k)).  Equals C(n, k) 2^(n-k).
+    Equals C(n, k) 2^(n-k): choose the k free coordinates, then fix each of
+    the others to 0 or 1.  It satisfies f(n+1, k+1) = 2 f(n, k+1) + f(n, k):
+    a (k+1)-face of the (n+1)-cube either sits in one of the two opposite
+    n-cube copies or joins a k-face to its translate.
     """
     if n < 0 or k < 0:
         raise ParameterError("face_count needs n, k >= 0")
-    if k > n:
-        return 0
-    current = [1]
-    for _ in range(n):
-        nxt = [2 * current[0]]
-        for j in range(1, len(current) + 1):
-            same = current[j] if j < len(current) else 0
-            nxt.append(2 * same + current[j - 1])
-        current = nxt
-    return current[k]
+    return comb(n, k) << (n - k) if k <= n else 0
 
 
 def skeleton_betti_top(n: int, k: int) -> int:
@@ -63,58 +45,25 @@ def skeleton_betti_top(n: int, k: int) -> int:
     return (-1) ** k * (chi - 1)
 
 
-def _rational_series(numer, denom, upto):
-    # denom[0] == 1 makes the recurrence c_m = numer_m - sum denom_i c_{m-i}
-    if denom[0] != 1:
-        raise ParameterError("denominator must have constant term 1")
+def _main_series(upto: int) -> list[int]:
+    """Coefficients 0..upto of the main series x^3/((1-2x)^4 (1-x)).
+
+    It equals 2 alpha_3 - beta_2, where alpha_3 counts the 3-faces of the
+    n-cube and beta_2 the top betti numbers of its 2-skeleton.  With the
+    denominator's constant term 1, c_m = [m == 3] - sum_i denom_i c_{m-i}.
+    """
+    if not 0 <= upto <= _MAX_COEFF_INDEX:
+        raise ParameterError(f"series index must lie in 0..{_MAX_COEFF_INDEX}")
+    denom = [1, -1]
+    for _ in range(4):
+        denom = _poly_mul(denom, [1, -2])
     coeffs = []
     for m in range(upto + 1):
-        acc = numer[m] if m < len(numer) else 0
+        acc = 1 if m == 3 else 0
         for i in range(1, min(m, len(denom) - 1) + 1):
             acc -= denom[i] * coeffs[m - i]
         coeffs.append(acc)
     return coeffs
-
-
-def _numer_denom(which: str, k):
-    if which not in _SERIES_KINDS:
-        raise ParameterError(f"unknown series kind {which!r}")
-    if which == "main":
-        if k is not None:
-            raise ParameterError("the main series takes no k")
-        numer = [0, 0, 0, 1]
-        denom = [1]
-        for _ in range(4):
-            denom = _poly_mul(denom, [1, -2])
-        return numer, _poly_mul(denom, [1, -1])
-    if not isinstance(k, int) or k < 0:
-        raise ParameterError(f"series kind {which!r} needs k >= 0")
-    denom = [1]
-    for _ in range(k + 1):
-        denom = _poly_mul(denom, [1, -2])
-    if which == "alpha_k":
-        return [0] * k + [1], denom
-    return [0] * (k + 1) + [1], _poly_mul(denom, [1, -1])
-
-
-def expand(which: str, k, upto: int) -> IntSeries:
-    """Initial coefficients 0..upto of one of the closed-form series."""
-    if not 0 <= upto <= _MAX_COEFF_INDEX:
-        raise ParameterError(f"series index must lie in 0..{_MAX_COEFF_INDEX}")
-    numer, denom = _numer_denom(which, k)
-    return IntSeries(coefficients=tuple(_rational_series(numer, denom, upto)))
-
-
-def series_coefficient(which: str, k, n: int) -> int:
-    """Coefficient of x^n in alpha_k, beta_k, or the main series.
-
-    alpha_k counts k-faces over all cube sizes, beta_k the corresponding
-    skeleton betti numbers, and main = 2 alpha_3 - beta_2 generates the
-    third betti numbers of the distance-2 complexes of cube graphs.
-    """
-    if not 0 <= n <= _MAX_COEFF_INDEX:
-        raise ParameterError(f"series index must lie in 0..{_MAX_COEFF_INDEX}")
-    return expand(which, k, n).coefficients[n]
 
 
 def verify_cube_vr2(n: int) -> Report:
@@ -126,7 +75,7 @@ def verify_cube_vr2(n: int) -> Report:
     """
     if not 2 <= n <= 5:
         raise ParameterError("direct verification is sized for 2 <= n <= 5")
-    main = series_coefficient("main", None, n)
+    main = _main_series(n)[n]
     c = vr_complex(combinatorial_metric(cube_graph(n)), 2)
     res = homology(c)
     betti = res.betti
@@ -144,3 +93,26 @@ def verify_cube_vr2(n: int) -> Report:
     )
     return Report(title=f"cube distance-2 cross-check, n={n}", rows=rows)
 
+
+def verify_cube_series(max_n: int) -> Report:
+    """Check the main series through x^max_n against the face and skeleton counts.
+
+    Each row compares the coefficient of x^n with 2 f(n,3) - e(n,2) and
+    with the shifted skeleton value e(n+1,3), both read as 0 for n < 2.
+    """
+    main = _main_series(max_n)
+    rows = []
+    for n in range(max_n + 1):
+        if n >= 2:
+            via_counts = 2 * face_count(n, 3) - skeleton_betti_top(n, 2)
+            via_next = skeleton_betti_top(n + 1, 3)
+        else:
+            via_counts = via_next = 0
+        rows.append(
+            row(
+                f"x^{n} coefficient, count formula and shifted skeleton",
+                (main[n], main[n]),
+                (via_counts, via_next),
+            )
+        )
+    return Report(title=f"cube series identities through n={max_n}", rows=tuple(rows))

@@ -151,14 +151,12 @@ def check_matching(c: Complex, m: Matching) -> MatchingReport:
     once per Matching (Matching._rules_hold, Matching._cycle).  What
     depends on c is one scan of its faces (_critical): the matching's cells
     are all faces of c exactly when c has as many matched faces as the
-    matching has cells.  A matching that fails either test is checked pair
-    by pair (_violations), for the messages.
+    matching has cells.  A matching that fails either test breaks a rule
+    that _violations names, so it is checked pair by pair for the messages.
     """
     crit = _critical(c, m)
     if not (m._rules_hold and c.face_total() - sum(map(len, crit)) == len(m._matched)):
-        violations = _violations(c, m)
-        if violations:
-            return MatchingReport(False, False, (), None, violations)
+        return MatchingReport(False, False, (), None, _violations(c, m))
     certificate = m._cycle
     return MatchingReport(
         valid=True,

@@ -266,7 +266,8 @@ class _CliqueComplex(Complex):
 
         A factor is the clique complex on one component of the graph's
         complement, whose edges to every other component are all present; a
-        factor is never a join itself.  Components with the same renumbered
+        factor's complement is connected, so it is made with empty
+        join_factors and never split.  Components with the same renumbered
         graph, such as a cone's points, share one factor, so its faces are
         enumerated once.  Empty if the complement is connected.
         """
@@ -282,6 +283,7 @@ class _CliqueComplex(Complex):
             )
             if adj not in made:
                 made[adj] = _CliqueComplex(adj)
+                made[adj].join_factors = []
             out.append((keep, made[adj]))
         return out
 

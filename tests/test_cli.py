@@ -299,6 +299,11 @@ def test_cube_series_and_verify():
     code, out, _ = run(["cube", "series", "--max-n", "8"])
     assert code == 0
     assert "2561" in out
+    for bad in ("-1", "65"):  # the series index guard, outside 0..64
+        code, out, err = run(["cube", "series", "--max-n", bad])
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
     code, out, _ = run(["cube", "verify", "--n", "3"])
     assert code == 0
     assert "result: PASS" in out

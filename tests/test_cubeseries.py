@@ -5,20 +5,15 @@ from math import comb
 import pytest
 
 from ripstone.errors import ParameterError
-from ripstone.cubeseries import (
-    expand,
-    face_count,
-    series_coefficient,
-    skeleton_betti_top,
-    verify_cube_vr2,
-)
+from ripstone.cubeseries import _main_series, face_count, skeleton_betti_top, verify_cube_vr2
 
 MAIN_HEAD = (0, 0, 0, 1, 9, 49, 209, 769, 2561)
 
 
 def et(n, k):
     # reduced top betti of the k-skeleton, extended by 0 below dimension 0
-    return 0 if k < 0 else skeleton_betti_top(n, k)
+    # and above dimension n (where the series' coefficients read 0)
+    return 0 if not 0 <= k <= n else skeleton_betti_top(n, k)
 
 
 def test_face_count_goldens():
@@ -56,15 +51,6 @@ def test_skeleton_betti_from_euler_characteristic():
             assert skeleton_betti_top(n, k) == (-1) ** k * (chi - 1)
 
 
-def test_alpha_and_beta_columns():
-    for k in range(5):
-        alpha = expand("alpha_k", k, 12).coefficients
-        beta = expand("beta_k", k, 12).coefficients
-        for n in range(13):
-            assert alpha[n] == face_count(n, k)
-            assert beta[n] == (skeleton_betti_top(n, k) if n >= k else 0)
-
-
 def test_two_variable_identities():
     for n in range(11):
         for k in range(n + 1):
@@ -76,28 +62,22 @@ def test_two_variable_identities():
 
 
 def test_main_series():
-    head = expand("main", None, 8).coefficients
-    assert head == MAIN_HEAD
+    assert tuple(_main_series(8)) == MAIN_HEAD
+    # main = 2 alpha_3 - beta_2: the series against the counts it generates
+    main = _main_series(64)
     for n in range(65):
-        assert series_coefficient("main", None, n) == (
-            2 * series_coefficient("alpha_k", 3, n)
-            - series_coefficient("beta_k", 2, n)
-        )
+        assert main[n] == 2 * face_count(n, 3) - et(n, 2)
 
 
 def test_series_guards():
     with pytest.raises(ParameterError):
-        expand("main", 0, 10)  # main takes no k
+        _main_series(65)
     with pytest.raises(ParameterError):
-        expand("alpha_k", None, 10)
-    with pytest.raises(ParameterError):
-        expand("gamma_k", 1, 5)
-    with pytest.raises(ParameterError):
-        expand("alpha_k", 1, 65)
-    with pytest.raises(ParameterError):
-        series_coefficient("main", None, -1)
+        _main_series(-1)
     with pytest.raises(ParameterError):
         face_count(-1, 0)
+    with pytest.raises(ParameterError):
+        face_count(0, -1)
     with pytest.raises(ParameterError):
         skeleton_betti_top(2, 3)
 

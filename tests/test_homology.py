@@ -785,6 +785,19 @@ def test_identical_join_factors_are_reduced_once(monkeypatch):
     assert [maximal_simplices(x) for x in reduced] == [[(0,), (1,)]]
 
 
+def test_clique_join_factors_are_not_split_again(monkeypatch):
+    # a factor's complement is connected, so the f-vector that the join
+    # check's Euler characteristic reads makes no complement pass on it
+    simp = importlib.import_module("ripstone.simplicial")
+    join = vr_complex(combinatorial_metric(build_solid("dodecahedron")), 4)
+    factors = [x for _keep, x in join.join_factors]
+    assert len(factors) == 10
+    passes = []
+    split = simp._complement_components
+    monkeypatch.setattr(simp, "_complement_components", lambda *a: passes.append(a) or split(*a))
+    assert [euler_characteristic(x) for x in factors] == [2] * 10  # each factor is S^0
+    assert passes == []
+
 def test_listed_join_factors_are_told_apart_by_their_faces():
     # two listed factors have no graph; keyed by it, they once shared one
     # memo entry, and the Euler check read the same entry, so the join of
