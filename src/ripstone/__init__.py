@@ -31,7 +31,6 @@ from .formats import (
 from .homology import (
     Chain,
     HomologyResult,
-    IntMatrix,
     SNFResult,
     cycle_class,
     euler_characteristic,

@@ -7,9 +7,12 @@ unit pivots span a direct summand, so each rank is exact and adds no torsion.
 A column whose pivot is not a unit is set aside and, once the pass is done,
 stripped of every unit-pivot row; only what is left of such columns, the
 residual, goes to Smith normal form by textbook elimination (_reduce),
-which also backs smith_normal_form and the join formula's invariant
-factors.  cycle_class reads classes off a discrete Morse matching (see
-morse._element_matching) instead of a reduction.
+which also backs smith_normal_form, on the rows of a dense matrix, and
+the join formula's invariant factors.  cycle_class reads classes off a
+discrete Morse matching (see morse._element_matching) instead of a
+reduction.  _add_into is the one sparse update, of the reduction, the
+chain boundary and morse's flow, and _boundary the one chain boundary on
+face masks, of boundary_chain and cycle_class's cycle test.
 
 Every row and column is keyed by its face (or critical cell) mask, and
 rows are ordered as numbers, which is colexicographic order, as in Ripser
@@ -99,43 +102,20 @@ def simplex_boundary(s: Simplex) -> list[tuple[Simplex, int]]:
 
 def boundary_chain(z: Chain) -> Chain:
     """The boundary of a chain (zero chain for dimension 0)."""
-    if z.dimension == 0:
-        return Chain(dimension=0, terms={})
-    acc: dict[Simplex, int] = {}
-    for s, coeff in z.terms.items():
-        for face, sign in simplex_boundary(s):
-            val = acc.get(face, 0) + sign * coeff
-            if val:
-                acc[face] = val
-            else:
-                acc.pop(face, None)
-    return Chain(dimension=z.dimension - 1, terms=acc)
+    bd = _boundary({mask_of(s): co for s, co in z.terms.items()})  # empty for dimension 0
+    return Chain(max(z.dimension - 1, 0), {vertices_of(f): co for f, co in bd.items()})
+
+
+def _boundary(terms: dict[int, int]) -> dict[int, int]:
+    """The boundary of a chain given as {face mask: coefficient}, zero terms dropped."""
+    out: dict[int, int] = {}
+    for mask, co in terms.items():
+        _add_into(out, dict(signed_facets(mask)), co)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # matrices
-
-
-@dataclass
-class IntMatrix:
-    """A sparse integer matrix; entries maps (row, col) to a nonzero value."""
-
-    rows: int
-    cols: int
-    entries: dict
-
-    @classmethod
-    def from_dense(cls, dense) -> "IntMatrix":
-        entries = {}
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        for i, row in enumerate(dense):
-            if len(row) != cols:
-                raise ParameterError("ragged matrix")
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = int(v)
-        return cls(rows=rows, cols=cols, entries=entries)
 
 
 def _rows(columns) -> dict[int, dict[int, int]]:
@@ -252,27 +232,30 @@ class SNFResult:
     right_transform: list[list[int]]
 
 
-def smith_normal_form(a: IntMatrix) -> SNFResult:
-    """Smith normal form with explicit unimodular transforms, by _reduce's elimination.
+def smith_normal_form(rows) -> SNFResult:
+    """Smith normal form, with unimodular transforms, of the integer matrix with these rows.
 
-    The diagonal holds the invariant factors in divisibility order, then
-    zeros up to min(rows, cols).  Each pivot starts at the entry of least
-    absolute value in the shortest row left and shrinks by Euclid's
-    algorithm on its column, then its row; meant for moderate sizes.
+    ParameterError if the rows differ in length.  _reduce does the
+    elimination.  The diagonal holds the invariant factors in divisibility
+    order, then zeros up to min(rows, cols).  Each pivot starts at the
+    entry of least absolute value in the shortest row left and shrinks by
+    Euclid's algorithm on its column, then its row; meant for moderate sizes.
     """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
     row_data: dict[int, dict[int, int]] = {}
-    for (i, j), v in a.entries.items():
-        if not 0 <= i < a.rows or not 0 <= j < a.cols:
-            raise ParameterError(f"entry {(i, j)} outside a {a.rows} x {a.cols} matrix")
-        if v:
-            row_data.setdefault(i, {})[j] = int(v)
-    factors, u, v = _reduce(a.rows, a.cols, row_data, transforms=True)
-    diagonal = factors + [0] * (min(a.rows, a.cols) - len(factors))
-    left = [[0] * a.rows for _ in range(a.rows)]
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ParameterError("ragged matrix")
+        if any(row):
+            row_data[i] = {j: int(v) for j, v in enumerate(row) if v}
+    factors, u, v = _reduce(nrows, ncols, row_data, transforms=True)
+    diagonal = factors + [0] * (min(nrows, ncols) - len(factors))
+    left = [[0] * nrows for _ in range(nrows)]
     for i, row in u.items():
         for j, x in row.items():
             left[i][j] = x
-    right = [[0] * a.cols for _ in range(a.cols)]
+    right = [[0] * ncols for _ in range(ncols)]
     for j, col in v.items():
         for i, x in col.items():
             right[i][j] = x
@@ -551,11 +534,7 @@ def cycle_class(c: Complex, z: Chain) -> tuple[int, ...]:
     if not 0 <= k <= c.dim:
         raise ParameterError(f"chain dimension {k} outside 0..{c.dim}")
     start = _face_terms(c, z)
-    bd: dict[int, int] = {}
-    for mask, co in start.items():
-        for facet, sign in signed_facets(mask):
-            bd[facet] = bd.get(facet, 0) + sign * co
-    if any(bd.values()):
+    if _boundary(start):
         # boundary must vanish inside the complex; since the complex is closed
         # downward this is the full cycle condition
         raise PreconditionError("chain is not a cycle")

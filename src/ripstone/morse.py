@@ -17,10 +17,12 @@ pairing operator V and the matching's hash depend on the pairs alone and
 are worked out once per Matching, however many complexes it is certified
 on.  On a complex, one scan of its faces lists the critical ones and
 counts the matched ones, which are all of the matching's cells exactly
-when every cell is a face there; the critical cells are kept per complex
-and matching, for the report, the Morse complex and the class cells.  Only
-a matching that fails these tests is checked pair by pair, for its
-violation messages.
+when every cell is a face there.  Only a matching that fails these tests
+is checked pair by pair, for its violation messages.  check_matching is
+the one certifier: it keeps its report, whose levels field holds the
+critical cells' masks per dimension, in the complex's cache once per
+matching, and the search, the pipelines, the Morse complex, the class
+cells and the flow all read that report.
 
 The stabilized flow of a chain depends on the matching alone too (Forman,
 "Morse theory for cell complexes", 1998), so a Matching keeps each flow
@@ -33,20 +35,22 @@ Morse column is handed over as its mask, which the reduction reads as the
 cell's boundary and keeps lazily, as it keeps a face's column in
 homology(); so no cell of the trace's VR_2 is flowed through the trace's
 matching.  Each flow step applies dV + Vd to the last step's change
-alone, and to a cycle's change, itself a cycle, dV alone.
+alone, and to a cycle's change, itself a cycle, dV alone; the running
+sum is kept with homology._add_into, the package's one sparse update.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ParameterError, PreconditionError, SearchFailure, StructuralError
 from .homology import (
     Chain,
     HomologyResult,
+    _add_into,
     _boundary_ranks,
     _face_terms,
     _homology_from_counts,
@@ -129,6 +133,8 @@ class MatchingReport:
     Cells are vertex tuples.  critical is empty when the matching is invalid;
     certificate is an alternating cell sequence (upper, lower, upper, ...)
     tracing a directed cycle, present exactly when valid but not acyclic.
+    levels holds the critical cells' masks per dimension, up to the top one
+    holding a cell, for the Morse complex and the class cells; () if invalid.
     """
 
     valid: bool
@@ -136,6 +142,7 @@ class MatchingReport:
     critical: tuple
     certificate: tuple | None
     violations: tuple
+    levels: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
 
     def ok(self) -> bool:
         return self.valid and self.acyclic
@@ -149,22 +156,28 @@ def check_matching(c: Complex, m: Matching) -> MatchingReport:
     being a facet and a cofacet, no cell in two pairs, and the digraph the
     certificate comes from depend on the pairs alone and are worked out
     once per Matching (Matching._rules_hold, Matching._cycle).  What
-    depends on c is one scan of its faces (_critical): the matching's cells
-    are all faces of c exactly when c has as many matched faces as the
-    matching has cells.  A matching that fails either test breaks a rule
-    that _violations names, so it is checked pair by pair for the messages.
+    depends on c is one scan of its faces, which lists the critical ones
+    per dimension: the matching's cells are all faces of c exactly when c
+    has as many matched faces as the matching has cells.  A matching that
+    fails either test breaks a rule that _violations names, so it is
+    checked pair by pair for the messages.  The report is kept in c._cache
+    under the matching, whose hash is computed once, so c is scanned once
+    per matching, however often it is certified there.
     """
-    crit = _critical(c, m)
-    if not (m._rules_hold and c.face_total() - sum(map(len, crit)) == len(m._matched)):
-        return MatchingReport(False, False, (), None, _violations(c, m))
-    certificate = m._cycle
-    return MatchingReport(
-        valid=True,
-        acyclic=certificate is None,
-        critical=tuple(vertices_of(mask) for level in crit for mask in level),
-        certificate=certificate,
-        violations=(),
-    )
+    key = ("matching", m)
+    if key in c._cache:
+        return c._cache[key]
+    matched = m._matched
+    levels = [tuple(mask for mask in level if mask not in matched) for level in c.faces]
+    while levels and not levels[-1]:
+        levels.pop()
+    if m._rules_hold and c.face_total() - sum(map(len, levels)) == len(matched):
+        cells = tuple(vertices_of(mask) for level in levels for mask in level)
+        report = MatchingReport(True, m._cycle is None, cells, m._cycle, (), tuple(levels))
+    else:
+        report = MatchingReport(False, False, (), None, _violations(c, m))
+    c._cache[key] = report
+    return report
 
 
 def _violations(c: Complex, m: Matching) -> tuple[str, ...]:
@@ -218,22 +231,6 @@ def _cycle_certificate(pairs) -> tuple | None:
             steps = zip(cycle, cycle[1:] + cycle[:1])
             return tuple(vertices_of(cell) for i, j in steps for cell in (nodes[i][1], nodes[j][0]))
     return None
-
-
-def _critical(c: Complex, m: Matching) -> tuple[tuple[int, ...], ...]:
-    """The masks of c's unmatched faces per dimension, up to the top dimension holding one.
-
-    Kept in c._cache once per matching, for check_matching, the Morse
-    complex and the class cells.
-    """
-    key = ("critical", m)
-    if key not in c._cache:
-        matched = m._matched
-        levels = [tuple(mask for mask in level if mask not in matched) for level in c.faces]
-        while levels and not levels[-1]:
-            levels.pop()
-        c._cache[key] = tuple(levels)
-    return c._cache[key]
 
 
 def _minimal_cycle(succ: list[list[int]]) -> list[int] | None:
@@ -391,8 +388,7 @@ def _find_matching(c: Complex, cand_masks, forced_masks, seed: int, max_attempts
         if not left:
             pairs.sort()
             m = Matching(tuple((live0[x], live0[t]) for x, t in pairs))
-            report = matching_report(c, m)  # cached for later flows
-            if not report.ok():  # collapse order should certify; treat as a bug
+            if not check_matching(c, m).ok():  # collapse order should certify; treat as a bug
                 raise StructuralError("collapse produced an uncertifiable matching")
             return m
         if left < best_left:
@@ -486,12 +482,7 @@ def _flow_to_fixpoint(
         change = {mask: co for mask, co in nxt.items() if co}
         if not change:
             return cur, steps
-        for mask, co in change.items():
-            co += cur.get(mask, 0)
-            if co:
-                cur[mask] = co
-            else:
-                del cur[mask]
+        _add_into(cur, change, 1)
         steps += 1
         if steps > limit:
             raise StructuralError("flow failed to stabilize; matching cannot be acyclic")
@@ -513,30 +504,14 @@ def _stable_flow(m: Matching, chain: dict, limit: int, cycle: bool = False) -> t
     return dict(fixed), steps
 
 
-def matching_report(c: Complex, m: Matching) -> MatchingReport:
-    """check_matching(c, m), computed at most once per complex and matching.
-
-    The report is cached in c._cache under the (frozen, hashable) matching,
-    whose hash is computed once, so finding a matching, reporting on it and
-    flowing many chains through it check it on c once.  The pairing rules,
-    the acyclicity digraph, the pairing operator and the flows depend on
-    the pairs alone and are cached on m, so certifying m on a second
-    complex (the trace's punctured one) builds none of them again.
-    """
-    key = ("matching", m)
-    if key not in c._cache:
-        c._cache[key] = check_matching(c, m)
-    return c._cache[key]
-
-
-def _certified(c: Complex, m: Matching, purpose: str | None = None) -> None:
-    """Raise PreconditionError unless m is a valid acyclic matching on c.
+def _certified(c: Complex, m: Matching, purpose: str | None = None) -> tuple:
+    """The critical masks per dimension of m on c; PreconditionError unless m is valid and acyclic.
 
     With a purpose, the error names it instead of the flow's own reasons.
     """
-    report = matching_report(c, m)
+    report = check_matching(c, m)
     if report.ok():
-        return
+        return report.levels
     if purpose is not None:
         raise PreconditionError(f"{purpose} requires a valid acyclic matching")
     if not report.valid:
@@ -563,8 +538,7 @@ def _morse_complex(c: Complex, m: Matching) -> tuple[list[int], Callable]:
     reduction reads the mask as the boundary, lazily (Forman 1998; Ripser's
     apparent pairs).  A skipped cell is never flowed.
     """
-    _certified(c, m, "critical complex")
-    crit = _critical(c, m)
+    crit = _certified(c, m, "critical complex")
     matched = m._matched
     limit = c.face_total()
 
@@ -642,7 +616,7 @@ def _class_cells(c: Complex, k: int) -> tuple[Matching, tuple[int, ...]]:
                 f"cannot read cycle classes in dimension {k}:"
                 f" the element matching's Morse d_{d} is not zero"
             )
-    return m, _critical(c, m)[k] if k < len(counts) else ()
+    return m, check_matching(c, m).levels[k] if k < len(counts) else ()
 
 
 def _fan(ngon: int, apex: int) -> set[int]:

@@ -11,7 +11,7 @@ from collections import Counter
 
 from .errors import SearchFailure, VerificationError
 from .homology import cycle_class, homology, make_chain, simplex_boundary
-from .morse import _find_matching, critical_complex_homology, matching_report, morse_flow
+from .morse import _find_matching, check_matching, critical_complex_homology, morse_flow
 from .patterns import diameter3_tetrahedra
 from .polytopes import SOLIDS, build_solid, combinatorial_metric
 from .reports import Report, row
@@ -138,7 +138,7 @@ def trace_dodecahedron(seed: int = 1, max_attempts: int = 1000) -> Report:
         )
         return Report(title=title, rows=tuple(rows))
 
-    report = matching_report(c3, m)  # certified inside _find_matching
+    report = check_matching(c3, m)  # certified inside _find_matching
     rows.append(row("matching certified acyclic", True, report.ok()))
     critical_d3 = sorted(s for s in report.critical if mask_of(s) not in scale2)
     rows.append(

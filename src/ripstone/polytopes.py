@@ -43,21 +43,20 @@ def vertices_of(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PolytopeInfo:
-    """Facet size m, vertex degree n, vertex count v, facet count f, graph diameter k."""
+    """Facet size m, vertex degree n, vertex count v, graph diameter k."""
 
     m: int
     n: int
     v: int
-    f: int
     k: int
 
 
 _INFO = {
-    "tetrahedron": PolytopeInfo(m=3, n=3, v=4, f=4, k=1),
-    "cube": PolytopeInfo(m=4, n=3, v=8, f=6, k=3),
-    "octahedron": PolytopeInfo(m=3, n=4, v=6, f=8, k=2),
-    "dodecahedron": PolytopeInfo(m=5, n=3, v=20, f=12, k=5),
-    "icosahedron": PolytopeInfo(m=3, n=5, v=12, f=20, k=3),
+    "tetrahedron": PolytopeInfo(m=3, n=3, v=4, k=1),
+    "cube": PolytopeInfo(m=4, n=3, v=8, k=3),
+    "octahedron": PolytopeInfo(m=3, n=4, v=6, k=2),
+    "dodecahedron": PolytopeInfo(m=5, n=3, v=20, k=5),
+    "icosahedron": PolytopeInfo(m=3, n=5, v=12, k=3),
 }
 
 

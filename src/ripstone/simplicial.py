@@ -4,8 +4,9 @@ A simplex is a strictly ascending tuple of vertex ids.  Internally every face
 is a bitmask over vertex ids (polytopes.mask_of and vertices_of convert, and
 signed_facets lists a face's facets), which keeps face and coface tests
 cheap; masks never leak through the public API except where documented:
-Complex.faces, and morse.Matching.pairs, whose (lower, upper) pairs are
-face masks.  A Complex keeps each level in the lexicographic order of its
+Complex.faces, morse.Matching.pairs, whose (lower, upper) pairs are face
+masks, and morse.MatchingReport.levels, the critical cells' masks per
+dimension.  A Complex keeps each level in the lexicographic order of its
 vertex tuples and is closed downward; a complex given its faces is sorted
 and checked once, at construction, and the constructors here build both
 properties themselves, so no consumer checks them again: the clique walk
@@ -92,8 +93,8 @@ class Complex:
     keeps it; the latter two go through Complex._built, which checks
     nothing.  faces and its levels are tuples, which cannot be
     edited in place, so face_set, the one set of all face masks that every
-    membership test reads, and the _cache of certified matchings, critical
-    cells and maximal faces cannot go stale.
+    membership test reads, and the _cache of matching reports, with their
+    critical cells, and of maximal faces cannot go stale.
 
     graph, when present, is the adjacency mask table of the graph whose
     clique complex this is; it fixes the complex for ==.  Otherwise two
@@ -102,9 +103,10 @@ class Complex:
     join_factors, when not empty, lists the factors of a join (see
     _CliqueComplex and _ListedJoin), identical factors as one object, and
     f_vector multiplies theirs, whether or not the join's own faces are
-    built.  cone_vertex names a vertex adjacent to every other one; the
-    package does not read it (a cone is a join), but the benchmark tracer
-    in perfbench/ counts cones by it.
+    built.  cone_vertex, on a clique complex, is the first vertex adjacent
+    to every other one, read off the graph; the package does not read it
+    (a cone is a join), but the benchmark tracer in perfbench/ counts
+    cones by it.
     """
 
     graph: tuple[int, ...] | None = None
@@ -248,13 +250,17 @@ class _CliqueComplex(Complex):
     plain attribute lookup in hot loops.
     """
 
-    def __init__(self, graph: tuple[int, ...], cone_vertex: int | None = None):
+    def __init__(self, graph: tuple[int, ...]):
         if not graph:
             raise StructuralError("refusing to build an empty complex")
         self.vertex_count = len(graph)
         self.graph = graph
-        self.cone_vertex = cone_vertex
         self._cache = {}
+
+    @cached_property
+    def cone_vertex(self) -> int | None:
+        full = (1 << len(self.graph)) - 1
+        return next((v for v, adj in enumerate(self.graph) if adj | 1 << v == full), None)
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
@@ -324,7 +330,6 @@ def vr_complex(metric: DistanceMatrix, r: int) -> Complex:
     """Vietoris-Rips complex at integer scale r: faces are sets of pairwise distance <= r."""
     if not isinstance(r, int) or r < 0:
         raise ParameterError(f"scale must be a non-negative integer, got {r!r}")
-    n = metric.size
     adj = []
     for i, row in enumerate(metric.dist):
         m = 0
@@ -332,10 +337,7 @@ def vr_complex(metric: DistanceMatrix, r: int) -> Complex:
             if d <= r:
                 m |= 1 << j
         adj.append(m & ~(1 << i))
-    adj = tuple(adj)
-    full = (1 << n) - 1
-    cone = next((v for v in range(n) if adj[v] == full ^ (1 << v)), None)
-    return _CliqueComplex(adj, cone)
+    return _CliqueComplex(tuple(adj))
 
 
 def from_faces(faces, vertex_count: int | None = None) -> Complex:
@@ -526,7 +528,7 @@ def full_simplex_complex(n: int) -> Complex:
     """Every non-empty subset of 0..n-1 (n <= 20)."""
     if not isinstance(n, int) or not 1 <= n <= 20:
         raise ParameterError(f"full simplex size must be in 1..20, got {n!r}")
-    return _CliqueComplex(tuple(((1 << n) - 1) ^ (1 << v) for v in range(n)), cone_vertex=0)
+    return _CliqueComplex(tuple(((1 << n) - 1) ^ (1 << v) for v in range(n)))
 
 
 def maximal_simplices(c: Complex) -> list[Simplex]:

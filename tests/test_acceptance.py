@@ -15,7 +15,6 @@ from sympy import Matrix
 
 from ripstone.cubeseries import _main_series, verify_cube_vr2
 from ripstone.homology import (
-    IntMatrix,
     boundary_chain,
     euler_characteristic,
     homology,
@@ -362,7 +361,7 @@ def test_property_snf_transforms(rows, cols, data):
             max_size=rows,
         )
     )
-    res = smith_normal_form(IntMatrix.from_dense(dense))
+    res = smith_normal_form(dense)
     u, v = Matrix(res.left_transform), Matrix(res.right_transform)
     prod = u * Matrix(dense) * v
     for i in range(rows):

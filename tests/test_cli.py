@@ -167,6 +167,20 @@ def test_dodeca_trace_json_is_deterministic():
     assert json.loads(first[1])["schema"] == 1
 
 
+def test_dodeca_trace_search_failure_fails_its_row(monkeypatch):
+    # a work cap below one attempt: the search gives up, the report fails
+    # its matching row and ends there, and the command exits 1
+    from ripstone import morse
+
+    monkeypatch.setattr(morse, "SEARCH_WORK", 1)
+    code, out, _ = run(["dodeca", "trace", "--seed", "1", "--format", "json"])
+    assert code == 1
+    rows = json.loads(out)["rows"]
+    assert [r["passed"] for r in rows] == [True, False]
+    assert rows[-1]["subject"] == "acyclic matching on diameter-3 faces"
+    assert "search failed: no perfect matching" in rows[-1]["computed"]
+
+
 def test_seed_env_matches_explicit(monkeypatch):
     explicit = run(["dodeca", "trace", "--seed", "3", "--format", "json"])
     via_env, out, _ = (None, None, None)

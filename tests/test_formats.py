@@ -148,11 +148,13 @@ CASES = [
     (parse_complex, "0 2 1\n", 1, "ascend"),
     (parse_complex, "# only a comment\n", 1, "no faces"),
     (parse_complex, "0 1\n\n0 x\n", 3, "not an integer"),
+    (parse_complex, "-1 2\n", 1, "negative vertex"),
     (parse_chain, "x: 0 1\n", 1, "not an integer"),
     (parse_chain, "1: 0 1\n2: 0 1 2\n", 2, "differs"),
     (parse_chain, "0: 0 1\n", 1, "zero coefficient"),
     (parse_chain, "1: 0 1\n2: 0 1\n", 2, "duplicate"),
     (parse_chain, "1 0 1\n", 1, "missing ':'"),
+    (parse_chain, "1:\n", 1, "empty simplex"),
     (parse_matching, "0 1\n", 1, "missing '->'"),
     (parse_matching, "0 -> 0 1 -> 0 1 2\n", 1, "more than one"),
     (parse_matching, "0 ->\n", 1, "orphan"),

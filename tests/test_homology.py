@@ -14,7 +14,6 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from ripstone.errors import ParameterError, PreconditionError, SearchFailure, StructuralError
 from ripstone.homology import (
-    IntMatrix,
     _boundary_ranks,
     _homology_from_counts,
     _invariant_factors,
@@ -32,7 +31,6 @@ from ripstone.homology import (
 )
 from ripstone.morse import (
     _class_cells,
-    _critical,
     _element_matching,
     _matching,
     _morse_complex,
@@ -115,9 +113,10 @@ def test_boundary_of_boundary_vanishes():
 
 
 def test_snf_goldens():
-    assert smith_normal_form(IntMatrix.from_dense([[2, 0], [0, 3]])).diagonal == [1, 6]
-    a = IntMatrix.from_dense([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    assert smith_normal_form(a).diagonal == [1, 1, 2]
+    assert smith_normal_form([[2, 0], [0, 3]]).diagonal == [1, 6]
+    assert smith_normal_form([[1, 1, 0], [1, 0, 1], [0, 1, 1]]).diagonal == [1, 1, 2]
+    with pytest.raises(ParameterError, match="ragged matrix"):
+        smith_normal_form([[1, 2], [3]])
 
 
 def test_snf_transforms_are_unimodular_and_diagonalize():
@@ -138,7 +137,7 @@ def test_snf_transforms_are_unimodular_and_diagonalize():
         cases.append([flat[i * cols : (i + 1) * cols] for i in range(rows)])
     for dense in cases:
         rows, cols = len(dense), len(dense[0])
-        res = smith_normal_form(IntMatrix.from_dense(dense))
+        res = smith_normal_form(dense)
         u = Matrix(res.left_transform)
         v = Matrix(res.right_transform)
         a = Matrix(rows, cols, lambda i, j: dense[i][j])
@@ -221,6 +220,8 @@ def test_cycle_class_edge_cases():
         cycle_class(c, make_chain(2, {(0, 2, 4): 1}))  # not a cycle
     with pytest.raises(ParameterError):
         cycle_class(c, make_chain(2, {(0, 1, 2): 1}))  # (0,1) is antipodal
+    with pytest.raises(ParameterError, match=r"chain dimension 3 outside 0\.\.2"):
+        cycle_class(c, make_chain(3, {}))
     # boundaries map to the zero coordinate vector
     w = boundary_chain(make_chain(2, {(0, 2, 4): 1}))
     assert cycle_class(c, w) == (0, 0, 0, 0, 0, 0)[: len(cycle_class(c, w))]
@@ -275,7 +276,7 @@ def test_cycle_class_refuses_a_matching_that_is_not_perfect():
     # the identity order on icosahedron r=1 leaves critical counts (1, 1, 2),
     # so H_1 = 0 and H_2 = Z cannot be read off its critical cells
     c = vr_complex(combinatorial_metric(build_solid("icosahedron")), 1)
-    assert [len(level) for level in _critical(c, _element_matching(c))] == [1, 1, 2]
+    assert [len(level) for level in check_matching(c, _element_matching(c)).levels] == [1, 1, 2]
     assert homology(c).betti == (1, 0, 1)
     assert cycle_class(c, make_chain(0, {(3,): 1})) == (1,)
     cached = set(c._cache)
@@ -335,6 +336,15 @@ def test_make_chain_drops_zero_terms():
     assert z.support() == [(1, 2)]
     assert not z.is_zero()
     assert make_chain(1, {}).is_zero()
+
+
+def test_make_chain_refuses_bad_terms():
+    with pytest.raises(ParameterError, match=r"chain dimension must be >= 0, got -1"):
+        make_chain(-1, {})
+    with pytest.raises(ParameterError, match=r"simplex \(0, 1, 2\) does not have dimension 1"):
+        make_chain(1, {(0, 1, 2): 1})
+    with pytest.raises(ParameterError, match=r"coefficient of \(0, 1\) must be an integer"):
+        make_chain(1, {(0, 1): 1.0})
 
 
 def _flag_faces(g, offset=0):
@@ -602,7 +612,7 @@ def _morse_fallbacks(c, m):
         flowed = [
             {f: co for f, co in _stable_flow(m, dict(signed_facets(cell)), limit)[0].items()
              if f not in matched}
-            for cell in _critical(c, m)[k]
+            for cell in check_matching(c, m).levels[k]
         ]
         assert [dict(col) for col in read(k, ())] == flowed
     fallbacks, snf = _clearing_fallbacks(counts, read)

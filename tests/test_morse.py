@@ -210,6 +210,24 @@ def test_flip_guards():
         flip_matching_update(m, (0, 1, 2, 3), (0, 1))  # an edge, not a diagonal
     with pytest.raises(StructuralError):
         flip_matching_update(m, (0, 1, 2, 3), (1, 3))  # wrong diagonal is critical
+    # with diagonal (0, 2), the 3-cell must be matched with (0, 1, 3) or
+    # (1, 2, 3), and (1, 3) with the other one
+    unmatched_top = matching_from_pairs([((1, 3), (0, 1, 3))])
+    with pytest.raises(StructuralError, match=r"missing pair: \(0, 1, 2, 3\) must be matched"):
+        flip_matching_update(unmatched_top, (0, 1, 2, 3), (0, 2))
+    unmatched_edge = matching_from_pairs([((1, 2, 3), (0, 1, 2, 3))])
+    with pytest.raises(StructuralError, match=r"missing pair: \(1, 3\) -> \(0, 1, 3\)"):
+        flip_matching_update(unmatched_edge, (0, 1, 2, 3), (0, 2))
+
+
+def test_flow_refuses_a_matching_with_a_non_face():
+    c = full_simplex_complex(3)
+    m = matching_from_pairs([((2,), (2, 3))])
+    with pytest.raises(
+        PreconditionError,
+        match=r"invalid matching: pair \(2,\) -> \(2, 3\) uses a simplex outside the complex",
+    ):
+        morse_flow(c, m, make_chain(0, {(0,): 1}))
 
 
 def test_find_matching_collapses_a_cone():
@@ -288,8 +306,9 @@ def test_trace_certifies_each_matching_once(monkeypatch):
     calls = []
     certify = morse.check_matching
 
-    def counted(c, m):
-        calls.append(c.face_total())
+    def counted(c, m):  # a request the complex's cache cannot answer
+        if ("matching", m) not in c._cache:
+            calls.append(c.face_total())
         return certify(c, m)
 
     monkeypatch.setattr(morse, "check_matching", counted)
@@ -345,7 +364,7 @@ def test_trace_route_agrees_with_diameters_and_the_punctured_complex(
     # counts (1, 0, 2, 1) there, and its Morse d_3 is not zero
     from ripstone import pipelines
     from ripstone.homology import cycle_class
-    from ripstone.morse import _critical, _element_matching
+    from ripstone.morse import _element_matching
     from ripstone.simplicial import mask_of
 
     seen = {}
@@ -372,7 +391,7 @@ def test_trace_route_agrees_with_diameters_and_the_punctured_complex(
     assert len(seen["flows"]) == 10
     pruned = seen["flows"][0][0]
     assert pruned.face_total() == 3262
-    counts = [len(level) for level in _critical(pruned, _element_matching(pruned))]
+    counts = [len(level) for level in check_matching(pruned, _element_matching(pruned)).levels]
     assert counts == [1, 0, 2, 1]
     for c, z in seen["flows"]:
         with pytest.raises(ParameterError, match=r"Morse d_3 is not zero"):
@@ -698,13 +717,13 @@ def test_change_only_flow_matches_the_whole_chain_iteration_on_the_trace(seed):
     # every chain the trace flows: the boundary of each critical cell of VR_3,
     # the ten tetrahedra among them; these are cycles, on which Vd cancels,
     # so each matched edge and triangle is flowed on its own too
-    from ripstone.morse import _critical, _find_matching, _flow_to_fixpoint
+    from ripstone.morse import _find_matching, _flow_to_fixpoint
     from ripstone.simplicial import signed_facets
 
     c3, candidate, forced = _trace_search()
     m = _find_matching(c3, candidate, forced, seed, 1000)
     limit = c3.face_total()
-    cells = [mask for level in _critical(c3, m)[1:] for mask in level]
+    cells = [mask for level in check_matching(c3, m).levels[1:] for mask in level]
     assert set(forced) <= set(cells)
     starts = [dict(signed_facets(mask)) for mask in cells]
     starts += [{mask: 1} for mask in sorted(m._matched) if mask.bit_count() in (2, 3)]

@@ -152,6 +152,15 @@ def test_from_faces_downward_closure():
     assert mask_of((1, 3)) not in c.face_set
 
 
+def test_constructors_refuse_bad_input():
+    with pytest.raises(ParameterError, match="scale must be a non-negative integer, got -1"):
+        vr_complex(_metric("cube"), -1)
+    with pytest.raises(StructuralError, match="refusing to build an empty complex"):
+        from_faces([])
+    with pytest.raises(ParameterError, match="vertex_count is smaller than the largest vertex id"):
+        from_faces([(0, 3)], vertex_count=3)
+
+
 def test_delete_open_cells():
     c = full_simplex_complex(3)
     pruned = delete_open_cells(c, [(0, 1, 2)])

@@ -201,6 +201,35 @@ def test_symmetry_report_builds_the_rotation_subgroup_once(monkeypatch):
     assert calls == [120]  # verify_remark takes the report's subgroup
 
 
+def test_symmetry_report_fails_the_character_row_on_a_wrong_profile(monkeypatch):
+    # order-3 rotations fix two tetrahedra; a profile that predicts none
+    # fails the classwise row, which is the report's last
+    from ripstone import pipelines, symmetry
+
+    wrong = {**symmetry._NATURAL_FIXED_BY_ORDER, 3: 0}
+    monkeypatch.setattr(symmetry, "_NATURAL_FIXED_BY_ORDER", wrong)
+    report = pipelines.symmetry_report()
+    last = report.rows[-1]
+    assert (last.subject, last.passed) == ("classwise character check", False)
+    assert "fixed 4 != predicted 0" in last.computed
+    assert all(r.passed for r in report.rows[:-1])
+
+
+def test_symmetry_report_fails_the_derived_subgroup_row(monkeypatch):
+    from ripstone import pipelines
+
+    def refuse(g):
+        raise VerificationError("derived subgroup is not simple")
+
+    monkeypatch.setattr(pipelines, "rotation_subgroup", refuse)
+    report = pipelines.symmetry_report()
+    assert [(r.subject, r.passed) for r in report.rows] == [
+        ("full automorphism group order", True),
+        ("derived subgroup", False),
+    ]
+    assert report.rows[-1].computed == "derived subgroup is not simple"
+
+
 def test_conjugacy_classes_partition_the_group():
     g = automorphisms(build_solid("tetrahedron"))
     classes = conjugacy_classes(g)

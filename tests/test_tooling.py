@@ -2,8 +2,13 @@
 
 import ast
 import importlib
+import io
+import os
 import re
 import shlex
+import subprocess
+import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 from types import ModuleType
 
@@ -39,7 +44,7 @@ def test_public_surface_is_pinned():
     # a name added to or dropped from the exports must change this list too
     assert sorted(ripstone.__all__) == [
         "Chain", "CharacterData", "Complex", "DistanceMatrix", "DistanceTable", "FlowChain",
-        "FormatError", "HomologyResult", "IntMatrix", "Matching", "MatchingReport",
+        "FormatError", "HomologyResult", "Matching", "MatchingReport",
         "ParameterError", "PermGroup", "PolytopeGraph", "PreconditionError", "Report", "ReportRow",
         "RipstoneError", "SNFResult", "SOLIDS", "SearchFailure", "StructuralError",
         "VerificationError", "antipodal_free_complex", "automorphisms", "build_solid",
@@ -89,8 +94,11 @@ def test_complexes_keep_what_the_tracer_reads():
 
 def test_each_shared_helper_is_defined_once():
     # one mask conversion, one facet rule, one polynomial product, one sparse
-    # row update and one orbit walk: a second copy anywhere fails here
-    shared = ("mask_of", "vertices_of", "signed_facets", "_poly_mul", "_add_into", "_orbits")
+    # row update, one chain boundary and one orbit walk: a second copy
+    # anywhere fails here
+    shared = (
+        "mask_of", "vertices_of", "signed_facets", "_poly_mul", "_add_into", "_boundary", "_orbits"
+    )
     src = Path(ripstone.__file__).resolve().parent
     defined = [
         node.name
@@ -99,6 +107,23 @@ def test_each_shared_helper_is_defined_once():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in shared
     ]
     assert sorted(defined) == sorted(shared)
+
+
+def test_module_entry_point_prints_what_main_prints():
+    # the README's `python -m ripstone.cli` form, in a fresh interpreter
+    from ripstone.cli import main
+
+    argv = ["solids", "list", "--format", "json"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "ripstone.cli", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    assert done.returncode == code == 0
+    assert done.stdout == out.getvalue()
 
 
 def test_readme_commands_parse():
