@@ -66,8 +66,7 @@ def diameter3_tetrahedra(metric: DistanceMatrix) -> list[Simplex]:
     in lexicographic order.  On the dodecahedron there must be exactly ten;
     any other count is a verification failure.
     """
-    n = metric.size
-    far = tuple(sum(1 << j for j, d in enumerate(metric.dist[i]) if d == 3) for i in range(n))
+    far = tuple(metric.ring(i, 3) for i in range(metric.size))
     levels = _enumerate_cliques(far)
     tets = [vertices_of(m) for m in levels[3]] if len(levels) > 3 else []
     if len(tets) != 10:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from operator import or_
 
 from .errors import ParameterError, StructuralError
 
@@ -98,7 +101,7 @@ class PolytopeGraph:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs hop distances of a connected graph."""
+    """All-pairs hop distances of a connected graph, and the hop balls around each vertex."""
 
     size: int
     dist: tuple[tuple[int, ...], ...]
@@ -108,6 +111,28 @@ class DistanceMatrix:
 
     def diameter(self) -> int:
         return max(max(row) for row in self.dist)
+
+    @cached_property
+    def within(self) -> tuple[tuple[int, ...], ...]:
+        """within[i][h] is the mask of the vertices at most h hops from i, h = 0..ecc(i).
+
+        The breadth-first balls around each vertex, read once off dist; every
+        scale's graph and every distance ring is a lookup here.
+        """
+        out = []
+        for row in self.dist:
+            shells = [0] * (max(row) + 1)
+            for j, d in enumerate(row):
+                shells[d] |= 1 << j
+            out.append(tuple(accumulate(shells, or_)))  # ball h: the union of shells 0..h
+        return tuple(out)
+
+    def ring(self, i: int, k: int) -> int:
+        """The mask of the vertices exactly k hops from i; empty past ecc(i)."""
+        balls = self.within[i]
+        if k not in range(len(balls)):
+            return 0
+        return balls[k] & ~balls[k - 1] if k else balls[0]
 
 
 @dataclass(frozen=True)
@@ -165,7 +190,8 @@ def _coords(name: str) -> tuple[tuple[float, ...], ...]:
 
 
 def _chord(p: tuple[float, ...], q: tuple[float, ...]) -> float:
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+    # the same terms, added in the same order, as sum() over the coordinates
+    return math.sqrt((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2)
 
 
 def build_solid(name: str) -> PolytopeGraph:

@@ -89,12 +89,13 @@ class Complex:
     for an empty complex or top level, a face in the wrong level, a repeated
     face, a vertex id past vertex_count or a missing facet.  The package's
     constructors build that order and closure themselves: the clique walk
-    and the from_faces walk emit the faces in order, and delete_open_cells
-    keeps it; the latter two go through Complex._built, which checks
-    nothing.  faces and its levels are tuples, which cannot be
-    edited in place, so face_set, the one set of all face masks that every
-    membership test reads, and the _cache of matching reports, with their
-    critical cells, and of maximal faces cannot go stale.
+    and the from_faces walk emit the faces in order, _boundary_complex lists
+    a solid's levels in order, and delete_open_cells keeps it; the latter
+    three go through Complex._built, which checks nothing.  faces and its
+    levels are tuples, which cannot be edited in place, so face_set, the one
+    set of all face masks that every membership test reads, and the _cache
+    of matching reports, with their critical cells, and of maximal faces
+    cannot go stale.
 
     graph, when present, is the adjacency mask table of the graph whose
     clique complex this is; it fixes the complex for ==.  Otherwise two
@@ -330,14 +331,10 @@ def vr_complex(metric: DistanceMatrix, r: int) -> Complex:
     """Vietoris-Rips complex at integer scale r: faces are sets of pairwise distance <= r."""
     if not isinstance(r, int) or r < 0:
         raise ParameterError(f"scale must be a non-negative integer, got {r!r}")
-    adj = []
-    for i, row in enumerate(metric.dist):
-        m = 0
-        for j, d in enumerate(row):
-            if d <= r:
-                m |= 1 << j
-        adj.append(m & ~(1 << i))
-    return _CliqueComplex(tuple(adj))
+    # the ball of radius ecc(i) already holds every vertex
+    return _CliqueComplex(
+        tuple(balls[min(r, len(balls) - 1)] & ~(1 << i) for i, balls in enumerate(metric.within))
+    )
 
 
 def from_faces(faces, vertex_count: int | None = None) -> Complex:
@@ -555,7 +552,15 @@ def maximal_simplices(c: Complex) -> list[Simplex]:
 
 def _maximal_masks(c: Complex) -> list[int]:
     """Masks of the faces that are no facet of a face, in storage order, by one facet pass."""
-    covered = {f for level in c.faces[1:] for m in level for f, _sign in signed_facets(m)}
+    covered = set()
+    add = covered.add
+    for level in c.faces[1:]:
+        for m in level:
+            rest = m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                add(m ^ low)
     return [m for level in c.faces for m in level if m not in covered]
 
 
@@ -590,15 +595,23 @@ def _boundary_complex(g: PolytopeGraph) -> Complex:
     """Vertices and edges of a solid, given by its edge graph, plus its triangular facets, if any.
 
     The triangular facets are the triangles of the edge graph; no clique
-    complex is built.
+    complex is built and nothing is closed.  Each level is built in storage
+    order: the edges come lexicographic, and each edge (a, b) is extended by
+    its common neighbours above b in ascending order.
     """
-    faces = g.edges()  # every vertex lies on an edge
+    adj = g.adjacency
+    edges = g.edges()
+    levels = [tuple(1 << v for v in range(g.vertex_count)), tuple(mask_of(e) for e in edges)]
     if solid_info(g.name).m == 3:
-        adj = g.adjacency
-        faces += [
-            (a, b, c) for a, b in g.edges() for c in vertices_of(adj[a] & adj[b] & -1 << (b + 1))
-        ]
-    return from_faces(faces, g.vertex_count)
+        triangles = []
+        for a, b in edges:
+            common = adj[a] & adj[b] & -1 << (b + 1)
+            while common:
+                low = common & -common
+                common ^= low
+                triangles.append(1 << a | 1 << b | low)
+        levels.append(tuple(triangles))
+    return Complex._built(g.vertex_count, tuple(levels))
 
 
 def antipodal_free_complex(metric: DistanceMatrix, k: int) -> Complex:
@@ -610,12 +623,12 @@ def antipodal_free_complex(metric: DistanceMatrix, k: int) -> Complex:
     n = metric.size
     partner = []
     for i in range(n):
-        far = [j for j in range(n) if j != i and metric.d(i, j) == k]
-        if len(far) != 1:
+        far = metric.ring(i, k) & ~(1 << i)
+        if far.bit_count() != 1:
             raise StructuralError(
-                f"vertex {i} has {len(far)} partners at distance {k}; need exactly one"
+                f"vertex {i} has {far.bit_count()} partners at distance {k}; need exactly one"
             )
-        partner.append(far[0])
+        partner.append(far.bit_length() - 1)
     if any(partner[partner[i]] != i for i in range(n)):
         raise StructuralError("antipodal pairing is not an involution")
     full = (1 << n) - 1

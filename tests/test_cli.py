@@ -369,6 +369,20 @@ def test_only_the_named_group_gets_action_parsers():
     assert _action_groups(_build_parser(["frobnicate"])) == []
 
 
+def test_verify_main_theorem_closes_no_listed_faces(monkeypatch):
+    # every complex on the headline path is a clique complex or given by its
+    # levels; none goes through the from_faces closure
+    from ripstone.pipelines import verify_main_theorem
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("verify main-theorem closed a list of faces")
+
+    monkeypatch.setattr(simplicial, "_closure", refuse)
+    report = verify_main_theorem()
+    assert [r.subject for r in report.rows if not r.passed] == []
+    assert len(report.rows) == 27
+
+
 if __name__ == "__main__":
     import os
 

@@ -43,9 +43,9 @@ def test_complex_round_trip(faces):
 
 
 def test_a_parsed_complex_is_serialized_without_a_second_facet_pass(monkeypatch):
-    passes = []
-    facets = simplicial.signed_facets
-    monkeypatch.setattr(simplicial, "signed_facets", lambda m: passes.append(m) or facets(m))
+    passes = []  # the complexes handed to the facet pass
+    facet_pass = simplicial._maximal_masks
+    monkeypatch.setattr(simplicial, "_maximal_masks", lambda c: passes.append(c) or facet_pass(c))
 
     def refuse(_vertices):
         raise AssertionError("parse_complex validated a simplex twice")
@@ -57,9 +57,8 @@ def test_a_parsed_complex_is_serialized_without_a_second_facet_pass(monkeypatch)
     assert text.splitlines()[1:] == ["0 1 2 3", "2 3 4", "4 5", "6"]
     # a complex with no record takes the facet pass, which this guard counts
     unrecorded = Complex(vertex_count=c.vertex_count, faces=[list(level) for level in c.faces])
-    passes.clear()  # the constructor's closure check reads the facets too
     assert serialize_complex(unrecorded) == text
-    assert passes == [m for level in c.faces[1:] for m in level]  # each face above the vertices
+    assert len(passes) == 1 and passes[0] is unrecorded  # one pass, over that complex
 
 
 def test_simplex_list_round_trip():

@@ -251,3 +251,33 @@ def test_bitset_metric_refuses_exactly_the_disconnected_graphs(g):
 def test_a_graph_with_an_isolated_vertex_is_disconnected():
     with pytest.raises(StructuralError, match=r"^graph 'drawn' is disconnected$"):
         combinatorial_metric(_graph(4, {(0, 1), (1, 2)}))
+
+
+@pytest.mark.parametrize("name", SOLIDS)
+def test_chord_is_bit_identical_to_the_coordinate_sum(name):
+    from ripstone.polytopes import _chord
+
+    coords = build_solid(name).coords
+    for p, q in combinations(coords, 2):
+        for a, b in ((p, q), (q, p)):
+            summed = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+            assert _chord(a, b).hex() == summed.hex()
+
+
+def _hop_graphs():
+    yield from (build_solid(name) for name in SOLIDS)
+    yield from (cube_graph(n) for n in range(1, 6))
+
+
+def test_balls_and_rings_match_a_distance_scan():
+    for g in _hop_graphs():
+        metric = combinatorial_metric(g)
+        for i, row in enumerate(metric.dist):
+            balls = metric.within[i]
+            assert len(balls) == max(row) + 1  # h runs over 0..ecc(i)
+            for h in range(-1, len(balls) + 2):
+                ring = sum(1 << j for j, d in enumerate(row) if d == h)
+                assert metric.ring(i, h) == ring
+                if 0 <= h < len(balls):
+                    assert balls[h] == sum(1 << j for j, d in enumerate(row) if d <= h)
+        assert metric.within is metric.within  # derived once per metric

@@ -13,7 +13,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from ripstone import simplicial
 from ripstone.errors import ParameterError, StructuralError
-from ripstone.polytopes import SOLIDS, DistanceMatrix, build_solid, combinatorial_metric, cube_graph
+from ripstone.polytopes import (
+    SOLIDS,
+    DistanceMatrix,
+    PolytopeGraph,
+    build_solid,
+    combinatorial_metric,
+    cube_graph,
+    solid_info,
+)
 from ripstone.formats import serialize_complex
 from ripstone.homology import homology
 from ripstone.simplicial import (
@@ -116,6 +124,25 @@ def test_boundary_complex_matches_scale1(refuse_joins):
     assert c != from_faces(edges[1:] + [far], 8) != c
 
 
+@pytest.mark.parametrize("name", SOLIDS)
+def test_boundary_complex_levels_match_the_closure(name):
+    g = build_solid(name)
+    n = g.vertex_count
+    edges = [(a, b) for a, b in combinations(range(n), 2) if g.adjacent(a, b)]
+    triangles = []
+    if solid_info(name).m == 3:
+        triangles = [
+            t for t in combinations(range(n), 3)
+            if all(g.adjacent(a, b) for a, b in combinations(t, 2))
+        ]
+    levels = [[1 << v for v in range(n)], [mask_of(e) for e in edges]]
+    if triangles:
+        levels.append([mask_of(t) for t in triangles])
+    c = _boundary_complex(g)
+    assert c.faces == from_faces(edges + triangles, n).faces
+    assert c.faces == Complex(n, levels).faces  # sorted and checked for closure
+
+
 def test_antipodal_free_rows():
     for name, r in (("octahedron", 1), ("icosahedron", 2), ("dodecahedron", 4)):
         metric = _metric(name)
@@ -129,6 +156,51 @@ def test_antipodal_free_guards():
     # every tetrahedron vertex has three partners at distance 1, not one
     with pytest.raises(StructuralError):
         antipodal_free_complex(_metric("tetrahedron"), 1)
+
+
+def _scanned_partners(metric, k):
+    """The antipodal partners by a scan of every distance, or the message refusing them."""
+    n = metric.size
+    partner = []
+    for i in range(n):
+        far = [j for j in range(n) if j != i and metric.d(i, j) == k]
+        if len(far) != 1:
+            return f"vertex {i} has {len(far)} partners at distance {k}; need exactly one"
+        partner.append(far[0])
+    if any(partner[partner[i]] != i for i in range(n)):
+        return "antipodal pairing is not an involution"
+    return partner
+
+
+def _antipodal_cases():
+    for name in SOLIDS:
+        metric = _metric(name)
+        for k in range(metric.diameter() + 2):
+            yield metric, k
+    # one partner each, but 0 -> 2 -> 1 -> 0 is no pairing
+    yield DistanceMatrix(size=3, dist=((0, 1, 2), (2, 0, 1), (1, 2, 0))), 2
+
+
+def test_antipodal_free_complex_reads_the_partners_a_scan_finds():
+    seen = set()
+    for metric, k in _antipodal_cases():
+        partner = _scanned_partners(metric, k)
+        if isinstance(partner, str):
+            seen.add(partner)
+            with pytest.raises(StructuralError) as err:
+                antipodal_free_complex(metric, k)
+            assert str(err.value) == partner
+            continue
+        full = (1 << metric.size) - 1
+        graph = tuple(full ^ (1 << i) ^ (1 << p) for i, p in enumerate(partner))
+        assert antipodal_free_complex(metric, k).graph == graph
+    # the cube below its diameter, k = 0, past the diameter, and no pairing
+    assert {
+        "vertex 0 has 3 partners at distance 2; need exactly one",
+        "vertex 0 has 0 partners at distance 0; need exactly one",
+        "vertex 0 has 0 partners at distance 4; need exactly one",
+        "antipodal pairing is not an involution",
+    } <= seen
 
 
 def test_full_simplex_and_skeleton():
@@ -502,6 +574,40 @@ def _graph_metric(n, edges):
         for i in range(n)
     )
     return DistanceMatrix(size=n, dist=dist)
+
+
+def _scanned_graph(metric, r):
+    """The adjacency masks of the pairs at distance at most r, by a scan of every distance."""
+    return tuple(
+        sum(1 << j for j, d in enumerate(row) if d <= r and j != i)
+        for i, row in enumerate(metric.dist)
+    )
+
+
+def test_vr_graph_is_the_distance_scan_on_solids_and_cubes():
+    metrics = [_metric(name) for name in SOLIDS]
+    metrics += [combinatorial_metric(cube_graph(n)) for n in range(1, 6)]
+    for metric in metrics:
+        for r in range(metric.diameter() + 2):
+            assert vr_complex(metric, r).graph == _scanned_graph(metric, r)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_vr_graph_is_the_distance_scan_on_random_connected_graphs(n, p, seed):
+    # a path through every vertex keeps the graph connected
+    g = nx.gnp_random_graph(n, p, seed=seed)
+    g.add_edges_from((v, v + 1) for v in range(n - 1))
+    edges = {(min(e), max(e)) for e in g.edges}
+    adj = tuple(sum(1 << w for w in g.neighbors(v)) for v in range(n))
+    hops = combinatorial_metric(PolytopeGraph(name="drawn", vertex_count=n, adjacency=adj))
+    for metric in (_graph_metric(n, edges), hops):
+        for r in range(metric.diameter() + 2):
+            assert vr_complex(metric, r).graph == _scanned_graph(metric, r)
 
 
 def _enumerated_f_vector(c):
