@@ -40,7 +40,11 @@ counted from the factors' faces; the join itself is never built.  So are
 computed the cross-polytope rows (joins of zero-spheres) and the cones,
 joins with an acyclic one-vertex factor, such as the full simplex at each
 solid's diameter, and the random_files joins of RP^2 with a flag complex.
-A complex given by its faces that is not split is reduced whole.
+A complex given by its faces that is not split is reduced whole.  A listed
+complex (or listed factor) is reduced on its numbered closure, never on its
+faces in file ids: simplicial._numbered numbers its vertices most-listed
+first, so more of its columns stay apparent pairs.  The numbering changes
+how many columns are built, never a rank or a torsion coefficient.
 
 The boundary convention used everywhere: for a simplex written with ascending
 vertices v1 < ... < vn,
@@ -160,11 +164,12 @@ def _reduce(nrows: int, ncols: int, rows: dict, transforms: bool = False):
 
     No index and no heap: the inputs are small.  The paper's complexes
     leave no residual, so main_theorem and scale3 never come here.  The
-    random_files batches of seeds 1-20 make 122 residual calls in colex
-    order, 120 of them the one Z/2 column of an RP^2 join factor, the
-    largest one column with 82 nonzeros, and 121 _invariant_factors calls
-    of at most 12 orders, about 0.007 s in all.  The largest matrices are
-    the tests' references for clearing, up to 252 x 210.
+    random_files batches of seeds 1-20, each listed complex reduced in its
+    most-listed-first numbering, make 120 residual calls, each the one Z/2
+    column, of 3 nonzeros, of an RP^2 join factor, and 121
+    _invariant_factors calls of at most 12 orders, about 0.005 s in all.
+    The largest matrices are the tests' references for clearing, up to
+    252 x 210.
     """
     u = {i: {i: 1} for i in range(nrows)} if transforms else None
     v = {j: {j: 1} for j in range(ncols)} if transforms else None
@@ -425,6 +430,7 @@ def homology(c: Complex) -> HomologyResult:
 
 
 def _homology_by_reduction(c: Complex) -> HomologyResult:
+    c = c.numbered or c  # a listed complex reduces its numbered closure
     counts = [len(level) for level in c.faces]  # builds the faces, once
     ranks, _fallbacks = _boundary_ranks(
         counts, lambda k, skip: [mask for mask in c.faces[k] if mask not in skip]

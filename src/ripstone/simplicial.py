@@ -20,13 +20,15 @@ enumerated, once, when something first reads them.  A clique complex whose
 graph's complement is disconnected is the join of the clique complexes on
 the complement's components, and a cone is the case of a one-vertex
 component.  A complex given its faces (from_faces, complex files) is split
-the same way when its listed faces show it is a join (see _listed_join):
-its factors are closed at once, and its own faces only when something
-first reads them.  Either way the split hands identical factors one
-object, so each is built and reduced once, and a join's f-vector, maximal
-faces and homology come from its factors and its own faces are never
-built: the full simplex each solid reaches at its diameter is a join of
-points.
+the same way when its listed faces show it is a join (see _listed_join).
+Either way the split hands identical factors one object, so each is built
+and reduced once, and a join's f-vector, maximal faces and homology come
+from its factors and its own faces are never built: the full simplex each
+solid reaches at its diameter is a join of points.  Any other listed
+complex, and each listed factor, is closed at once in a vertex numbering of
+its own (see _numbered), which answers its f-vector and homology; its faces
+in file ids are closed only on first read.  The numbering changes what
+homology costs, never a result.
 Every clique walk, maximal-face listing and from_faces closure stops with
 ParameterError past FACE_BUDGET faces, and a listed join past it is
 refused when it is split.
@@ -102,17 +104,20 @@ class Complex:
     complexes that are not joins compare their levels, and a join compares
     its maximal faces, listed from its factors or as its file gave them.
     join_factors, when not empty, lists the factors of a join (see
-    _CliqueComplex and _ListedJoin), identical factors as one object, and
+    _CliqueComplex and _ListedComplex), identical factors as one object, and
     f_vector multiplies theirs, whether or not the join's own faces are
-    built.  cone_vertex, on a clique complex, is the first vertex adjacent
-    to every other one, read off the graph; the package does not read it
-    (a cone is a join), but the benchmark tracer in perfbench/ counts
-    cones by it.
+    built.  numbered, on a listed complex that is not a join, is its closure
+    in its own numbering (see _numbered), which f_vector and homology read,
+    so its faces are built only when read.  cone_vertex, on a clique
+    complex, is the first vertex adjacent to every other one, read off the
+    graph; the package does not read it (a cone is a join), but the
+    benchmark tracer in perfbench/ counts cones by it.
     """
 
     graph: tuple[int, ...] | None = None
     cone_vertex: int | None = None
-    join_factors = ()  # set by a join: _CliqueComplex.join_factors, _ListedJoin
+    join_factors = ()  # set by a join: _CliqueComplex.join_factors, _ListedComplex
+    numbered: Complex | None = None  # set by _numbered
 
     def __init__(self, vertex_count: int, faces):
         levels = [tuple(level) for level in faces]
@@ -176,6 +181,8 @@ class Complex:
         return len(self.faces) - 1
 
     def f_vector(self) -> tuple[int, ...]:
+        if self.numbered is not None:
+            return self.numbered.f_vector()
         if not self.join_factors:
             return tuple(len(level) for level in self.faces)
         # a face of a join picks a face or nothing from each factor, so 1 + F
@@ -341,8 +348,9 @@ def from_faces(faces, vertex_count: int | None = None) -> Complex:
     """The downward closure of the given simplices, at most FACE_BUDGET faces.
 
     Each face is validated by simplex() and handed to _closure, which splits
-    a join into its factors and closes any other complex at once, recording
-    its maximal faces, as given, for maximal_simplices on the way.
+    a join into its factors and closes any other complex at once, in a
+    numbering of its own, recording its maximal faces, as given, for
+    maximal_simplices on the way.
     """
     return _closure(map(simplex, faces), vertex_count)
 
@@ -351,10 +359,10 @@ def _closure(simplices, vertex_count: int | None = None) -> Complex:
     """from_faces on simplices already validated as simplex() would.
 
     The distinct listed faces are numbered once, by their first place.  If
-    _listed_join finds that they close to a join, a _ListedJoin of the
-    closed factors comes back, and the join itself is not closed; any other
-    complex is closed by _walk.  A listed face of more than 21 vertices is
-    refused first.
+    _listed_join finds that they close to a join, a _ListedComplex of the
+    closed factors comes back; any other complex is closed by _numbered.
+    Either way its faces in file ids are closed only on first read.  A
+    listed face of more than 21 vertices is refused first.
     """
     listed: dict[int, Simplex] = {}  # mask -> the listed face
     top = 0
@@ -374,8 +382,8 @@ def _closure(simplices, vertex_count: int | None = None) -> Complex:
     inc, near = _incidence(listed)
     factors = _listed_join(listed, near)
     if factors:
-        return _ListedJoin(vertex_count, list(listed.values()), factors)
-    return _walk(listed, inc, near, vertex_count)
+        return _ListedComplex(vertex_count, list(listed.values()), factors)
+    return _numbered(listed, inc, near, vertex_count)
 
 
 def _incidence(listed: dict[int, Simplex]) -> tuple[dict[int, int], dict[int, int]]:
@@ -401,14 +409,14 @@ def _walk(listed: dict[int, Simplex], inc: dict, near: dict, vertex_count: int) 
     vertices sharing a listed face with each vertex added.  Once one listed
     face holds a face, every extension inside it is a face and is emitted
     untested.  A face is maximal exactly when its only holder is itself;
-    the listed tuples of the maximal faces are kept as the complex's
-    _cache["maximal"].  Tables are keyed by the vertices present, and the
-    walk stops past FACE_BUDGET faces.
+    the listed tuples of the maximal faces are kept, in their listed order,
+    as the complex's _cache["maximal"].  Tables are keyed by the vertices
+    present, and the walk stops past FACE_BUDGET faces.
     """
     owns = list(listed)
     given = list(listed.values())
     levels: list[list[int]] = [[] for _ in range(max(map(len, given)))]
-    maximal: list[Simplex] = []
+    maximal: list[int] = []  # places of the listed faces found maximal
     room = FACE_BUDGET
 
     def walk(face: int, dim: int, held: int, cand: int) -> None:
@@ -430,7 +438,7 @@ def _walk(listed: dict[int, Simplex], inc: dict, near: dict, vertex_count: int) 
         i = held.bit_length() - 1  # the one listed face holding it
         own = owns[i]
         if face == own:
-            maximal.append(given[i])
+            maximal.append(i)
         rest = cand & own  # own holds every extension inside it: no tests
         while rest:
             low = rest & -rest
@@ -440,7 +448,7 @@ def _walk(listed: dict[int, Simplex], inc: dict, near: dict, vertex_count: int) 
     for v in sorted(inc):
         walk(1 << v, 0, inc[v], near[v] & -(2 << v))
     c = Complex._built(vertex_count, tuple(map(tuple, levels)))
-    c._cache["maximal"] = maximal
+    c._cache["maximal"] = [given[i] for i in sorted(maximal)]
     return c
 
 
@@ -490,7 +498,7 @@ def _listed_join(listed: dict[int, Simplex], near: dict[int, int]) -> list[tuple
             return []
         key = frozenset(part)
         if key not in made:
-            x = _walk(part, *_incidence(part), len(keep))
+            x = _numbered(part, *_incidence(part), len(keep))
             if len(x._cache["maximal"]) < len(part):  # a listed face holds another
                 return []
             made[key] = x
@@ -498,20 +506,43 @@ def _listed_join(listed: dict[int, Simplex], near: dict[int, int]) -> list[tuple
     return out
 
 
-class _ListedJoin(Complex):
-    """A complex given by listed faces that is a join of the closed factors, itself unclosed.
+def _numbered(listed: dict[int, Simplex], inc: dict, near: dict, vertex_count: int) -> Complex:
+    """The listed faces (mask -> tuple), with _incidence's tables, closed in their own numbering.
 
-    Every listed face is maximal, so the listed tuples are its maximal
-    faces.  Its faces are closed on first read, as a clique complex
-    enumerates its own; f_vector, face_total, maximal_simplices, == and
-    homology read the factors and the listed faces instead.  A join past
-    FACE_BUDGET faces is refused here.
+    The present vertices are numbered by how many listed faces hold each,
+    most first, ties by id, and _walk closes the listed faces once in that
+    numbering, keeping the maximal ones as the tuples given.  homology's
+    apparent pairs drop a face's smallest vertex, so with the largest star
+    first they act like an element matching (Jonsson, Simplicial Complexes
+    of Graphs, LNM 1928, 2008), and far fewer columns collide than in
+    random file ids.
+    """
+    order = sorted(inc, key=lambda v: (-inc[v].bit_count(), v))
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    closed = _walk(
+        {sum(map(bit.get, s)): s for s in listed.values()},
+        dict(enumerate(map(inc.get, order))),  # the same number bits
+        {i: sum(map(bit.get, vertices_of(near[v]))) for i, v in enumerate(order)},
+        len(order),
+    )
+    return _ListedComplex(vertex_count, closed._cache["maximal"], numbered=closed)
+
+
+class _ListedComplex(Complex):
+    """A complex given by listed faces, its own faces closed, in file ids, on first read.
+
+    Its maximal faces are the listed tuples it keeps, as given.  A join (see
+    _listed_join) lists only maximal faces, answers f_vector, face_total,
+    maximal_simplices, == and homology from its closed factors and those
+    tuples, and is refused here past FACE_BUDGET faces; any other answers
+    f_vector, face_total and homology from numbered (see _numbered).
     """
 
-    def __init__(self, vertex_count: int, given: list[Simplex], join_factors):
+    def __init__(self, vertex_count: int, maximal: list[Simplex], join_factors=(), numbered=None):
         self.vertex_count = vertex_count
         self.join_factors = join_factors
-        self._cache = {"maximal": given}
+        self.numbered = numbered
+        self._cache = {"maximal": maximal}
         if self.face_total() > FACE_BUDGET:
             raise _budget_error()
 

@@ -383,6 +383,28 @@ def test_verify_main_theorem_closes_no_listed_faces(monkeypatch):
     assert len(report.rows) == 27
 
 
+
+def test_verify_main_theorem_fails_only_the_row_whose_homology_has_torsion(monkeypatch):
+    # Z/2 put into H_1 of cube r=1 (the cube's edge graph, f-vector (8, 12))
+    # fails that Betti row alone, and the command exits 1
+    from ripstone import pipelines
+    from ripstone.homology import HomologyResult
+
+    real = pipelines.homology
+
+    def with_torsion(c):
+        h = real(c)
+        return HomologyResult(h.betti, ((), (2,))) if c.f_vector() == (8, 12) else h
+
+    monkeypatch.setattr(pipelines, "homology", with_torsion)
+    failed = [r for r in pipelines.verify_main_theorem().rows if not r.passed]
+    assert [(r.subject, r.computed) for r in failed] == [("cube r=1 betti", "(1, 5) with torsion")]
+    code, out, err = run(["verify", "main-theorem", "--format", "json"])
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert not doc["passed"]
+    assert [r["computed"] for r in doc["rows"] if not r["passed"]] == ["(1, 5) with torsion"]
+
 if __name__ == "__main__":
     import os
 

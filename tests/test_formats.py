@@ -61,6 +61,19 @@ def test_a_parsed_complex_is_serialized_without_a_second_facet_pass(monkeypatch)
     assert len(passes) == 1 and passes[0] is unrecorded  # one pass, over that complex
 
 
+def test_a_parsed_non_join_is_reduced_and_serialized_without_its_faces():
+    # homology reads the numbered closure and serialize_complex the maximal
+    # record, so the faces in file ids are built only when read
+    c = parse_complex("0 1 2 3\n2 3 4\n1 2  # not maximal\n4 5\n5 7\n0 7\n6\n")
+    assert not c.join_factors
+    h = homology(c)
+    text = serialize_complex(c)
+    assert "faces" not in vars(c)
+    assert (h.betti, any(h.torsion)) == ((2, 1, 0, 0), False)  # the cycle 0 2 4 5 7 bounds nothing
+    assert text.splitlines()[1:] == ["0 1 2 3", "0 7", "2 3 4", "4 5", "5 7", "6"]
+    assert c.f_vector() == (8, 11, 5, 1) == tuple(map(len, c.faces))
+
+
 def test_simplex_list_round_trip():
     # file order kept, duplicates collapsed to their first line
     text = "# candidates\n3 4\n0 1 2\n\n1\n3 4  # again\n0 1 2\n7\n1\n2 5\n"

@@ -962,12 +962,12 @@ def _assert_listed_complex_matches_whole_closure(faces):
         levels[len(t) - 1].append(mask_of(t))
     whole = Complex(vertex_count=c.vertex_count, faces=levels)
     got = (c.f_vector(), c.face_total(), homology(c), maximal_simplices(c), serialize_complex(c))
-    if c.join_factors:  # a join answers all of these from its factors and listed faces
+    # a join answers all of these from its factors and listed faces, any
+    # other listed complex from its numbered closure and maximal record
+    assert "faces" not in vars(c)
+    assert c == whole and whole == c
+    if c.join_factors:  # a join compares its maximal faces
         assert "faces" not in vars(c)
-        assert c == whole and whole == c
-        assert "faces" not in vars(c)
-    else:
-        assert c == whole and whole == c
     want = (
         whole.f_vector(), whole.face_total(), homology(whole), maximal_simplices(whole),
         serialize_complex(whole),
