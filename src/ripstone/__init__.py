@@ -17,7 +17,6 @@ from .errors import (
     RipstoneError,
     SearchFailure,
     StructuralError,
-    VerificationError,
 )
 from .formats import (
     parse_chain,

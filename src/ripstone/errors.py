@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all ripstone modules."""
+"""Exception hierarchy shared by all ripstone modules.
+
+A value that differs from the paper's is not an error: the report row that
+states the claim compares it and fails.  These errors stop a computation
+whose input or intermediate data breaks a requirement.
+"""
 
 from __future__ import annotations
 
@@ -17,10 +22,6 @@ class StructuralError(RipstoneError):
 
 class PreconditionError(RipstoneError):
     """A documented precondition of an operation does not hold."""
-
-
-class VerificationError(RipstoneError):
-    """A computation contradicts a value the caller asked us to certify."""
 
 
 class SearchFailure(RipstoneError):

@@ -87,9 +87,10 @@ class Complex:
     order of their vertex tuples, and the complex is closed downward.  Both
     are invariants.  The lex order is read only by the Morse search and by
     outputs; homology orders rows by mask and reads no storage order.
-    Complex(vertex_count, faces) sorts each level and raises StructuralError
-    for an empty complex or top level, a face in the wrong level, a repeated
-    face, a vertex id past vertex_count or a missing facet.  The package's
+    Complex(vertex_count, faces) raises ParameterError for a vertex_count
+    that is not a non-negative int, sorts each level and raises
+    StructuralError for an empty complex or top level, a face in the wrong
+    level, a repeated face, a vertex id past vertex_count or a missing facet.  The package's
     constructors build that order and closure themselves: the clique walk
     and the from_faces walk emit the faces in order, _boundary_complex lists
     a solid's levels in order, and delete_open_cells keeps it; the latter
@@ -101,8 +102,9 @@ class Complex:
 
     graph, when present, is the adjacency mask table of the graph whose
     clique complex this is; it fixes the complex for ==.  Otherwise two
-    complexes that are not joins compare their levels, and a join compares
-    its maximal faces, listed from its factors or as its file gave them.
+    complexes of which neither is a join or a listed complex compare their
+    levels, and any other pair its maximal faces, which a join lists from
+    its factors and a listed complex as its file gave them.
     join_factors, when not empty, lists the factors of a join (see
     _CliqueComplex and _ListedComplex), identical factors as one object, and
     f_vector multiplies theirs, whether or not the join's own faces are
@@ -120,6 +122,8 @@ class Complex:
     numbered: Complex | None = None  # set by _numbered
 
     def __init__(self, vertex_count: int, faces):
+        if not isinstance(vertex_count, int) or vertex_count < 0:
+            raise ParameterError(f"vertex_count must be a non-negative int, got {vertex_count!r}")
         levels = [tuple(level) for level in faces]
         top = 1 << vertex_count
         for level in levels:  # before the sort: vertices_of never ends on a negative mask
@@ -170,10 +174,10 @@ class Complex:
             return False
         if self.graph is not None and other.graph is not None:
             return self.graph == other.graph  # a clique complex is fixed by its edges
-        if not (self.join_factors or other.join_factors):
+        if not (self.join_factors or other.join_factors or self.numbered or other.numbered):
             return self.faces == other.faces  # both levels in storage order
-        # any complex is fixed by its maximal faces, and a join lists them
-        # from its factors without building its own faces
+        # any complex is fixed by its maximal faces, and a join or a listed
+        # complex lists them without building its own faces
         return maximal_simplices(self) == maximal_simplices(other)
 
     @property

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from ripstone import simplicial
+from ripstone import pipelines, simplicial, symmetry
 from ripstone.cli import _build_parser, main
+from ripstone.patterns import diameter3_tetrahedra
 
 CYCLIC_MATCHING = """\
 0 -> 0 1
@@ -53,10 +54,7 @@ USAGE_ARGVS = (
 )
 
 
-def run(argv, env=None, monkeypatch=None):
-    if env:
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -179,22 +177,6 @@ def test_dodeca_trace_search_failure_fails_its_row(monkeypatch):
     assert [r["passed"] for r in rows] == [True, False]
     assert rows[-1]["subject"] == "acyclic matching on diameter-3 faces"
     assert "search failed: no perfect matching" in rows[-1]["computed"]
-
-
-def test_seed_env_matches_explicit(monkeypatch):
-    explicit = run(["dodeca", "trace", "--seed", "3", "--format", "json"])
-    via_env, out, _ = (None, None, None)
-    monkeypatch.setenv("RIPSTONE_SEED", "3")
-    env_run = run(["dodeca", "trace", "--format", "json"])
-    assert explicit[0] == env_run[0] == 0
-    assert explicit[1] == env_run[1]
-
-
-def test_bad_seed_env_is_a_usage_error(monkeypatch):
-    monkeypatch.setenv("RIPSTONE_SEED", "lots")
-    code, _, err = run(["dodeca", "trace"])
-    assert code == 2
-    assert "RIPSTONE_SEED" in err
 
 
 def test_morse_check_rejects_cycle(tmp_path):
@@ -323,6 +305,50 @@ def test_cube_series_and_verify():
     assert "result: PASS" in out
     code, _, _ = run(["cube", "verify", "--n", "9"])
     assert code == 2
+
+
+# Injected faults: each runs one report command with one claim broken, and
+# names the rows that must fail; every other row must pass.
+INJECTED_FAULTS = {
+    "order-3 rotations predicted to fix no tetrahedron": (
+        ["symmetry", "report"],
+        lambda mp: mp.setitem(symmetry._NATURAL_FIXED_BY_ORDER, 3, 0),
+        ["class 2: size 20, order 3, rotation: fixed count"],
+    ),
+    "the full group taken for its derived subgroup": (
+        ["symmetry", "report"],
+        lambda mp: mp.setattr(pipelines, "rotation_subgroup", lambda g: g),
+        [
+            "derived subgroup order",
+            "derived subgroup is simple",
+            "orbit sizes under the derived subgroup",
+            "class 3: size 15, order 2, rotation: fixed count",
+            "class 4: size 20, order 6, rotation: fixed count",
+            "class 8: size 12, order 10, rotation: fixed count",
+            "class 9: size 12, order 10, rotation: fixed count",
+            "class 10: size 1, order 2, rotation: fixed count",
+        ],
+    ),
+    "nine tetrahedra found": (
+        # nine forced critical cells leave an odd number to pair: no search succeeds
+        ["dodeca", "trace", "--max-attempts", "1"],
+        lambda mp: mp.setattr(pipelines, "diameter3_tetrahedra", lambda m: diameter3_tetrahedra(m)[:9]),
+        ["pairwise-distance-3 tetrahedra", "acyclic matching on diameter-3 faces"],
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", INJECTED_FAULTS)
+def test_an_injected_fault_fails_exactly_its_rows(fault, monkeypatch):
+    argv, inject, failing = INJECTED_FAULTS[fault]
+    inject(monkeypatch)
+    code, out, _ = run([*argv, "--format", "json"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert [r["subject"] for r in report["rows"] if not r["passed"]] == failing
+    if argv[0] == "symmetry":  # every claim is stated, whatever an earlier row found
+        assert len(report["rows"]) == 17
 
 
 def test_symmetry_report_runs():

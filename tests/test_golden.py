@@ -11,7 +11,6 @@ Regenerate (only when an output is meant to change) with
 
 import io
 import json
-import os
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -89,8 +88,7 @@ def run_commands(workdir: Path) -> dict[str, tuple[int, bytes]]:
     return results
 
 
-def test_cli_json_matches_goldens(tmp_path, monkeypatch):
-    monkeypatch.delenv("RIPSTONE_SEED", raising=False)
+def test_cli_json_matches_goldens(tmp_path):
     results = run_commands(tmp_path)
     codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
     assert {name: code for name, (code, _out) in results.items()} == codes
@@ -101,7 +99,6 @@ def test_cli_json_matches_goldens(tmp_path, monkeypatch):
 if __name__ == "__main__":
     import tempfile
 
-    os.environ.pop("RIPSTONE_SEED", None)
     with tempfile.TemporaryDirectory() as tmp:
         results = run_commands(Path(tmp))
     GOLDEN.mkdir(exist_ok=True)

@@ -231,6 +231,9 @@ def test_constructors_refuse_bad_input():
         from_faces([])
     with pytest.raises(ParameterError, match="vertex_count is smaller than the largest vertex id"):
         from_faces([(0, 3)], vertex_count=3)
+    for count in (-1, 2.5, "2"):  # not a bare shift-count error or TypeError
+        with pytest.raises(ParameterError, match="^vertex_count must be a non-negative int, got"):
+            Complex(count, [[1]])
 
 
 def test_delete_open_cells():
@@ -975,6 +978,19 @@ def _assert_listed_complex_matches_whole_closure(faces):
     assert got == want
     assert c.faces == whole.faces  # a join's faces, closed on first read
     return c
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(face_lists(max_n=8, max_size=4), face_lists(max_n=8, max_size=4))
+@example([(0, 1, 2), (2, 3), (3, 4)], [(0, 1, 2), (2, 3)])
+def test_listed_complexes_compare_as_their_closures_without_building_faces(a, b):
+    # two listed complexes compare their maximal records, not their faces in
+    # file ids; the same faces listed in another order are the same complex
+    for listed in (a[::-1], b):
+        x, y = from_faces(a), from_faces(listed)
+        equal = x == y
+        assert "faces" not in vars(x) and "faces" not in vars(y)
+        assert equal == (x.vertex_count == y.vertex_count and x.faces == y.faces)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

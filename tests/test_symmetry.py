@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from ripstone.errors import ParameterError, StructuralError, VerificationError
+from ripstone.errors import ParameterError, StructuralError
 from ripstone.patterns import diameter3_tetrahedra, embeddings
 from ripstone.polytopes import SOLIDS, build_solid, combinatorial_metric
 from ripstone.symmetry import (
+    PermGroup,
     _closure,
-    _derived,
+    _is_simple,
     apply_to_simplex,
     automorphisms,
     compose,
@@ -97,7 +98,7 @@ def test_derived_subgroup_from_generator_commutators(name):
         frontier = [compose(s, p) for p in frontier for s in comms]
         frontier = [p for p in set(frontier) if p not in closure]
         closure.update(frontier)
-    assert set(_derived(g).elements) == closure
+    assert set(rotation_subgroup(g).elements) == closure
 
 
 def test_center_of_full_group_is_the_antipodal_flip():
@@ -146,7 +147,7 @@ def test_tetrahedra_orbits():
 
 def test_character_table_of_the_tetrahedra_action():
     g = dodeca_group()
-    data = verify_remark(g, rotation_subgroup(g), dodeca_tets(), h3_rank=9)
+    data = verify_remark(g, rotation_subgroup(g), dodeca_tets())
     table = sorted(
         zip(data.class_sizes, data.element_orders, data.in_rotation, data.fixed_counts)
     )
@@ -173,15 +174,34 @@ def test_character_table_of_the_tetrahedra_action():
 
 
 def test_verify_remark_guards():
+    # counts that miss their prediction are returned, not raised: the report
+    # compares them; data that is not constant on a class is refused
     g = dodeca_group()
     rot = rotation_subgroup(g)
     tets = dodeca_tets()
-    with pytest.raises(VerificationError):
-        verify_remark(g, rot, tets, h3_rank=8)
-    with pytest.raises(VerificationError):
-        verify_remark(g, rot, tets[:9], h3_rank=9)
-    with pytest.raises(VerificationError):
-        verify_remark(rot, rot, tets, h3_rank=9)
+    data = verify_remark(g, g, tets)  # every element counted as a rotation
+    assert set(data.in_rotation) == {True}
+    assert None in data.predicted_counts  # orders 6 and 10 have no natural profile
+    assert data.fixed_counts != data.predicted_counts
+    with pytest.raises(StructuralError, match="^fixed-point count not constant"):
+        verify_remark(g, rot, tets[:9])
+    half_turns = next(c for c in conjugacy_classes(rot) if len(c) == 15)
+    one = PermGroup(degree=20, generators=half_turns[:1], elements=(identity_perm(20), half_turns[0]))
+    with pytest.raises(StructuralError, match="^rotation membership not constant"):
+        verify_remark(g, one, tets)
+
+
+@pytest.mark.parametrize("name", SOLIDS)
+def test_simplicity_of_each_group_and_its_derived_subgroup(name):
+    # each full group has a normal subgroup of index 2; the derived subgroup
+    # is A4, with its normal Klein four-group, for the first three solids,
+    # and A5, which is simple, for the last two
+    g = automorphisms(build_solid(name))
+    h = rotation_subgroup(g)
+    assert not _is_simple(g)
+    assert _is_simple(h) == (h.order == 60)
+    assert h.order == {"tetrahedron": 12, "cube": 12, "octahedron": 12}.get(name, 60)
+    assert not _is_simple(PermGroup(degree=1, generators=(), elements=(identity_perm(1),)))
 
 
 def test_symmetry_report_builds_the_rotation_subgroup_once(monkeypatch):
@@ -202,32 +222,35 @@ def test_symmetry_report_builds_the_rotation_subgroup_once(monkeypatch):
 
 
 def test_symmetry_report_fails_the_character_row_on_a_wrong_profile(monkeypatch):
-    # order-3 rotations fix two tetrahedra; a profile that predicts none
-    # fails the classwise row, which is the report's last
+    # with no natural profile for order 3, the order-3 rotations are
+    # predicted None, and only their row fails
     from ripstone import pipelines, symmetry
 
-    wrong = {**symmetry._NATURAL_FIXED_BY_ORDER, 3: 0}
-    monkeypatch.setattr(symmetry, "_NATURAL_FIXED_BY_ORDER", wrong)
+    monkeypatch.delitem(symmetry._NATURAL_FIXED_BY_ORDER, 3)
     report = pipelines.symmetry_report()
-    last = report.rows[-1]
-    assert (last.subject, last.passed) == ("classwise character check", False)
-    assert "fixed 4 != predicted 0" in last.computed
-    assert all(r.passed for r in report.rows[:-1])
+    failed = [(r.subject, r.expected, r.computed) for r in report.rows if not r.passed]
+    assert failed == [("class 2: size 20, order 3, rotation: fixed count", "None", "4")]
+    assert len(report.rows) == 17
 
 
 def test_symmetry_report_fails_the_derived_subgroup_row(monkeypatch):
+    # a trivial subgroup is not simple, and the classes it leaves out are
+    # predicted to fix nothing
     from ripstone import pipelines
 
-    def refuse(g):
-        raise VerificationError("derived subgroup is not simple")
+    def trivial(g):
+        return PermGroup(degree=g.degree, generators=(), elements=(identity_perm(g.degree),))
 
-    monkeypatch.setattr(pipelines, "rotation_subgroup", refuse)
+    monkeypatch.setattr(pipelines, "rotation_subgroup", trivial)
     report = pipelines.symmetry_report()
-    assert [(r.subject, r.passed) for r in report.rows] == [
-        ("full automorphism group order", True),
-        ("derived subgroup", False),
+    assert [r.subject for r in report.rows if not r.passed] == [
+        "derived subgroup order",
+        "derived subgroup is simple",
+        "orbit sizes under the derived subgroup",
+        "class 2: size 20, order 3, reflective: fixed count",
+        "class 7: size 15, order 2, reflective: fixed count",
     ]
-    assert report.rows[-1].computed == "derived subgroup is not simple"
+    assert len(report.rows) == 17
 
 
 def test_conjugacy_classes_partition_the_group():
@@ -320,6 +343,6 @@ def test_kept_generators_are_the_greedy_choice_over_sorted_elements(name):
 @pytest.mark.parametrize("name", SOLIDS)
 def test_the_kept_generators_regenerate_the_group(name):
     g = automorphisms(build_solid(name))
-    for group in (g, _derived(g)):
+    for group in (g, rotation_subgroup(g)):
         assert _closure(group.degree, group.generators) == (group.elements, group.generators)
         assert group.order == len(set(group.elements))

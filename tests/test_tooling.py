@@ -8,7 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import ModuleType
 
@@ -47,7 +47,7 @@ def test_public_surface_is_pinned():
         "FormatError", "HomologyResult", "Matching", "MatchingReport",
         "ParameterError", "PermGroup", "PolytopeGraph", "PreconditionError", "Report", "ReportRow",
         "RipstoneError", "SNFResult", "SOLIDS", "SearchFailure", "StructuralError",
-        "VerificationError", "antipodal_free_complex", "automorphisms", "build_solid",
+        "antipodal_free_complex", "automorphisms", "build_solid",
         "check_matching", "combinatorial_metric", "conjugacy_classes", "critical_complex_homology",
         "cube_graph", "cycle_class", "delete_open_cells", "diameter3_tetrahedra", "distance_table",
         "embeddings", "euler_characteristic", "face_count", "fan_matching",
@@ -126,16 +126,51 @@ def test_module_entry_point_prints_what_main_prints():
     assert done.stdout == out.getvalue()
 
 
+def _readme_sh_lines() -> list[str]:
+    """The lines of the README's sh blocks, in order."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                        re.M | re.S)
+    return [line for block in blocks for line in block.splitlines()]
+
+
+def _redirected(line: str) -> tuple[list[str], str | None]:
+    """A shell line's words before any `>`, and the file it redirects to."""
+    words = shlex.split(line, comments=True)
+    if ">" not in words:
+        return words, None
+    at = words.index(">")
+    return words[:at], words[at + 1]
+
+
 def test_readme_commands_parse():
     # every ripstone line in the README's sh blocks names a command and
     # options the parser accepts; redirections and comments are not argv
     from ripstone.cli import _build_parser
 
-    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
-                        re.M | re.S)
-    lines = [line for block in blocks for line in block.splitlines() if line.startswith("ripstone ")]
+    lines = [line for line in _readme_sh_lines() if line.startswith("ripstone ")]
     assert len(lines) >= 14  # both sh blocks are read
     for line in lines:
-        words = shlex.split(line, comments=True)
-        argv = words[1 : words.index(">") if ">" in words else None]
+        argv = _redirected(line)[0][1:]
         assert _build_parser(argv).parse_args(argv).command == argv[0], line
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # the README's printf and ripstone lines, in order, in one directory:
+    # each ripstone line exits 0, or 1 where its comment says it fails
+    from ripstone.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line in _readme_sh_lines():
+        words, target = _redirected(line)
+        if words[:1] == ["printf"]:
+            Path(target).write_text(words[-1].encode().decode("unicode_escape"), encoding="utf-8")
+        elif words[:1] == ["ripstone"]:
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                code = main(words[1:])
+            if target is not None:
+                Path(target).write_text(out.getvalue(), encoding="utf-8")
+            assert code == (1 if "# fails" in line else 0), line
+            ran += 1
+    assert ran >= 14
