@@ -302,11 +302,12 @@ def find_matching(
     a stall, for at most max_attempts attempts and SEARCH_WORK attempts x
     live cells.  An attempt in which every pick had one free cell to choose
     from used nothing of its seed, so every seed would repeat it: the
-    search stops after it.  Then raises SearchFailure carrying the best
-    attempt's surplus and the attempts made.  The search works on the live
-    cells' positions in vertex tuple order, and draws the same random
-    numbers, so finds the same matching, surplus and attempt count for a
-    seed, as one keyed by the cells themselves.
+    search stops after it.  No matching pairs an odd number of live cells,
+    so the search stops after the first attempt on one.  Then raises
+    SearchFailure carrying the best attempt's surplus and the attempts made.
+    The search works on the live cells' positions in vertex tuple order, and
+    draws the same random numbers, so finds the same matching, surplus and
+    attempt count for a seed, as one keyed by the cells themselves.
     """
     return _find_matching(
         c,
@@ -393,9 +394,11 @@ def _find_matching(c: Complex, cand_masks, forced_masks, seed: int, max_attempts
             return m
         if left < best_left:
             best_live, best_left = live, left
-        if not chose:  # every seed repeats this attempt
+        if not chose or n % 2:  # every seed repeats this attempt, or none pairs every cell
             break
-    if tried < attempts:
+    if n % 2:
+        why = " (an odd number of cells)"
+    elif tried < attempts:
         why = " (it made no random choice)"
     elif attempts < max_attempts:
         why = f" (the work cap, {SEARCH_WORK} attempts x cells)"

@@ -41,7 +41,7 @@ from itertools import product
 from math import prod
 
 from .errors import ParameterError, StructuralError
-from .polytopes import DistanceMatrix, PolytopeGraph, mask_of, solid_info, vertices_of
+from .polytopes import DistanceMatrix, mask_of, vertices_of
 
 Simplex = tuple[int, ...]
 
@@ -92,19 +92,18 @@ class Complex:
     StructuralError for an empty complex or top level, a face in the wrong
     level, a repeated face, a vertex id past vertex_count or a missing facet.  The package's
     constructors build that order and closure themselves: the clique walk
-    and the from_faces walk emit the faces in order, _boundary_complex lists
-    a solid's levels in order, and delete_open_cells keeps it; the latter
-    three go through Complex._built, which checks nothing.  faces and its
-    levels are tuples, which cannot be edited in place, so face_set, the one
-    set of all face masks that every membership test reads, and the _cache
-    of matching reports, with their critical cells, and of maximal faces
-    cannot go stale.
+    and the from_faces walk emit the faces in order, and delete_open_cells
+    keeps it; the latter two go through Complex._built, which checks
+    nothing.  faces and its levels are tuples, which cannot be edited in
+    place, so face_set, the one set of all face masks that every membership
+    test reads, and the _cache of matching reports, with their critical
+    cells, and of maximal faces cannot go stale.
 
-    graph, when present, is the adjacency mask table of the graph whose
-    clique complex this is; it fixes the complex for ==.  Otherwise two
-    complexes of which neither is a join or a listed complex compare their
-    levels, and any other pair its maximal faces, which a join lists from
-    its factors and a listed complex as its file gave them.
+    == has two rules.  Two clique complexes compare their graphs (graph,
+    when present, is the adjacency mask table of the graph whose clique
+    complex this is), which never lists a join's maximal faces.  Any other
+    pair compares maximal faces, which a join lists from its factors and a
+    listed complex as its file gave them.
     join_factors, when not empty, lists the factors of a join (see
     _CliqueComplex and _ListedComplex), identical factors as one object, and
     f_vector multiplies theirs, whether or not the join's own faces are
@@ -174,8 +173,6 @@ class Complex:
             return False
         if self.graph is not None and other.graph is not None:
             return self.graph == other.graph  # a clique complex is fixed by its edges
-        if not (self.join_factors or other.join_factors or self.numbered or other.numbered):
-            return self.faces == other.faces  # both levels in storage order
         # any complex is fixed by its maximal faces, and a join or a listed
         # complex lists them without building its own faces
         return maximal_simplices(self) == maximal_simplices(other)
@@ -259,7 +256,9 @@ class _CliqueComplex(Complex):
 
     faces is then kept as a plain instance attribute.  Complex itself has no
     class attribute named faces, so complexes given by their faces keep the
-    plain attribute lookup in hot loops.
+    plain attribute lookup in hot loops.  Its graph answers == against
+    another clique complex, and join_factors splits it; verify_main_theorem
+    reads its structural rows off the f-vector and those factors.
     """
 
     def __init__(self, graph: tuple[int, ...]):
@@ -626,34 +625,13 @@ def delete_open_cells(c: Complex, cells) -> Complex:
     return out
 
 
-def _boundary_complex(g: PolytopeGraph) -> Complex:
-    """Vertices and edges of a solid, given by its edge graph, plus its triangular facets, if any.
-
-    The triangular facets are the triangles of the edge graph; no clique
-    complex is built and nothing is closed.  Each level is built in storage
-    order: the edges come lexicographic, and each edge (a, b) is extended by
-    its common neighbours above b in ascending order.
-    """
-    adj = g.adjacency
-    edges = g.edges()
-    levels = [tuple(1 << v for v in range(g.vertex_count)), tuple(mask_of(e) for e in edges)]
-    if solid_info(g.name).m == 3:
-        triangles = []
-        for a, b in edges:
-            common = adj[a] & adj[b] & -1 << (b + 1)
-            while common:
-                low = common & -common
-                common ^= low
-                triangles.append(1 << a | 1 << b | low)
-        levels.append(tuple(triangles))
-    return Complex._built(g.vertex_count, tuple(levels))
-
-
 def antipodal_free_complex(metric: DistanceMatrix, k: int) -> Complex:
     """All vertex sets avoiding every antipodal pair, for a metric of diameter k.
 
     Requires every vertex to have exactly one partner at distance k; the
-    result is the clique complex of the non-antipodal relation.
+    result is the clique complex of the non-antipodal relation.  Public, and
+    no pipeline calls it: verify_main_theorem reads its antipodal rows off
+    VR_r's join factors.  It is kept because the benchmark tracer names it.
     """
     n = metric.size
     partner = []

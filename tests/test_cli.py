@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, formats, determinism, file plumbing."""
 
+import dataclasses
 import io
 import json
 import time
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ripstone import pipelines, simplicial, symmetry
+from ripstone import cubeseries, pipelines, simplicial, symmetry
 from ripstone.cli import _build_parser, main
 from ripstone.patterns import diameter3_tetrahedra
 
@@ -307,13 +308,39 @@ def test_cube_series_and_verify():
     assert code == 2
 
 
-# Injected faults: each runs one report command with one claim broken, and
-# names the rows that must fail; every other row must pass.
+def _rewired(name, drop=(), add=()):
+    """An injection: build_solid gives the named solid with the edges in drop
+    taken out and those in add put in."""
+    real = pipelines.build_solid
+
+    def build(solid):
+        g = real(solid)
+        if solid != name:
+            return g
+        adj = list(g.adjacency)
+        for (a, b), present in [*((e, True) for e in drop), *((e, False) for e in add)]:
+            assert g.adjacent(a, b) == present
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
+        return dataclasses.replace(g, adjacency=tuple(adj))
+
+    return lambda mp: mp.setattr(pipelines, "build_solid", build)
+
+
+def _series_off_by_one(mp):
+    series = cubeseries._main_series
+    mp.setattr(cubeseries, "_main_series", lambda upto: [c + 1 for c in series(upto)])
+
+
+# Injected faults: each runs one report command with one claim broken,
+# names the rows that must fail, every other row passing, and counts the
+# rows the report must print.
 INJECTED_FAULTS = {
     "order-3 rotations predicted to fix no tetrahedron": (
         ["symmetry", "report"],
         lambda mp: mp.setitem(symmetry._NATURAL_FIXED_BY_ORDER, 3, 0),
         ["class 2: size 20, order 3, rotation: fixed count"],
+        17,
     ),
     "the full group taken for its derived subgroup": (
         ["symmetry", "report"],
@@ -328,27 +355,76 @@ INJECTED_FAULTS = {
             "class 9: size 12, order 10, rotation: fixed count",
             "class 10: size 1, order 2, rotation: fixed count",
         ],
+        17,
     ),
     "nine tetrahedra found": (
-        # nine forced critical cells leave an odd number to pair: no search succeeds
-        ["dodeca", "trace", "--max-attempts", "1"],
+        # nine forced critical cells leave an odd number to pair, so the
+        # search stops after one attempt and the report at its matching row
+        ["dodeca", "trace"],
         lambda mp: mp.setattr(pipelines, "diameter3_tetrahedra", lambda m: diameter3_tetrahedra(m)[:9]),
         ["pairwise-distance-3 tetrahedra", "acyclic matching on diameter-3 faces"],
+        2,
+    ),
+    "a dodecahedron rewired by a degree-preserving edge swap": (
+        ["verify", "main-theorem"],
+        _rewired("dodecahedron", drop=[(0, 11), (2, 9)], add=[(0, 9), (2, 11)]),
+        [
+            "dodecahedron r=2 betti",
+            "dodecahedron r=3 betti",
+            "dodecahedron r=4 betti",
+            "dodecahedron r=4 equals the antipodal-pair-free complex",
+            "dodecahedron r=2 maximal face census (dimension, count)",
+        ],
+        28,
+    ),
+    "a cube with the chord (0, 3)": (
+        # 0 and 3 share a square, whose chord puts 0 within two hops of
+        # every vertex: VR_2 is a cone, not the cross-polytope boundary
+        ["verify", "main-theorem"],
+        _rewired("cube", add=[(0, 3)]),
+        [
+            "cube r=1 betti",
+            "cube r=2 betti",
+            "cube r=1 equals the boundary complex",
+            "cube r=2 equals the antipodal-pair-free complex",
+        ],
+        28,
+    ),
+    "one wrong Betti number expected": (
+        ["verify", "main-theorem"],
+        lambda mp: mp.setitem(pipelines.EXPECTED_BETTI, "cube", ((8,), (1, 5), (1, 0, 0, 2), (1,))),
+        ["cube r=2 betti"],
+        28,
+    ),
+    "the main series off by one, against one cube": (
+        ["cube", "verify", "--n", "4"],
+        _series_off_by_one,
+        [
+            "betti3 of the distance-2 complex of the 4-cube",
+            "2 f(n,3) - skeleton betti (n,2)",
+            "skeleton betti (n+1,3)",
+        ],
+        4,
+    ),
+    "the main series off by one, against the counts": (
+        ["cube", "series", "--max-n", "8"],
+        _series_off_by_one,
+        [f"x^{n} coefficient, count formula and shifted skeleton" for n in range(9)],
+        9,
     ),
 }
 
 
 @pytest.mark.parametrize("fault", INJECTED_FAULTS)
 def test_an_injected_fault_fails_exactly_its_rows(fault, monkeypatch):
-    argv, inject, failing = INJECTED_FAULTS[fault]
+    argv, inject, failing, rows = INJECTED_FAULTS[fault]
     inject(monkeypatch)
-    code, out, _ = run([*argv, "--format", "json"])
-    assert code == 1
+    code, out, err = run([*argv, "--format", "json"])
+    assert (code, err) == (1, "")
     report = json.loads(out)
     assert report["passed"] is False
     assert [r["subject"] for r in report["rows"] if not r["passed"]] == failing
-    if argv[0] == "symmetry":  # every claim is stated, whatever an earlier row found
-        assert len(report["rows"]) == 17
+    assert len(report["rows"]) == rows  # every claim is stated, whatever an earlier row found
 
 
 def test_symmetry_report_runs():
@@ -396,17 +472,26 @@ def test_only_the_named_group_gets_action_parsers():
 
 
 def test_verify_main_theorem_closes_no_listed_faces(monkeypatch):
-    # every complex on the headline path is a clique complex or given by its
-    # levels; none goes through the from_faces closure
+    # every row is read off the 19 VR complexes the Betti rows build: none
+    # goes through the from_faces closure, and no complex is given its levels
     from ripstone.pipelines import verify_main_theorem
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("verify main-theorem closed a list of faces")
 
+    built, given = [], []
+    vr = pipelines.vr_complex
+    levels = simplicial.Complex._built.__func__
     monkeypatch.setattr(simplicial, "_closure", refuse)
+    monkeypatch.setattr(pipelines, "vr_complex", lambda m, r: built.append(r) or vr(m, r))
+    monkeypatch.setattr(
+        simplicial.Complex, "_built", classmethod(lambda cls, *a: given.append(1) or levels(cls, *a))
+    )
     report = verify_main_theorem()
     assert [r.subject for r in report.rows if not r.passed] == []
-    assert len(report.rows) == 27
+    assert len(report.rows) == 28
+    assert len(built) == sum(map(len, pipelines.EXPECTED_BETTI.values())) == 19
+    assert given == []
 
 
 

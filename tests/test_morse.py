@@ -532,23 +532,41 @@ def test_shuffled_levels_are_stored_sorted_and_find_the_same_matching(monkeypatc
 
 
 def test_failed_search_surplus_and_attempts_are_pinned():
-    # VR_3 has H_3 = Z^9, so no search collapses it onto one vertex; the best
-    # of three attempts' surplus (sha256 of its repr), recorded like the
-    # trace matchings above
+    # VR_3 has H_3 = Z^9, so no search collapses it onto one or two
+    # vertices; the best of three attempts' surplus (sha256 of its repr),
+    # recorded like the trace matchings above
     import hashlib
+
+    def digest(surplus):
+        return hashlib.sha256(repr(surplus).encode()).hexdigest()
 
     c = vr_complex(combinatorial_metric(build_solid("dodecahedron")), 3)
     pinned = {
-        1: (907, "f9bcddeddaf247c9164b1ef5f7034fb939fe0052b138f2315862c1544def2fa4"),
-        2: (883, "daa2a4e624c249600fbb8ac4e4f65f773167b1297dfc4174196b0a20aa7e25d8"),
+        1: (906, "4b04aa39c8937e35ec3e817ce30327ffc75e5e30e8585a1a527934686f23cb09"),
+        2: (882, "88fd99623c90a3732c85179d8c7d824531a446c0f6163b60b7626c79825c1609"),
     }
-    for seed, (size, digest) in pinned.items():
+    for seed, (size, want) in pinned.items():
         with pytest.raises(SearchFailure) as exc:
-            find_matching(c, all_faces(c), forced_critical=[(0,)], seed=seed, max_attempts=3)
+            find_matching(c, all_faces(c), forced_critical=[(0,), (1,)], seed=seed, max_attempts=3)
         assert exc.value.attempts == 3
-        assert str(exc.value) == "no perfect matching on 3271 cells within 3 attempts"
+        assert str(exc.value) == "no perfect matching on 3270 cells within 3 attempts"
         assert len(exc.value.surplus) == size
-        assert hashlib.sha256(repr(exc.value.surplus).encode()).hexdigest() == digest
+        assert digest(exc.value.surplus) == want
+    # one vertex forced leaves an odd number of cells, which no matching
+    # pairs: the search stops after its first attempt and keeps its surplus
+    pinned = {
+        1: (935, "c531eadec84f9736d728c95a5359689a705077dd0c3996260757b7ec5a103201"),
+        2: (907, "f9bcddeddaf247c9164b1ef5f7034fb939fe0052b138f2315862c1544def2fa4"),
+    }
+    for seed, (size, want) in pinned.items():
+        with pytest.raises(SearchFailure) as exc:
+            find_matching(c, all_faces(c), forced_critical=[(0,)], seed=seed)
+        assert exc.value.attempts == 1
+        assert str(exc.value) == (
+            "no perfect matching on 3271 cells within 1 attempts (an odd number of cells)"
+        )
+        assert len(exc.value.surplus) == size
+        assert digest(exc.value.surplus) == want
 
 
 def _count_digraph_builds(monkeypatch):

@@ -11,7 +11,7 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ripstone import simplicial
+from ripstone import pipelines, simplicial
 from ripstone.errors import ParameterError, StructuralError
 from ripstone.polytopes import (
     SOLIDS,
@@ -26,7 +26,6 @@ from ripstone.formats import serialize_complex
 from ripstone.homology import homology
 from ripstone.simplicial import (
     Complex,
-    _boundary_complex,
     _complement_components,
     antipodal_free_complex,
     delete_open_cells,
@@ -109,13 +108,15 @@ def test_cone_vertex_at_diameter():
 
 
 def test_boundary_complex_matches_scale1(refuse_joins):
+    # VR_1 is the clique complex of the edge graph, so it is the boundary
+    # complex exactly when it has no face above the facets' dimension, which
+    # is what verify main-theorem checks, off the f-vector alone
     for name in ("cube", "octahedron", "dodecahedron", "icosahedron"):
         c = vr_complex(_metric(name), 1)
-        assert c == _boundary_complex(build_solid(name))
-        assert _boundary_complex(build_solid(name)) == c
-        if name == "octahedron":  # a join of three zero-spheres, compared through its factors
+        assert c.f_vector() == F_VECTORS_R1[name]
+        assert len(c.f_vector()) - 1 == (2 if solid_info(name).m == 3 else 1)
+        if name == "octahedron":  # a join of three zero-spheres, read off its factors
             assert "faces" not in vars(c)
-        assert _boundary_complex(build_solid(name)).f_vector() == F_VECTORS_R1[name]
     # a face less, or one edge swapped for a non-edge, is a different complex
     c = vr_complex(_metric("cube"), 1)
     edges = c.simplices(1)
@@ -126,6 +127,9 @@ def test_boundary_complex_matches_scale1(refuse_joins):
 
 @pytest.mark.parametrize("name", SOLIDS)
 def test_boundary_complex_levels_match_the_closure(name):
+    # the boundary complex, listed from the edge graph by brute force, equals
+    # VR_1 exactly when VR_1's dimension is the facets': on every solid but
+    # the tetrahedron, whose VR_1 is the solid 3-simplex
     g = build_solid(name)
     n = g.vertex_count
     edges = [(a, b) for a, b in combinations(range(n), 2) if g.adjacent(a, b)]
@@ -138,18 +142,29 @@ def test_boundary_complex_levels_match_the_closure(name):
     levels = [[1 << v for v in range(n)], [mask_of(e) for e in edges]]
     if triangles:
         levels.append([mask_of(t) for t in triangles])
-    c = _boundary_complex(g)
-    assert c.faces == from_faces(edges + triangles, n).faces
-    assert c.faces == Complex(n, levels).faces  # sorted and checked for closure
+    boundary = Complex(n, levels)  # sorted and checked for closure
+    assert boundary.faces == from_faces(edges + triangles, n).faces
+    c = vr_complex(combinatorial_metric(g), 1)
+    flat = len(c.f_vector()) - 1 == (2 if solid_info(name).m == 3 else 1)
+    assert (c == boundary) == (boundary == c) == flat == (name != "tetrahedron")
 
 
 def test_antipodal_free_rows():
-    for name, r in (("octahedron", 1), ("icosahedron", 2), ("dodecahedron", 4)):
+    # VR_r equals the antipodal-pair-free complex exactly when its join
+    # factors are the antipodal pairs, which is what verify main-theorem checks
+    for name, r in pipelines._ANTIPODAL_ROWS:
         metric = _metric(name)
         free = antipodal_free_complex(metric, metric.diameter())
-        assert vr_complex(metric, r) == free
-        pairs = metric.size // 2
-        assert free.face_total() == 3**pairs - 1
+        c = vr_complex(metric, r)
+        assert c == free
+        pairs = [keep for keep, _x in c.join_factors]
+        far = [(i, j) for i, j in combinations(range(metric.size), 2) if metric.d(i, j) > r]
+        assert pairs == far
+        assert len(pairs) == metric.size // 2
+        assert free.face_total() == 3 ** len(pairs) - 1
+    assert [keep for keep, _x in vr_complex(_metric("cube"), 2).join_factors] == [
+        (0, 7), (1, 6), (2, 5), (3, 4)
+    ]
 
 
 def test_antipodal_free_guards():
@@ -485,7 +500,6 @@ def test_every_constructor_keeps_the_complex_invariant():
         delete_open_cells(listed, [(0, 1, 2, 3)]),
         *(x for _keep, x in vr_complex(_metric("octahedron"), 1).join_factors),
         *(x for _keep, x in vr_complex(_metric("cube"), 2).join_factors),
-        *(_boundary_complex(build_solid(name)) for name in SOLIDS),
         *(full_simplex_complex(n) for n in range(1, 9)),
     ]
     for name in ("octahedron", "icosahedron", "dodecahedron"):
@@ -898,8 +912,9 @@ def test_complement_components_match_networkx(n, p, universal, seed):
     st.integers(min_value=0, max_value=40),
 )
 def test_equality_matches_maximal_faces_for_joins_and_non_joins(n, p, universal, seed, toggle):
-    # two non-joins compare their levels, and a join its maximal faces listed
-    # from its factors; either way == must say what the maximal faces say
+    # two clique complexes compare their graphs, and any other pair its
+    # maximal faces, a join's listed from its factors; either way == must
+    # say what the maximal faces say
     g = nx.gnp_random_graph(n, p, seed=seed)
     g.add_edges_from((u, v) for u in range(min(universal, n)) for v in range(n) if u != v)
     edges = {(min(e), max(e)) for e in g.edges}
