@@ -88,13 +88,6 @@ class PolytopeGraph:
     def degree(self, i: int) -> int:
         return self.adjacency[i].bit_count()
 
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.vertex_count):
-            mask = self.adjacency[i] >> (i + 1) << (i + 1)
-            out.extend((i, j) for j in vertices_of(mask))
-        return out
-
     def edge_count(self) -> int:
         return sum(self.degree(i) for i in range(self.vertex_count)) // 2
 

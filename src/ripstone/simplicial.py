@@ -87,17 +87,17 @@ class Complex:
     order of their vertex tuples, and the complex is closed downward.  Both
     are invariants.  The lex order is read only by the Morse search and by
     outputs; homology orders rows by mask and reads no storage order.
-    Complex(vertex_count, faces) raises ParameterError for a vertex_count
-    that is not a non-negative int, sorts each level and raises
-    StructuralError for an empty complex or top level, a face in the wrong
-    level, a repeated face, a vertex id past vertex_count or a missing facet.  The package's
-    constructors build that order and closure themselves: the clique walk
-    and the from_faces walk emit the faces in order, and delete_open_cells
-    keeps it; the latter two go through Complex._built, which checks
-    nothing.  faces and its levels are tuples, which cannot be edited in
-    place, so face_set, the one set of all face masks that every membership
-    test reads, and the _cache of matching reports, with their critical
-    cells, and of maximal faces cannot go stale.
+    A complex is its faces: its vertices are its 0-faces, and no vertex
+    range is declared.  Complex(faces) sorts each level and raises
+    StructuralError for a negative mask, an empty complex or top level, a
+    face in the wrong level, a repeated face or a missing facet.  The
+    package's constructors build that order and closure themselves: the
+    clique walk and the from_faces walk emit the faces in order, and
+    delete_open_cells keeps it; the latter two go through Complex._built,
+    which checks nothing.  faces and its levels are tuples, which cannot be
+    edited in place, so face_set, the one set of all face masks that every
+    membership test reads, and the _cache of matching reports, with their
+    critical cells, and of maximal faces cannot go stale.
 
     == has two rules.  Two clique complexes compare their graphs (graph,
     when present, is the adjacency mask table of the graph whose clique
@@ -120,17 +120,12 @@ class Complex:
     join_factors = ()  # set by a join: _CliqueComplex.join_factors, _ListedComplex
     numbered: Complex | None = None  # set by _numbered
 
-    def __init__(self, vertex_count: int, faces):
-        if not isinstance(vertex_count, int) or vertex_count < 0:
-            raise ParameterError(f"vertex_count must be a non-negative int, got {vertex_count!r}")
+    def __init__(self, faces):
         levels = [tuple(level) for level in faces]
-        top = 1 << vertex_count
         for level in levels:  # before the sort: vertices_of never ends on a negative mask
             for mask in level:
-                if not 0 <= mask < top:
-                    raise StructuralError(
-                        f"face mask {mask} is not a set of vertex ids below {vertex_count}"
-                    )
+                if mask < 0:
+                    raise StructuralError(f"face mask {mask} is not a set of vertex ids")
         levels = tuple(tuple(sorted(level, key=vertices_of)) for level in levels)
         if not any(levels):
             raise StructuralError("refusing to build an empty complex")
@@ -143,7 +138,7 @@ class Complex:
             for a, b in zip(level, level[1:]):
                 if a == b:
                     raise StructuralError(f"face {vertices_of(a)} is listed twice")
-        self._init(vertex_count, levels)
+        self._init(levels)
         faces = self.face_set
         for level in levels[1:]:
             for mask in level:
@@ -155,22 +150,19 @@ class Complex:
                         )
 
     @classmethod
-    def _built(cls, vertex_count: int, faces: tuple[tuple[int, ...], ...]) -> Complex:
+    def _built(cls, faces: tuple[tuple[int, ...], ...]) -> Complex:
         """A complex whose levels are already lex-ordered tuples closed downward, unchecked."""
         c = cls.__new__(cls)
-        c._init(vertex_count, faces)
+        c._init(faces)
         return c
 
-    def _init(self, vertex_count: int, faces: tuple[tuple[int, ...], ...]) -> None:
-        self.vertex_count = vertex_count
+    def _init(self, faces: tuple[tuple[int, ...], ...]) -> None:
         self.faces = faces
         self._cache: dict = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Complex):
             return NotImplemented
-        if self.vertex_count != other.vertex_count:
-            return False
         if self.graph is not None and other.graph is not None:
             return self.graph == other.graph  # a clique complex is fixed by its edges
         # any complex is fixed by its maximal faces, and a join or a listed
@@ -264,7 +256,6 @@ class _CliqueComplex(Complex):
     def __init__(self, graph: tuple[int, ...]):
         if not graph:
             raise StructuralError("refusing to build an empty complex")
-        self.vertex_count = len(graph)
         self.graph = graph
         self._cache = {}
 
@@ -347,18 +338,19 @@ def vr_complex(metric: DistanceMatrix, r: int) -> Complex:
     )
 
 
-def from_faces(faces, vertex_count: int | None = None) -> Complex:
+def from_faces(faces) -> Complex:
     """The downward closure of the given simplices, at most FACE_BUDGET faces.
 
+    Its vertices are those the simplices name, and it declares no others.
     Each face is validated by simplex() and handed to _closure, which splits
     a join into its factors and closes any other complex at once, in a
     numbering of its own, recording its maximal faces, as given, for
     maximal_simplices on the way.
     """
-    return _closure(map(simplex, faces), vertex_count)
+    return _closure(map(simplex, faces))
 
 
-def _closure(simplices, vertex_count: int | None = None) -> Complex:
+def _closure(simplices) -> Complex:
     """from_faces on simplices already validated as simplex() would.
 
     The distinct listed faces are numbered once, by their first place.  If
@@ -368,25 +360,17 @@ def _closure(simplices, vertex_count: int | None = None) -> Complex:
     listed face of more than 21 vertices is refused first.
     """
     listed: dict[int, Simplex] = {}  # mask -> the listed face
-    top = 0
     for s in simplices:
         if (1 << len(s)) - 1 > FACE_BUDGET:  # its own closure is too big
             raise _budget_error()
-        m = mask_of(s)
-        if m not in listed:
-            listed[m] = s
-            top = max(top, s[-1] + 1)
-    if vertex_count is None:
-        vertex_count = top
-    elif vertex_count < top:
-        raise ParameterError("vertex_count is smaller than the largest vertex id")
+        listed.setdefault(mask_of(s), s)
     if not listed:
         raise StructuralError("refusing to build an empty complex")
     inc, near = _incidence(listed)
     factors = _listed_join(listed, near)
     if factors:
-        return _ListedComplex(vertex_count, list(listed.values()), factors)
-    return _numbered(listed, inc, near, vertex_count)
+        return _ListedComplex(list(listed.values()), factors)
+    return _numbered(listed, inc, near)
 
 
 def _incidence(listed: dict[int, Simplex]) -> tuple[dict[int, int], dict[int, int]]:
@@ -402,7 +386,7 @@ def _incidence(listed: dict[int, Simplex]) -> tuple[dict[int, int], dict[int, in
     return inc, near
 
 
-def _walk(listed: dict[int, Simplex], inc: dict, near: dict, vertex_count: int) -> Complex:
+def _walk(listed: dict[int, Simplex], inc: dict, near: dict) -> Complex:
     """The closure of the distinct listed faces (mask -> tuple), with _incidence's tables.
 
     One depth-first walk per vertex v, in ascending order, emits once each
@@ -450,7 +434,7 @@ def _walk(listed: dict[int, Simplex], inc: dict, near: dict, vertex_count: int) 
 
     for v in sorted(inc):
         walk(1 << v, 0, inc[v], near[v] & -(2 << v))
-    c = Complex._built(vertex_count, tuple(map(tuple, levels)))
+    c = Complex._built(tuple(map(tuple, levels)))
     c._cache["maximal"] = [given[i] for i in sorted(maximal)]
     return c
 
@@ -501,7 +485,7 @@ def _listed_join(listed: dict[int, Simplex], near: dict[int, int]) -> list[tuple
             return []
         key = frozenset(part)
         if key not in made:
-            x = _numbered(part, *_incidence(part), len(keep))
+            x = _numbered(part, *_incidence(part))
             if len(x._cache["maximal"]) < len(part):  # a listed face holds another
                 return []
             made[key] = x
@@ -509,7 +493,7 @@ def _listed_join(listed: dict[int, Simplex], near: dict[int, int]) -> list[tuple
     return out
 
 
-def _numbered(listed: dict[int, Simplex], inc: dict, near: dict, vertex_count: int) -> Complex:
+def _numbered(listed: dict[int, Simplex], inc: dict, near: dict) -> Complex:
     """The listed faces (mask -> tuple), with _incidence's tables, closed in their own numbering.
 
     The present vertices are numbered by how many listed faces hold each,
@@ -526,9 +510,8 @@ def _numbered(listed: dict[int, Simplex], inc: dict, near: dict, vertex_count: i
         {sum(map(bit.get, s)): s for s in listed.values()},
         dict(enumerate(map(inc.get, order))),  # the same number bits
         {i: sum(map(bit.get, vertices_of(near[v]))) for i, v in enumerate(order)},
-        len(order),
     )
-    return _ListedComplex(vertex_count, closed._cache["maximal"], numbered=closed)
+    return _ListedComplex(closed._cache["maximal"], numbered=closed)
 
 
 class _ListedComplex(Complex):
@@ -541,8 +524,7 @@ class _ListedComplex(Complex):
     f_vector, face_total and homology from numbered (see _numbered).
     """
 
-    def __init__(self, vertex_count: int, maximal: list[Simplex], join_factors=(), numbered=None):
-        self.vertex_count = vertex_count
+    def __init__(self, maximal: list[Simplex], join_factors=(), numbered=None):
         self.join_factors = join_factors
         self.numbered = numbered
         self._cache = {"maximal": maximal}
@@ -552,7 +534,7 @@ class _ListedComplex(Complex):
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         listed = {mask_of(s): s for s in self._cache["maximal"]}
-        return _walk(listed, *_incidence(listed), self.vertex_count).faces
+        return _walk(listed, *_incidence(listed)).faces
 
 
 def full_simplex_complex(n: int) -> Complex:
@@ -620,7 +602,7 @@ def delete_open_cells(c: Complex, cells) -> Complex:
         faces.pop()
     if not faces:
         raise StructuralError("deletion would empty the complex")
-    out = Complex._built(c.vertex_count, tuple(faces))
+    out = Complex._built(tuple(faces))
     out.face_set = present - doomed
     return out
 

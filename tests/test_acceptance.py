@@ -267,7 +267,7 @@ def small_complexes(draw, max_vertices=6):
             max_size=9,
         )
     )
-    return from_faces([tuple(sorted(f)) for f in faces], vertex_count=n)
+    return from_faces([tuple(sorted(f)) for f in faces])
 
 
 @st.composite

@@ -261,6 +261,29 @@ def test_morse_flow_of_a_chain_outside_the_complex_exits_two(tmp_path):
     assert err == "error: chain uses (1, 4), which is not a face of the complex\n"
 
 
+@pytest.mark.parametrize(
+    "complex_text, matching_text, reason",
+    [
+        (
+            "0 1 2 3\n",
+            "0 -> 0 1\n0 -> 0 2\n",
+            "invalid matching: (0,) occurs in more than one pair",
+        ),
+        (SQUARE_COMPLEX, CYCLIC_MATCHING, "matching has a directed cycle; flow may diverge"),
+    ],
+)
+def test_morse_flow_with_a_bad_matching_exits_one(tmp_path, complex_text, matching_text, reason):
+    cpath, mpath, zpath = tmp_path / "c.cx", tmp_path / "m.vm", tmp_path / "z.chain"
+    cpath.write_text(complex_text)
+    mpath.write_text(matching_text)
+    zpath.write_text("1: 0 1\n")
+    code, out, err = run(
+        ["morse", "flow", "--complex", str(cpath), "--matching", str(mpath), "--chain", str(zpath)]
+    )
+    assert (code, out) == (1, "")
+    assert err == f"verification failed: {reason}\n"
+
+
 def test_missing_file_exits_two(tmp_path):
     code, _, err = run(["morse", "check", "--complex", str(tmp_path / "nope.cx"),
                         "--matching", str(tmp_path / "nope.vm")])

@@ -56,7 +56,7 @@ def test_a_parsed_complex_is_serialized_without_a_second_facet_pass(monkeypatch)
     assert passes == []  # the closure records the maximal faces as it walks
     assert text.splitlines()[1:] == ["0 1 2 3", "2 3 4", "4 5", "6"]
     # a complex with no record takes the facet pass, which this guard counts
-    unrecorded = Complex(vertex_count=c.vertex_count, faces=[list(level) for level in c.faces])
+    unrecorded = Complex([list(level) for level in c.faces])
     assert serialize_complex(unrecorded) == text
     assert len(passes) == 1 and passes[0] is unrecorded  # one pass, over that complex
 

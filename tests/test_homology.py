@@ -182,7 +182,7 @@ def test_homology_betti_against_rank_oracle():
         rng.shuffle(pool)
         faces = pool[: rng.randrange(1, min(8, len(pool)) + 1)]
         faces += [(v,) for v in range(n)]
-        c = from_faces(faces, vertex_count=n)
+        c = from_faces(faces)
         counts = list(c.f_vector())
         ranks = [0] * (c.dim + 2)
         for k in range(1, c.dim + 1):
@@ -343,7 +343,7 @@ def test_cycle_classes_on_solids_with_a_perfect_order(name, r):
 @given(st.integers(min_value=4, max_value=8), st.sampled_from([0.3, 0.5, 0.7]), st.integers(0, 999))
 def test_cycle_classes_on_random_flag_complexes(n, p, seed):
     # every dimension where the identity order's Morse differentials vanish
-    c = from_faces(_flag_faces(nx.gnp_random_graph(n, p, seed=seed)), n)
+    c = from_faces(_flag_faces(nx.gnp_random_graph(n, p, seed=seed)))
     rng = random.Random(seed)
     for k in range(c.dim + 1):
         try:
@@ -435,7 +435,7 @@ RP2_JOIN_FALLBACKS = [5, 4, 3]
 def _whole(faces):
     """The closure of the listed faces as a plain Complex: homology reduces it whole."""
     c = from_faces(faces)
-    whole = Complex._built(c.vertex_count, c.faces)  # closed and in order: no facet check
+    whole = Complex._built(c.faces)  # closed and in order: no facet check
     assert not whole.join_factors
     return whole
 
@@ -485,7 +485,7 @@ def _shuffled_levels(c, seed):
 
 def _shuffled(c, seed):
     """A plain Complex given c's faces, each level in a seeded random order."""
-    return Complex(vertex_count=c.vertex_count, faces=_shuffled_levels(c, seed))
+    return Complex(_shuffled_levels(c, seed))
 
 
 def test_homology_checks_the_lex_order_of_each_level():
@@ -515,7 +515,7 @@ def test_homology_does_not_read_the_storage_order_of_a_level():
     for c in (join, dodeca):
         want = homology(c)
         for seed in range(1, 6):
-            unsorted = Complex._built(c.vertex_count, _shuffled_levels(c, seed))
+            unsorted = Complex._built(_shuffled_levels(c, seed))
             assert unsorted.faces != c.faces
             assert homology(unsorted) == want, seed
 
@@ -594,7 +594,7 @@ def test_a_complex_not_closed_downward_names_its_missing_facet():
         r"^face \(0, 2\) has no facet \(2,\) in the complex: the complex is not closed downward$"
     )
     with pytest.raises(StructuralError, match=message):
-        Complex(vertex_count=3, faces=[[0b001, 0b010], [0b101]])
+        Complex([[0b001, 0b010], [0b101]])
 
 
 def _one_differential(nrows, columns):
@@ -735,7 +735,7 @@ def test_clearing_matches_snf_on_trace_morse_complexes(face_diameter, seed, fall
 
 def _graphless(c):
     """The same faces as c, given by listing them: homology reduces every one."""
-    copy = from_faces((s for k in range(c.dim + 1) for s in c.simplices(k)), c.vertex_count)
+    copy = from_faces((s for k in range(c.dim + 1) for s in c.simplices(k)))
     assert copy.graph is None and not copy.join_factors  # every face listed: no split
     return copy
 

@@ -524,7 +524,7 @@ def test_shuffled_levels_are_stored_sorted_and_find_the_same_matching(monkeypatc
     assert _digest(m) == PINNED_TRACE_MATCHINGS[1]
 
     rng = random.Random(1)
-    shuffled = Complex(c3.vertex_count, [rng.sample(level, len(level)) for level in c3.faces])
+    shuffled = Complex([rng.sample(level, len(level)) for level in c3.faces])
     assert shuffled.faces == c3.faces  # Complex stores each level in lex order
     again = morse._find_matching(shuffled, candidate, forced, 1, 1000)
     assert not keyed  # the search reads its order off the storage, never a sort key
@@ -630,7 +630,7 @@ def test_candidates_outside_the_complex_are_refused():
     from ripstone.simplicial import Complex
 
     tet = full_simplex_complex(4)
-    edges = Complex._built(tet.vertex_count, tet.faces[:2])
+    edges = Complex._built(tet.faces[:2])
     cells = [mask for level in tet.faces for mask in level]
     message = r"^candidate \(0, 1, 2\) is not a face of the complex$"
     with pytest.raises(ParameterError, match=message):
@@ -927,7 +927,7 @@ def matchings_with_faults(draw):
             max_size=5,
         )
     )
-    c = from_faces([tuple(sorted(t)) for t in tops], n)
+    c = from_faces([tuple(sorted(t)) for t in tops])
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
     faces = [mask for level in c.faces for mask in level]
     used, pairs = set(), []
@@ -968,7 +968,7 @@ def test_certification_agrees_with_the_pair_by_pair_check(drawn):
     )
     assert (report.certificate is None) == (not report.valid or report.acyclic)
     # a second complex gets its own verdict from the pairs' cached one
-    bigger = from_faces([tuple(range(c.vertex_count + 3))])
+    bigger = from_faces([tuple(range(c.faces[0][-1].bit_length() + 3))])
     again, expected = check_matching(bigger, m), _pair_by_pair(bigger, m)
     assert (again.valid, again.acyclic, again.critical, again.violations) == (
         expected.valid, expected.acyclic, expected.critical, expected.violations,

@@ -142,11 +142,16 @@ def test_adjacency_is_minimal_chord(name):
     assert radii == {1.0}
 
 
+def _edges(g):
+    """The graph's edges as pairs (i, j) with i < j."""
+    return [(i, j) for i, j in combinations(range(g.vertex_count), 2) if g.adjacent(i, j)]
+
+
 @pytest.mark.parametrize("name", SOLIDS)
 def test_hop_metric_matches_networkx(name):
     g = build_solid(name)
     metric = combinatorial_metric(g)
-    ref = nx.Graph(g.edges())
+    ref = nx.Graph(_edges(g))
     lengths = dict(nx.all_pairs_shortest_path_length(ref))
     for i in range(g.vertex_count):
         for j in range(g.vertex_count):

@@ -121,8 +121,8 @@ def test_boundary_complex_matches_scale1(refuse_joins):
     c = vr_complex(_metric("cube"), 1)
     edges = c.simplices(1)
     far = next((0, v) for v in range(8) if _metric("cube").d(0, v) == 3)
-    assert c != from_faces(edges[1:], 8)
-    assert c != from_faces(edges[1:] + [far], 8) != c
+    assert c != from_faces(edges[1:])
+    assert c != from_faces(edges[1:] + [far]) != c
 
 
 @pytest.mark.parametrize("name", SOLIDS)
@@ -142,8 +142,8 @@ def test_boundary_complex_levels_match_the_closure(name):
     levels = [[1 << v for v in range(n)], [mask_of(e) for e in edges]]
     if triangles:
         levels.append([mask_of(t) for t in triangles])
-    boundary = Complex(n, levels)  # sorted and checked for closure
-    assert boundary.faces == from_faces(edges + triangles, n).faces
+    boundary = Complex(levels)  # sorted and checked for closure
+    assert boundary.faces == from_faces(edges + triangles).faces
     c = vr_complex(combinatorial_metric(g), 1)
     flat = len(c.f_vector()) - 1 == (2 if solid_info(name).m == 3 else 1)
     assert (c == boundary) == (boundary == c) == flat == (name != "tetrahedron")
@@ -244,11 +244,6 @@ def test_constructors_refuse_bad_input():
         vr_complex(_metric("cube"), -1)
     with pytest.raises(StructuralError, match="refusing to build an empty complex"):
         from_faces([])
-    with pytest.raises(ParameterError, match="vertex_count is smaller than the largest vertex id"):
-        from_faces([(0, 3)], vertex_count=3)
-    for count in (-1, 2.5, "2"):  # not a bare shift-count error or TypeError
-        with pytest.raises(ParameterError, match="^vertex_count must be a non-negative int, got"):
-            Complex(count, [[1]])
 
 
 def test_delete_open_cells():
@@ -263,7 +258,7 @@ def test_delete_open_cells():
 
 def test_deleting_a_face_at_a_far_vertex_id_is_fast():
     # maximality is probed with the complex's own vertices, not every id
-    # below vertex_count
+    # below the largest
     c = from_faces(list(combinations(range(12), 2)) + [(10**6,)])
     start = time.perf_counter()
     pruned = delete_open_cells(c, [(10**6,)])
@@ -322,7 +317,7 @@ def test_from_faces_is_downward_closed(faces):
                     assert mask_of(facet) in c.face_set
     # every listed face is present, and rebuilding from maximal faces is stable
     assert all(mask_of(f) in c.face_set for f in faces)
-    rebuilt = from_faces(maximal_simplices(c), vertex_count=c.vertex_count)
+    rebuilt = from_faces(maximal_simplices(c))
     assert rebuilt == c
 
 
@@ -335,7 +330,7 @@ def test_membership_questions_match_a_tuple_set_oracle(faces):
 
     closure = {sub for f in faces for k in range(len(f)) for sub in combinations(f, k + 1)}
     c = from_faces(faces)
-    ids = range(c.vertex_count + 1)
+    ids = range(c.faces[0][-1].bit_length() + 1)
     for s in (s for k in range(1, len(ids) + 1) for s in combinations(ids, k)):
         assert (mask_of(s) in c.face_set) == (s in closure)
         if s not in closure:
@@ -412,17 +407,17 @@ def test_recorded_maximal_faces_match_the_facet_pass(faces):
     faces = faces + faces[:3] + [f[:-1] for f in faces if len(f) > 1] + [f[:1] for f in faces]
     c = from_faces(faces)
     assert "maximal" in c._cache
-    unrecorded = Complex(vertex_count=c.vertex_count, faces=[list(level) for level in c.faces])
+    unrecorded = Complex([list(level) for level in c.faces])
     facet_pass = simplicial._maximal_masks(unrecorded)
     assert sorted(c._cache["maximal"]) == sorted(map(vertices_of, facet_pass))
     assert maximal_simplices(c) == maximal_simplices(unrecorded)
-    reversed_levels = Complex(vertex_count=c.vertex_count, faces=[level[::-1] for level in c.faces])
+    reversed_levels = Complex([level[::-1] for level in c.faces])
     assert reversed_levels.faces == c.faces
 
 
 def _skeleton(c, k):
     """The faces of c of dimension at most k, as a complex of its own."""
-    return Complex._built(c.vertex_count, c.faces[: k + 1])
+    return Complex._built(c.faces[: k + 1])
 
 
 def test_derived_complexes_report_their_own_maximal_faces():
@@ -433,8 +428,8 @@ def test_derived_complexes_report_their_own_maximal_faces():
     assert maximal_simplices(_skeleton(c, 0)) == [(v,) for v in range(5)]
     pruned = delete_open_cells(c, [(0, 1, 2), (4,)])
     assert maximal_simplices(pruned) == edges
-    assert pruned == from_faces(edges, 5) != c
-    assert delete_open_cells(pruned, [(2, 3)]) == from_faces(edges[:3] + [(3,)], 5)
+    assert pruned == from_faces(edges) != c
+    assert delete_open_cells(pruned, [(2, 3)]) == from_faces(edges[:3] + [(3,)])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -512,36 +507,34 @@ def test_every_constructor_keeps_the_complex_invariant():
 def test_a_complex_given_its_faces_refuses_each_broken_invariant():
     # the edge (0, 2) without its vertex (0,)
     with pytest.raises(StructuralError, match=r"^face \(0, 2\) has no facet \(0,\) in the complex"):
-        Complex(vertex_count=3, faces=[[0b010, 0b100], [0b101]])
+        Complex([[0b010, 0b100], [0b101]])
     with pytest.raises(StructuralError, match=r"^face \(0, 1\) is listed twice$"):
-        Complex(vertex_count=2, faces=[[0b01, 0b10], [0b11, 0b11]])
+        Complex([[0b01, 0b10], [0b11, 0b11]])
     with pytest.raises(StructuralError, match=r"^face \(0, 1\) is listed among the 0-faces$"):
-        Complex(vertex_count=2, faces=[[0b01, 0b11, 0b10]])
-    with pytest.raises(StructuralError, match=r"^face mask 4 is not a set of vertex ids below 2$"):
-        Complex(vertex_count=2, faces=[[0b01, 0b10, 0b100]])
+        Complex([[0b01, 0b11, 0b10]])
     with pytest.raises(StructuralError, match=r"^face mask -1 is not a set"):
-        Complex(vertex_count=2, faces=[[0b01, -1]])
+        Complex([[0b01, -1]])
     with pytest.raises(StructuralError, match=r"^face \(\) is listed among the 0-faces$"):
-        Complex(vertex_count=2, faces=[[0b01, 0]])
+        Complex([[0b01, 0]])
 
 
 def test_a_complex_given_no_faces_is_refused():
     # as every other constructor refuses it; it used to report dim -1
     for faces in ([], [[]], [[], []]):
         with pytest.raises(StructuralError, match=r"^refusing to build an empty complex$"):
-            Complex(vertex_count=2, faces=faces)
+            Complex(faces)
 
 
 def test_a_complex_given_an_empty_top_level_is_refused():
     # it used to report dim 1 with no edge
     with pytest.raises(StructuralError, match=r"^the top level lists no 1-faces$"):
-        Complex(vertex_count=2, faces=[[0b01, 0b10], []])
+        Complex([[0b01, 0b10], []])
     with pytest.raises(StructuralError, match=r"^the top level lists no 2-faces$"):
-        Complex(vertex_count=2, faces=[[0b01, 0b10], [0b11], []])
+        Complex([[0b01, 0b10], [0b11], []])
 
 
 def test_a_complex_given_shuffled_levels_stores_them_sorted_and_immutable():
-    c = Complex(vertex_count=4, faces=[[0b1000, 0b0010, 0b0100, 0b0001], [0b1100, 0b0011, 0b0110]])
+    c = Complex([[0b1000, 0b0010, 0b0100, 0b0001], [0b1100, 0b0011, 0b0110]])
     assert c.simplices(0) == [(0,), (1,), (2,), (3,)]
     assert c.simplices(1) == [(0, 1), (1, 2), (2, 3)]
     assert c == from_faces([(0, 1), (1, 2), (2, 3)])
@@ -820,7 +813,7 @@ def test_a_far_vertex_id_does_not_widen_every_face():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert c.vertex_count == 10**6 + 1 and maximal[-1] == (10**6,)
+    assert maximal[-1] == (10**6,)
     assert peak < 8 * 2**20
 
 
@@ -850,7 +843,7 @@ def test_maximal_cliques_match_the_face_walk(n, p, seed):
     from_graph = maximal_simplices(c)
     if _is_join(c):  # listed from the factors' maximal faces
         assert "faces" not in vars(c)
-    graphless = Complex(vertex_count=n, faces=c.faces)
+    graphless = Complex(c.faces)
     assert from_graph == maximal_simplices(graphless)
     assert from_graph == sorted(tuple(sorted(q)) for q in nx.find_cliques(g))
 
@@ -871,7 +864,7 @@ def test_clique_complex_equality_from_graphs_matches_faces(n, p, seed, toggle):
     a = vr_complex(_graph_metric(n, edges), 1)
     b = vr_complex(_graph_metric(n, other), 1)
     assert (a == b) == (a.faces == b.faces)
-    assert (a == b) == (Complex(vertex_count=n, faces=a.faces) == b)
+    assert (a == b) == (Complex(a.faces) == b)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -928,15 +921,15 @@ def test_equality_matches_maximal_faces_for_joins_and_non_joins(n, p, universal,
 
     def complexes(edges):  # the clique complex, then the same faces with no graph
         c = vr_complex(_graph_metric(n, edges), 1)
-        return c, Complex(vertex_count=n, faces=vr_complex(_graph_metric(n, edges), 1).faces)
+        return c, Complex(vr_complex(_graph_metric(n, edges), 1).faces)
 
     for x in complexes(graphs[0]):
         for y in [z for other in graphs for z in complexes(other)]:
             assert (x == y) == (maximal_simplices(x) == maximal_simplices(y))
             if x.join_factors or y.join_factors:  # a join's own faces stay unbuilt
                 assert all("faces" not in vars(z) for z in (x, y) if z.join_factors)
-    wider = from_faces(maximal_simplices(complexes(graphs[0])[1]), n + 1)
-    assert complexes(graphs[0])[1] != wider  # the same faces on more vertex ids
+    listed = from_faces(maximal_simplices(complexes(graphs[0])[1]))
+    assert complexes(graphs[0])[1] == listed  # a complex is its faces
 
 
 def _maximal_only(faces):
@@ -978,7 +971,7 @@ def _assert_listed_complex_matches_whole_closure(faces):
     levels = [[] for _ in range(max(map(len, closure)))]
     for t in closure:
         levels[len(t) - 1].append(mask_of(t))
-    whole = Complex(vertex_count=c.vertex_count, faces=levels)
+    whole = Complex(levels)
     got = (c.f_vector(), c.face_total(), homology(c), maximal_simplices(c), serialize_complex(c))
     # a join answers all of these from its factors and listed faces, any
     # other listed complex from its numbered closure and maximal record
@@ -1005,7 +998,7 @@ def test_listed_complexes_compare_as_their_closures_without_building_faces(a, b)
         x, y = from_faces(a), from_faces(listed)
         equal = x == y
         assert "faces" not in vars(x) and "faces" not in vars(y)
-        assert equal == (x.vertex_count == y.vertex_count and x.faces == y.faces)
+        assert equal == (x.faces == y.faces)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import io
 import os
 import re
@@ -62,6 +63,33 @@ def test_public_surface_is_pinned():
     ]
 
 
+def test_public_options_are_pinned():
+    # an optional parameter added to or dropped from a public callable must
+    # change this table too; a complex is given by its faces and nothing else
+    options = {}
+    for name in ripstone.__all__:
+        obj = getattr(ripstone, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except ValueError:  # an exception class with the builtin constructor
+            continue
+        defaults = [p.name for p in params if p.default is not p.empty]
+        if defaults:
+            options[name] = defaults
+    assert options == {
+        "FormatError": ["line", "token"],
+        "MatchingReport": ["levels"],
+        "PolytopeGraph": ["coords"],
+        "SearchFailure": ["surplus", "attempts"],
+        "find_matching": ["forced_critical", "seed", "max_attempts"],
+        "row": ["passed"],
+        "trace_dodecahedron": ["seed", "max_attempts"],
+    }
+    assert list(inspect.signature(ripstone.Complex).parameters) == ["faces"]
+
+
 def test_public_names_are_the_imported_objects_not_submodules():
     # __all__ is derived from the package globals; homology is both a
     # submodule and a function, and the package exports the function
@@ -83,7 +111,7 @@ def test_complexes_keep_what_the_tracer_reads():
     from ripstone.simplicial import Complex, from_faces, full_simplex_complex
 
     kinds = [
-        (Complex(vertex_count=2, faces=[[0b01, 0b10], [0b11]]), None, 3),
+        (Complex([[0b01, 0b10], [0b11]]), None, 3),
         (full_simplex_complex(3), 0, 7),
         (from_faces([(0, 1), (1, 2)]), None, 5),
     ]
