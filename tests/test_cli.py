@@ -52,6 +52,11 @@ USAGE_ARGVS = (
     ["cube", "series", "--max-n", "x"],
     ["dodeca", "trace", "--seed", "x"],
     ["vr", "homology", "cube"],
+    ["verify", "main-theorem", "--bogus"],
+    ["dodeca", "trace", "--seed", "3", "extra"],
+    ["cube", "verify", "--n", "4", "--nope"],
+    ["dodeca", "bogus"],
+    ["morse", "find", "-h"],
 )
 
 
