@@ -3,11 +3,11 @@
 Commands mirror the library layers: `solids` and `vr` expose construction,
 `morse` drives the matching engine over text files, and `verify`, `dodeca`,
 `cube`, and `symmetry` run the canned verification pipelines.  A call builds
-the action parsers of one group only: the group named by its first argument
-that does not start with "-", which is the token argparse reads as the
-command.  Exit code 0 means every check passed, 1 means a verification or
-search failure, and 2 means bad input: a usage, format, or file problem, or
-a cell that is not a face of the given complex.
+only the parsers on its own command path, from the _COMMANDS table: the top
+level, the group its first argument names and the action its second names
+(see _build_parser).  Exit code 0 means every check passed, 1 means a
+verification or search failure, and 2 means bad input: a usage, format, or
+file problem, or a cell that is not a face of the given complex.
 """
 
 from __future__ import annotations
@@ -46,107 +46,6 @@ from .polytopes import (
 )
 from .reports import Report, row
 from .simplicial import maximal_simplices, vertices_of, vr_complex
-
-
-def _seed_options() -> argparse.ArgumentParser:
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument(
-        "--seed",
-        type=int,
-        default=1,
-        help="search seed (default: 1)",
-    )
-    seeded.add_argument(
-        "--max-attempts", type=int, default=1000, help="seeded restarts before giving up"
-    )
-    return seeded
-
-
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for argv: every command group, but the actions of one only.
-
-    The group named by argv's first token that does not start with "-" gets
-    its action parsers.  The top-level parser has no option that takes a
-    value, so argparse reads that same token as the command and never parses
-    another group; help and usage errors print as with the full tree.
-    """
-    command = next((a for a in argv if not a.startswith("-")), None)
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument(
-        "--format", choices=("table", "json"), default="table", help="output format"
-    )
-
-    p = argparse.ArgumentParser(
-        prog="ripstone",
-        description="Vietoris-Rips complexes of platonic solids: build, verify, trace.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def actions(name: str, blurb: str):
-        group = sub.add_parser(name, help=blurb)
-        return group.add_subparsers(dest="action", required=True) if name == command else None
-
-    if (ssub := actions("solids", "solid constructions and distances")) is not None:
-        ssub.add_parser("list", parents=[fmt], help="list the five solids").set_defaults(
-            func=_cmd_solids_list
-        )
-        dist = ssub.add_parser("distances", parents=[fmt], help="distance table per hop")
-        dist.add_argument("name", choices=SOLIDS)
-        dist.set_defaults(func=_cmd_solids_distances)
-
-    if (vsub := actions("vr", "Vietoris-Rips complexes at integer scales")) is not None:
-        for action, blurb, func in (
-            ("build", "emit the complex", _cmd_vr_build),
-            ("homology", "betti/torsion", _cmd_vr_homology),
-        ):
-            q = vsub.add_parser(action, parents=[fmt], help=blurb)
-            q.add_argument("name", choices=SOLIDS)
-            q.add_argument("--r", type=int, required=True, help="integer scale")
-            q.set_defaults(func=func)
-
-    if (wsub := actions("verify", "canned verification pipelines")) is not None:
-        wsub.add_parser(
-            "main-theorem", parents=[fmt], help="betti tables for all solids and scales"
-        ).set_defaults(func=lambda args: _emit_report(verify_main_theorem(), args.format))
-
-    if (dsub := actions("dodeca", "the ten tetrahedra and the scale-3 trace")) is not None:
-        dsub.add_parser("tetrahedra", parents=[fmt], help="list the ten tetrahedra").set_defaults(
-            func=_cmd_dodeca_tetrahedra
-        )
-        dsub.add_parser(
-            "trace", parents=[fmt, _seed_options()], help="full scale-3 trace"
-        ).set_defaults(func=_cmd_dodeca_trace)
-
-    if (msub := actions("morse", "matching engine over text files")) is not None:
-        chk = msub.add_parser("check", parents=[fmt], help="validate and certify a matching")
-        chk.add_argument("--complex", required=True, dest="complex_path")
-        chk.add_argument("--matching", required=True, dest="matching_path")
-        chk.set_defaults(func=_cmd_morse_check)
-        fnd = msub.add_parser("find", parents=[fmt, _seed_options()], help="search for a matching")
-        fnd.add_argument("--complex", required=True, dest="complex_path")
-        fnd.add_argument("--candidate", dest="candidate_path", help="cells allowed in pairs")
-        fnd.add_argument("--critical", dest="critical_path", help="cells forced critical")
-        fnd.set_defaults(func=_cmd_morse_find)
-        flw = msub.add_parser("flow", parents=[fmt], help="flow a chain to the critical complex")
-        flw.add_argument("--complex", required=True, dest="complex_path")
-        flw.add_argument("--matching", required=True, dest="matching_path")
-        flw.add_argument("--chain", required=True, dest="chain_path")
-        flw.set_defaults(func=_cmd_morse_flow)
-
-    if (csub := actions("cube", "cube-graph series and cross-checks")) is not None:
-        ser = csub.add_parser("series", parents=[fmt], help="main series identity table")
-        ser.add_argument("--max-n", type=int, default=10)
-        ser.set_defaults(func=lambda args: _emit_report(verify_cube_series(args.max_n), args.format))
-        cvf = csub.add_parser("verify", parents=[fmt], help="direct homology cross-check")
-        cvf.add_argument("--n", type=int, required=True)
-        cvf.set_defaults(func=lambda args: _emit_report(verify_cube_vr2(args.n), args.format))
-
-    if (ysub := actions("symmetry", "automorphisms and the character check")) is not None:
-        ysub.add_parser("report", parents=[fmt], help="groups, orbits, fixed points").set_defaults(
-            func=lambda args: _emit_report(symmetry_report(), args.format)
-        )
-
-    return p
 
 
 def _emit_report(rep: Report, fmt: str) -> int:
@@ -291,10 +190,114 @@ def _cmd_morse_flow(args) -> int:
     return _emit_payload(payload, table, args.format)
 
 
+def _opt(*flags, **kwargs):
+    """One add_argument call, kept as data."""
+    return flags, kwargs
+
+
+_SOLID = _opt("name", choices=SOLIDS)
+_SCALE = _opt("--r", type=int, required=True, help="integer scale")
+_SEEDED = (
+    _opt("--seed", type=int, default=1, help="search seed (default: 1)"),
+    _opt("--max-attempts", type=int, default=1000, help="seeded restarts before giving up"),
+)
+_COMPLEX = _opt("--complex", required=True, dest="complex_path")
+_MATCHING = _opt("--matching", required=True, dest="matching_path")
+
+# group -> (help, {action -> (help, handler, options after --format)})
+_COMMANDS = {
+    "solids": ("solid constructions and distances", {
+        "list": ("list the five solids", _cmd_solids_list, ()),
+        "distances": ("distance table per hop", _cmd_solids_distances, (_SOLID,)),
+    }),
+    "vr": ("Vietoris-Rips complexes at integer scales", {
+        "build": ("emit the complex", _cmd_vr_build, (_SOLID, _SCALE)),
+        "homology": ("betti/torsion", _cmd_vr_homology, (_SOLID, _SCALE)),
+    }),
+    "verify": ("canned verification pipelines", {
+        "main-theorem": (
+            "betti tables for all solids and scales",
+            lambda args: _emit_report(verify_main_theorem(), args.format),
+            (),
+        ),
+    }),
+    "dodeca": ("the ten tetrahedra and the scale-3 trace", {
+        "tetrahedra": ("list the ten tetrahedra", _cmd_dodeca_tetrahedra, ()),
+        "trace": ("full scale-3 trace", _cmd_dodeca_trace, _SEEDED),
+    }),
+    "morse": ("matching engine over text files", {
+        "check": ("validate and certify a matching", _cmd_morse_check, (_COMPLEX, _MATCHING)),
+        "find": ("search for a matching", _cmd_morse_find, (
+            *_SEEDED,
+            _COMPLEX,
+            _opt("--candidate", dest="candidate_path", help="cells allowed in pairs"),
+            _opt("--critical", dest="critical_path", help="cells forced critical"),
+        )),
+        "flow": ("flow a chain to the critical complex", _cmd_morse_flow, (
+            _COMPLEX, _MATCHING, _opt("--chain", required=True, dest="chain_path"),
+        )),
+    }),
+    "cube": ("cube-graph series and cross-checks", {
+        "series": (
+            "main series identity table",
+            lambda args: _emit_report(verify_cube_series(args.max_n), args.format),
+            (_opt("--max-n", type=int, default=10),),
+        ),
+        "verify": (
+            "direct homology cross-check",
+            lambda args: _emit_report(verify_cube_vr2(args.n), args.format),
+            (_opt("--n", type=int, required=True),),
+        ),
+    }),
+    "symmetry": ("automorphisms and the character check", {
+        "report": (
+            "groups, orbits, fixed points",
+            lambda args: _emit_report(symmetry_report(), args.format),
+            (),
+        ),
+    }),
+}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv: only the parsers on its command path.
+
+    When argv[0] names a command group, that group is the only one added,
+    and when argv[1] names one of its actions, that action is the only one
+    it gets.  Help, an unknown command, a leading option or "--" get every
+    group and action.  Past a named group, the top level can raise one error
+    of its own, "unrecognized arguments", and its usage would name that group
+    alone; main has the whole tree raise that error instead.
+    """
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    p = argparse.ArgumentParser(
+        prog="ripstone",
+        description="Vietoris-Rips complexes of platonic solids: build, verify, trace.",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    for group, (blurb, actions) in _COMMANDS.items():
+        if command not in (None, group):
+            continue
+        steps = sub.add_parser(group, help=blurb).add_subparsers(dest="action", required=True)
+        if command and len(argv) > 1 and argv[1] in actions:
+            actions = {argv[1]: actions[argv[1]]}
+        for action, (blurb, func, options) in actions.items():
+            q = steps.add_parser(action, help=blurb)
+            q.add_argument(
+                "--format", choices=("table", "json"), default="table", help="output format"
+            )
+            for flags, kwargs in options:
+                q.add_argument(*flags, **kwargs)
+            q.set_defaults(func=func)
+    return p
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser(argv).parse_args(argv)
+        args, extras = _build_parser(argv).parse_known_args(argv)
+        if extras:  # worded by the whole tree, whose usage names every group
+            args = _build_parser([]).parse_args(argv)
     except SystemExit as e:
         code = e.code if e.code is not None else 0
         return code if isinstance(code, int) else 2

@@ -89,15 +89,16 @@ class Complex:
     outputs; homology orders rows by mask and reads no storage order.
     A complex is its faces: its vertices are its 0-faces, and no vertex
     range is declared.  Complex(faces) sorts each level and raises
-    StructuralError for a negative mask, an empty complex or top level, a
-    face in the wrong level, a repeated face or a missing facet.  The
-    package's constructors build that order and closure themselves: the
-    clique walk and the from_faces walk emit the faces in order, and
-    delete_open_cells keeps it; the latter two go through Complex._built,
-    which checks nothing.  faces and its levels are tuples, which cannot be
-    edited in place, so face_set, the one set of all face masks that every
-    membership test reads, and the _cache of matching reports, with their
-    critical cells, and of maximal faces cannot go stale.
+    StructuralError for a mask that is not a non-negative int (True is not
+    one), an empty complex or top level, a face in the wrong level, a
+    repeated face or a missing facet.  The package's constructors build that
+    order and closure themselves: the clique walk and the from_faces walk
+    emit the faces in order, and delete_open_cells keeps it; the latter two
+    go through Complex._built, which checks nothing.  faces and its levels
+    are tuples, which cannot be edited in place, so face_set, the one set of
+    all face masks that every membership test reads, and the _cache of
+    matching reports, with their critical cells, and of maximal faces cannot
+    go stale.
 
     == has two rules.  Two clique complexes compare their graphs (graph,
     when present, is the adjacency mask table of the graph whose clique
@@ -124,8 +125,8 @@ class Complex:
         levels = [tuple(level) for level in faces]
         for level in levels:  # before the sort: vertices_of never ends on a negative mask
             for mask in level:
-                if mask < 0:
-                    raise StructuralError(f"face mask {mask} is not a set of vertex ids")
+                if type(mask) is not int or mask < 0:
+                    raise StructuralError(f"face mask {mask!r} is not a set of vertex ids")
         levels = tuple(tuple(sorted(level, key=vertices_of)) for level in levels)
         if not any(levels):
             raise StructuralError("refusing to build an empty complex")

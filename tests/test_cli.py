@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, formats, determinism, file plumbing."""
 
+import argparse
 import dataclasses
 import io
 import json
@@ -482,21 +483,41 @@ def test_usage_help_and_parse_errors_match_the_table(monkeypatch):
 
 
 
-def _action_groups(parser):
-    """The command groups of a parser that were given action subparsers."""
-    (commands,) = (a for a in parser._actions if a.dest == "command")
-    return [
-        name
-        for name, group in commands.choices.items()
-        if any(a.dest == "action" for a in group._actions)
-    ]
+def _parsers_built(monkeypatch, *argvs):
+    """How many ArgumentParser objects main builds for argvs, run in turn."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in argvs:
+        run(argv)
+    monkeypatch.undo()
+    return len(built)
 
 
-def test_only_the_named_group_gets_action_parsers():
-    assert _action_groups(_build_parser(["verify", "main-theorem"])) == ["verify"]
-    assert _action_groups(_build_parser(["--bogus", "morse", "find"])) == ["morse"]
-    assert _action_groups(_build_parser(["-h"])) == []
-    assert _action_groups(_build_parser(["frobnicate"])) == []
+# the top level, its 7 command groups and their 13 actions
+FULL_TREE = 1 + len(GROUPS) + 13
+
+
+def test_only_the_named_group_gets_action_parsers(monkeypatch):
+    # a call builds the parsers on its command path: the top level, the
+    # group and the action; each call builds its own, none is kept
+    verify = ["verify", "main-theorem", "--format", "json"]
+    assert _parsers_built(monkeypatch, verify) == 3
+    assert _parsers_built(monkeypatch, ["dodeca", "trace", "--seed", "1"]) == 3
+    assert _parsers_built(monkeypatch, verify, verify) == 6
+    # help, an unknown command, a leading option or "--" get the whole tree
+    for argv in ([], ["-h"], ["frobnicate"], ["--bogus", "morse", "find"], ["--", "solids", "list"]):
+        assert _parsers_built(monkeypatch, argv) == FULL_TREE, argv
+    (commands,) = (a for a in _build_parser([])._actions if a.dest == "command")
+    assert tuple(commands.choices) == GROUPS
+    assert 1 + len(GROUPS) + sum(
+        len(a.choices) for g in commands.choices.values() for a in g._actions if a.dest == "action"
+    ) == FULL_TREE
 
 
 def test_verify_main_theorem_closes_no_listed_faces(monkeypatch):

@@ -514,6 +514,9 @@ def test_a_complex_given_its_faces_refuses_each_broken_invariant():
         Complex([[0b01, 0b11, 0b10]])
     with pytest.raises(StructuralError, match=r"^face mask -1 is not a set"):
         Complex([[0b01, -1]])
+    for mask in (True, 1.5, "a"):  # the 0-face (True,) or a bare TypeError before
+        with pytest.raises(StructuralError, match=rf"^face mask {mask!r} is not a set of vertex ids$"):
+            Complex([[mask]])
     with pytest.raises(StructuralError, match=r"^face \(\) is listed among the 0-faces$"):
         Complex([[0b01, 0]])
 

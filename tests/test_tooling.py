@@ -1,5 +1,6 @@
 """What the benchmark tooling relies on: names that still exist, tables that still agree."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -135,6 +136,17 @@ def test_each_shared_helper_is_defined_once():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in shared
     ]
     assert sorted(defined) == sorted(shared)
+
+
+def test_the_cli_keeps_no_parser_across_calls():
+    # perfbench/run.py empties memo caches between passes so that each pass
+    # does a fresh call's work; a parser kept at module level, or memoized
+    # where a cache_clear would have to find it, would let a pass skip that
+    from ripstone import cli
+
+    assert [n for n, v in vars(cli).items() if isinstance(v, argparse.ArgumentParser)] == []
+    assert not hasattr(cli._build_parser, "cache_clear")
+    assert not hasattr(cli._build_parser, "cache_info")
 
 
 def test_module_entry_point_prints_what_main_prints():
