@@ -92,7 +92,7 @@ def make_chain(dimension: int, terms) -> Chain:
         s = simplex(s)
         if len(s) != dimension + 1:
             raise ParameterError(f"simplex {s} does not have dimension {dimension}")
-        if not isinstance(coeff, int):
+        if type(coeff) is not int:  # True is no coefficient
             raise ParameterError(f"coefficient of {s} must be an integer")
         if coeff:
             clean[s] = coeff

@@ -7,12 +7,14 @@ cheap; masks never leak through the public API except where documented:
 Complex.faces, morse.Matching.pairs, whose (lower, upper) pairs are face
 masks, and morse.MatchingReport.levels, the critical cells' masks per
 dimension.  A Complex keeps each level in the lexicographic order of its
-vertex tuples and is closed downward; a complex given its faces is sorted
-and checked once, at construction, and the constructors here build both
-properties themselves, so no consumer checks them again: the clique walk
-and the from_faces closure both emit each face once, by extending smaller
-faces with larger vertices, already in that order.  The clique walk builds
-one level from the one below; the closure walks depth-first.
+vertex tuples and is closed downward.  Complex(faces) takes levels that
+already are and checks nothing; from_faces (and parse_complex, through
+_closure) is the one constructor that closes and checks the faces it is
+given.  The constructors here build both properties themselves, so no
+consumer checks them: the clique walk and the from_faces closure both emit
+each face once, by extending smaller faces with larger vertices, already in
+that order.  The clique walk builds one level from the one below; the
+closure walks depth-first.
 
 Clique complexes (vr_complex, antipodal_free_complex, full_simplex_complex)
 are built lazily: the constructor keeps the graph, and the faces are
@@ -55,7 +57,7 @@ def simplex(vertices) -> Simplex:
     vs = tuple(vertices)
     if not vs:
         raise ParameterError("a simplex needs at least one vertex")
-    if any(not isinstance(v, int) or v < 0 for v in vs):
+    if any(type(v) is not int or v < 0 for v in vs):  # True is no vertex id
         raise ParameterError(f"vertex ids must be non-negative integers: {vs!r}")
     if any(a >= b for a, b in zip(vs, vs[1:])):
         raise ParameterError(f"vertices must be strictly ascending: {vs!r}")
@@ -88,23 +90,18 @@ class Complex:
     are invariants.  The lex order is read only by the Morse search and by
     outputs; homology orders rows by mask and reads no storage order.
     A complex is its faces: its vertices are its 0-faces, and no vertex
-    range is declared.  Complex(faces) sorts each level and raises
-    StructuralError for a mask that is not a non-negative int (True is not
-    one), an empty complex or top level, a face in the wrong level, a
-    repeated face or a missing facet.  The package's constructors build that
-    order and closure themselves: the clique walk and the from_faces walk
-    emit the faces in order, and delete_open_cells keeps it; the latter two
-    go through Complex._built, which checks nothing.  faces and its levels
-    are tuples, which cannot be edited in place, so face_set, the one set of
-    all face masks that every membership test reads, and the _cache of
-    matching reports, with their critical cells, and of maximal faces cannot
-    go stale.
+    range is declared.  Complex(faces) stores the levels it is given, which
+    must already be lex-ordered tuples closed downward, and checks nothing;
+    from_faces is the one public constructor that closes and checks.  The
+    package's constructors build that order and closure themselves: the
+    clique walk and the from_faces walk emit the faces in order, and
+    delete_open_cells keeps it.  faces and its levels are tuples, which
+    cannot be edited in place, so face_set, the one set of all face masks
+    that every membership test reads, and the _cache of matching reports,
+    with their critical cells, and of maximal faces cannot go stale.
+    Complexes compare, and hash, by identity: compare maximal_simplices or
+    faces to ask whether two are the same complex.
 
-    == has two rules.  Two clique complexes compare their graphs (graph,
-    when present, is the adjacency mask table of the graph whose clique
-    complex this is), which never lists a join's maximal faces.  Any other
-    pair compares maximal faces, which a join lists from its factors and a
-    listed complex as its file gave them.
     join_factors, when not empty, lists the factors of a join (see
     _CliqueComplex and _ListedComplex), identical factors as one object, and
     f_vector multiplies theirs, whether or not the join's own faces are
@@ -116,59 +113,13 @@ class Complex:
     benchmark tracer in perfbench/ counts cones by it.
     """
 
-    graph: tuple[int, ...] | None = None
     cone_vertex: int | None = None
     join_factors = ()  # set by a join: _CliqueComplex.join_factors, _ListedComplex
     numbered: Complex | None = None  # set by _numbered
 
-    def __init__(self, faces):
-        levels = [tuple(level) for level in faces]
-        for level in levels:  # before the sort: vertices_of never ends on a negative mask
-            for mask in level:
-                if type(mask) is not int or mask < 0:
-                    raise StructuralError(f"face mask {mask!r} is not a set of vertex ids")
-        levels = tuple(tuple(sorted(level, key=vertices_of)) for level in levels)
-        if not any(levels):
-            raise StructuralError("refusing to build an empty complex")
-        if not levels[-1]:
-            raise StructuralError(f"the top level lists no {len(levels) - 1}-faces")
-        for k, level in enumerate(levels):
-            for mask in level:
-                if mask.bit_count() != k + 1:
-                    raise StructuralError(f"face {vertices_of(mask)} is listed among the {k}-faces")
-            for a, b in zip(level, level[1:]):
-                if a == b:
-                    raise StructuralError(f"face {vertices_of(a)} is listed twice")
-        self._init(levels)
-        faces = self.face_set
-        for level in levels[1:]:
-            for mask in level:
-                for facet, _sign in signed_facets(mask):
-                    if facet not in faces:
-                        raise StructuralError(
-                            f"face {vertices_of(mask)} has no facet {vertices_of(facet)} in the"
-                            " complex: the complex is not closed downward"
-                        )
-
-    @classmethod
-    def _built(cls, faces: tuple[tuple[int, ...], ...]) -> Complex:
-        """A complex whose levels are already lex-ordered tuples closed downward, unchecked."""
-        c = cls.__new__(cls)
-        c._init(faces)
-        return c
-
-    def _init(self, faces: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, faces: tuple[tuple[int, ...], ...]):
         self.faces = faces
         self._cache: dict = {}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Complex):
-            return NotImplemented
-        if self.graph is not None and other.graph is not None:
-            return self.graph == other.graph  # a clique complex is fixed by its edges
-        # any complex is fixed by its maximal faces, and a join or a listed
-        # complex lists them without building its own faces
-        return maximal_simplices(self) == maximal_simplices(other)
 
     @property
     def dim(self) -> int:
@@ -249,9 +200,10 @@ class _CliqueComplex(Complex):
 
     faces is then kept as a plain instance attribute.  Complex itself has no
     class attribute named faces, so complexes given by their faces keep the
-    plain attribute lookup in hot loops.  Its graph answers == against
-    another clique complex, and join_factors splits it; verify_main_theorem
-    reads its structural rows off the f-vector and those factors.
+    plain attribute lookup in hot loops.  graph, the adjacency mask table of
+    the graph whose clique complex this is, is set only here; join_factors
+    splits it, and verify_main_theorem reads its structural rows off the
+    f-vector and those factors.
     """
 
     def __init__(self, graph: tuple[int, ...]):
@@ -435,7 +387,7 @@ def _walk(listed: dict[int, Simplex], inc: dict, near: dict) -> Complex:
 
     for v in sorted(inc):
         walk(1 << v, 0, inc[v], near[v] & -(2 << v))
-    c = Complex._built(tuple(map(tuple, levels)))
+    c = Complex(tuple(map(tuple, levels)))
     c._cache["maximal"] = [given[i] for i in sorted(maximal)]
     return c
 
@@ -520,7 +472,7 @@ class _ListedComplex(Complex):
 
     Its maximal faces are the listed tuples it keeps, as given.  A join (see
     _listed_join) lists only maximal faces, answers f_vector, face_total,
-    maximal_simplices, == and homology from its closed factors and those
+    maximal_simplices and homology from its closed factors and those
     tuples, and is refused here past FACE_BUDGET faces; any other answers
     f_vector, face_total and homology from numbered (see _numbered).
     """
@@ -603,7 +555,7 @@ def delete_open_cells(c: Complex, cells) -> Complex:
         faces.pop()
     if not faces:
         raise StructuralError("deletion would empty the complex")
-    out = Complex._built(tuple(faces))
+    out = Complex(tuple(faces))
     out.face_set = present - doomed
     return out
 

@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from ripstone import simplicial
+from ripstone.polytopes import vertices_of
 
 
 @pytest.fixture
@@ -37,3 +38,23 @@ def face_diameter():
         return max((metric.d(a, b) for a, b in combinations(s, 2)), default=0)
 
     return diameter
+
+
+@pytest.fixture(scope="session")
+def closed_complex():
+    """Complex(levels) with each level sorted by vertices_of, once every facet is found present.
+
+    Complex checks nothing; this is the oracle for levels written out by hand
+    or shuffled, which from_faces would close rather than check.
+    """
+
+    def build(levels):
+        levels = tuple(tuple(sorted(level, key=vertices_of)) for level in levels)
+        present = set().union(*levels)
+        for level in levels[1:]:
+            for mask in level:
+                for facet, _sign in simplicial.signed_facets(mask):
+                    assert facet in present, (vertices_of(mask), vertices_of(facet))
+        return simplicial.Complex(levels)
+
+    return build

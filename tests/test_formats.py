@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ripstone.errors import FormatError, SearchFailure
+from ripstone.errors import FormatError, ParameterError, SearchFailure
 from ripstone.formats import (
     parse_chain,
     parse_complex,
@@ -19,7 +19,7 @@ from ripstone.formats import (
 from ripstone.homology import homology, make_chain
 from ripstone.morse import fan_matching, find_matching, matching_from_pairs
 from ripstone import simplicial
-from ripstone.simplicial import Complex, from_faces, vertices_of
+from ripstone.simplicial import Complex, from_faces, maximal_simplices, simplex, vertices_of
 
 
 @st.composite
@@ -39,7 +39,7 @@ def simplices(draw, max_vertex=11, max_size=4):
 @given(st.lists(simplices(), min_size=1, max_size=10))
 def test_complex_round_trip(faces):
     c = from_faces(faces)
-    assert parse_complex(serialize_complex(c)) == c
+    assert maximal_simplices(parse_complex(serialize_complex(c))) == maximal_simplices(c)
 
 
 def test_a_parsed_complex_is_serialized_without_a_second_facet_pass(monkeypatch):
@@ -56,7 +56,7 @@ def test_a_parsed_complex_is_serialized_without_a_second_facet_pass(monkeypatch)
     assert passes == []  # the closure records the maximal faces as it walks
     assert text.splitlines()[1:] == ["0 1 2 3", "2 3 4", "4 5", "6"]
     # a complex with no record takes the facet pass, which this guard counts
-    unrecorded = Complex([list(level) for level in c.faces])
+    unrecorded = Complex(c.faces)
     assert serialize_complex(unrecorded) == text
     assert len(passes) == 1 and passes[0] is unrecorded  # one pass, over that complex
 
@@ -106,6 +106,15 @@ def test_chain_round_trip(z):
     back = parse_chain(serialize_chain(z))
     assert back.dimension == z.dimension
     assert back.terms == z.terms
+
+
+def test_bool_vertex_ids_and_coefficients_are_refused():
+    # True is an int to isinstance, and would be written as a token the
+    # parsers refuse
+    with pytest.raises(ParameterError, match="non-negative integers"):
+        simplex((False, True))
+    with pytest.raises(ParameterError, match="must be an integer"):
+        make_chain(1, {(0, 1): True})
 
 
 def test_zero_chain_serializes_to_comment_only():
@@ -321,4 +330,4 @@ def test_small_complex_files_keep_their_pinned_outputs(name):
     text = serialize_complex(c)
     assert (c.f_vector(), h.betti, h.torsion) == PINNED[name][:3]
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name][3]
-    assert parse_complex(text) == c
+    assert maximal_simplices(parse_complex(text)) == maximal_simplices(c)

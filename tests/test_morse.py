@@ -510,11 +510,10 @@ def test_seeded_trace_matchings_are_pinned():
         assert _digest(_find_matching(c3, candidate, forced, seed, 1000)) == digest, seed
 
 
-def test_shuffled_levels_are_stored_sorted_and_find_the_same_matching(monkeypatch):
+def test_shuffled_levels_are_stored_sorted_and_find_the_same_matching(monkeypatch, closed_complex):
     import random
 
     from ripstone import morse
-    from ripstone.simplicial import Complex
 
     keyed = []
     canonical = morse._matching  # sorts its pairs by their vertex tuples
@@ -524,8 +523,8 @@ def test_shuffled_levels_are_stored_sorted_and_find_the_same_matching(monkeypatc
     assert _digest(m) == PINNED_TRACE_MATCHINGS[1]
 
     rng = random.Random(1)
-    shuffled = Complex([rng.sample(level, len(level)) for level in c3.faces])
-    assert shuffled.faces == c3.faces  # Complex stores each level in lex order
+    shuffled = closed_complex([rng.sample(level, len(level)) for level in c3.faces])
+    assert shuffled.faces == c3.faces  # the oracle sorts each level into lex order
     again = morse._find_matching(shuffled, candidate, forced, 1, 1000)
     assert not keyed  # the search reads its order off the storage, never a sort key
     assert _digest(again) == PINNED_TRACE_MATCHINGS[1]
@@ -630,7 +629,7 @@ def test_candidates_outside_the_complex_are_refused():
     from ripstone.simplicial import Complex
 
     tet = full_simplex_complex(4)
-    edges = Complex._built(tet.faces[:2])
+    edges = Complex(tet.faces[:2])
     cells = [mask for level in tet.faces for mask in level]
     message = r"^candidate \(0, 1, 2\) is not a face of the complex$"
     with pytest.raises(ParameterError, match=message):

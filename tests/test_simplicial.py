@@ -96,7 +96,7 @@ def test_cube_scale2_is_cross_polytope():
     c = vr_complex(metric, 2)
     assert c.f_vector() == (8, 24, 32, 16)
     assert all(len(s) == 4 for s in maximal_simplices(c))
-    assert c == antipodal_free_complex(metric, 3)
+    assert maximal_simplices(c) == maximal_simplices(antipodal_free_complex(metric, 3))
 
 
 def test_cone_vertex_at_diameter():
@@ -121,12 +121,12 @@ def test_boundary_complex_matches_scale1(refuse_joins):
     c = vr_complex(_metric("cube"), 1)
     edges = c.simplices(1)
     far = next((0, v) for v in range(8) if _metric("cube").d(0, v) == 3)
-    assert c != from_faces(edges[1:])
-    assert c != from_faces(edges[1:] + [far]) != c
+    assert maximal_simplices(c) != maximal_simplices(from_faces(edges[1:]))
+    assert maximal_simplices(c) != maximal_simplices(from_faces(edges[1:] + [far]))
 
 
 @pytest.mark.parametrize("name", SOLIDS)
-def test_boundary_complex_levels_match_the_closure(name):
+def test_boundary_complex_levels_match_the_closure(name, closed_complex):
     # the boundary complex, listed from the edge graph by brute force, equals
     # VR_1 exactly when VR_1's dimension is the facets': on every solid but
     # the tetrahedron, whose VR_1 is the solid 3-simplex
@@ -142,11 +142,12 @@ def test_boundary_complex_levels_match_the_closure(name):
     levels = [[1 << v for v in range(n)], [mask_of(e) for e in edges]]
     if triangles:
         levels.append([mask_of(t) for t in triangles])
-    boundary = Complex(levels)  # sorted and checked for closure
+    boundary = closed_complex(levels)  # sorted and checked for closure
     assert boundary.faces == from_faces(edges + triangles).faces
     c = vr_complex(combinatorial_metric(g), 1)
     flat = len(c.f_vector()) - 1 == (2 if solid_info(name).m == 3 else 1)
-    assert (c == boundary) == (boundary == c) == flat == (name != "tetrahedron")
+    same = maximal_simplices(c) == maximal_simplices(boundary)
+    assert same == (c.faces == boundary.faces) == flat == (name != "tetrahedron")
 
 
 def test_antipodal_free_rows():
@@ -156,7 +157,7 @@ def test_antipodal_free_rows():
         metric = _metric(name)
         free = antipodal_free_complex(metric, metric.diameter())
         c = vr_complex(metric, r)
-        assert c == free
+        assert maximal_simplices(c) == maximal_simplices(free)
         pairs = [keep for keep, _x in c.join_factors]
         far = [(i, j) for i, j in combinations(range(metric.size), 2) if metric.d(i, j) > r]
         assert pairs == far
@@ -318,7 +319,7 @@ def test_from_faces_is_downward_closed(faces):
     # every listed face is present, and rebuilding from maximal faces is stable
     assert all(mask_of(f) in c.face_set for f in faces)
     rebuilt = from_faces(maximal_simplices(c))
-    assert rebuilt == c
+    assert rebuilt.faces == c.faces
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -402,22 +403,22 @@ def test_from_faces_on_a_dense_edge_list_matches_brute_force():
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(face_lists(max_n=9, max_size=5))
-def test_recorded_maximal_faces_match_the_facet_pass(faces):
+def test_recorded_maximal_faces_match_the_facet_pass(closed_complex, faces):
     # duplicates, listed faces that are not maximal, and mixed sizes
     faces = faces + faces[:3] + [f[:-1] for f in faces if len(f) > 1] + [f[:1] for f in faces]
     c = from_faces(faces)
     assert "maximal" in c._cache
-    unrecorded = Complex([list(level) for level in c.faces])
+    unrecorded = closed_complex([list(level) for level in c.faces])
     facet_pass = simplicial._maximal_masks(unrecorded)
     assert sorted(c._cache["maximal"]) == sorted(map(vertices_of, facet_pass))
     assert maximal_simplices(c) == maximal_simplices(unrecorded)
-    reversed_levels = Complex([level[::-1] for level in c.faces])
+    reversed_levels = closed_complex([level[::-1] for level in c.faces])
     assert reversed_levels.faces == c.faces
 
 
 def _skeleton(c, k):
     """The faces of c of dimension at most k, as a complex of its own."""
-    return Complex._built(c.faces[: k + 1])
+    return Complex(c.faces[: k + 1])
 
 
 def test_derived_complexes_report_their_own_maximal_faces():
@@ -428,8 +429,8 @@ def test_derived_complexes_report_their_own_maximal_faces():
     assert maximal_simplices(_skeleton(c, 0)) == [(v,) for v in range(5)]
     pruned = delete_open_cells(c, [(0, 1, 2), (4,)])
     assert maximal_simplices(pruned) == edges
-    assert pruned == from_faces(edges) != c
-    assert delete_open_cells(pruned, [(2, 3)]) == from_faces(edges[:3] + [(3,)])
+    assert pruned.faces == from_faces(edges).faces != c.faces
+    assert maximal_simplices(delete_open_cells(pruned, [(2, 3)])) == edges[:3] + [(3,)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -504,48 +505,25 @@ def test_every_constructor_keeps_the_complex_invariant():
         _assert_lexicographic(c)
 
 
-def test_a_complex_given_its_faces_refuses_each_broken_invariant():
-    # the edge (0, 2) without its vertex (0,)
-    with pytest.raises(StructuralError, match=r"^face \(0, 2\) has no facet \(0,\) in the complex"):
-        Complex([[0b010, 0b100], [0b101]])
-    with pytest.raises(StructuralError, match=r"^face \(0, 1\) is listed twice$"):
-        Complex([[0b01, 0b10], [0b11, 0b11]])
-    with pytest.raises(StructuralError, match=r"^face \(0, 1\) is listed among the 0-faces$"):
-        Complex([[0b01, 0b11, 0b10]])
-    with pytest.raises(StructuralError, match=r"^face mask -1 is not a set"):
-        Complex([[0b01, -1]])
-    for mask in (True, 1.5, "a"):  # the 0-face (True,) or a bare TypeError before
-        with pytest.raises(StructuralError, match=rf"^face mask {mask!r} is not a set of vertex ids$"):
-            Complex([[mask]])
-    with pytest.raises(StructuralError, match=r"^face \(\) is listed among the 0-faces$"):
-        Complex([[0b01, 0]])
-
-
-def test_a_complex_given_no_faces_is_refused():
-    # as every other constructor refuses it; it used to report dim -1
-    for faces in ([], [[]], [[], []]):
-        with pytest.raises(StructuralError, match=r"^refusing to build an empty complex$"):
-            Complex(faces)
-
-
-def test_a_complex_given_an_empty_top_level_is_refused():
-    # it used to report dim 1 with no edge
-    with pytest.raises(StructuralError, match=r"^the top level lists no 1-faces$"):
-        Complex([[0b01, 0b10], []])
-    with pytest.raises(StructuralError, match=r"^the top level lists no 2-faces$"):
-        Complex([[0b01, 0b10], [0b11], []])
-
-
 def test_a_complex_given_shuffled_levels_stores_them_sorted_and_immutable():
-    c = Complex([[0b1000, 0b0010, 0b0100, 0b0001], [0b1100, 0b0011, 0b0110]])
+    c = from_faces([(2, 3), (0, 1), (3,), (1, 2)])
     assert c.simplices(0) == [(0,), (1,), (2,), (3,)]
     assert c.simplices(1) == [(0, 1), (1, 2), (2, 3)]
-    assert c == from_faces([(0, 1), (1, 2), (2, 3)])
     _assert_lexicographic(c)
     with pytest.raises(TypeError):
         c.faces[1] = (0b0011,)
     with pytest.raises(TypeError):
         c.faces[1][0] = 0b1001
+
+
+def test_complexes_compare_and_hash_by_identity():
+    # two closures of the same faces are two objects; whether they are the
+    # same complex is asked of their faces or maximal faces
+    a, b = from_faces([(0, 1), (1, 2)]), from_faces([(0, 1), (1, 2)])
+    assert a != b and a.faces == b.faces
+    assert len({a, b}) == 2  # hashable
+    assert Complex.__eq__ is object.__eq__
+    assert not hasattr(Complex, "graph")  # only a clique complex has a graph
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -866,8 +844,9 @@ def test_clique_complex_equality_from_graphs_matches_faces(n, p, seed, toggle):
     other = edges ^ set(pairs[toggle : toggle + 1])
     a = vr_complex(_graph_metric(n, edges), 1)
     b = vr_complex(_graph_metric(n, other), 1)
-    assert (a == b) == (a.faces == b.faces)
-    assert (a == b) == (Complex(a.faces) == b)
+    same = maximal_simplices(a) == maximal_simplices(b)
+    assert (a.graph == b.graph) == same == (a.faces == b.faces)
+    assert maximal_simplices(Complex(a.faces)) == maximal_simplices(a)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -908,9 +887,9 @@ def test_complement_components_match_networkx(n, p, universal, seed):
     st.integers(min_value=0, max_value=40),
 )
 def test_equality_matches_maximal_faces_for_joins_and_non_joins(n, p, universal, seed, toggle):
-    # two clique complexes compare their graphs, and any other pair its
-    # maximal faces, a join's listed from its factors; either way == must
-    # say what the maximal faces say
+    # a join lists its maximal faces from its factors, and the same faces
+    # with no graph by the facet pass; either way they must say what the
+    # faces say
     g = nx.gnp_random_graph(n, p, seed=seed)
     g.add_edges_from((u, v) for u in range(min(universal, n)) for v in range(n) if u != v)
     edges = {(min(e), max(e)) for e in g.edges}
@@ -926,13 +905,15 @@ def test_equality_matches_maximal_faces_for_joins_and_non_joins(n, p, universal,
         c = vr_complex(_graph_metric(n, edges), 1)
         return c, Complex(vr_complex(_graph_metric(n, edges), 1).faces)
 
-    for x in complexes(graphs[0]):
-        for y in [z for other in graphs for z in complexes(other)]:
-            assert (x == y) == (maximal_simplices(x) == maximal_simplices(y))
-            if x.join_factors or y.join_factors:  # a join's own faces stay unbuilt
-                assert all("faces" not in vars(z) for z in (x, y) if z.join_factors)
-    listed = from_faces(maximal_simplices(complexes(graphs[0])[1]))
-    assert complexes(graphs[0])[1] == listed  # a complex is its faces
+    xs = complexes(graphs[0])
+    ys = [z for other in graphs for z in complexes(other)]
+    maximal = {z: maximal_simplices(z) for z in (*xs, *ys)}  # keyed by identity
+    assert all("faces" not in vars(z) for z in (*xs, *ys) if z.join_factors)  # still unbuilt
+    for x in xs:
+        for y in ys:
+            assert (maximal[x] == maximal[y]) == (x.faces == y.faces)
+    listed = from_faces(maximal[xs[1]])
+    assert listed.faces == xs[1].faces  # a complex is its faces
 
 
 def _maximal_only(faces):
@@ -968,20 +949,17 @@ def listed_joins(draw):
     return [tuple(sorted(f)) for f in faces], any(map(_complement_is_connected, factors))
 
 
-def _assert_listed_complex_matches_whole_closure(faces):
+def _assert_listed_complex_matches_whole_closure(closed_complex, faces):
     c = from_faces(faces)
     closure = {sub for f in faces for k in range(len(f)) for sub in combinations(f, k + 1)}
     levels = [[] for _ in range(max(map(len, closure)))]
     for t in closure:
         levels[len(t) - 1].append(mask_of(t))
-    whole = Complex(levels)
+    whole = closed_complex(levels)
     got = (c.f_vector(), c.face_total(), homology(c), maximal_simplices(c), serialize_complex(c))
     # a join answers all of these from its factors and listed faces, any
     # other listed complex from its numbered closure and maximal record
     assert "faces" not in vars(c)
-    assert c == whole and whole == c
-    if c.join_factors:  # a join compares its maximal faces
-        assert "faces" not in vars(c)
     want = (
         whole.f_vector(), whole.face_total(), homology(whole), maximal_simplices(whole),
         serialize_complex(whole),
@@ -995,20 +973,21 @@ def _assert_listed_complex_matches_whole_closure(faces):
 @given(face_lists(max_n=8, max_size=4), face_lists(max_n=8, max_size=4))
 @example([(0, 1, 2), (2, 3), (3, 4)], [(0, 1, 2), (2, 3)])
 def test_listed_complexes_compare_as_their_closures_without_building_faces(a, b):
-    # two listed complexes compare their maximal records, not their faces in
-    # file ids; the same faces listed in another order are the same complex
+    # two listed complexes' maximal records, read without their faces in
+    # file ids, agree exactly when their closures do; the same faces listed
+    # in another order are the same complex
     for listed in (a[::-1], b):
         x, y = from_faces(a), from_faces(listed)
-        equal = x == y
+        equal = maximal_simplices(x) == maximal_simplices(y)
         assert "faces" not in vars(x) and "faces" not in vars(y)
         assert equal == (x.faces == y.faces)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(listed_joins())
-def test_a_listed_join_matches_its_whole_closure(join):
+def test_a_listed_join_matches_its_whole_closure(closed_complex, join):
     faces, must_split = join
-    c = _assert_listed_complex_matches_whole_closure(faces)
+    c = _assert_listed_complex_matches_whole_closure(closed_complex, faces)
     assert bool(c.join_factors) >= must_split
     # its faces, the whole closure's, are read by now; a join still
     # multiplies its factors' f-vectors
@@ -1021,10 +1000,10 @@ def test_a_listed_join_matches_its_whole_closure(join):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(face_lists(max_n=8, max_size=4))
-def test_a_listed_non_join_matches_its_whole_closure(faces):
+def test_a_listed_non_join_matches_its_whole_closure(closed_complex, faces):
     # duplicates and non-maximal lines too; a split found here must hold as well
     faces += faces[:2] + [f[1:] for f in faces[:2] if f[1:]]
-    _assert_listed_complex_matches_whole_closure(faces)
+    _assert_listed_complex_matches_whole_closure(closed_complex, faces)
 
 
 @pytest.mark.parametrize(
@@ -1038,7 +1017,7 @@ def test_a_listed_non_join_matches_its_whole_closure(faces):
         ([(0, 1), (1, 2), (2, 3), (0, 3)], [(0, 2), (1, 3)]),  # the square is S^0 * S^0
     ],
 )
-def test_listed_complexes_split_into_their_join_factors(faces, parts):
+def test_listed_complexes_split_into_their_join_factors(closed_complex, faces, parts):
     c = from_faces(faces)
     assert [keep for keep, _x in c.join_factors] == parts
-    _assert_listed_complex_matches_whole_closure(faces)
+    _assert_listed_complex_matches_whole_closure(closed_complex, faces)

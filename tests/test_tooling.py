@@ -108,13 +108,23 @@ def test_benchmark_betti_table_is_the_program_table():
 
 def test_complexes_keep_what_the_tracer_reads():
     # perfbench/tracing.py counts faces with face_total() and cones by
-    # cone_vertex; Complex is a plain class, so check both on each kind
-    from ripstone.simplicial import Complex, from_faces, full_simplex_complex
+    # cone_vertex on every complex passed to homology; Complex is a plain
+    # class, so check both on each kind a workload hands it
+    from ripstone.formats import parse_complex
+    from ripstone.polytopes import build_solid, combinatorial_metric
+    from ripstone.simplicial import delete_open_cells, from_faces, full_simplex_complex, vr_complex
 
+    cross = vr_complex(combinatorial_metric(build_solid("octahedron")), 1)  # S^0 * S^0 * S^0
+    (_keep, zero_sphere), *_rest = cross.join_factors
+    listed_join = parse_complex("0 4\n0 5\n1 4\n1 5\n")  # the square {0, 1} * {4, 5}
+    assert listed_join.join_factors
     kinds = [
-        (Complex([[0b01, 0b10], [0b11]]), None, 3),
+        (cross, None, 26),
+        (zero_sphere, None, 2),
         (full_simplex_complex(3), 0, 7),
         (from_faces([(0, 1), (1, 2)]), None, 5),
+        (listed_join, None, 8),
+        (delete_open_cells(full_simplex_complex(3), [(0, 1, 2)]), None, 6),
     ]
     for c, cone, total in kinds:
         assert c.cone_vertex == cone
