@@ -2,7 +2,9 @@
 
 import hashlib
 import random
+from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -227,6 +229,18 @@ def _join(a, b, seed):
     return [tuple(sorted(relabel[v] for v in s + tuple(w + shift for w in t))) for s in a for t in b]
 
 
+def _flag(n, p, seed):
+    """A seeded G(n, p)'s maximal cliques on shuffled ids, one listed twice, and a non-maximal face."""
+    rng = random.Random(seed)
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(e for e in combinations(range(n), 2) if rng.random() < p)
+    relabel = rng.sample(range(n), n)
+    cliques = sorted(tuple(sorted(relabel[v] for v in q)) for q in nx.find_cliques(g))
+    rng.shuffle(cliques)
+    return cliques[:3] + [cliques[1], max(cliques, key=len)[1:]] + cliques[3:]
+
+
 S0 = [(0,), (1,)]
 PENTAGON = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
 COMPLEX_FILES = {
@@ -244,6 +258,7 @@ COMPLEX_FILES = {
     ),
     "duplicate_lines": _text(_join(RP2, S0, 9) + _join(RP2, S0, 9)[::3]),
     "two_tetrahedra_on_an_edge": "0 1 2 3\n2 3 4 5\n",
+    "flag_of_g_16_half": _text(_flag(16, 0.5, 1)),
 }
 
 # name -> (f-vector, Betti numbers, torsion, sha256 of serialize_complex)
@@ -319,6 +334,12 @@ PINNED = {
         (1, 0, 0, 0),
         ((), (), (), ()),
         "61b7883aad0a6bd404542b04067432ec460cac1adfdac96a401b425d77599582",
+    ),
+    "flag_of_g_16_half": (
+        (16, 56, 51, 9),
+        (1, 1, 2, 0),
+        ((), (), (), ()),
+        "05a67e98ef24fd67ebdaec38a88b9b4855285986be01f9a6c351a42a78a142b3",
     ),
 }
 
