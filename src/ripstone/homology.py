@@ -85,6 +85,8 @@ class Chain:
 
 def make_chain(dimension: int, terms) -> Chain:
     """Validate coefficients and simplices, dropping zero terms."""
+    if type(dimension) is not int:  # True is no dimension
+        raise ParameterError(f"chain dimension must be an integer, got {dimension!r}")
     if dimension < 0:
         raise ParameterError(f"chain dimension must be >= 0, got {dimension}")
     clean = {}

@@ -13,8 +13,10 @@ _closure) is the one constructor that closes and checks the faces it is
 given.  The constructors here build both properties themselves, so no
 consumer checks them: the clique walk and the from_faces closure both emit
 each face once, by extending smaller faces with larger vertices, already in
-that order.  The clique walk builds one level from the one below; the
-closure walks depth-first.
+that order.  The clique walk builds one level from the one below.  The
+closure of listed faces is a clique walk too, one root vertex at a time,
+when their closure is flag, as every Vietoris-Rips complex is (see
+_flag_closure); any other closure walks depth-first (see _walk).
 
 Clique complexes (vr_complex, antipodal_free_complex, full_simplex_complex)
 are built lazily: the constructor keeps the graph, and the faces are
@@ -319,42 +321,52 @@ def _closure(simplices) -> Complex:
         listed.setdefault(mask_of(s), s)
     if not listed:
         raise StructuralError("refusing to build an empty complex")
-    inc, near = _incidence(listed)
+    count, near = _incidence(listed)
     factors = _listed_join(listed, near)
     if factors:
         return _ListedComplex(list(listed.values()), factors)
-    return _numbered(listed, inc, near)
+    return _numbered(listed, count, near)
 
 
 def _incidence(listed: dict[int, Simplex]) -> tuple[dict[int, int], dict[int, int]]:
-    """Per vertex, the listed faces holding it, as number bits (inc), and their union (near)."""
-    inc: dict[int, int] = {}
+    """Per vertex, how many listed faces hold it (count), and their union (near)."""
+    count: dict[int, int] = {}
     near: dict[int, int] = {}
-    b = 1
     for m, s in listed.items():
         for v in s:
-            inc[v] = inc.get(v, 0) | b
+            count[v] = count.get(v, 0) + 1
             near[v] = near.get(v, 0) | m
-        b <<= 1
-    return inc, near
+    return count, near
 
 
-def _walk(listed: dict[int, Simplex], inc: dict, near: dict) -> Complex:
-    """The closure of the distinct listed faces (mask -> tuple), with _incidence's tables.
+def _walk(listed: dict[int, Simplex], near: dict[int, int], index: dict | None = None) -> Complex:
+    """The closure of the distinct listed faces (mask -> tuple), with _incidence's near.
 
-    One depth-first walk per vertex v, in ascending order, emits once each
-    face whose smallest vertex is v, extending a face only by vertices
-    larger than its own, so every level comes out in storage order.  Each
-    face carries the listed faces holding it, and candidates are the
-    vertices sharing a listed face with each vertex added.  Once one listed
-    face holds a face, every extension inside it is a face and is emitted
-    untested.  A face is maximal exactly when its only holder is itself;
-    the listed tuples of the maximal faces are kept, in their listed order,
-    as the complex's _cache["maximal"].  Tables are keyed by the vertices
-    present, and the walk stops past FACE_BUDGET faces.
+    A flag closure, such as every Vietoris-Rips complex, comes from
+    _flag_closure's clique walk.  Any other falls back to the held-faces
+    walk here: one depth-first walk per vertex v, in ascending order, emits
+    once each face whose smallest vertex is v, extending a face only by
+    vertices larger than its own, so every level comes out in storage
+    order.  Each face carries the listed faces holding it, as bits of their
+    listed places, and candidates are the vertices sharing a listed face
+    with each vertex added.  Once one listed face holds a face, every
+    extension inside it is a face and is emitted untested.  A face is
+    maximal exactly when its only holder is itself.  Either walk keeps the
+    listed tuples of the maximal faces, in their listed order, as the
+    complex's _cache["maximal"].  Tables are keyed by the vertices present,
+    and the walk stops past FACE_BUDGET faces.  index, if given, maps the
+    tuples' vertex ids to the masks' bit places.
     """
+    closed = _flag_closure(listed, near)
+    if closed is not None:
+        return closed
     owns = list(listed)
     given = list(listed.values())
+    inc: dict[int, int] = {}  # per vertex, the listed faces holding it, as number bits
+    for i, s in enumerate(given):
+        b = 1 << i
+        for v in s if index is None else map(index.get, s):
+            inc[v] = inc.get(v, 0) | b
     levels: list[list[int]] = [[] for _ in range(max(map(len, given)))]
     maximal: list[int] = []  # places of the listed faces found maximal
     room = FACE_BUDGET
@@ -389,6 +401,62 @@ def _walk(listed: dict[int, Simplex], inc: dict, near: dict) -> Complex:
         walk(1 << v, 0, inc[v], near[v] & -(2 << v))
     c = Complex(tuple(map(tuple, levels)))
     c._cache["maximal"] = [given[i] for i in sorted(maximal)]
+    return c
+
+
+def _flag_closure(listed: dict[int, Simplex], near: dict[int, int]) -> Complex | None:
+    """The closure of the listed faces as the clique complex of its 1-skeleton, or None.
+
+    near[v] is v and its neighbours in the closure's 1-skeleton, whose
+    clique complex holds the closure.  The two are equal exactly when every
+    maximal clique is a face, and a maximal clique can only be a face by
+    being listed; then the maximal faces are the maximal cliques, all
+    listed.  The cliques are walked one root vertex at a time, in ascending
+    order, each root's level by level, as _enumerate_cliques walks them:
+    each clique carries its candidates above its top vertex and, to tell
+    when it is maximal, the vertices adjacent to all of it, itself included
+    (both).  A face whose smallest vertex is v sorts before every face
+    whose smallest vertex is larger, so the roots' levels, concatenated,
+    are in lexicographic order.  None comes back as soon as a maximal
+    clique is not listed, a clique is wider than every listed face, or
+    more cliques are found than the listed faces can close to or than
+    FACE_BUDGET; walking root by root, a closure that is not flag costs
+    the walk up to its first such root, not the whole 1-skeleton's edges.
+    """
+    top = max(map(len, listed.values())) - 1  # no clique past this dimension is a face
+    room = min(sum((1 << len(s)) - 1 for s in listed.values()), FACE_BUDGET)
+    levels: list[list[int]] = [[] for _ in range(top + 1)]
+    found = set()  # the maximal cliques
+    for v in sorted(near):
+        masks, cands, boths = [1 << v], [near[v] & -(2 << v)], [near[v]]
+        dim = 0
+        while masks:
+            room -= len(masks)
+            if room < 0:  # only a root can overdraw: each level is checked as it grows
+                return None
+            levels[dim] += masks
+            next_masks, next_cands, next_boths = [], [], []
+            for mask, cand, both in zip(masks, cands, boths):
+                if both == mask:  # no common neighbour: maximal
+                    if mask not in listed:
+                        return None
+                    found.add(mask)
+                    continue
+                if dim == top:
+                    return None
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    adj = near[low.bit_length() - 1]
+                    next_masks.append(mask | low)
+                    next_cands.append(cand & adj)
+                    next_boths.append(both & adj)
+                if len(next_masks) > room:
+                    return None
+            masks, cands, boths = next_masks, next_cands, next_boths
+            dim += 1
+    c = Complex(tuple(map(tuple, levels)))
+    c._cache["maximal"] = [s for m, s in listed.items() if m in found]
     return c
 
 
@@ -446,23 +514,24 @@ def _listed_join(listed: dict[int, Simplex], near: dict[int, int]) -> list[tuple
     return out
 
 
-def _numbered(listed: dict[int, Simplex], inc: dict, near: dict) -> Complex:
+def _numbered(listed: dict[int, Simplex], count: dict, near: dict) -> Complex:
     """The listed faces (mask -> tuple), with _incidence's tables, closed in their own numbering.
 
-    The present vertices are numbered by how many listed faces hold each,
-    most first, ties by id, and _walk closes the listed faces once in that
-    numbering, keeping the maximal ones as the tuples given.  homology's
-    apparent pairs drop a face's smallest vertex, so with the largest star
-    first they act like an element matching (Jonsson, Simplicial Complexes
-    of Graphs, LNM 1928, 2008), and far fewer columns collide than in
-    random file ids.
+    The present vertices are numbered by how many listed faces hold each
+    (count), most first, ties by id, and _walk closes the listed faces once
+    in that numbering, by the clique walk when the closure is flag, keeping
+    the maximal ones as the tuples given.  homology's apparent pairs drop a
+    face's smallest vertex, so with the largest star first they act like an
+    element matching (Jonsson, Simplicial Complexes of Graphs, LNM 1928,
+    2008), and far fewer columns collide than in random file ids.
     """
-    order = sorted(inc, key=lambda v: (-inc[v].bit_count(), v))
-    bit = {v: 1 << i for i, v in enumerate(order)}
+    order = sorted(count, key=lambda v: (-count[v], v))
+    index = {v: i for i, v in enumerate(order)}
+    bit = {v: 1 << i for v, i in index.items()}
     closed = _walk(
         {sum(map(bit.get, s)): s for s in listed.values()},
-        dict(enumerate(map(inc.get, order))),  # the same number bits
         {i: sum(map(bit.get, vertices_of(near[v]))) for i, v in enumerate(order)},
+        index,
     )
     return _ListedComplex(closed._cache["maximal"], numbered=closed)
 
@@ -487,7 +556,7 @@ class _ListedComplex(Complex):
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         listed = {mask_of(s): s for s in self._cache["maximal"]}
-        return _walk(listed, *_incidence(listed)).faces
+        return _walk(listed, _incidence(listed)[1]).faces
 
 
 def full_simplex_complex(n: int) -> Complex:

@@ -117,6 +117,10 @@ def test_bool_vertex_ids_and_coefficients_are_refused():
         simplex((False, True))
     with pytest.raises(ParameterError, match="must be an integer"):
         make_chain(1, {(0, 1): True})
+    # nor is it, or any other type than int, a chain dimension
+    for dimension in ("1", 1.0, True):
+        with pytest.raises(ParameterError, match="dimension must be an integer"):
+            make_chain(dimension, {(0, 1): 1})
 
 
 def test_zero_chain_serializes_to_comment_only():

@@ -401,6 +401,66 @@ def test_from_faces_on_a_dense_edge_list_matches_brute_force():
     _assert_closure_matches_brute_force(faces)
 
 
+def _listed_clique_file(n, p, seed):
+    """A seeded G(n, p)'s maximal cliques, ids shuffled below 2n, plus duplicates and sub-faces."""
+    rng = random.Random(seed)
+    g = nx.gnp_random_graph(n, p, seed=seed)
+    relabel = rng.sample(range(2 * n), n)
+    faces = [tuple(sorted(relabel[v] for v in q)) for q in nx.find_cliques(g)]
+    faces += faces[: len(faces) // 3] + [f[:-1] for f in faces[::2] if len(f) > 1]
+    faces += [f[1:] for f in faces[::3] if len(f) > 2]
+    rng.shuffle(faces)
+    return faces
+
+
+def _closure_without_the_clique_walk(faces):
+    """from_faces(faces) closed by the held-faces walk alone: faces, maximal record, homology."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplicial, "_flag_closure", lambda listed, near: None)
+        c = from_faces(faces)
+        h = homology(c)
+        return c.faces, c._cache["maximal"], (h.betti, h.torsion)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=2, max_value=11),
+    st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9, 1.0]),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_a_flag_closure_matches_the_held_walk(n, p, seed):
+    faces = _listed_clique_file(n, p, seed)
+    listed = {mask_of(f): f for f in faces}
+    assert simplicial._flag_closure(listed, simplicial._incidence(listed)[1]) is not None
+    c = from_faces(faces)
+    h = homology(c)
+    assert (c.faces, c._cache["maximal"], (h.betti, h.torsion)) == _closure_without_the_clique_walk(
+        faces
+    )
+    _assert_closure_matches_brute_force(faces)
+
+
+RP2 = [
+    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
+    (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "faces, betti",
+    [
+        (RP2, (1, 0, 0)),  # its 1-skeleton is complete: every 4 vertices are a clique
+        (list(combinations(range(4), 3)), (1, 0, 1)),  # the hollow tetrahedron
+        ([(0, 1), (0, 2), (1, 2)], (1, 1)),  # the three edges of a triangle
+    ],
+)
+def test_a_closure_that_is_not_flag_takes_the_held_walk(faces, betti):
+    listed = {mask_of(f): f for f in faces}
+    assert simplicial._flag_closure(listed, simplicial._incidence(listed)[1]) is None
+    _assert_closure_matches_brute_force(faces)
+    assert homology(from_faces(faces)).betti == betti
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(face_lists(max_n=9, max_size=5))
 def test_recorded_maximal_faces_match_the_facet_pass(closed_complex, faces):
@@ -795,6 +855,36 @@ def test_a_far_vertex_id_does_not_widen_every_face():
     finally:
         tracemalloc.stop()
     assert maximal[-1] == (10**6,)
+    assert peak < 8 * 2**20
+
+
+def test_a_complete_1_skeleton_under_few_listed_faces_is_closed_without_its_cliques():
+    # K_40 has 2^40 - 1 cliques and the listed faces close to 4,837 faces:
+    # the clique walk gives up within its first root, past 6,435, the most
+    # the listed faces could close to
+    faces = list(combinations(range(40), 2)) + [tuple(range(12))]
+    start = time.perf_counter()
+    from_faces(faces)
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        c = from_faces(faces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.f_vector() == (40, 780) + tuple(comb(12, k + 1) for k in range(2, 12))
+    assert peak < 8 * 2**20
+    # the walk checks the count as each level grows: on K_100, vertex 0's
+    # 156,849 tetrahedra would hold about 20 MiB
+    faces = list(combinations(range(100), 2)) + [tuple(range(12))]
+    listed = {mask_of(f): f for f in faces}
+    near = simplicial._incidence(listed)[1]
+    tracemalloc.start()
+    try:
+        assert simplicial._flag_closure(listed, near) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 8 * 2**20
 
 
