@@ -13,6 +13,7 @@ file problem, or a cell that is not a face of the given complex.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -293,6 +294,22 @@ def _build_parser(argv) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command with the cyclic garbage collector paused.
+
+    A command builds many lists and tuples and few reference cycles, so a
+    collection mostly re-scans live containers.  The caller's setting
+    comes back on every exit, an exception included.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args, extras = _build_parser(argv).parse_known_args(argv)

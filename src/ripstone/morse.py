@@ -10,19 +10,23 @@ homology()'s clearing, unit-pivot and residual-Smith routine.
 Matchings hold face bitmasks, and every step here works on them; vertex
 tuples appear only in matching_from_pairs, reports, messages and surpluses.
 The search runs on integer positions of its live cells in the complex's
-storage order, which Complex keeps in vertex tuple order.  Certification
-splits in two.  The pairs' own rules (each pair a facet and a cofacet, no
-cell in two pairs), the acyclicity digraph with its cycle certificate, the
-pairing operator V and the matching's hash depend on the pairs alone and
-are worked out once per Matching, however many complexes it is certified
-on.  On a complex, one scan of its faces lists the critical ones and
-counts the matched ones, which are all of the matching's cells exactly
-when every cell is a face there.  Only a matching that fails these tests
-is checked pair by pair, for its violation messages.  check_matching is
-the one certifier: it keeps its report, whose levels field holds the
-critical cells' masks per dimension, in the complex's cache once per
-matching, and the search, the pipelines, the Morse complex, the class
-cells and the flow all read that report.
+storage order, which Complex keeps in vertex tuple order, with a tuple of
+live facets, a live-cofacet count and a sum of live cofacets per cell: a
+free cell's partner is that sum.  Certification splits in two.  The
+pairs' own rules (each pair a facet and a cofacet, no cell in two pairs),
+the acyclicity digraph with its cycle certificate, the pairing operator V
+and the matching's hash depend on the pairs alone and are worked out once
+per Matching, however many complexes it is certified on.  The digraph is
+built with its in-degrees, and Kahn's pass over it decides acyclicity; a
+shortest cycle is searched for only among the nodes that pass leaves.  On
+a complex, one scan of its faces lists the critical ones and counts the
+matched ones, which are all of the matching's cells exactly when every
+cell is a face there.  Only a matching that fails these tests is checked
+pair by pair, for its violation messages.  check_matching is the one
+certifier: it keeps its report, whose levels field holds the critical
+cells' masks per dimension, in the complex's cache once per matching, and
+the search, the pipelines, the Morse complex, the class cells and the
+flow all read that report.
 
 The stabilized flow of a chain depends on the matching alone too (Forman,
 "Morse theory for cell complexes", 1998), so a Matching keeps each flow
@@ -205,61 +209,67 @@ def _cycle_certificate(pairs) -> tuple | None:
 
     Each dimension's pairs are the nodes of one digraph, with an edge from
     a pair to every other pair whose lower cell is a facet of its upper
-    cell.  The pairs must be valid: facet-cofacet pairs, no cell twice.
-    They are bucketed by dimension whatever their order, and each bucket
-    keeps their order.
+    cell: the upper cell less a vertex of the lower cell.  The pairs must
+    be valid: facet-cofacet pairs, no cell twice.  They are bucketed by
+    dimension whatever their order, and each bucket keeps their order.
+    The successor lists are built with the in-degrees, and Kahn's pass
+    (Kahn, CACM 1962) removes every node no cycle reaches; only when it
+    leaves some are their lists sorted and searched for a shortest cycle.
     """
     buckets: dict[int, list[tuple[int, int]]] = {}
     for pair in pairs:
         buckets.setdefault(pair[0].bit_count(), []).append(pair)
     for _size, nodes in sorted(buckets.items()):
         lower_index = {lo: i for i, (lo, _up) in enumerate(nodes)}
+        indeg = [0] * len(nodes)
         succ = []
         for lo, up in nodes:
             outs = []
-            rest = up
+            rest = lo
             while rest:
                 low = rest & -rest
                 rest ^= low
-                facet = up ^ low
-                if facet != lo and facet in lower_index:
-                    outs.append(lower_index[facet])
-            outs.sort()
+                j = lower_index.get(up ^ low)
+                if j is not None:
+                    outs.append(j)
+                    indeg[j] += 1
             succ.append(outs)
-        cycle = _minimal_cycle(succ)
-        if cycle is not None:  # each node's upper cell, then the next node's lower cell
-            steps = zip(cycle, cycle[1:] + cycle[:1])
-            return tuple(vertices_of(cell) for i, j in steps for cell in (nodes[i][1], nodes[j][0]))
+        queue = [i for i, d in enumerate(indeg) if not d]
+        for i in queue:  # Kahn's pass; the queue grows as it is read
+            for j in succ[i]:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    queue.append(j)
+        if len(queue) == len(nodes):
+            continue
+        # what Kahn's pass leaves is closed under successors: a node it
+        # removed had every predecessor removed first
+        remaining = [i for i, d in enumerate(indeg) if d]
+        for i in remaining:
+            succ[i].sort()
+        cycle = _minimal_cycle(succ, remaining)
+        # each node's upper cell, then the next node's lower cell
+        steps = zip(cycle, cycle[1:] + cycle[:1])
+        return tuple(vertices_of(cell) for i, j in steps for cell in (nodes[i][1], nodes[j][0]))
     return None
 
 
-def _minimal_cycle(succ: list[list[int]]) -> list[int] | None:
-    """Shortest directed cycle in a successor-list digraph, or None if acyclic."""
-    n = len(succ)
-    indeg = [0] * n
-    for outs in succ:
-        for j in outs:
-            indeg[j] += 1
-    queue = [i for i in range(n) if indeg[i] == 0]
-    while queue:
-        i = queue.pop()
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    # what Kahn's pass leaves is closed under successors: a node it removed
-    # had every predecessor removed first
-    remaining = [i for i in range(n) if indeg[i] > 0]
-    if not remaining:
-        return None
-    best: list[int] | None = None
+def _minimal_cycle(succ: list[list[int]], remaining: list[int]) -> list[int]:
+    """Shortest directed cycle of a successor-list digraph, first found from the lowest node.
+
+    remaining holds, in increasing order, the nodes that Kahn's pass
+    leaves, a nonempty set closed under successors that holds every
+    cycle; their successor lists must be sorted.  A breadth-first search
+    from each in turn finds the shortest cycle through it.
+    """
+    best: list[int] = []
     for s in remaining:
         parent = {s: -1}
         frontier = [s]
         found = None
         depth = 1
         while frontier and found is None:
-            if best is not None and depth >= len(best):
+            if best and depth >= len(best):
                 break
             nxt = []
             for u in frontier:
@@ -279,7 +289,7 @@ def _minimal_cycle(succ: list[list[int]]) -> list[int] | None:
             while parent[path[-1]] != -1:
                 path.append(parent[path[-1]])
             path.reverse()
-            if best is None or len(path) < len(best):
+            if not best or len(path) < len(best):
                 best = path
     return best
 
@@ -293,21 +303,23 @@ def find_matching(
 ) -> Matching:
     """Search for an acyclic matching covering candidate minus forced_critical.
 
-    Validates the cells as simplices; the search itself, _find_matching,
-    works on their masks and refuses a candidate that is not a face of c.
-    Randomized free-pair collapse: a cell is free when exactly one of its
-    candidate cofacets is still unpaired; pairing free cells in random order
-    cannot create directed cycles (the earliest-removed pair of a
-    hypothetical cycle would have had two live cofacets).  Restarts with seed+attempt on
-    a stall, for at most max_attempts attempts and SEARCH_WORK attempts x
-    live cells.  An attempt in which every pick had one free cell to choose
-    from used nothing of its seed, so every seed would repeat it: the
-    search stops after it.  No matching pairs an odd number of live cells,
-    so the search stops after the first attempt on one.  Then raises
-    SearchFailure carrying the best attempt's surplus and the attempts made.
-    The search works on the live cells' positions in vertex tuple order, and
-    draws the same random numbers, so finds the same matching, surplus and
-    attempt count for a seed, as one keyed by the cells themselves.
+    Validates the cells as simplices, and seed and max_attempts as ints;
+    the search itself, _find_matching, works on their masks and refuses a
+    candidate that is not a face of c.  Randomized free-pair collapse: a
+    cell is free when exactly one of its candidate cofacets is still
+    unpaired; pairing free cells in random order cannot create directed
+    cycles (the earliest-removed pair of a hypothetical cycle would have
+    had two live cofacets).  Restarts with seed+attempt on a stall, for at
+    most max_attempts attempts and SEARCH_WORK attempts x live cells.  An
+    attempt in which every pick had one free cell to choose from used
+    nothing of its seed, so every seed would repeat it: the search stops
+    after it.  No matching pairs an odd number of live cells, so the search
+    stops after the first attempt on one.  Then raises SearchFailure
+    carrying the best attempt's surplus and the attempts made.  The search
+    works on per-cell arrays over the live cells' positions in vertex tuple
+    order and draws each pick as Random.randrange does, so finds the same
+    matching, surplus and attempt count for a seed as one keyed by the
+    cells themselves.
     """
     return _find_matching(
         c,
@@ -323,9 +335,19 @@ def _find_matching(c: Complex, cand_masks, forced_masks, seed: int, max_attempts
 
     The search runs on the live cells' positions in _live_order, c's
     storage order, which is vertex tuple order, so the found pairs sort as
-    positions.  The found matching is certified, and so cached for later
-    flows, before it is returned.
+    positions.  Each live cell keeps a tuple of its live facets'
+    positions, its live-cofacet count and the sum of its live cofacets'
+    positions: a free cell's one live cofacet is that sum, so no cofacet
+    list is kept.  Each pick is drawn as Random.randrange draws it,
+    getrandbits of the free list's bit length until below its length, and
+    the free list keeps its stale entries, which use up draws as they did
+    in a search keyed by the cells.  A pair is recorded at its lower
+    cell's position, so the pairs come out sorted.  The found matching is
+    certified, and so cached for later flows, before it is returned.
     """
+    for name, value in (("seed", seed), ("max_attempts", max_attempts)):
+        if type(value) is not int:  # True is no seed and no count
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
     if max_attempts < 1:
         raise ParameterError("max_attempts must be positive")
     cand = set(cand_masks)
@@ -340,18 +362,21 @@ def _find_matching(c: Complex, cand_masks, forced_masks, seed: int, max_attempts
     live0 = [mask for mask in _live_order(c, cand) if mask not in forced]
     n = len(live0)
     pos = {mask: i for i, mask in enumerate(live0)}
-    cofacets: list[list[int]] = [[] for _ in live0]  # in position order
-    facets: list[list[int]] = [[] for _ in live0]  # dropping the smallest vertex first
+    facets: list[tuple[int, ...]] = []  # dropping the smallest vertex first
+    base_count = [0] * n
+    base_sum = [0] * n
     for i, mask in enumerate(live0):
+        subs = []
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
             j = pos.get(mask ^ low)
             if j is not None:
-                cofacets[j].append(i)
-                facets[i].append(j)
-    base_count = [len(up) for up in cofacets]
+                subs.append(j)
+                base_count[j] += 1
+                base_sum[j] += i
+        facets.append(tuple(subs))
     free0 = [i for i in range(n) if base_count[i] == 1]
 
     attempts = min(max_attempts, SEARCH_WORK // max(n, 1))
@@ -360,35 +385,41 @@ def _find_matching(c: Complex, cand_masks, forced_masks, seed: int, max_attempts
     tried = 0
     for attempt in range(attempts):
         tried += 1
-        randrange = random.Random(seed + attempt).randrange
+        getrandbits = random.Random(seed + attempt).getrandbits
         live = bytearray(b"\x01") * n
         count = base_count[:]
+        cosum = base_sum[:]
         free = free0[:]
-        pairs: list[tuple[int, int]] = []
+        upper = [0] * n  # a lower cell's partner; position 0 is no cell's cofacet
+        paired = 0
         chose = False  # whether some pick had more than one free cell
         while free:
-            chose = chose or len(free) > 1
-            i = randrange(len(free))
+            k = len(free)
+            bits = k.bit_length()
+            if k > 1:
+                chose = True
+            i = getrandbits(bits)  # Random.randrange(k)'s draws, so seeds keep their matchings
+            while i >= k:
+                i = getrandbits(bits)
             x = free[i]
             free[i] = free[-1]
             free.pop()
             if not live[x] or count[x] != 1:
                 continue
-            for t in cofacets[x]:
-                if live[t]:
-                    break
-            pairs.append((x, t))
+            t = cosum[x]
+            upper[x] = t
+            paired += 1
             live[x] = live[t] = 0
             for removed in (x, t):
                 for sub in facets[removed]:
                     if live[sub]:
+                        cosum[sub] -= removed
                         count[sub] -= 1
                         if count[sub] == 1:
                             free.append(sub)
-        left = n - 2 * len(pairs)
+        left = n - 2 * paired
         if not left:
-            pairs.sort()
-            m = Matching(tuple((live0[x], live0[t]) for x, t in pairs))
+            m = Matching(tuple((live0[x], live0[t]) for x, t in enumerate(upper) if t))
             if not check_matching(c, m).ok():  # collapse order should certify; treat as a bug
                 raise StructuralError("collapse produced an uncertifiable matching")
             return m

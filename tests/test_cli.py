@@ -186,6 +186,55 @@ def test_dodeca_trace_search_failure_fails_its_row(monkeypatch):
     assert "search failed: no perfect matching" in rows[-1]["computed"]
 
 
+def test_each_command_runs_with_the_collector_paused(monkeypatch):
+    # main pauses the cyclic collector for the command and gives the
+    # caller's setting back on every exit: 0, 1 from a failed search, 2
+    # from a bad file or from argparse, and an exception it does not catch
+    import gc
+
+    from ripstone import cli
+    from ripstone.errors import FormatError, SearchFailure
+    from ripstone.reports import Report, row
+
+    def passing():
+        return Report(title="trace", rows=(row("ran", True, True),))
+
+    def raising(error):
+        def handler():
+            raise error
+        return handler
+
+    outcomes = [
+        (passing, 0),
+        (raising(SearchFailure("no perfect matching")), 1),
+        (raising(FormatError("bad token", line=1)), 2),
+        (raising(RuntimeError("unexpected")), RuntimeError),
+    ]
+    seen = []
+    enabled = gc.isenabled()
+    try:
+        for before in (True, False):
+            (gc.enable if before else gc.disable)()
+            for handler, exit_code in outcomes:
+                def traced(seed, max_attempts, handler=handler):
+                    seen.append(gc.isenabled())
+                    return handler()
+
+                monkeypatch.setattr(cli, "trace_dodecahedron", traced)
+                argv = ["dodeca", "trace", "--seed", "3"]
+                if exit_code is RuntimeError:
+                    with pytest.raises(RuntimeError, match="unexpected"):
+                        run(argv)
+                else:
+                    assert run(argv)[0] == exit_code
+                assert gc.isenabled() is before
+            assert run(["frobnicate"])[0] == 2  # argparse's SystemExit
+            assert gc.isenabled() is before
+    finally:
+        (gc.enable if enabled else gc.disable)()
+    assert seen == [False] * 8
+
+
 def test_morse_check_rejects_cycle(tmp_path):
     cpath = tmp_path / "square.cx"
     mpath = tmp_path / "rotor.vm"

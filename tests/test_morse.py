@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -285,6 +286,18 @@ def test_find_matching_guards_and_trivia():
         find_matching(c, [(0,), (1,)], forced_critical=[(2,)])
     with pytest.raises(ParameterError):
         find_matching(c, all_faces(c), max_attempts=0)
+    # a seed or an attempt count is an int: not a bool, a float or a string
+    from ripstone.pipelines import trace_dodecahedron
+
+    refused = [("seed", v) for v in ("x", True, 1.5)] + [
+        ("max_attempts", v) for v in (1.5, True, "3")
+    ]
+    for name, value in refused:
+        message = rf"^{name} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ParameterError, match=message):
+            find_matching(c, all_faces(c), **{name: value})
+        with pytest.raises(ParameterError, match=message):
+            trace_dodecahedron(**{name: value})
 
 
 def test_flow_reproduces_boundary_of_critical_cell():
@@ -638,6 +651,116 @@ def test_candidates_outside_the_complex_are_refused():
         find_matching(edges, all_faces(tet), [(0,)], seed=5, max_attempts=10)
 
 
+def _reference_search(c, cand, forced, seed, max_attempts):
+    """The search as it ran on cofacet lists and randrange: the matching, or the SearchFailure.
+
+    cand and forced are sets of face masks of c, forced within cand.
+    """
+    from ripstone import morse
+    from ripstone.simplicial import vertices_of
+
+    live0 = [mask for level in c.faces for mask in level if mask in cand and mask not in forced]
+    n = len(live0)
+    pos = {mask: i for i, mask in enumerate(live0)}
+    cofacets = [[] for _ in live0]
+    facets = [[] for _ in live0]
+    for i, mask in enumerate(live0):
+        for v in range(mask.bit_length()):
+            j = pos.get(mask & ~(1 << v)) if mask >> v & 1 else None
+            if j is not None:
+                cofacets[j].append(i)
+                facets[i].append(j)
+    attempts = min(max_attempts, morse.SEARCH_WORK // max(n, 1))
+    best_live, best_left, tried = bytearray(b"\x01") * n, n, 0
+    for attempt in range(attempts):
+        tried += 1
+        randrange = random.Random(seed + attempt).randrange
+        live = bytearray(b"\x01") * n
+        count = [len(up) for up in cofacets]
+        free = [i for i in range(n) if count[i] == 1]
+        pairs = []
+        chose = False
+        while free:
+            chose = chose or len(free) > 1
+            i = randrange(len(free))
+            x = free[i]
+            free[i] = free[-1]
+            free.pop()
+            if not live[x] or count[x] != 1:
+                continue
+            t = next(t for t in cofacets[x] if live[t])
+            pairs.append((x, t))
+            live[x] = live[t] = 0
+            for removed in (x, t):
+                for sub in facets[removed]:
+                    if live[sub]:
+                        count[sub] -= 1
+                        if count[sub] == 1:
+                            free.append(sub)
+        left = n - 2 * len(pairs)
+        if not left:
+            return morse.Matching(tuple((live0[x], live0[t]) for x, t in sorted(pairs)))
+        if left < best_left:
+            best_live, best_left = live, left
+        if not chose or n % 2:
+            break
+    if n % 2:
+        why = " (an odd number of cells)"
+    elif tried < attempts:
+        why = " (it made no random choice)"
+    elif attempts < max_attempts:
+        why = f" (the work cap, {morse.SEARCH_WORK} attempts x cells)"
+    else:
+        why = ""
+    return SearchFailure(
+        f"no perfect matching on {n} cells within {tried} attempts{why}",
+        surplus=sorted(vertices_of(live0[i]) for i in range(n) if best_live[i]),
+        attempts=tried,
+    )
+
+
+@st.composite
+def search_inputs(draw):
+    """A complex on at most 7 vertices, candidate and forced masks, attempts and seeds."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    tops = draw(
+        st.lists(
+            st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=5),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    c = from_faces([tuple(sorted(t)) for t in tops])
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    faces = [mask for level in c.faces for mask in level]
+    keep = draw(st.sampled_from((1.0, 1.0, 0.8)))  # every face a candidate in most draws
+    cand = {mask for mask in faces if rng.random() < keep}
+    forced = set(rng.sample(sorted(cand), min(len(cand), draw(st.integers(0, 2)))))
+    if len(cand - forced) % 2 and draw(st.booleans()):  # mostly an even number of live cells
+        forced.add(rng.choice(sorted(cand - forced)))
+    seeds = draw(st.lists(st.integers(min_value=-5, max_value=2**40), min_size=3, max_size=3))
+    return c, cand, forced, draw(st.integers(min_value=1, max_value=12)), seeds
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(search_inputs())
+def test_the_search_finds_what_the_cofacet_list_search_found(drawn):
+    from ripstone.morse import _find_matching
+
+    c, cand, forced, max_attempts, seeds = drawn
+    for seed in seeds:
+        expected = _reference_search(c, cand, forced, seed, max_attempts)
+        try:
+            found = _find_matching(c, sorted(cand), sorted(forced), seed, max_attempts)
+        except SearchFailure as e:
+            assert isinstance(expected, SearchFailure), (seed, e)
+            assert (str(e), e.surplus, e.attempts) == (
+                str(expected), expected.surplus, expected.attempts,
+            )
+        else:
+            assert found == expected, seed
+
+
 def _whole_chain_flow(chain, v_map, limit):
     """Reference flow: id + dV + Vd applied to the whole chain at every step.
 
@@ -856,6 +979,35 @@ def test_a_cycle_split_by_a_pair_of_another_dimension_is_certified_cyclic():
     assert report.certificate == check_matching(c, matching_from_pairs(pairs)).certificate
 
 
+def _hasse_digraph(faces, m):
+    """The Hasse diagram of faces, each face to its facets, with each pair's edge turned up."""
+    from ripstone.simplicial import signed_facets
+
+    upper = dict(m.pairs)
+    succ = {mask: [f for f, _s in signed_facets(mask) if upper.get(f) != mask] for mask in faces}
+    for lo, up in m.pairs:
+        succ[lo].append(up)
+    return succ
+
+
+def _shortest_cycle_through(succ, starts):
+    """The length of a shortest directed cycle through one of starts, by BFS; 0 if none."""
+    lengths = []
+    for s in starts:
+        dist, frontier = {s: 0}, [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in succ[u]:
+                    if v == s:
+                        lengths.append(dist[u] + 1)
+                    elif v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+    return min(lengths, default=0)
+
+
 def _pair_by_pair(c, m):
     """check_matching as a reference: each pair's rules checked on c in turn.
 
@@ -864,7 +1016,7 @@ def _pair_by_pair(c, m):
     matching is acyclic exactly when that digraph is.
     """
     from ripstone.morse import MatchingReport
-    from ripstone.simplicial import signed_facets, vertices_of
+    from ripstone.simplicial import vertices_of
 
     faces = {mask for level in c.faces for mask in level}
     violations, roles = [], {}
@@ -882,10 +1034,7 @@ def _pair_by_pair(c, m):
         violations.append(f"pair {vertices_of(lo)} -> {vertices_of(up)} {problem}")
     if violations:
         return MatchingReport(False, False, (), None, tuple(violations))
-    upper = dict(m.pairs)
-    succ = {mask: [f for f, _s in signed_facets(mask) if upper.get(f) != mask] for mask in faces}
-    for lo, up in m.pairs:
-        succ[lo].append(up)
+    succ = _hasse_digraph(faces, m)
     indeg = {mask: 0 for mask in faces}
     for outs in succ.values():
         for f in outs:
@@ -911,9 +1060,11 @@ FAULTS = ((), (), ("outside",), ("non-facet",), ("repeated",), ("twice",), ("out
 def matchings_with_faults(draw):
     """A complex on at most 6 vertices and a Matching of drawn pairs in drawn order.
 
-    The pairs are facet-cofacet pairs of the complex, cycles allowed, plus
-    any of the planted faults: a cell outside the complex, a non-facet pair,
-    a cell repeated in another pair, a pair listed twice.
+    The pairs are facet-cofacet pairs of the complex, cycles allowed, with
+    a rotating cycle planted on a triangle's edges or a tetrahedron's
+    triangles, or both, in some draws; plus any of the planted faults: a
+    cell outside the complex, a non-facet pair, a cell repeated in another
+    pair, a pair listed twice.
     """
     from ripstone.morse import Matching
     from ripstone.simplicial import vertices_of
@@ -935,6 +1086,13 @@ def matchings_with_faults(draw):
         a, b, d = (1 << v for v in vertices_of(rng.choice(triangles)))
         pairs += [(a, a | b), (b, b | d), (d, a | d)]
         used |= {a, b, d, a | b, b | d, a | d}
+    tetrahedra = c.faces[3] if c.dim >= 3 else ()
+    if tetrahedra and draw(st.booleans()):  # one on a tetrahedron's triangles, one dimension up
+        a, b, d, e = (1 << v for v in rng.sample(vertices_of(rng.choice(tetrahedra)), 4))
+        rotor = [(a | b, a | b | e), (b | e, b | d | e), (b | d, a | b | d)]
+        if not {cell for pair in rotor for cell in pair} & used:
+            pairs += rotor
+            used |= {cell for pair in rotor for cell in pair}
     for up in rng.sample(faces, len(faces)):
         lows = [up ^ 1 << v for v in range(n) if up >> v & 1 and up ^ 1 << v in faces]
         lo = rng.choice(lows) if lows else None
@@ -966,9 +1124,36 @@ def test_certification_agrees_with_the_pair_by_pair_check(drawn):
         reference.valid, reference.acyclic, reference.critical,
     )
     assert (report.certificate is None) == (not report.valid or report.acyclic)
+    if report.certificate is not None:
+        _assert_a_shortest_cycle(c, m, report.certificate)
     # a second complex gets its own verdict from the pairs' cached one
     bigger = from_faces([tuple(range(c.faces[0][-1].bit_length() + 3))])
     again, expected = check_matching(bigger, m), _pair_by_pair(bigger, m)
     assert (again.valid, again.acyclic, again.critical, again.violations) == (
         expected.valid, expected.acyclic, expected.critical, expected.violations,
     )
+
+
+def _assert_a_shortest_cycle(c, m, certificate):
+    """certificate walks a cycle of m's pairs, upper cell to a facet, and is a shortest one.
+
+    A directed cycle of the Hasse digraph stays in two adjacent dimensions.
+    So no lower cell below the certificate's may lie on a cycle, and the
+    shortest cycle through a lower cell of its dimension is as long as it.
+    """
+    from ripstone.simplicial import mask_of
+
+    cells = [mask_of(cell) for cell in certificate]
+    upper, lower = dict(m.pairs), {up: lo for lo, up in m.pairs}
+    assert len(cells) >= 4 and len(cells) % 2 == 0
+    for i in range(0, len(cells), 2):
+        up, lo, after = cells[i], cells[i + 1], cells[(i + 2) % len(cells)]
+        assert up in lower and lo in upper  # an upper cell, then a lower cell, of pairs
+        assert lo != lower[up] and not lo & ~up and up.bit_count() == lo.bit_count() + 1
+        assert upper[lo] == after  # the lower cell's pair goes on, and the last closes up
+    succ = _hasse_digraph({mask for level in c.faces for mask in level}, m)
+    size = cells[1].bit_count()
+    below = [lo for lo, _up in m.pairs if lo.bit_count() < size]
+    level = [lo for lo, _up in m.pairs if lo.bit_count() == size]
+    assert _shortest_cycle_through(succ, below) == 0
+    assert _shortest_cycle_through(succ, level) == len(cells)

@@ -159,6 +159,24 @@ def test_the_cli_keeps_no_parser_across_calls():
     assert not hasattr(cli._build_parser, "cache_info")
 
 
+def test_only_the_cli_touches_the_garbage_collector():
+    # cli.main pauses the cyclic collector for one command and gives the
+    # caller's setting back; a library call keeps its caller's setting
+    src = Path(ripstone.__file__).resolve().parent
+    importers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if "gc" in names:
+                importers.append(f"ripstone.{path.stem}")
+    assert importers == ["ripstone.cli"]
+
+
 def test_module_entry_point_prints_what_main_prints():
     # the README's `python -m ripstone.cli` form, in a fresh interpreter
     from ripstone.cli import main
