@@ -364,7 +364,7 @@ def _find_matching(c: Complex, cand_masks, forced_masks, seed: int, max_attempts
     pos = {mask: i for i, mask in enumerate(live0)}
     facets: list[tuple[int, ...]] = []  # dropping the smallest vertex first
     base_count = [0] * n
-    base_sum = [0] * n
+    base_cosum = [0] * n
     for i, mask in enumerate(live0):
         subs = []
         rest = mask
@@ -375,7 +375,7 @@ def _find_matching(c: Complex, cand_masks, forced_masks, seed: int, max_attempts
             if j is not None:
                 subs.append(j)
                 base_count[j] += 1
-                base_sum[j] += i
+                base_cosum[j] += i
         facets.append(tuple(subs))
     free0 = [i for i in range(n) if base_count[i] == 1]
 
@@ -388,7 +388,7 @@ def _find_matching(c: Complex, cand_masks, forced_masks, seed: int, max_attempts
         getrandbits = random.Random(seed + attempt).getrandbits
         live = bytearray(b"\x01") * n
         count = base_count[:]
-        cosum = base_sum[:]
+        cosum = base_cosum[:]
         free = free0[:]
         upper = [0] * n  # a lower cell's partner; position 0 is no cell's cofacet
         paired = 0
